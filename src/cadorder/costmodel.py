@@ -224,10 +224,6 @@ class ExternalSolverAdapter:
         return f"cmd({self.template!r},timeout={self.timeout_s})"
 
 
-def external_cost(adapter: ExternalSolverAdapter, pr: ProblemInstance, ordering: Ordering) -> CostRecord:
-    return adapter.run(pr, ordering)
-
-
 @dataclass(frozen=True)
 class CostTotal:
     total: float

@@ -163,7 +163,11 @@ def write_dataset(problems, out_dir: str | Path, cfg: GenConfig | None = None) -
 
 
 def load_dataset(path: str | Path) -> list[ProblemInstance]:
-    """Load a dataset directory; manifest order if present, else sorted names."""
+    """Load a dataset directory; manifest order if present, else sorted names.
+
+    Files listed in a manifest must match its sha256 values; a mismatch
+    raises ValueError naming the file.
+    """
     from .polyset import parse_problem
 
     root = Path(path)
@@ -172,8 +176,11 @@ def load_dataset(path: str | Path) -> list[ProblemInstance]:
     if manifest.exists():
         meta = json.loads(manifest.read_text())
         for entry in meta["files"]:
-            text = (root / entry["name"]).read_text()
-            problems.append(parse_problem(text, problem_id=entry["id"]))
+            file = root / entry["name"]
+            data = file.read_bytes()
+            if hashlib.sha256(data).hexdigest() != entry["sha256"]:
+                raise ValueError(f"{file}: sha256 does not match manifest.json")
+            problems.append(parse_problem(data.decode(), problem_id=entry["id"]))
     else:
         for f in sorted(root.glob("*.poly")):
             problems.append(parse_problem(f.read_text(), problem_id=f.stem))

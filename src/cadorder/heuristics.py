@@ -14,9 +14,14 @@ position weighted n); its argmax neuron names the chosen ordering.  Both
 paths share the same deterministic tie-break (ascending variable index),
 so they agree exactly, ties included.
 
+Production code orders by the sort (``lex_order``, ``order_by_scores``).
+The explicit n! output layer (``permutation_weights``, ``layer2_scores``)
+is the reference that ``check_equivalence`` compares against, and the
+layer that training relaxes to a softmax.
+
 Convention: the variable with the lexicographically greatest feature row
-is placed first in the ordering (see GREATEST_FIRST; the CLI can flip the
-printed order with --reverse).
+is placed first in the ordering (the CLI can flip the printed order with
+--reverse).
 """
 
 from __future__ import annotations
@@ -25,17 +30,16 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
+from operator import mul
 
 from .features import FeatureDescriptor, brown_features, eval_kernel, apply_pipeline
 from .polyset import ProblemInstance
 
-# Directional convention, recorded once: greatest feature row projects first.
-GREATEST_FIRST = True
-
 # The factorial output layer is only materialized up to this many variables;
-# past it, nn_order falls back to the sort path (same result by the
-# rearrangement inequality).
+# past it, check_equivalence compares against the sort path (same result by
+# the rearrangement inequality).
 MAX_EXPLICIT_LAYER = 8
 
 
@@ -170,11 +174,13 @@ def layer1_forward(net: HeuristicNetwork, fm: FeatureMatrix) -> tuple:
     return tuple(r[0] * w2 + r[1] * w + r[2] * one for r in fm.rows)
 
 
-def permutation_weights(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+@lru_cache(maxsize=None)
+def permutation_weights(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """All (ordering, weight-vector) pairs of the output layer, lexicographic.
 
     The weight vector lists, per variable index, the weight that neuron
     applies: n for the ordering's first variable down to 1 for its last.
+    Built once per n; every caller shares the same immutable tuple.
     """
     if n > MAX_EXPLICIT_LAYER:
         raise ValueError(f"explicit output layer limited to {MAX_EXPLICIT_LAYER} variables")
@@ -184,26 +190,19 @@ def permutation_weights(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]
         for pos, v in enumerate(perm):
             weights[v] = n - pos
         out.append((perm, tuple(weights)))
-    return out
+    return tuple(out)
 
 
 def layer2_scores(y) -> tuple:
     """Score of every permutation neuron for first-layer output ``y``."""
-    return tuple(
-        sum(wv * yv for wv, yv in zip(weights, y))
-        for _, weights in permutation_weights(len(y))
-    )
+    return tuple(sum(map(mul, weights, y)) for _, weights in permutation_weights(len(y)))
 
 
 def _order_scores(y) -> Ordering:
     """Argmax neuron, first (lexicographically smallest) on ties."""
-    best = None
-    best_score = None
-    for perm, weights in permutation_weights(len(y)):
-        score = sum(wv * yv for wv, yv in zip(weights, y))
-        if best_score is None or score > best_score:
-            best, best_score = perm, score
-    return Ordering(best)
+    scores = layer2_scores(y)
+    best = max(range(len(scores)), key=scores.__getitem__)
+    return Ordering(permutation_weights(len(y))[best][0])
 
 
 def order_by_scores(y) -> Ordering:
@@ -239,13 +238,13 @@ def _check_weight(fm: FeatureMatrix, w: int, pr: ProblemInstance) -> None:
 
 
 def nn_order(net: HeuristicNetwork, pr: ProblemInstance) -> Ordering:
-    """Ordering chosen by the network; raises BaseWeightError if w is too small."""
+    """Ordering chosen by the network; raises BaseWeightError if w is too small.
+
+    The argmax neuron is found by sorting y, which picks the same neuron.
+    """
     fm = feature_matrix(net.triplet, pr)
     _check_weight(fm, net.base_weight, pr)
-    y = layer1_forward(net, fm)
-    if pr.n_vars <= MAX_EXPLICIT_LAYER:
-        return _order_scores(y)
-    return order_by_scores(y)
+    return order_by_scores(layer1_forward(net, fm))
 
 
 @dataclass

@@ -12,7 +12,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
@@ -20,18 +19,8 @@ from pathlib import Path
 
 from .costmodel import CostOracle
 from .features import FeatureSet, apply_pipeline, brown_features, eval_kernel
-from .heuristics import (
-    FeatureMatrix,
-    HeuristicNetwork,
-    Ordering,
-    _order_scores,
-    feature_matrix,
-    layer1_forward,
-    lex_order,
-    order_by_scores,
-    MAX_EXPLICIT_LAYER,
-)
-from .polyset import ProblemInstance, serialize_problem
+from .heuristics import FeatureMatrix, feature_matrix, lex_order
+from .polyset import serialize_problem
 
 
 @dataclass(frozen=True)
@@ -97,34 +86,17 @@ def enumerate_triplets(fs: FeatureSet) -> list[tuple[int, int, int]]:
     return list(permutations(range(k), 3))
 
 
-def _order_from_rows(rows, w: int) -> Ordering:
-    """Network-path ordering for one problem given its feature rows."""
-    w2 = w * w
-    y = tuple(r[0] * w2 + r[1] * w + r[2] for r in rows)
-    if len(y) <= MAX_EXPLICIT_LAYER:
-        return _order_scores(y)
-    return order_by_scores(y)
+def _price(triplet, dataset, matrices, oracle: CostOracle, ids=None) -> TripletCandidate:
+    """Order every problem by its feature rows and sum the oracle costs."""
+    costs = tuple(oracle.cost(pr, lex_order(fm)) for pr, fm in zip(dataset, matrices))
+    uses_average = any(fd.uses_average() for fd in triplet)
+    return TripletCandidate(ids, sum(costs), costs, uses_average)
 
 
 def evaluate_triplet(triplet, dataset, oracle: CostOracle) -> TripletCandidate:
-    """Price one triplet: select w over the dataset, order every problem, sum.
-
-    Average-based triplets can carry sub-unit feature gaps that break the
-    radix argument, so for those the lexicographic path decides.
-    """
+    """Price one triplet: order every problem lexicographically, sum the costs."""
     triplet = tuple(triplet)
-    matrices = [feature_matrix(triplet, pr) for pr in dataset]
-    top = max((fm.max_value() for fm in matrices), default=0)
-    w = math.floor(top) + 2
-    uses_average = any(fd.uses_average() for fd in triplet)
-    costs = []
-    for pr, fm in zip(dataset, matrices):
-        if uses_average:
-            ordering = lex_order(fm)
-        else:
-            ordering = _order_from_rows(fm.rows, w)
-        costs.append(oracle.cost(pr, ordering))
-    return TripletCandidate(None, sum(costs), tuple(costs), uses_average)
+    return _price(triplet, dataset, (feature_matrix(triplet, pr) for pr in dataset), oracle)
 
 
 class _PoolValues:
@@ -132,9 +104,7 @@ class _PoolValues:
 
     def __init__(self, fs: FeatureSet, dataset):
         self.dataset = list(dataset)
-        k = len(fs.descriptors)
-        self.values = [[] for _ in range(k)]  # values[d][p] = tuple over variables
-        self.maxima = [0] * k
+        self.values = [[] for _ in fs.descriptors]  # values[d][p] = tuple over variables
         for pr in self.dataset:
             tables = {}
             for d, fd in enumerate(fs.descriptors):
@@ -146,35 +116,37 @@ class _PoolValues:
                         table = tables[key] = eval_kernel(fd.kernel, pr, v)
                     col.append(apply_pipeline(fd.pipeline, table))
                 self.values[d].append(tuple(col))
-                self.maxima[d] = max(self.maxima[d], max(col))
 
     def candidate(self, ids, fs: FeatureSet, oracle: CostOracle) -> TripletCandidate:
-        a, b, c = ids
-        w = math.floor(max(self.maxima[a], self.maxima[b], self.maxima[c])) + 2
-        uses_average = any(fs.descriptors[i].uses_average() for i in ids)
-        costs = []
-        for p, pr in enumerate(self.dataset):
-            rows = tuple(
-                (self.values[a][p][v], self.values[b][p][v], self.values[c][p][v])
-                for v in range(pr.n_vars)
-            )
-            if uses_average:
-                ordering = lex_order(FeatureMatrix(rows))
-            else:
-                ordering = _order_from_rows(rows, w)
-            costs.append(oracle.cost(pr, ordering))
-        return TripletCandidate(tuple(ids), sum(costs), tuple(costs), uses_average)
+        a, b, c = (self.values[i] for i in ids)
+        matrices = (FeatureMatrix(tuple(zip(a[p], b[p], c[p]))) for p in range(len(self.dataset)))
+        triplet = tuple(fs.descriptors[i] for i in ids)
+        return _price(triplet, self.dataset, matrices, oracle, tuple(ids))
 
 
 def _load_journal(path: Path) -> dict[int, float]:
+    """Replay ``index,total`` lines from a journal, if it exists.
+
+    A last line without its newline is a torn write: it is cut from the
+    file, so its triplet is evaluated again and later appends start on a
+    fresh line.  A malformed complete line raises ValueError.
+    """
+    if not path.exists():
+        return {}
+    data = path.read_bytes()
+    complete = data[: data.rfind(b"\n") + 1]
+    if len(complete) < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(len(complete))
     done: dict[int, float] = {}
-    if path.exists():
-        for line in path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            idx_text, cost_text = line.split(",", 1)
+    for lineno, line in enumerate(complete.decode().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            idx_text, cost_text = line.split(",")
             done[int(idx_text)] = float(cost_text)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed journal line {line!r}") from None
     return done
 
 

@@ -20,12 +20,21 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, asdict
+from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
+from types import MappingProxyType
 
 from .costmodel import CostOracle
 from .features import FeatureDescriptor, descriptor_from_record
-from .heuristics import FeatureMatrix, Ordering, feature_matrix, order_by_scores, permutation_weights
+from .heuristics import (
+    FeatureMatrix,
+    Ordering,
+    feature_matrix,
+    layer2_scores,
+    order_by_scores,
+    permutation_weights,
+)
 from .polyset import ProblemInstance
 
 
@@ -73,16 +82,14 @@ def forward_soft(net: TrainableNetwork, fm: FeatureMatrix, temperature: float = 
     """Probability of each permutation neuron, in lexicographic neuron order."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    y = net.scores_y(fm)
-    scores = [
-        sum(wv * yv for wv, yv in zip(weights, y))
-        for _, weights in permutation_weights(len(y))
-    ]
+    scores = layer2_scores(net.scores_y(fm))
     return _softmax([s / temperature for s in scores])
 
 
-def _neuron_index(n: int) -> dict[tuple[int, ...], int]:
-    return {perm: i for i, perm in enumerate(permutations(range(n)))}
+@lru_cache(maxsize=None)
+def _neuron_index(n: int) -> MappingProxyType:
+    """Read-only map from ordering to its neuron's position, built once per n."""
+    return MappingProxyType({perm: i for i, (perm, _) in enumerate(permutation_weights(n))})
 
 
 def loss(net: TrainableNetwork, batch, temperature: float = 1.0) -> float:

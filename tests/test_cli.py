@@ -190,6 +190,14 @@ def test_check_force_w_reports_violation(tmp_path, capsys):
     assert "1 weight violations" in stdout
 
 
+def test_check_tampered_dataset_file_is_data_error(dataset_dir, capsys):
+    tampered = sorted(dataset_dir.glob("*.poly"))[3]
+    tampered.write_text(tampered.read_text() + "x0\n")
+    code, _, stderr = run(capsys, "check", "--data", str(dataset_dir))
+    assert code == 2
+    assert tampered.name in stderr and "sha256" in stderr
+
+
 def test_check_empty_dataset_usage_error(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

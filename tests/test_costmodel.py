@@ -12,7 +12,6 @@ from cadorder.costmodel import (
     SolverError,
     SyntheticCostModel,
     TimingTable,
-    external_cost,
     load_timing_table,
     total_cost,
 )
@@ -163,7 +162,7 @@ def test_timeout_accounting(problem_a):
 
 def test_external_adapter_instant_command(problem_a):
     adapter = ExternalSolverAdapter("true {problem_file} {ordering}", timeout_s=5.0)
-    rec = external_cost(adapter, problem_a, Ordering((0, 1, 2)))
+    rec = adapter.run(problem_a, Ordering((0, 1, 2)))
     assert not rec.timed_out
     assert rec.time_s < 5.0
     assert rec.ordering == "x>y>z"
@@ -174,7 +173,7 @@ def test_external_adapter_timeout(problem_a):
 
     sleeper = f"{sys.executable} -c 'import time; time.sleep(10)' {{problem_file}} {{ordering}}"
     adapter = ExternalSolverAdapter(sleeper, timeout_s=0.1)
-    rec = external_cost(adapter, problem_a, Ordering((0, 1, 2)))
+    rec = adapter.run(problem_a, Ordering((0, 1, 2)))
     assert rec.timed_out
     assert adapter.cost(problem_a, Ordering((0, 1, 2))) == pytest.approx(0.1)
 

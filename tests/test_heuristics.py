@@ -98,6 +98,9 @@ def test_layer2_scores_examples():
     assert layer2_scores((0, 0, 0)) == (0,) * 6
     best = max(range(6), key=lambda i: layer2_scores((1, 2, 3))[i])
     assert list(permutation_weights(3))[best][0] == (2, 1, 0)
+    # Built once per n and shared: the same immutable object every call.
+    assert permutation_weights(3) is permutation_weights(3)
+    assert isinstance(permutation_weights(3), tuple)
 
 
 def test_layer2_explicit_limit():

@@ -27,6 +27,18 @@ def _named_pool() -> FeatureSet:
     return FeatureSet.from_descriptors(brown_features() + selected_triplet())
 
 
+def _average_pool() -> FeatureSet:
+    """Pool mixing av_* descriptors (fractional values) with integer ones."""
+    return FeatureSet.from_descriptors(
+        (
+            FeatureDescriptor(Kernel.DEGREE, (Agg.AV_M, Agg.SUM_P, Agg.ID, Agg.ID)),
+            FeatureDescriptor(Kernel.DEGREE, (Agg.MAX_M, Agg.AV_P, Agg.ID, Agg.ID)),
+            FeatureDescriptor(Kernel.DEGREE, (Agg.AV_MP, Agg.ID, Agg.ID, Agg.ID)),
+        )
+        + brown_features()[:2]
+    )
+
+
 def _brute_force_best(fs, dataset, oracle):
     """Independent recomputation: lexicographic path per triplet, min by cost."""
     best = None
@@ -81,18 +93,18 @@ def test_evaluate_triplet_flags_averages(problem_a):
 
 
 def test_search_matches_brute_force():
-    fs = _named_pool()
     dataset = random_dataset(GenConfig(seed=0), 200)
     oracle = SyntheticCostModel()
-    report = search_triplets(fs, dataset, oracle)
-    assert report.triplet_count == 120
-    best_cost, best_ids = _brute_force_best(fs, dataset, oracle)
-    top = report.ranked[0]
-    assert top["total_cost"] == best_cost
-    assert tuple(top["features"]) == best_ids
-    # Ranking is a total order, ascending.
-    costs = [row["total_cost"] for row in report.ranked]
-    assert costs == sorted(costs)
+    for fs, triplets in ((_named_pool(), 120), (_average_pool(), 60)):
+        report = search_triplets(fs, dataset, oracle)
+        assert report.triplet_count == triplets
+        best_cost, best_ids = _brute_force_best(fs, dataset, oracle)
+        top = report.ranked[0]
+        assert top["total_cost"] == best_cost
+        assert tuple(top["features"]) == best_ids
+        # Ranking is a total order, ascending.
+        costs = [row["total_cost"] for row in report.ranked]
+        assert costs == sorted(costs)
 
 
 def test_search_rank1_not_worse_than_brown():
@@ -151,6 +163,34 @@ def test_search_journal_resume(tmp_path):
         full.to_json(), sort_keys=True
     )
     assert len(half.read_text().splitlines()) == 120
+
+
+def test_search_journal_drops_torn_last_line(tmp_path):
+    fs = _named_pool()
+    dataset = random_dataset(GenConfig(seed=5), 40)
+    oracle = SyntheticCostModel()
+    journal = tmp_path / "journal.txt"
+    full = search_triplets(fs, dataset, oracle, journal_path=journal)
+    lines = journal.read_text().splitlines()
+
+    # A write torn mid-number: "12,3." would parse as 3.0 if trusted.
+    idx = lines[10].split(",")[0]
+    torn = tmp_path / "torn.txt"
+    torn.write_text("\n".join(lines[:10]) + f"\n{idx},3.")
+    resumed = search_triplets(fs, dataset, oracle, journal_path=torn)
+    assert resumed.to_json() == full.to_json()
+    replayed = torn.read_text().splitlines()
+    assert len(replayed) == 120
+    assert sorted(replayed) == sorted(lines)
+
+
+def test_search_journal_malformed_line_raises(tmp_path):
+    journal = tmp_path / "journal.txt"
+    journal.write_text("0,12.5\n7;3.0\n")
+    with pytest.raises(ValueError, match="journal.txt:2"):
+        search_triplets(_named_pool(), random_dataset(GenConfig(seed=5), 5),
+                        SyntheticCostModel(), journal_path=journal)
+    assert journal.read_text() == "0,12.5\n7;3.0\n"
 
 
 def test_report_csv_shape(problem_a, problem_b):

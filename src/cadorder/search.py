@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
@@ -119,7 +120,7 @@ class _PoolValues:
 
     def candidate(self, ids, fs: FeatureSet, oracle: CostOracle) -> TripletCandidate:
         a, b, c = (self.values[i] for i in ids)
-        matrices = (FeatureMatrix(tuple(zip(a[p], b[p], c[p]))) for p in range(len(self.dataset)))
+        matrices = (FeatureMatrix(tuple(zip(*cols))) for cols in zip(a, b, c))
         triplet = tuple(fs.descriptors[i] for i in ids)
         return _price(triplet, self.dataset, matrices, oracle, tuple(ids))
 
@@ -136,8 +137,7 @@ def _load_journal(path: Path) -> dict[int, float]:
     data = path.read_bytes()
     complete = data[: data.rfind(b"\n") + 1]
     if len(complete) < len(data):
-        with open(path, "r+b") as fh:
-            fh.truncate(len(complete))
+        os.truncate(path, len(complete))
     done: dict[int, float] = {}
     for lineno, line in enumerate(complete.decode().splitlines(), start=1):
         if not line.strip():

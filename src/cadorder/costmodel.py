@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
 import shlex
+import signal
 import subprocess
 import tempfile
 import threading
@@ -159,6 +161,15 @@ class SyntheticCostModel:
         return f"synthetic(step={self.step_base},noise_seed={self.noise_seed},noise_scale={self.noise_scale})"
 
 
+def _kill_group(proc: subprocess.Popen) -> None:
+    """Kill every process in ``proc``'s group, then reap ``proc``."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.communicate()
+
+
 @dataclass(frozen=True)
 class ExternalSolverAdapter:
     """Runs a command template and prices the pair by wall-clock seconds.
@@ -196,17 +207,26 @@ class ExternalSolverAdapter:
         try:
             start = time.perf_counter()
             try:
-                proc = subprocess.run(
-                    cmd, capture_output=True, timeout=self.timeout_s, check=False
+                # A session of its own, so a timeout ends the solver's whole
+                # process group: killing only the direct child would leave
+                # the grandchildren of a shell template running.
+                proc = subprocess.Popen(
+                    cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True
                 )
-            except subprocess.TimeoutExpired:
-                return CostRecord(pr.id or "?", names, self.timeout_s, True)
             except OSError as e:
                 raise SolverError(f"failed to spawn {cmd[0]!r}: {e}") from e
+            try:
+                _, stderr = proc.communicate(timeout=self.timeout_s)
+            except subprocess.TimeoutExpired:
+                _kill_group(proc)
+                return CostRecord(pr.id or "?", names, self.timeout_s, True)
+            except BaseException:  # interrupted: leave no solver running
+                _kill_group(proc)
+                raise
             elapsed = time.perf_counter() - start
             if proc.returncode != 0:
                 raise SolverError(
-                    f"solver exited {proc.returncode}: {proc.stderr.decode(errors='replace').strip()}"
+                    f"solver exited {proc.returncode}: {stderr.decode(errors='replace').strip()}"
                 )
             return CostRecord(pr.id or "?", names, elapsed, False)
         finally:

@@ -128,6 +128,50 @@ def _sgn(x):
     return (x > 0) - (x < 0)
 
 
+def _next_state(agg: Agg, state: str) -> str:
+    """Axis state after ``agg``; raises if ``agg`` cannot apply in ``state``."""
+    nxt = _TRANSITIONS.get(state, {}).get(agg)
+    if nxt is None:
+        if agg in _ELEMENTWISE:
+            return state
+        raise InvalidDescriptorError(
+            f"{agg.value} cannot apply when state is {state or 'scalar'!r}"
+        )
+    return nxt
+
+
+def _apply_stage(agg: Agg, state: str, value):
+    """One stage other than ``id`` on a value in axis state ``state`` (already checked)."""
+    if agg is Agg.SGN:
+        if state == "mp":
+            return [[_sgn(x) for x in row] for row in value]
+        if state == "p":
+            return [_sgn(x) for x in value]
+        return _sgn(value)
+    if agg is Agg.MAX_M:
+        return [max(row) for row in value]
+    if agg is Agg.SUM_M:
+        return [sum(row) for row in value]
+    if agg is Agg.AV_M:
+        return [sum(row) * Fraction(1, len(row)) for row in value]
+    if agg is Agg.MAX_MP:
+        return max(x for row in value for x in row)
+    if agg is Agg.SUM_MP:
+        return sum(x for row in value for x in row)
+    if agg is Agg.AV_MP:
+        return sum(sum(row) * Fraction(1, len(row)) for row in value) * Fraction(1, len(value))
+    if agg is Agg.MAX_P:
+        return max(value)
+    if agg is Agg.SUM_P:
+        return sum(value)
+    return sum(value) * Fraction(1, len(value))  # Agg.AV_P
+
+
+def _check_reduced(state: str) -> None:
+    if state != "":
+        raise InvalidDescriptorError(f"pipeline left axis state {state!r} unreduced")
+
+
 def apply_pipeline(pipeline, table):
     """Run aggregation stages over a kernel table down to a scalar."""
     value = table
@@ -135,46 +179,52 @@ def apply_pipeline(pipeline, table):
     for agg in pipeline:
         if agg is Agg.ID:
             continue
-        if agg is Agg.SGN:
-            if state == "mp":
-                value = [[_sgn(x) for x in row] for row in value]
-            elif state == "p":
-                value = [_sgn(x) for x in value]
-            else:
-                value = _sgn(value)
-            continue
-        nxt = _TRANSITIONS.get(state, {}).get(agg)
-        if nxt is None:
-            raise InvalidDescriptorError(
-                f"{agg.value} cannot apply when state is {state or 'scalar'!r}"
-            )
-        if agg is Agg.MAX_M:
-            value = [max(row) for row in value]
-        elif agg is Agg.SUM_M:
-            value = [sum(row) for row in value]
-        elif agg is Agg.AV_M:
-            value = [sum(row) * Fraction(1, len(row)) for row in value]
-        elif agg is Agg.MAX_MP:
-            value = max(x for row in value for x in row)
-        elif agg is Agg.SUM_MP:
-            value = sum(x for row in value for x in row)
-        elif agg is Agg.AV_MP:
-            value = sum(sum(row) * Fraction(1, len(row)) for row in value) * Fraction(1, len(value))
-        elif agg is Agg.MAX_P:
-            value = max(value)
-        elif agg is Agg.SUM_P:
-            value = sum(value)
-        elif agg is Agg.AV_P:
-            value = sum(value) * Fraction(1, len(value))
+        nxt = _next_state(agg, state)
+        value = _apply_stage(agg, state, value)
         state = nxt
-    if state != "":
-        raise InvalidDescriptorError(f"pipeline left axis state {state!r} unreduced")
+    _check_reduced(state)
     return value
 
 
 def eval_feature(fd: FeatureDescriptor, pr: ProblemInstance, v: int):
     """Exact rational value of the feature for variable index ``v``."""
     return apply_pipeline(fd.pipeline, eval_kernel(fd.kernel, pr, v))
+
+
+def eval_descriptors(descriptors, problems):
+    """Evaluate many descriptors at once, sharing every stage prefix.
+
+    Descriptors are grouped by kernel and by their stages without ``id``
+    (a no-op), and the groups form one prefix trie per kernel.  Each kernel
+    table is built once per (problem, variable); each trie node applies its
+    stage once to its parent's values.  Yields ``(members, values)`` per
+    group, where ``members`` are the group's descriptors in input order and
+    ``values`` runs over every (problem, variable) pair, problem-major --
+    the same values ``eval_feature`` gives one by one.
+    """
+    problems = list(problems)
+    tries: dict[Kernel, dict] = {}
+    for fd in descriptors:
+        node = tries.setdefault(fd.kernel, {})
+        for agg in fd.pipeline:
+            if agg is not Agg.ID:
+                node = node.setdefault(agg, {})
+        node.setdefault(None, []).append(fd)
+    for kernel, root in tries.items():
+        tables = [eval_kernel(kernel, pr, v) for pr in problems for v in range(pr.n_vars)]
+        yield from _walk_prefixes(root, "mp", tables)
+
+
+def _walk_prefixes(node: dict, state: str, values: list):
+    """Depth-first over a prefix trie; a node's values die with its subtree."""
+    members = node.get(None)
+    if members:
+        _check_reduced(state)
+        yield tuple(members), values
+    for agg, child in node.items():
+        if agg is not None:
+            nxt = _next_state(agg, state)
+            yield from _walk_prefixes(child, nxt, [_apply_stage(agg, state, x) for x in values])
 
 
 def _fd(kernel: Kernel, *stages: Agg) -> FeatureDescriptor:
@@ -285,20 +335,9 @@ def dedup_features(candidates, probe) -> FeatureSet:
     if any(pr.n_vars != n_vars for pr in probe):
         raise ValueError("probe problems must share n_vars")
 
-    tables: dict[tuple[int, Kernel, int], list[list[int]]] = {}
-    for i, pr in enumerate(probe):
-        for kernel in Kernel:
-            for v in range(n_vars):
-                tables[(i, kernel, v)] = eval_kernel(kernel, pr, v)
-
     classes: dict[tuple, list[FeatureDescriptor]] = {}
-    for fd in candidates:
-        vector = tuple(
-            apply_pipeline(fd.pipeline, tables[(i, fd.kernel, v)])
-            for i in range(len(probe))
-            for v in range(n_vars)
-        )
-        classes.setdefault(vector, []).append(fd)
+    for members, values in eval_descriptors(candidates, probe):
+        classes.setdefault(tuple(values), []).extend(members)
 
     reps = {}
     for members in classes.values():

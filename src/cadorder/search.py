@@ -19,16 +19,15 @@ from itertools import permutations
 from pathlib import Path
 
 from .costmodel import CostOracle
-from .features import FeatureSet, apply_pipeline, brown_features, eval_kernel
+from .features import FeatureSet, brown_features, eval_descriptors
 from .heuristics import FeatureMatrix, feature_matrix, lex_order
 from .polyset import serialize_problem
 
 
 @dataclass(frozen=True)
 class TripletCandidate:
-    """One ordered triplet with its evaluation results."""
+    """One ordered triplet's evaluation results."""
 
-    ids: tuple[int, int, int] | None
     total_cost: float
     per_problem: tuple[float, ...]
     uses_average: bool
@@ -87,17 +86,16 @@ def enumerate_triplets(fs: FeatureSet) -> list[tuple[int, int, int]]:
     return list(permutations(range(k), 3))
 
 
-def _price(triplet, dataset, matrices, oracle: CostOracle, ids=None) -> TripletCandidate:
-    """Order every problem by its feature rows and sum the oracle costs."""
-    costs = tuple(oracle.cost(pr, lex_order(fm)) for pr, fm in zip(dataset, matrices))
-    uses_average = any(fd.uses_average() for fd in triplet)
-    return TripletCandidate(ids, sum(costs), costs, uses_average)
+def _price(dataset, matrices, oracle: CostOracle) -> tuple[float, ...]:
+    """Order every problem by its feature rows; the oracle cost of each."""
+    return tuple(oracle.cost(pr, lex_order(fm)) for pr, fm in zip(dataset, matrices))
 
 
 def evaluate_triplet(triplet, dataset, oracle: CostOracle) -> TripletCandidate:
     """Price one triplet: order every problem lexicographically, sum the costs."""
     triplet = tuple(triplet)
-    return _price(triplet, dataset, (feature_matrix(triplet, pr) for pr in dataset), oracle)
+    costs = _price(dataset, (feature_matrix(triplet, pr) for pr in dataset), oracle)
+    return TripletCandidate(sum(costs), costs, any(fd.uses_average() for fd in triplet))
 
 
 class _PoolValues:
@@ -105,32 +103,32 @@ class _PoolValues:
 
     def __init__(self, fs: FeatureSet, dataset):
         self.dataset = list(dataset)
-        self.values = [[] for _ in fs.descriptors]  # values[d][p] = tuple over variables
+        spans, start = [], 0
         for pr in self.dataset:
-            tables = {}
-            for d, fd in enumerate(fs.descriptors):
-                col = []
-                for v in range(pr.n_vars):
-                    key = (fd.kernel, v)
-                    table = tables.get(key)
-                    if table is None:
-                        table = tables[key] = eval_kernel(fd.kernel, pr, v)
-                    col.append(apply_pipeline(fd.pipeline, table))
-                self.values[d].append(tuple(col))
+            spans.append((start, start + pr.n_vars))
+            start += pr.n_vars
+        by_descriptor = {}
+        for members, flat in eval_descriptors(fs.descriptors, self.dataset):
+            per_problem = [tuple(flat[a:b]) for a, b in spans]
+            by_descriptor.update(dict.fromkeys(members, per_problem))
+        # values[d][p] = tuple over variables
+        self.values = [by_descriptor[fd] for fd in fs.descriptors]
 
-    def candidate(self, ids, fs: FeatureSet, oracle: CostOracle) -> TripletCandidate:
+    def costs(self, ids, oracle: CostOracle) -> tuple[float, ...]:
+        """Per-problem oracle costs of the triplet of descriptor indices ``ids``."""
         a, b, c = (self.values[i] for i in ids)
         matrices = (FeatureMatrix(tuple(zip(*cols))) for cols in zip(a, b, c))
-        triplet = tuple(fs.descriptors[i] for i in ids)
-        return _price(triplet, self.dataset, matrices, oracle, tuple(ids))
+        return _price(self.dataset, matrices, oracle)
 
 
-def _load_journal(path: Path) -> dict[int, float]:
-    """Replay ``index,total`` lines from a journal, if it exists.
+def _load_journal(path: Path) -> dict[int, tuple[float, int]]:
+    """Replay ``index,total,wins`` lines from a journal, if it exists.
 
     A last line without its newline is a torn write: it is cut from the
     file, so its triplet is evaluated again and later appends start on a
-    fresh line.  A malformed complete line raises ValueError.
+    fresh line.  A malformed complete line raises ValueError; so does a
+    two-field ``index,total`` line from an older journal, which lacks the
+    wins against Brown's triplet.
     """
     if not path.exists():
         return {}
@@ -138,16 +136,29 @@ def _load_journal(path: Path) -> dict[int, float]:
     complete = data[: data.rfind(b"\n") + 1]
     if len(complete) < len(data):
         os.truncate(path, len(complete))
-    done: dict[int, float] = {}
+    done: dict[int, tuple[float, int]] = {}
     for lineno, line in enumerate(complete.decode().splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            idx_text, cost_text = line.split(",")
-            done[int(idx_text)] = float(cost_text)
+            idx_text, cost_text, wins_text = line.split(",")
+            done[int(idx_text)] = float(cost_text), int(wins_text)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed journal line {line!r}") from None
     return done
+
+
+def _evaluated(evaluate, pending, jobs: int):
+    """Yield ``evaluate(i)`` for each pending index, in order, as results complete."""
+    if jobs <= 1 or len(pending) <= 1:
+        yield from map(evaluate, pending)
+        return
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        try:
+            yield from pool.map(evaluate, pending)
+        finally:
+            # On an error or an abandoned search, start no further triplets.
+            pool.shutdown(wait=False, cancel_futures=True)
 
 
 def search_triplets(
@@ -161,62 +172,58 @@ def search_triplets(
 ) -> SearchReport:
     """Evaluate every ordered triplet; rank ascending by total cost.
 
-    Cost ties break on the triplet id encoding.  A journal file makes long
-    runs resumable: evaluated totals are appended as ``index,total`` lines
-    and trusted on resume.
+    Cost ties break on the triplet id encoding.  Brown's triplet is priced
+    first, so every triplet is priced once and its wins against Brown are
+    counted in the same pass.  A journal file makes long runs resumable:
+    results are appended as ``index,total,wins`` lines every
+    ``checkpoint_every`` triplets while the search runs (and once more if
+    it stops on an error), and trusted on resume.
     """
     dataset = list(dataset)
     triplets = enumerate_triplets(fs)
+    brown = evaluate_triplet(brown_features(), dataset, oracle)
+    brown_ids = _triplet_ids(brown_features(), fs)
     cache = _PoolValues(fs, dataset)
 
-    done: dict[int, float] = {}
     journal = Path(journal_path) if journal_path is not None else None
+    results: dict[int, tuple[float, int]] = {}
     if journal is not None:
-        done = _load_journal(journal)
+        results = _load_journal(journal)
+    pending = [i for i in range(len(triplets)) if i not in results]
 
-    pending = [i for i in range(len(triplets)) if i not in done]
+    def evaluate(idx: int) -> tuple[int, float, int]:
+        costs = cache.costs(triplets[idx], oracle)
+        wins = sum(1 for c, b in zip(costs, brown.per_problem) if c < b)
+        return idx, sum(costs), wins
 
-    def evaluate(idx: int) -> tuple[int, float]:
-        return idx, cache.candidate(triplets[idx], fs, oracle).total_cost
-
-    totals: dict[int, float] = dict(done)
-    if jobs > 1 and len(pending) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(evaluate, pending))
-    else:
-        results = [evaluate(i) for i in pending]
     buffer: list[str] = []
-    for idx, total in results:
-        totals[idx] = total
-        if journal is not None:
-            buffer.append(f"{idx},{total!r}\n")
-            if len(buffer) >= checkpoint_every:
-                with open(journal, "a") as fh:
-                    fh.writelines(buffer)
-                buffer.clear()
-    if journal is not None and buffer:
-        with open(journal, "a") as fh:
-            fh.writelines(buffer)
+    try:
+        for idx, total, wins in _evaluated(evaluate, pending, jobs):
+            results[idx] = total, wins
+            if journal is not None:
+                buffer.append(f"{idx},{total!r},{wins}\n")
+                if len(buffer) >= checkpoint_every:
+                    _append(journal, buffer)
+    finally:
+        if buffer:
+            _append(journal, buffer)
 
-    order = sorted(range(len(triplets)), key=lambda i: (totals[i], triplets[i]))
+    order = sorted(range(len(triplets)), key=lambda i: (results[i][0], triplets[i]))
     if top_k is not None:
         order = order[: top_k]
 
-    brown = evaluate_triplet(brown_features(), dataset, oracle)
-    brown_ids = _triplet_ids(brown_features(), fs)
-
     ranked = []
     for rank, idx in enumerate(order, start=1):
-        cand = cache.candidate(triplets[idx], fs, oracle)
-        wins = sum(1 for c, b in zip(cand.per_problem, brown.per_problem) if c < b)
+        ids = triplets[idx]
+        total, wins = results[idx]
         ranked.append(
             {
                 "rank": rank,
-                "features": list(cand.ids),
-                "descriptions": [fs.descriptors[i].describe() for i in cand.ids],
-                "total_cost": cand.total_cost,
+                "features": list(ids),
+                "descriptions": [fs.descriptors[i].describe() for i in ids],
+                "total_cost": total,
                 "wins_vs_brown": wins,
-                "uses_average": cand.uses_average,
+                "uses_average": any(fs.descriptors[i].uses_average() for i in ids),
             }
         )
 
@@ -231,6 +238,13 @@ def search_triplets(
             "total_cost": brown.total_cost,
         },
     )
+
+
+def _append(journal: Path, lines: list[str]) -> None:
+    """Append buffered journal lines and empty the buffer."""
+    with open(journal, "a") as fh:
+        fh.writelines(lines)
+    lines.clear()
 
 
 def _triplet_ids(triplet, fs: FeatureSet) -> tuple[int, ...] | None:

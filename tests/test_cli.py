@@ -157,6 +157,21 @@ def test_search_resume_matches_fresh(tmp_path, dataset_dir, pool_file, capsys):
     assert (tmp_path / "resumed.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
 
 
+def test_search_resume_old_journal_is_data_error(tmp_path, dataset_dir, pool_file, capsys):
+    journal = tmp_path / "journal.txt"
+    journal.write_text("0,12.5\n")
+    code, _, stderr = run(
+        capsys,
+        "search",
+        "--pool", str(pool_file),
+        "--data", str(dataset_dir),
+        "--resume", str(journal),
+        "--out", str(tmp_path / "r"),
+    )
+    assert code == 2
+    assert "journal.txt:1" in stderr
+
+
 def test_search_table_oracle_missing_pair(tmp_path, dataset_dir, pool_file, capsys):
     csv_path = tmp_path / "times.csv"
     csv_path.write_text("problem,ordering,time_s,timed_out\nrnd-0-0,x0>x1>x2,1.0,false\n")

@@ -178,6 +178,27 @@ def test_external_adapter_timeout(problem_a):
     assert adapter.cost(problem_a, Ordering((0, 1, 2))) == pytest.approx(0.1)
 
 
+def test_external_adapter_timeout_kills_grandchildren(problem_a, tmp_path):
+    import shlex
+    import sys
+    import time
+    from pathlib import Path
+
+    script = Path(__file__).with_name("fake_solver.py")
+    marker = tmp_path / "grandchild-survived"
+    args = " ".join(shlex.quote(str(a)) for a in (sys.executable, script))
+    adapter = ExternalSolverAdapter(
+        f"{args} {{problem_file}} {{ordering}} {shlex.quote(str(marker))}", timeout_s=0.5
+    )
+    start = time.perf_counter()
+    rec = adapter.run(problem_a, Ordering((0, 1, 2)))
+    assert rec.timed_out
+    assert time.perf_counter() - start < 10  # the solver itself sleeps 30 s
+    # A surviving grandchild creates the marker 1.5 s after it starts.
+    time.sleep(max(0.0, start + 3.0 - time.perf_counter()))
+    assert not marker.exists()
+
+
 def test_external_adapter_template_validation():
     with pytest.raises(ValueError, match="{ordering}"):
         ExternalSolverAdapter("mycad {problem_file}", timeout_s=1.0)

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -12,11 +13,13 @@ from cadorder.features import (
     FeatureSet,
     InvalidDescriptorError,
     Kernel,
+    apply_pipeline,
     brown_features,
     dedup_features,
     default_probe,
     descriptor_from_record,
     enumerate_descriptors,
+    eval_descriptors,
     eval_feature,
     eval_kernel,
     load_feature_set,
@@ -185,6 +188,68 @@ def test_dedup_monotone_refinement(extra):
     for members in large.provenance.values():
         assert len({membership[fd] for fd in members}) == 1
     assert len(large) >= len(small)
+
+
+def _stripped(fd):
+    return tuple(a for a in fd.pipeline if a is not Agg.ID)
+
+
+# Every valid descriptor, grouped by kernel and id-stripped stages: each
+# group holds one stage sequence and all of its id paddings.
+_PADDINGS: dict = {}
+for _d in enumerate_descriptors():
+    _PADDINGS.setdefault((_d.kernel, _stripped(_d)), []).append(_d)
+_SEQUENCES = sorted(_PADDINGS, key=lambda key: _PADDINGS[key][0].encoding)
+_PROBE_POOL = default_probe(count=12, seed=3)
+
+
+@st.composite
+def _padded_candidates(draw):
+    """Candidate subsets that take one or more id paddings of each drawn sequence."""
+    keys = draw(st.lists(st.sampled_from(_SEQUENCES), min_size=1, max_size=25, unique=True))
+    out = []
+    for key in keys:
+        out += draw(st.lists(st.sampled_from(_PADDINGS[key]), min_size=1, unique=True))
+    return draw(st.permutations(out))
+
+
+def _naive_dedup(candidates, probe):
+    """Reference: group by the value vector of each candidate, one by one."""
+    classes = {}
+    for fd in candidates:
+        vector = tuple(eval_feature(fd, pr, v) for pr in probe for v in range(pr.n_vars))
+        classes.setdefault(vector, []).append(fd)
+    reps = {
+        min(members, key=lambda fd: (fd.stage_count, fd.encoding)):
+            tuple(sorted(members, key=lambda fd: fd.encoding))
+        for members in classes.values()
+    }
+    ordered = tuple(sorted(reps, key=lambda fd: fd.encoding))
+    return FeatureSet(ordered, {fd: reps[fd] for fd in ordered})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.sampled_from(_PROBE_POOL), min_size=1, max_size=6, unique=True),
+    _padded_candidates(),
+)
+def test_dedup_matches_naive_grouping(probe, candidates):
+    assert dedup_features(candidates, probe) == _naive_dedup(candidates, probe)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem_instances(min_vars=1, max_vars=3), _padded_candidates())
+def test_shared_prefix_values_match_per_problem_path(pr, candidates):
+    yielded = []
+    for members, values in eval_descriptors(candidates, [pr, pr]):
+        assert len({(fd.kernel, _stripped(fd)) for fd in members}) == 1
+        yielded += members
+        for fd in members:
+            assert values == [eval_feature(fd, pr, v) for v in range(pr.n_vars)] * 2
+            for v in range(pr.n_vars):
+                table = eval_kernel(fd.kernel, pr, v)
+                assert apply_pipeline(fd.pipeline, table) == apply_pipeline(_stripped(fd), table)
+    assert Counter(yielded) == Counter(candidates)
 
 
 def test_named_features_survive_enumeration_dedup(problem_a, problem_b, problem_c):

@@ -1,4 +1,5 @@
 import json
+import threading
 from itertools import permutations
 
 import pytest
@@ -184,13 +185,76 @@ def test_search_journal_drops_torn_last_line(tmp_path):
     assert sorted(replayed) == sorted(lines)
 
 
-def test_search_journal_malformed_line_raises(tmp_path):
-    journal = tmp_path / "journal.txt"
-    journal.write_text("0,12.5\n7;3.0\n")
-    with pytest.raises(ValueError, match="journal.txt:2"):
+def _assert_journal_rejected(journal, text, line):
+    journal.write_text(text)
+    with pytest.raises(ValueError, match=f"journal.txt:{line}"):
         search_triplets(_named_pool(), random_dataset(GenConfig(seed=5), 5),
                         SyntheticCostModel(), journal_path=journal)
-    assert journal.read_text() == "0,12.5\n7;3.0\n"
+    assert journal.read_text() == text
+
+
+def test_search_journal_malformed_line_raises(tmp_path):
+    _assert_journal_rejected(tmp_path / "journal.txt", "0,12.5,3\n7;3.0,1\n", 2)
+
+
+def test_search_journal_two_field_line_raises(tmp_path):
+    # A line of an older journal: a total without the wins against Brown.
+    _assert_journal_rejected(tmp_path / "journal.txt", "0,12.5,3\n1,12.5\n", 2)
+
+
+class _CountingOracle:
+    """Synthetic costs; raises once ``limit`` calls have been made, if given."""
+
+    def __init__(self, limit=None):
+        self.inner = SyntheticCostModel()
+        self.limit = limit
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def cost(self, pr, ordering):
+        with self.lock:
+            if self.calls == self.limit:
+                raise RuntimeError("oracle interrupted")
+            self.calls += 1
+        return self.inner.cost(pr, ordering)
+
+    def describe(self):
+        return self.inner.describe()
+
+
+def test_search_prices_each_triplet_once():
+    dataset = random_dataset(GenConfig(seed=5), 10)
+    oracle = _CountingOracle()
+    report = search_triplets(_named_pool(), dataset, oracle)
+    assert len(report.ranked) == report.triplet_count == 120
+    # Every triplet once per problem, plus Brown's triplet once per problem.
+    assert oracle.calls == 120 * 10 + 10
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_search_interrupted_journal_resumes(tmp_path, jobs):
+    fs = _named_pool()
+    dataset = random_dataset(GenConfig(seed=5), 10)
+    fresh = search_triplets(fs, dataset, SyntheticCostModel())
+
+    # The oracle fails inside triplet 51 (Brown's triplet takes 10 calls).
+    journal = tmp_path / "journal.txt"
+    with pytest.raises(RuntimeError, match="interrupted"):
+        search_triplets(fs, dataset, _CountingOracle(limit=10 + 50 * 10 + 5),
+                        journal_path=journal, jobs=jobs, checkpoint_every=7)
+    text = journal.read_text()
+    assert text.endswith("\n")
+    lines = text.splitlines()
+    # Serially, the 50 triplets done before the failure are all on file;
+    # threads may leave triplets after a slower one unrecorded.
+    assert len(lines) == 50 if jobs == 1 else len(lines) < 120
+    assert all(len(line.split(",")) == 3 for line in lines)
+
+    resumed_oracle = _CountingOracle()
+    resumed = search_triplets(fs, dataset, resumed_oracle, journal_path=journal, jobs=jobs)
+    assert resumed.to_json() == fresh.to_json()
+    assert resumed_oracle.calls == (120 - len(lines)) * 10 + 10
+    assert len(journal.read_text().splitlines()) == 120
 
 
 def test_report_csv_shape(problem_a, problem_b):

@@ -133,7 +133,6 @@ def _add_oracle_flags(sub) -> None:
     sub.add_argument("--noise-scale", type=float, default=0.0, help="synthetic oracle noise scale")
     sub.add_argument("--timeout", type=float, default=None, help="timeout seconds (table/cmd oracle)")
     sub.add_argument("--penalty", type=float, default=1.0, help="timeout penalty factor")
-    sub.add_argument("--max-procs", type=int, default=None, help="cap on concurrent solver processes")
 
 
 def _build_oracle(args):
@@ -145,7 +144,7 @@ def _build_oracle(args):
     if spec.startswith("cmd:"):
         if args.timeout is None:
             raise ValueError("cmd oracle requires --timeout")
-        return ExternalSolverAdapter(spec[len("cmd:"):], args.timeout, args.penalty, args.max_procs)
+        return ExternalSolverAdapter(spec[len("cmd:"):], args.timeout, args.penalty)
     raise ValueError(f"unknown oracle {spec!r}")
 
 

@@ -15,7 +15,6 @@ import shlex
 import signal
 import subprocess
 import tempfile
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -175,23 +174,17 @@ class ExternalSolverAdapter:
     """Runs a command template and prices the pair by wall-clock seconds.
 
     The template must contain {problem_file} and {ordering}; the problem is
-    written to a temporary file in the .poly grammar.  At most max_procs
-    solver processes run concurrently.
+    written to a temporary file in the .poly grammar.
     """
 
     template: str
     timeout_s: float
     penalty_factor: float = 1.0
-    max_procs: int | None = None
 
     def __post_init__(self):
         for placeholder in ("{problem_file}", "{ordering}"):
             if placeholder not in self.template:
                 raise ValueError(f"command template is missing {placeholder}")
-        if self.max_procs is not None:
-            object.__setattr__(self, "_gate", threading.Semaphore(self.max_procs))
-        else:
-            object.__setattr__(self, "_gate", None)
 
     def run(self, pr: ProblemInstance, ordering: Ordering) -> CostRecord:
         names = ordering.names(pr)
@@ -201,9 +194,6 @@ class ExternalSolverAdapter:
         cmd = shlex.split(
             self.template.replace("{problem_file}", problem_file).replace("{ordering}", names)
         )
-        gate = self._gate
-        if gate is not None:
-            gate.acquire()
         try:
             start = time.perf_counter()
             try:
@@ -230,8 +220,6 @@ class ExternalSolverAdapter:
                 )
             return CostRecord(pr.id or "?", names, elapsed, False)
         finally:
-            if gate is not None:
-                gate.release()
             Path(problem_file).unlink(missing_ok=True)
 
     def cost(self, pr: ProblemInstance, ordering: Ordering) -> float:

@@ -153,18 +153,18 @@ def _apply_stage(agg: Agg, state: str, value):
     if agg is Agg.SUM_M:
         return [sum(row) for row in value]
     if agg is Agg.AV_M:
-        return [sum(row) * Fraction(1, len(row)) for row in value]
+        return [Fraction(sum(row), len(row)) for row in value]
     if agg is Agg.MAX_MP:
         return max(x for row in value for x in row)
     if agg is Agg.SUM_MP:
         return sum(x for row in value for x in row)
     if agg is Agg.AV_MP:
-        return sum(sum(row) * Fraction(1, len(row)) for row in value) * Fraction(1, len(value))
+        return Fraction(sum(Fraction(sum(row), len(row)) for row in value), len(value))
     if agg is Agg.MAX_P:
         return max(value)
     if agg is Agg.SUM_P:
         return sum(value)
-    return sum(value) * Fraction(1, len(value))  # Agg.AV_P
+    return Fraction(sum(value), len(value))  # Agg.AV_P
 
 
 def _check_reduced(state: str) -> None:

@@ -162,11 +162,6 @@ class HeuristicNetwork:
         w = self.base_weight
         return (w * w, w, 1)
 
-    @classmethod
-    def for_dataset(cls, dataset, triplet=None) -> HeuristicNetwork:
-        triplet = tuple(triplet) if triplet is not None else brown_features()
-        return cls(triplet, select_base_weight(dataset, triplet))
-
 
 def layer1_forward(net: HeuristicNetwork, fm: FeatureMatrix) -> tuple:
     """First-layer scores y_v, exact."""
@@ -210,23 +205,12 @@ def order_by_scores(y) -> Ordering:
     return Ordering(tuple(sorted(range(len(y)), key=lambda v: y[v], reverse=True)))
 
 
-def lex_order(fm: FeatureMatrix, tie_rng=None) -> Ordering:
+def lex_order(fm: FeatureMatrix) -> Ordering:
     """Sort variables by feature row, lexicographically descending.
 
-    Full ties break by ascending variable index; pass a seeded ``tie_rng``
-    (random.Random) to instead shuffle within tied groups.  Randomized
-    tie-break forfeits agreement with the network path.
+    Full ties break by ascending variable index, as the network's do.
     """
-    order = list(range(fm.n_vars))
-    if tie_rng is not None:
-        groups: dict[tuple, list[int]] = {}
-        for v in order:
-            groups.setdefault(fm.rows[v], []).append(v)
-        for group in groups.values():
-            tie_rng.shuffle(group)
-        order = [v for row in sorted(groups, reverse=True) for v in groups[row]]
-        return Ordering(tuple(order))
-    return Ordering(tuple(sorted(order, key=lambda v: fm.rows[v], reverse=True)))
+    return Ordering(tuple(sorted(range(fm.n_vars), key=lambda v: fm.rows[v], reverse=True)))
 
 
 def _check_weight(fm: FeatureMatrix, w: int, pr: ProblemInstance) -> None:

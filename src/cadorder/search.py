@@ -14,23 +14,15 @@ import io
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
 
 from .costmodel import CostOracle
 from .features import FeatureSet, brown_features, eval_descriptors
-from .heuristics import FeatureMatrix, feature_matrix, lex_order
+from .heuristics import FeatureMatrix, lex_order
 from .polyset import serialize_problem
-
-
-@dataclass(frozen=True)
-class TripletCandidate:
-    """One ordered triplet's evaluation results."""
-
-    total_cost: float
-    per_problem: tuple[float, ...]
-    uses_average: bool
 
 
 @dataclass
@@ -86,39 +78,31 @@ def enumerate_triplets(fs: FeatureSet) -> list[tuple[int, int, int]]:
     return list(permutations(range(k), 3))
 
 
-def _price(dataset, matrices, oracle: CostOracle) -> tuple[float, ...]:
-    """Order every problem by its feature rows; the oracle cost of each."""
-    return tuple(oracle.cost(pr, lex_order(fm)) for pr, fm in zip(dataset, matrices))
+def _pricer(descriptors, dataset, oracle: CostOracle):
+    """``costs(ids)``: per-problem oracle costs of a triplet of indices into ``descriptors``.
 
+    Every descriptor is evaluated once over the whole dataset; each problem
+    is then ordered lexicographically by the triplet's feature rows.
+    """
+    spans, start = [], 0
+    for pr in dataset:
+        spans.append((start, start + pr.n_vars))
+        start += pr.n_vars
+    by_descriptor = {}
+    for members, flat in eval_descriptors(descriptors, dataset):
+        per_problem = [tuple(flat[a:b]) for a, b in spans]
+        by_descriptor.update(dict.fromkeys(members, per_problem))
+    # values[d][p] = tuple over variables
+    values = [by_descriptor[fd] for fd in descriptors]
 
-def evaluate_triplet(triplet, dataset, oracle: CostOracle) -> TripletCandidate:
-    """Price one triplet: order every problem lexicographically, sum the costs."""
-    triplet = tuple(triplet)
-    costs = _price(dataset, (feature_matrix(triplet, pr) for pr in dataset), oracle)
-    return TripletCandidate(sum(costs), costs, any(fd.uses_average() for fd in triplet))
+    def costs(ids) -> tuple[float, ...]:
+        a, b, c = (values[i] for i in ids)
+        return tuple(
+            oracle.cost(pr, lex_order(FeatureMatrix(tuple(zip(*cols)))))
+            for pr, cols in zip(dataset, zip(a, b, c))
+        )
 
-
-class _PoolValues:
-    """Per-descriptor feature values cached over the dataset."""
-
-    def __init__(self, fs: FeatureSet, dataset):
-        self.dataset = list(dataset)
-        spans, start = [], 0
-        for pr in self.dataset:
-            spans.append((start, start + pr.n_vars))
-            start += pr.n_vars
-        by_descriptor = {}
-        for members, flat in eval_descriptors(fs.descriptors, self.dataset):
-            per_problem = [tuple(flat[a:b]) for a, b in spans]
-            by_descriptor.update(dict.fromkeys(members, per_problem))
-        # values[d][p] = tuple over variables
-        self.values = [by_descriptor[fd] for fd in fs.descriptors]
-
-    def costs(self, ids, oracle: CostOracle) -> tuple[float, ...]:
-        """Per-problem oracle costs of the triplet of descriptor indices ``ids``."""
-        a, b, c = (self.values[i] for i in ids)
-        matrices = (FeatureMatrix(tuple(zip(*cols))) for cols in zip(a, b, c))
-        return _price(self.dataset, matrices, oracle)
+    return costs
 
 
 def _load_journal(path: Path) -> dict[int, tuple[float, int]]:
@@ -168,22 +152,21 @@ def search_triplets(
     top_k: int | None = None,
     journal_path: str | Path | None = None,
     jobs: int = 1,
-    checkpoint_every: int = 100,
 ) -> SearchReport:
     """Evaluate every ordered triplet; rank ascending by total cost.
 
     Cost ties break on the triplet id encoding.  Brown's triplet is priced
-    first, so every triplet is priced once and its wins against Brown are
-    counted in the same pass.  A journal file makes long runs resumable:
-    results are appended as ``index,total,wins`` lines every
-    ``checkpoint_every`` triplets while the search runs (and once more if
-    it stops on an error), and trusted on resume.
+    first, by the same path as every pool triplet, so every triplet is
+    priced once and its wins against Brown are counted in the same pass.
+    A journal file makes long runs resumable: each ``index,total,wins``
+    line is written as its triplet finishes, and trusted on resume.
     """
     dataset = list(dataset)
     triplets = enumerate_triplets(fs)
-    brown = evaluate_triplet(brown_features(), dataset, oracle)
+    k = len(fs)
+    costs = _pricer(fs.descriptors + brown_features(), dataset, oracle)
+    brown = costs((k, k + 1, k + 2))
     brown_ids = _triplet_ids(brown_features(), fs)
-    cache = _PoolValues(fs, dataset)
 
     journal = Path(journal_path) if journal_path is not None else None
     results: dict[int, tuple[float, int]] = {}
@@ -192,21 +175,16 @@ def search_triplets(
     pending = [i for i in range(len(triplets)) if i not in results]
 
     def evaluate(idx: int) -> tuple[int, float, int]:
-        costs = cache.costs(triplets[idx], oracle)
-        wins = sum(1 for c, b in zip(costs, brown.per_problem) if c < b)
-        return idx, sum(costs), wins
+        per_problem = costs(triplets[idx])
+        wins = sum(1 for c, b in zip(per_problem, brown) if c < b)
+        return idx, sum(per_problem), wins
 
-    buffer: list[str] = []
-    try:
+    # Line-buffered, so a killed search leaves every line written so far on file.
+    with (open(journal, "a", buffering=1) if journal is not None else nullcontext()) as fh:
         for idx, total, wins in _evaluated(evaluate, pending, jobs):
             results[idx] = total, wins
-            if journal is not None:
-                buffer.append(f"{idx},{total!r},{wins}\n")
-                if len(buffer) >= checkpoint_every:
-                    _append(journal, buffer)
-    finally:
-        if buffer:
-            _append(journal, buffer)
+            if fh is not None:
+                fh.write(f"{idx},{total!r},{wins}\n")
 
     order = sorted(range(len(triplets)), key=lambda i: (results[i][0], triplets[i]))
     if top_k is not None:
@@ -235,16 +213,9 @@ def search_triplets(
         ranked=ranked,
         baseline={
             "features": list(brown_ids) if brown_ids else None,
-            "total_cost": brown.total_cost,
+            "total_cost": sum(brown),
         },
     )
-
-
-def _append(journal: Path, lines: list[str]) -> None:
-    """Append buffered journal lines and empty the buffer."""
-    with open(journal, "a") as fh:
-        fh.writelines(lines)
-    lines.clear()
 
 
 def _triplet_ids(triplet, fs: FeatureSet) -> tuple[int, ...] | None:

@@ -1,9 +1,15 @@
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+import cadorder
 from cadorder.costmodel import SyntheticCostModel
 from cadorder.datagen import GenConfig, random_dataset
 from cadorder.features import (
@@ -19,7 +25,6 @@ from cadorder.heuristics import Ordering, feature_matrix, lex_order
 from cadorder.search import (
     dataset_digest,
     enumerate_triplets,
-    evaluate_triplet,
     search_triplets,
 )
 
@@ -69,28 +74,35 @@ def test_enumerate_triplets_requires_three():
         enumerate_triplets(FeatureSet.from_descriptors(enumerate_descriptors()[:2]))
 
 
-def test_evaluate_triplet_brown_on_hand_instances(problem_a, problem_b):
+def _row(report, ids):
+    return next(row for row in report.ranked if tuple(row["features"]) == ids)
+
+
+def test_search_brown_on_hand_instances(problem_a, problem_b):
     syn = SyntheticCostModel()
-    cand = evaluate_triplet(brown_features(), [problem_a, problem_b], syn)
+    report = search_triplets(_named_pool(), [problem_a, problem_b], syn)
     # Independent expectation: Brown orders a as x>z>y and b as x>y>z; the
     # synthetic statistic is (3,1,3) for a and (4,3,1) for b.
-    assert cand.per_problem == (19.0, 23.0)
-    assert cand.total_cost == 42.0
-    assert not cand.uses_average
+    assert report.baseline == {"features": [0, 1, 2], "total_cost": 42.0}
+    brown = _row(report, (0, 1, 2))
+    assert brown["total_cost"] == 42.0
+    assert brown["wins_vs_brown"] == 0
+    assert not brown["uses_average"]
+    for pr, cost in ((problem_a, 19.0), (problem_b, 23.0)):
+        assert search_triplets(_named_pool(), [pr], syn).baseline["total_cost"] == cost
 
 
-def test_evaluate_triplet_single_problem(problem_b):
+def test_search_single_problem_cost(problem_b):
     syn = SyntheticCostModel()
-    cand = evaluate_triplet(selected_triplet(), [problem_b], syn)
+    report = search_triplets(_named_pool(), [problem_b], syn)
     fm = feature_matrix(selected_triplet(), problem_b)
-    assert cand.total_cost == syn.cost(problem_b, lex_order(fm))
+    assert _row(report, (3, 4, 5))["total_cost"] == syn.cost(problem_b, lex_order(fm))
 
 
-def test_evaluate_triplet_flags_averages(problem_a):
-    av = FeatureDescriptor(Kernel.DEGREE, (Agg.AV_M, Agg.SUM_P, Agg.ID, Agg.ID))
-    triplet = (av, brown_features()[0], brown_features()[1])
-    cand = evaluate_triplet(triplet, [problem_a], SyntheticCostModel())
-    assert cand.uses_average
+def test_search_flags_averages(problem_a):
+    report = search_triplets(_average_pool(), [problem_a], SyntheticCostModel())
+    # av_m sum_p, then Brown's first two features.
+    assert _row(report, (0, 3, 4))["uses_average"]
 
 
 def test_search_matches_brute_force():
@@ -152,7 +164,7 @@ def test_search_journal_resume(tmp_path):
     dataset = random_dataset(GenConfig(seed=5), 40)
     oracle = SyntheticCostModel()
     journal = tmp_path / "journal.txt"
-    full = search_triplets(fs, dataset, oracle, journal_path=journal, checkpoint_every=7)
+    full = search_triplets(fs, dataset, oracle, journal_path=journal)
     lines = journal.read_text().splitlines()
     assert len(lines) == 120
 
@@ -241,7 +253,7 @@ def test_search_interrupted_journal_resumes(tmp_path, jobs):
     journal = tmp_path / "journal.txt"
     with pytest.raises(RuntimeError, match="interrupted"):
         search_triplets(fs, dataset, _CountingOracle(limit=10 + 50 * 10 + 5),
-                        journal_path=journal, jobs=jobs, checkpoint_every=7)
+                        journal_path=journal, jobs=jobs)
     text = journal.read_text()
     assert text.endswith("\n")
     lines = text.splitlines()
@@ -255,6 +267,58 @@ def test_search_interrupted_journal_resumes(tmp_path, jobs):
     assert resumed.to_json() == fresh.to_json()
     assert resumed_oracle.calls == (120 - len(lines)) * 10 + 10
     assert len(journal.read_text().splitlines()) == 120
+
+
+_KILLED_SEARCH = """
+import os, signal, sys
+from cadorder.costmodel import SyntheticCostModel
+from cadorder.datagen import GenConfig, random_dataset
+from cadorder.features import FeatureSet, brown_features, selected_triplet
+from cadorder.search import search_triplets
+
+inner = SyntheticCostModel()
+calls = 0
+
+class KillingOracle:
+    def cost(self, pr, ordering):
+        global calls
+        if calls == int(sys.argv[2]):
+            os.kill(os.getpid(), signal.SIGKILL)
+        calls += 1
+        return inner.cost(pr, ordering)
+
+    def describe(self):
+        return inner.describe()
+
+pool = FeatureSet.from_descriptors(brown_features() + selected_triplet())
+search_triplets(pool, random_dataset(GenConfig(seed=5), 10), KillingOracle(), journal_path=sys.argv[1])
+"""
+
+
+def test_search_killed_process_journal_resumes(tmp_path):
+    fs = _named_pool()
+    dataset = random_dataset(GenConfig(seed=5), 10)
+    fresh = search_triplets(fs, dataset, SyntheticCostModel())
+
+    # The process kills itself inside triplet 51 (Brown's triplet takes 10 calls).
+    journal = tmp_path / "journal.txt"
+    src = Path(cadorder.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILLED_SEARCH, str(journal), str(10 + 50 * 10 + 5)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+    )
+    assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
+    text = journal.read_text()
+    assert text.endswith("\n")
+    lines = text.splitlines()
+    assert len(lines) == 50
+    assert all(len(line.split(",")) == 3 for line in lines)
+
+    resumed_oracle = _CountingOracle()
+    resumed = search_triplets(fs, dataset, resumed_oracle, journal_path=journal)
+    assert resumed.to_json() == fresh.to_json()
+    assert resumed_oracle.calls == (120 - 50) * 10 + 10
 
 
 def test_report_csv_shape(problem_a, problem_b):

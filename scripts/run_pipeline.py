@@ -12,6 +12,7 @@ import json
 import time
 from pathlib import Path
 
+from cadorder.atomic import write_text
 from cadorder.costmodel import SyntheticCostModel
 from cadorder.datagen import GenConfig, random_dataset
 from cadorder.features import (
@@ -74,7 +75,7 @@ def main() -> None:
     cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, batch_size=64)
     start = TrainableNetwork.brown_init(winner, base_weight=args.init_weight)
     result = train(start, train_set, val_set, oracle, cfg)
-    (out / "train.json").write_text(json.dumps(result.to_json(), indent=2) + "\n")
+    write_text(out / "train.json", json.dumps(result.to_json(), indent=2) + "\n")
     print(f"validation cost: epoch 0 = {result.epoch0_val_cost:.1f}, "
           f"best (epoch {result.best_epoch}) = {result.best_val_cost:.1f}")
     print(f"final weights: {[round(w, 4) for w in result.final_weights]}")

@@ -21,6 +21,7 @@ import time
 from pathlib import Path
 
 from . import __version__
+from .atomic import write_text
 from .costmodel import (
     ExternalSolverAdapter,
     MissingRecordError,
@@ -111,15 +112,16 @@ def _write_manifest(command: str, args, inputs, outputs, started: float) -> None
     outputs = list(outputs)
     first = Path(outputs[0])
     target = first / "run_manifest.json" if first.is_dir() else first.with_name(first.name + ".manifest.json")
-    target.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_text(target, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _jobs_default() -> int:
-    env = os.environ.get("CADORDER_JOBS")
+    """Worker count from ``CADORDER_JOBS`` (1 if unset); a bad value is a usage error."""
+    env = os.environ.get("CADORDER_JOBS") or "1"
     try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+        return _positive_int(env)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageError(f"CADORDER_JOBS must be an integer >= 1, got {env!r}") from None
 
 
 def _add_oracle_flags(sub) -> None:
@@ -215,7 +217,7 @@ def cmd_order(args) -> int:
                 print(f"{name}: y = {yv}")
     print(ordering.names(pr))
     if args.out:
-        Path(args.out).write_text(ordering.names(pr) + "\n")
+        write_text(args.out, ordering.names(pr) + "\n")
         _write_manifest("order", args, [args.problem], [args.out], started)
     return EXIT_OK
 
@@ -265,7 +267,7 @@ def cmd_train(args) -> int:
     report = train(net, train_set, val_set, oracle, cfg)
     out_json = Path(args.out + ".json")
     out_ckpt = Path(args.out + ".ckpt.json")
-    out_json.write_text(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+    write_text(out_json, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
     save_checkpoint(out_ckpt, report, triplet)
     _write_manifest("train", args, [args.train, args.val], [out_json, out_ckpt], started)
     print(
@@ -285,7 +287,7 @@ def cmd_check(args) -> int:
     report = check_equivalence(dataset, triplet, force_w=args.force_w, jobs=args.jobs)
     payload = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(payload)
+        write_text(args.out, payload)
         _write_manifest("check", args, [args.data], [args.out], started)
     else:
         print(payload, end="")
@@ -334,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset dir")
     p.add_argument("--top-k", type=int, default=None)
     p.add_argument("--resume", default=None, help="checkpoint journal path")
-    p.add_argument("--jobs", type=int, default=_jobs_default())
+    p.add_argument("--jobs", type=_positive_int, default=None,
+                   help="concurrent oracle calls (default: $CADORDER_JOBS, else 1)")
     p.add_argument("--out", required=True, help="output path prefix")
     _add_oracle_flags(p)
     p.set_defaults(func=cmd_search)
@@ -359,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset dir")
     p.add_argument("--triplet", default="brown", help="brown | selected | <triplet.json>")
     p.add_argument("--force-w", type=int, default=None, help="override the base weight")
-    p.add_argument("--jobs", type=int, default=_jobs_default())
+    p.add_argument("--jobs", type=_positive_int, default=None,
+                   help="worker threads (default: $CADORDER_JOBS, else 1)")
     p.add_argument("--out", default=None, help="report JSON path")
     p.set_defaults(func=cmd_check)
 
@@ -370,6 +374,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "jobs" in args and args.jobs is None:
+            args.jobs = _jobs_default()
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -28,6 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
+from .atomic import write_text
 from .polyset import ProblemInstance, parse_problem
 
 
@@ -307,7 +308,7 @@ class FeatureSet:
         ]
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
+        write_text(path, json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
 
 
 def descriptor_from_record(record: dict) -> FeatureDescriptor:

@@ -2,8 +2,9 @@
 
 Every ordered triplet of distinct deduplicated features defines a frozen
 lexicographic/network heuristic; each is priced as the summed oracle cost
-of the orderings it picks, then ranked.  Evaluation order, worker count,
-and checkpoint resume never change the report.
+of the orderings it picks, then ranked.  Each distinct (problem, ordering)
+pair is priced once.  Worker count and checkpoint resume never change the
+report.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
 
+from .atomic import write_text
 from .costmodel import CostOracle
 from .features import FeatureSet, brown_features, eval_descriptors
 from .heuristics import FeatureMatrix, lex_order
@@ -45,9 +47,7 @@ class SearchReport:
         }
 
     def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
-        )
+        write_text(path, json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -60,7 +60,7 @@ class SearchReport:
         return buf.getvalue()
 
     def save_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv())
+        write_text(path, self.to_csv())
 
 
 def dataset_digest(dataset) -> str:
@@ -78,11 +78,19 @@ def enumerate_triplets(fs: FeatureSet) -> list[tuple[int, int, int]]:
     return list(permutations(range(k), 3))
 
 
-def _pricer(descriptors, dataset, oracle: CostOracle):
+def _dense_ranks(values) -> tuple[int, ...]:
+    """Each value's rank among the distinct values; orders them as the values do."""
+    distinct = sorted(set(values))
+    return tuple(map(distinct.index, values))
+
+
+def _pricer(descriptors, dataset, oracle: CostOracle, call):
     """``costs(ids)``: per-problem oracle costs of a triplet of indices into ``descriptors``.
 
-    Every descriptor is evaluated once over the whole dataset; each problem
-    is then ordered lexicographically by the triplet's feature rows.
+    Each descriptor is evaluated once over the dataset and kept as dense
+    ranks per problem.  Per problem, a rank triple maps to its cost and an
+    ordering to its oracle cost, so each distinct (problem, ordering) pair
+    reaches the oracle once; ``call`` maps the oracle over a triplet's new pairs.
     """
     spans, start = [], 0
     for pr in dataset:
@@ -90,17 +98,24 @@ def _pricer(descriptors, dataset, oracle: CostOracle):
         start += pr.n_vars
     by_descriptor = {}
     for members, flat in eval_descriptors(descriptors, dataset):
-        per_problem = [tuple(flat[a:b]) for a, b in spans]
+        per_problem = [_dense_ranks(flat[a:b]) for a, b in spans]
         by_descriptor.update(dict.fromkeys(members, per_problem))
-    # values[d][p] = tuple over variables
-    values = [by_descriptor[fd] for fd in descriptors]
+    # ranks[d][p] = tuple over variables
+    ranks = [by_descriptor[fd] for fd in descriptors]
+    by_ranks = [{} for _ in dataset]  # (rank_a, rank_b, rank_c) -> cost
+    by_order = [{} for _ in dataset]  # ordering -> oracle cost
 
-    def costs(ids) -> tuple[float, ...]:
-        a, b, c = (values[i] for i in ids)
-        return tuple(
-            oracle.cost(pr, lex_order(FeatureMatrix(tuple(zip(*cols)))))
-            for pr, cols in zip(dataset, zip(a, b, c))
-        )
+    def costs(ids) -> list[float]:
+        keys = list(zip(*(ranks[i] for i in ids)))
+        found = [table.get(key) for table, key in zip(by_ranks, keys)]
+        orders = {p: lex_order(FeatureMatrix(tuple(zip(*keys[p]))))
+                  for p, c in enumerate(found) if c is None}
+        new = [(p, o) for p, o in orders.items() if o not in by_order[p]]
+        for (p, o), c in zip(new, call(lambda po: oracle.cost(dataset[po[0]], po[1]), new)):
+            by_order[p][o] = c
+        for p, o in orders.items():
+            found[p] = by_ranks[p][keys[p]] = by_order[p][o]
+        return found
 
     return costs
 
@@ -132,19 +147,6 @@ def _load_journal(path: Path) -> dict[int, tuple[float, int]]:
     return done
 
 
-def _evaluated(evaluate, pending, jobs: int):
-    """Yield ``evaluate(i)`` for each pending index, in order, as results complete."""
-    if jobs <= 1 or len(pending) <= 1:
-        yield from map(evaluate, pending)
-        return
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        try:
-            yield from pool.map(evaluate, pending)
-        finally:
-            # On an error or an abandoned search, start no further triplets.
-            pool.shutdown(wait=False, cancel_futures=True)
-
-
 def search_triplets(
     fs: FeatureSet,
     dataset,
@@ -155,33 +157,38 @@ def search_triplets(
 ) -> SearchReport:
     """Evaluate every ordered triplet; rank ascending by total cost.
 
-    Cost ties break on the triplet id encoding.  Brown's triplet is priced
-    first, by the same path as every pool triplet, so every triplet is
-    priced once and its wins against Brown are counted in the same pass.
-    A journal file makes long runs resumable: each ``index,total,wins``
-    line is written as its triplet finishes, and trusted on resume.
+    Cost ties break on the triplet id encoding.  Each distinct (problem,
+    ordering) pair is priced once, Brown's triplet first, by the same path
+    as every pool triplet; wins against Brown are counted in the same
+    pass.  Triplets are scanned in index order, and ``jobs`` oracle calls
+    run at once over the pairs a triplet newly needs.  A journal file
+    makes long runs resumable: each ``index,total,wins`` line is written
+    as its triplet's total is known, and trusted on resume.
     """
     dataset = list(dataset)
     triplets = enumerate_triplets(fs)
     k = len(fs)
-    costs = _pricer(fs.descriptors + brown_features(), dataset, oracle)
-    brown = costs((k, k + 1, k + 2))
     brown_ids = _triplet_ids(brown_features(), fs)
 
     journal = Path(journal_path) if journal_path is not None else None
     results: dict[int, tuple[float, int]] = {}
     if journal is not None:
         results = _load_journal(journal)
-    pending = [i for i in range(len(triplets)) if i not in results]
-
-    def evaluate(idx: int) -> tuple[int, float, int]:
-        per_problem = costs(triplets[idx])
-        wins = sum(1 for c, b in zip(per_problem, brown) if c < b)
-        return idx, sum(per_problem), wins
 
     # Line-buffered, so a killed search leaves every line written so far on file.
-    with (open(journal, "a", buffering=1) if journal is not None else nullcontext()) as fh:
-        for idx, total, wins in _evaluated(evaluate, pending, jobs):
+    # A failed oracle call cancels the calls its batch has not started.
+    with ThreadPoolExecutor(max(jobs, 1)) as pool, (
+        open(journal, "a", buffering=1) if journal is not None else nullcontext()
+    ) as fh:
+        call = pool.map if jobs > 1 else map
+        costs = _pricer(fs.descriptors + brown_features(), dataset, oracle, call)
+        brown = costs((k, k + 1, k + 2))
+        for idx, ids in enumerate(triplets):
+            if idx in results:
+                continue
+            per_problem = costs(ids)
+            total = sum(per_problem)
+            wins = sum(1 for c, b in zip(per_problem, brown) if c < b)
             results[idx] = total, wins
             if fh is not None:
                 fh.write(f"{idx},{total!r},{wins}\n")

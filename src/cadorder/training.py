@@ -25,6 +25,7 @@ from itertools import permutations
 from pathlib import Path
 from types import MappingProxyType
 
+from .atomic import write_text
 from .costmodel import CostOracle
 from .features import FeatureDescriptor, descriptor_from_record
 from .heuristics import (
@@ -63,12 +64,16 @@ class TrainableNetwork:
         return [tuple(float(x) / s[i] for i, x in enumerate(row)) for row in fm.rows]
 
     def scores_y(self, fm: FeatureMatrix) -> list[float]:
-        w = self.weights
-        return [sum(wi * xi for wi, xi in zip(w, row)) for row in self.scaled_rows(fm)]
+        return _scores(self.weights, self.scaled_rows(fm))
 
     def hard_order(self, fm: FeatureMatrix) -> Ordering:
         """Argmax ordering: descending y with ascending-index tie-break."""
         return order_by_scores(self.scores_y(fm))
+
+
+def _scores(weights, rows) -> list[float]:
+    """First-layer scores y of scaled feature rows."""
+    return [sum(wi * xi for wi, xi in zip(weights, row)) for row in rows]
 
 
 def _softmax(scores: list[float]) -> list[float]:
@@ -78,12 +83,16 @@ def _softmax(scores: list[float]) -> list[float]:
     return [e / z for e in exps]
 
 
-def forward_soft(net: TrainableNetwork, fm: FeatureMatrix, temperature: float = 1.0) -> list[float]:
-    """Probability of each permutation neuron, in lexicographic neuron order."""
+def _probs(weights, rows, temperature: float) -> list[float]:
+    """Softmax over the permutation neurons for scaled feature rows."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    scores = layer2_scores(net.scores_y(fm))
-    return _softmax([s / temperature for s in scores])
+    return _softmax([s / temperature for s in layer2_scores(_scores(weights, rows))])
+
+
+def forward_soft(net: TrainableNetwork, fm: FeatureMatrix, temperature: float = 1.0) -> list[float]:
+    """Probability of each permutation neuron, in lexicographic neuron order."""
+    return _probs(net.weights, net.scaled_rows(fm), temperature)
 
 
 @lru_cache(maxsize=None)
@@ -92,32 +101,35 @@ def _neuron_index(n: int) -> MappingProxyType:
     return MappingProxyType({perm: i for i, (perm, _) in enumerate(permutation_weights(n))})
 
 
+def _loss_and_gradient(weights, batch, temperature: float) -> tuple[float, list[float]]:
+    """Mean cross-entropy and its gradient over (scaled rows, target permutation) pairs."""
+    total = 0.0
+    grad = [0.0, 0.0, 0.0]
+    for x, target in batch:
+        n = len(x)
+        probs = _probs(weights, x, temperature)
+        target_idx = _neuron_index(n)[target]
+        total += -math.log(max(probs[target_idx], 1e-300))
+        dy = [0.0] * n
+        for k, (_, pw) in enumerate(permutation_weights(n)):
+            coef = (probs[k] - (1.0 if k == target_idx else 0.0)) / temperature
+            for v in range(n):
+                dy[v] += coef * pw[v]
+        for i in range(3):
+            grad[i] += sum(dy[v] * x[v][i] for v in range(n))
+    return total / len(batch), [g / len(batch) for g in grad]
+
+
 def loss(net: TrainableNetwork, batch, temperature: float = 1.0) -> float:
     """Mean cross-entropy of the soft orderings against target orderings."""
-    total = 0.0
-    for fm, target in batch:
-        probs = forward_soft(net, fm, temperature)
-        idx = _neuron_index(fm.n_vars)[target.perm]
-        total += -math.log(max(probs[idx], 1e-300))
-    return total / len(batch)
+    batch = [(net.scaled_rows(fm), target.perm) for fm, target in batch]
+    return _loss_and_gradient(net.weights, batch, temperature)[0]
 
 
 def gradient(net: TrainableNetwork, batch, temperature: float = 1.0) -> list[float]:
     """Analytic d(loss)/d(weights), averaged over the batch."""
-    grad = [0.0, 0.0, 0.0]
-    for fm, target in batch:
-        n = fm.n_vars
-        x = net.scaled_rows(fm)
-        probs = forward_soft(net, fm, temperature)
-        target_idx = _neuron_index(n)[target.perm]
-        dy = [0.0] * n
-        for k, (_, weights) in enumerate(permutation_weights(n)):
-            coef = (probs[k] - (1.0 if k == target_idx else 0.0)) / temperature
-            for v in range(n):
-                dy[v] += coef * weights[v]
-        for i in range(3):
-            grad[i] += sum(dy[v] * x[v][i] for v in range(n))
-    return [g / len(batch) for g in grad]
+    batch = [(net.scaled_rows(fm), target.perm) for fm, target in batch]
+    return _loss_and_gradient(net.weights, batch, temperature)[1]
 
 
 class AdamOptimizer:
@@ -221,15 +233,20 @@ class TrainReport:
         }
 
 
+def _cost_row(oracle: CostOracle, pr: ProblemInstance) -> dict[tuple[int, ...], float]:
+    """Oracle cost of every ordering of ``pr``, in lexicographic permutation order."""
+    return {perm: oracle.cost(pr, Ordering(perm)) for perm in permutations(range(pr.n_vars))}
+
+
+def _argmin(row: dict[tuple[int, ...], float]) -> tuple[Ordering, float]:
+    """Cheapest ordering of a cost row; ties pick the smallest permutation."""
+    best = min(row, key=row.__getitem__)
+    return Ordering(best), row[best]
+
+
 def optimal_ordering(oracle: CostOracle, pr: ProblemInstance) -> tuple[Ordering, float]:
     """Exhaustive argmin over all orderings; ties pick the smallest permutation."""
-    best = None
-    best_cost = None
-    for perm in permutations(range(pr.n_vars)):
-        c = oracle.cost(pr, Ordering(perm))
-        if best_cost is None or c < best_cost:
-            best, best_cost = perm, c
-    return Ordering(best), best_cost
+    return _argmin(_cost_row(oracle, pr))
 
 
 def fit_feature_scale(matrices) -> tuple[float, float, float]:
@@ -242,17 +259,15 @@ def fit_feature_scale(matrices) -> tuple[float, float, float]:
     return tuple(t if t > 0 else 1.0 for t in top)
 
 
-def _validate(net, matrices, problems, optima, oracle):
+def _validate(weights, rows, cost_rows, best_costs):
     """Hard-argmax total cost and the fraction of cost-optimal picks."""
     total = 0.0
     hits = 0
-    for fm, pr, (_, best_cost) in zip(matrices, problems, optima):
-        ordering = net.hard_order(fm)
-        c = oracle.cost(pr, ordering)
+    for x, costs, best_cost in zip(rows, cost_rows, best_costs):
+        c = costs[order_by_scores(_scores(weights, x)).perm]
         total += c
-        if c == best_cost:
-            hits += 1
-    return total, hits / len(problems)
+        hits += c == best_cost
+    return total, hits / len(rows)
 
 
 class DivergenceError(RuntimeError):
@@ -278,22 +293,25 @@ def train(
         raise ValueError("training and validation sets must be nonempty")
 
     train_matrices = [feature_matrix(net.triplet, pr) for pr in train_set]
-    val_matrices = [feature_matrix(net.triplet, pr) for pr in val_set]
     scale = fit_feature_scale(train_matrices) if cfg.normalize else (1.0, 1.0, 1.0)
     work = TrainableNetwork(net.triplet, list(net.weights), scale)
 
-    targets = [optimal_ordering(oracle, pr)[0] for pr in train_set]
-    val_optima = [optimal_ordering(oracle, pr) for pr in val_set]
-    samples = list(zip(train_matrices, targets))
+    # Each problem's n! orderings are priced once, and its feature rows
+    # scaled once: the scale stays fixed while the weights train.
+    targets = [_argmin(_cost_row(oracle, pr))[0].perm for pr in train_set]
+    samples = [(work.scaled_rows(fm), t) for fm, t in zip(train_matrices, targets)]
+    val_costs = [_cost_row(oracle, pr) for pr in val_set]
+    val_best = [_argmin(row)[1] for row in val_costs]
+    val_rows = [work.scaled_rows(feature_matrix(net.triplet, pr)) for pr in val_set]
 
     temperature = cfg.softmax_temperature
     entries: list[TrainEntry] = []
 
     def record(epoch: int, step: int, train_loss: float) -> None:
-        val_cost, val_acc = _validate(work, val_matrices, val_set, val_optima, oracle)
+        val_cost, val_acc = _validate(work.weights, val_rows, val_costs, val_best)
         entries.append(TrainEntry(epoch, step, train_loss, val_cost, val_acc, list(work.weights)))
 
-    record(0, 0, loss(work, samples, temperature))
+    record(0, 0, _loss_and_gradient(work.weights, samples, temperature)[0])
 
     rng = random.Random(cfg.seed)
     optimizer = AdamOptimizer(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
@@ -304,11 +322,11 @@ def train(
         epoch_losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = [samples[i] for i in order[start : start + cfg.batch_size]]
-            batch_loss = loss(work, batch, temperature)
+            batch_loss, grads = _loss_and_gradient(work.weights, batch, temperature)
             if not math.isfinite(batch_loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             epoch_losses.append(batch_loss)
-            optimizer.step(work.weights, gradient(work, batch, temperature))
+            optimizer.step(work.weights, grads)
             step += 1
             if cfg.validate_per_batch:
                 record(epoch, step, batch_loss)
@@ -335,7 +353,7 @@ def save_checkpoint(path: str | Path, report: TrainReport, triplet) -> None:
         ],
         "config_hash": report.config.digest(),
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> TrainableNetwork:

@@ -221,6 +221,61 @@ def test_check_empty_dataset_usage_error(tmp_path, capsys):
     assert "usage error" in stderr
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_invalid_jobs_env_is_usage_error(dataset_dir, pool_file, tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("CADORDER_JOBS", value)
+    for argv in (
+        ["check", "--data", str(dataset_dir)],
+        ["search", "--pool", str(pool_file), "--data", str(dataset_dir),
+         "--out", str(tmp_path / "s")],
+    ):
+        code, _, stderr = run(capsys, *argv)
+        assert code == 1
+        assert "CADORDER_JOBS" in stderr and repr(value) in stderr
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_jobs_env_sets_default_and_flag_overrides(dataset_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CADORDER_JOBS", "3")
+    out = tmp_path / "check.json"
+    assert run(capsys, "check", "--data", str(dataset_dir), "--out", str(out))[0] == 0
+    manifest = json.loads((tmp_path / "check.json.manifest.json").read_text())
+    assert manifest["config"]["jobs"] == 3
+    assert run(capsys, "check", "--data", str(dataset_dir), "--out", str(out), "--jobs", "2")[0] == 0
+    manifest = json.loads((tmp_path / "check.json.manifest.json").read_text())
+    assert manifest["config"]["jobs"] == 2
+
+
+@pytest.mark.parametrize("value", ["0", "abc"])
+def test_invalid_jobs_flag_is_usage_error(dataset_dir, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--data", str(dataset_dir), "--jobs", value])
+    assert exc.value.code == 1
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_failed_write_leaves_old_report(tmp_path, capsys, monkeypatch):
+    from cadorder import atomic
+
+    path = tmp_path / "report.json"
+    path.write_text("old\n")
+    # A text the file's encoding cannot hold fails inside the write.
+    with pytest.raises(UnicodeEncodeError):
+        atomic.write_text(path, "new \ud800\n")
+    assert path.read_text() == "old\n"
+
+    def failing_replace(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(atomic.os, "replace", failing_replace)
+    from cadorder.features import FeatureSet, brown_features
+
+    with pytest.raises(OSError, match="disk gone"):
+        FeatureSet.from_descriptors(brown_features()).save(path)
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
 def test_train_command(tmp_path, capsys):
     train_dir, val_dir = tmp_path / "train", tmp_path / "val"
     main(["gen", "--seed", "0", "--count", "30", "--out", str(train_dir)])

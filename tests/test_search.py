@@ -8,6 +8,8 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cadorder
 from cadorder.costmodel import SyntheticCostModel
@@ -21,8 +23,9 @@ from cadorder.features import (
     enumerate_descriptors,
     selected_triplet,
 )
-from cadorder.heuristics import Ordering, feature_matrix, lex_order
+from cadorder.heuristics import FeatureMatrix, Ordering, feature_matrix, lex_order
 from cadorder.search import (
+    _dense_ranks,
     dataset_digest,
     enumerate_triplets,
     search_triplets,
@@ -118,6 +121,40 @@ def test_search_matches_brute_force():
         # Ranking is a total order, ascending.
         costs = [row["total_cost"] for row in report.ranked]
         assert costs == sorted(costs)
+
+
+def test_search_noisy_oracle_average_pool_matches_brute_force():
+    # Noise separates orderings that the plain model prices alike, and the
+    # av_* pool brings fractional values and ties into the rank keys.
+    dataset = random_dataset(GenConfig(seed=6), 80)
+    oracle = SyntheticCostModel(noise_seed=3, noise_scale=0.3)
+    report = search_triplets(_average_pool(), dataset, oracle)
+    best_cost, best_ids = _brute_force_best(_average_pool(), dataset, oracle)
+    assert report.ranked[0]["total_cost"] == best_cost
+    assert tuple(report.ranked[0]["features"]) == best_ids
+    for row in report.ranked:
+        triplet = tuple(_average_pool().descriptors[i] for i in row["features"])
+        assert row["total_cost"] == sum(
+            oracle.cost(pr, lex_order(feature_matrix(triplet, pr))) for pr in dataset
+        )
+
+
+_values = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(_values, min_size=n, max_size=n), min_size=3, max_size=3)
+))
+def test_dense_rank_rows_order_as_value_rows(columns):
+    # Each column ranked within itself, as the search ranks a descriptor
+    # within a problem; small value ranges make ties common.
+    values = FeatureMatrix(tuple(zip(*columns)))
+    ranked = FeatureMatrix(tuple(zip(*(_dense_ranks(col) for col in columns))))
+    assert lex_order(ranked) == lex_order(values)
 
 
 def test_search_rank1_not_worse_than_brown():
@@ -234,13 +271,62 @@ class _CountingOracle:
         return self.inner.describe()
 
 
+def _pairs_by_triplet(fs, dataset):
+    """The (problem, ordering) pairs each triplet picks, by the per-problem path.
+
+    Brown's triplet comes first, then the pool's triplets in index order,
+    the order in which the search scans them.
+    """
+    triplets = [brown_features()] + [
+        tuple(fs.descriptors[i] for i in ids) for ids in enumerate_triplets(fs)
+    ]
+    return [
+        {(p, lex_order(feature_matrix(t, pr)).perm) for p, pr in enumerate(dataset)}
+        for t in triplets
+    ]
+
+
+def _interrupted_run(fs, dataset):
+    """An oracle call limit inside the scan; the journal lines and resumed calls it implies.
+
+    Triplet ``i`` finishes when the distinct pairs of Brown's triplet and
+    triplets ``0..i`` number at most the limit; the resumed search prices
+    the distinct pairs of Brown's triplet and of the triplets left out.
+    """
+    pairs = _pairs_by_triplet(fs, dataset)
+    total = len(set().union(*pairs))
+    limit = (len(pairs[0]) + total) // 2
+    seen, lines = set(pairs[0]), 0
+    for picked in pairs[1:]:
+        seen |= picked
+        if len(seen) > limit:
+            break
+        lines += 1
+    assert 0 < lines < len(pairs) - 1
+    resumed_calls = len(pairs[0].union(*pairs[1 + lines:]))
+    return limit, lines, resumed_calls
+
+
 def test_search_prices_each_triplet_once():
     dataset = random_dataset(GenConfig(seed=5), 10)
     oracle = _CountingOracle()
     report = search_triplets(_named_pool(), dataset, oracle)
     assert len(report.ranked) == report.triplet_count == 120
-    # Every triplet once per problem, plus Brown's triplet once per problem.
-    assert oracle.calls == 120 * 10 + 10
+    # Every triplet is priced, and every distinct (problem, ordering) pair
+    # that Brown's triplet or a pool triplet picks reaches the oracle once.
+    assert oracle.calls == len(set().union(*_pairs_by_triplet(_named_pool(), dataset)))
+
+
+def test_search_oracle_calls_equal_distinct_pairs_for_any_jobs():
+    fs = _average_pool()
+    dataset = random_dataset(GenConfig(seed=8), 30)
+    distinct = len(set().union(*_pairs_by_triplet(fs, dataset)))
+    reports = []
+    for jobs in (1, 4):
+        oracle = _CountingOracle()
+        reports.append(search_triplets(fs, dataset, oracle, jobs=jobs).to_json())
+        assert oracle.calls == distinct
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -248,24 +334,25 @@ def test_search_interrupted_journal_resumes(tmp_path, jobs):
     fs = _named_pool()
     dataset = random_dataset(GenConfig(seed=5), 10)
     fresh = search_triplets(fs, dataset, SyntheticCostModel())
+    limit, done, resumed_calls = _interrupted_run(fs, dataset)
 
-    # The oracle fails inside triplet 51 (Brown's triplet takes 10 calls).
+    # The oracle fails inside triplet ``done``, the first whose new pairs pass the limit.
     journal = tmp_path / "journal.txt"
     with pytest.raises(RuntimeError, match="interrupted"):
-        search_triplets(fs, dataset, _CountingOracle(limit=10 + 50 * 10 + 5),
+        search_triplets(fs, dataset, _CountingOracle(limit=limit),
                         journal_path=journal, jobs=jobs)
     text = journal.read_text()
     assert text.endswith("\n")
     lines = text.splitlines()
-    # Serially, the 50 triplets done before the failure are all on file;
-    # threads may leave triplets after a slower one unrecorded.
-    assert len(lines) == 50 if jobs == 1 else len(lines) < 120
+    # Triplets are scanned in order on the calling thread, so with any
+    # worker count the triplets done before the failure are all on file.
+    assert len(lines) == done
     assert all(len(line.split(",")) == 3 for line in lines)
 
     resumed_oracle = _CountingOracle()
     resumed = search_triplets(fs, dataset, resumed_oracle, journal_path=journal, jobs=jobs)
     assert resumed.to_json() == fresh.to_json()
-    assert resumed_oracle.calls == (120 - len(lines)) * 10 + 10
+    assert resumed_oracle.calls == resumed_calls
     assert len(journal.read_text().splitlines()) == 120
 
 
@@ -299,12 +386,13 @@ def test_search_killed_process_journal_resumes(tmp_path):
     fs = _named_pool()
     dataset = random_dataset(GenConfig(seed=5), 10)
     fresh = search_triplets(fs, dataset, SyntheticCostModel())
+    limit, done, resumed_calls = _interrupted_run(fs, dataset)
 
-    # The process kills itself inside triplet 51 (Brown's triplet takes 10 calls).
+    # The process kills itself inside triplet ``done``, the first whose new pairs pass the limit.
     journal = tmp_path / "journal.txt"
     src = Path(cadorder.__file__).parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", _KILLED_SEARCH, str(journal), str(10 + 50 * 10 + 5)],
+        [sys.executable, "-c", _KILLED_SEARCH, str(journal), str(limit)],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
     )
@@ -312,13 +400,13 @@ def test_search_killed_process_journal_resumes(tmp_path):
     text = journal.read_text()
     assert text.endswith("\n")
     lines = text.splitlines()
-    assert len(lines) == 50
+    assert len(lines) == done
     assert all(len(line.split(",")) == 3 for line in lines)
 
     resumed_oracle = _CountingOracle()
     resumed = search_triplets(fs, dataset, resumed_oracle, journal_path=journal)
     assert resumed.to_json() == fresh.to_json()
-    assert resumed_oracle.calls == (120 - 50) * 10 + 10
+    assert resumed_oracle.calls == resumed_calls
 
 
 def test_report_csv_shape(problem_a, problem_b):

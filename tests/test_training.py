@@ -276,6 +276,35 @@ def test_validate_per_batch_records_every_step():
     assert len(report.entries) == 1 + 2 * 3  # epoch 0 plus 3 batches per epoch
 
 
+class _CountingOracle:
+    def __init__(self):
+        self.inner = SyntheticCostModel()
+        self.calls = 0
+
+    def cost(self, pr, ordering):
+        self.calls += 1
+        return self.inner.cost(pr, ordering)
+
+    def describe(self):
+        return self.inner.describe()
+
+
+@pytest.mark.parametrize(
+    "epochs, per_batch", [(1, False), (5, False), (5, True)]
+)
+def test_train_prices_each_problem_ordering_once(epochs, per_batch):
+    # Targets, validation optima and every validation record read one
+    # cost row per problem: n! calls per training and validation problem.
+    problems = random_dataset(GenConfig(seed=59), 30)
+    oracle = _CountingOracle()
+    cfg = TrainConfig(learning_rate=0.05, epochs=epochs, batch_size=5,
+                      validate_per_batch=per_batch)
+    report = train(TrainableNetwork.brown_init(TRIPLET), problems[:20], problems[20:],
+                   oracle, cfg)
+    assert len(report.entries) == 1 + epochs * (4 if per_batch else 1)
+    assert oracle.calls == math.factorial(3) * (20 + 10)
+
+
 def test_best_entry_minimizes_validation_cost():
     problems = random_dataset(GenConfig(seed=47), 40)
     report = train(

@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 from cadorder.atomic import write_text
+from cadorder.cli import _positive_int
 from cadorder.costmodel import SyntheticCostModel
 from cadorder.datagen import GenConfig, random_dataset
 from cadorder.features import (
@@ -29,13 +30,14 @@ from cadorder.training import TrainConfig, TrainableNetwork, train
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out/pipeline", help="output directory")
-    parser.add_argument("--search-count", type=int, default=150, help="search dataset size")
-    parser.add_argument("--train-count", type=int, default=600)
-    parser.add_argument("--val-count", type=int, default=200)
+    parser.add_argument("--search-count", type=_positive_int, default=150,
+                        help="search dataset size")
+    parser.add_argument("--train-count", type=_positive_int, default=600)
+    parser.add_argument("--val-count", type=_positive_int, default=200)
     parser.add_argument("--pool-size", type=int, default=10,
                         help="feature classes fed to the search (0 = all)")
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--epochs", type=int, default=30)
+    parser.add_argument("--jobs", type=_positive_int, default=1)
+    parser.add_argument("--epochs", type=_positive_int, default=30)
     parser.add_argument("--lr", type=float, default=0.05)
     parser.add_argument("--init-weight", type=float, default=2.0,
                         help="radix base for the starting weights (w^2, w, 1)")

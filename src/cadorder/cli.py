@@ -334,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="rank feature triplets against a cost oracle")
     p.add_argument("--pool", required=True, help="feature-set JSON")
     p.add_argument("--data", required=True, help="dataset dir")
-    p.add_argument("--top-k", type=int, default=None)
-    p.add_argument("--resume", default=None, help="checkpoint journal path")
+    p.add_argument("--top-k", type=_positive_int, default=None)
+    p.add_argument("--resume", default=None, help="journal of oracle prices")
     p.add_argument("--jobs", type=_positive_int, default=None,
                    help="concurrent oracle calls (default: $CADORDER_JOBS, else 1)")
     p.add_argument("--out", required=True, help="output path prefix")

@@ -76,12 +76,14 @@ class Ordering:
 
 
 def parse_ordering(text: str, pr: ProblemInstance) -> Ordering:
-    """Parse the ``x>y>z`` form against a problem's variable names."""
+    """Parse the ``x>y>z`` form, which names each of a problem's variables once."""
     index = {v.name: v.index for v in pr.variables}
     try:
         perm = tuple(index[name.strip()] for name in text.split(">"))
     except KeyError as e:
         raise ValueError(f"unknown variable {e.args[0]!r} in ordering {text!r}") from None
+    if sorted(perm) != list(range(pr.n_vars)):
+        raise ValueError(f"ordering {text!r} must name each of {pr.var_names} exactly once")
     return Ordering(perm)
 
 

@@ -3,8 +3,8 @@
 Every ordered triplet of distinct deduplicated features defines a frozen
 lexicographic/network heuristic; each is priced as the summed oracle cost
 of the orderings it picks, then ranked.  Each distinct (problem, ordering)
-pair is priced once.  Worker count and checkpoint resume never change the
-report.
+pair is priced once.  Worker count and resuming from a journal of those
+prices never change the report.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 from .atomic import write_text
 from .costmodel import CostOracle
 from .features import FeatureSet, brown_features, eval_descriptors
-from .heuristics import FeatureMatrix, lex_order
+from .heuristics import FeatureMatrix, Ordering, lex_order, parse_ordering
 from .polyset import serialize_problem
 
 
@@ -84,13 +84,14 @@ def _dense_ranks(values) -> tuple[int, ...]:
     return tuple(map(distinct.index, values))
 
 
-def _pricer(descriptors, dataset, oracle: CostOracle, call):
+def _pricer(descriptors, dataset, oracle: CostOracle, call, by_order, journal):
     """``costs(ids)``: per-problem oracle costs of a triplet of indices into ``descriptors``.
 
     Each descriptor is evaluated once over the dataset and kept as dense
     ranks per problem.  Per problem, a rank triple maps to its cost and an
-    ordering to its oracle cost, so each distinct (problem, ordering) pair
-    reaches the oracle once; ``call`` maps the oracle over a triplet's new pairs.
+    ordering to its oracle cost (``by_order``), so each distinct (problem,
+    ordering) pair reaches the oracle once; ``call`` maps the oracle over a
+    triplet's new pairs, and each price is appended to ``journal`` as it arrives.
     """
     spans, start = [], 0
     for pr in dataset:
@@ -103,7 +104,6 @@ def _pricer(descriptors, dataset, oracle: CostOracle, call):
     # ranks[d][p] = tuple over variables
     ranks = [by_descriptor[fd] for fd in descriptors]
     by_ranks = [{} for _ in dataset]  # (rank_a, rank_b, rank_c) -> cost
-    by_order = [{} for _ in dataset]  # ordering -> oracle cost
 
     def costs(ids) -> list[float]:
         keys = list(zip(*(ranks[i] for i in ids)))
@@ -113,6 +113,8 @@ def _pricer(descriptors, dataset, oracle: CostOracle, call):
         new = [(p, o) for p, o in orders.items() if o not in by_order[p]]
         for (p, o), c in zip(new, call(lambda po: oracle.cost(dataset[po[0]], po[1]), new)):
             by_order[p][o] = c
+            if journal is not None:
+                journal.write(f"{p},{o.names(dataset[p])},{c!r}\n")
         for p, o in orders.items():
             found[p] = by_ranks[p][keys[p]] = by_order[p][o]
         return found
@@ -120,31 +122,32 @@ def _pricer(descriptors, dataset, oracle: CostOracle, call):
     return costs
 
 
-def _load_journal(path: Path) -> dict[int, tuple[float, int]]:
-    """Replay ``index,total,wins`` lines from a journal, if it exists.
+def _load_journal(path: str | Path | None, dataset) -> list[dict[Ordering, float]]:
+    """Per problem, the prices on a journal's ``problem,ordering,cost`` lines; none without one.
 
     A last line without its newline is a torn write: it is cut from the
-    file, so its triplet is evaluated again and later appends start on a
-    fresh line.  A malformed complete line raises ValueError; so does a
-    two-field ``index,total`` line from an older journal, which lacks the
-    wins against Brown's triplet.
+    file, so its pair is priced again and later appends start on a fresh
+    line.  A malformed complete line, a second price for a pair among
+    them, raises ValueError naming ``path:line``.
     """
-    if not path.exists():
-        return {}
-    data = path.read_bytes()
+    by_order: list[dict[Ordering, float]] = [{} for _ in dataset]
+    if path is None or not os.path.exists(path):
+        return by_order
+    data = Path(path).read_bytes()
     complete = data[: data.rfind(b"\n") + 1]
     if len(complete) < len(data):
         os.truncate(path, len(complete))
-    done: dict[int, tuple[float, int]] = {}
     for lineno, line in enumerate(complete.decode().splitlines(), start=1):
-        if not line.strip():
-            continue
         try:
-            idx_text, cost_text, wins_text = line.split(",")
-            done[int(idx_text)] = float(cost_text), int(wins_text)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: malformed journal line {line!r}") from None
-    return done
+            p_text, order_text, cost_text = line.split(",")
+            p = range(len(dataset)).index(int(p_text))
+            ordering = parse_ordering(order_text, dataset[p])
+            if ordering in by_order[p]:
+                raise ValueError("pair already on file")
+            by_order[p][ordering] = float(cost_text)
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: malformed journal line {line!r}: {e}") from None
+    return by_order
 
 
 def search_triplets(
@@ -162,52 +165,45 @@ def search_triplets(
     as every pool triplet; wins against Brown are counted in the same
     pass.  Triplets are scanned in index order, and ``jobs`` oracle calls
     run at once over the pairs a triplet newly needs.  A journal file
-    makes long runs resumable: each ``index,total,wins`` line is written
-    as its triplet's total is known, and trusted on resume.
+    makes long runs resumable: each oracle price is appended to it as it
+    arrives, and a resumed search prices only the pairs not on file and
+    recomputes every total.  The journal is bound to the dataset and the
+    oracle, which are not checked yet.
     """
     dataset = list(dataset)
     triplets = enumerate_triplets(fs)
     k = len(fs)
     brown_ids = _triplet_ids(brown_features(), fs)
 
-    journal = Path(journal_path) if journal_path is not None else None
-    results: dict[int, tuple[float, int]] = {}
-    if journal is not None:
-        results = _load_journal(journal)
+    by_order = _load_journal(journal_path, dataset)
 
-    # Line-buffered, so a killed search leaves every line written so far on file.
+    # Line-buffered, so a killed search leaves every price written so far on file.
     # A failed oracle call cancels the calls its batch has not started.
     with ThreadPoolExecutor(max(jobs, 1)) as pool, (
-        open(journal, "a", buffering=1) if journal is not None else nullcontext()
+        open(journal_path, "a", buffering=1) if journal_path is not None else nullcontext()
     ) as fh:
         call = pool.map if jobs > 1 else map
-        costs = _pricer(fs.descriptors + brown_features(), dataset, oracle, call)
+        costs = _pricer(fs.descriptors + brown_features(), dataset, oracle, call, by_order, fh)
         brown = costs((k, k + 1, k + 2))
-        for idx, ids in enumerate(triplets):
-            if idx in results:
-                continue
-            per_problem = costs(ids)
-            total = sum(per_problem)
-            wins = sum(1 for c, b in zip(per_problem, brown) if c < b)
-            results[idx] = total, wins
-            if fh is not None:
-                fh.write(f"{idx},{total!r},{wins}\n")
+        totals, wins = [], []
+        for per_problem in map(costs, triplets):
+            totals.append(sum(per_problem))
+            wins.append(sum(1 for c, b in zip(per_problem, brown) if c < b))
 
-    order = sorted(range(len(triplets)), key=lambda i: (results[i][0], triplets[i]))
+    order = sorted(range(len(triplets)), key=lambda i: (totals[i], triplets[i]))
     if top_k is not None:
         order = order[: top_k]
 
     ranked = []
     for rank, idx in enumerate(order, start=1):
         ids = triplets[idx]
-        total, wins = results[idx]
         ranked.append(
             {
                 "rank": rank,
                 "features": list(ids),
                 "descriptions": [fs.descriptors[i].describe() for i in ids],
-                "total_cost": total,
-                "wins_vs_brown": wins,
+                "total_cost": totals[idx],
+                "wins_vs_brown": wins[idx],
                 "uses_average": any(fs.descriptors[i].uses_average() for i in ids),
             }
         )

@@ -7,7 +7,7 @@ digests recorded before the ordering code was consolidated.  A refactor
 that keeps these digests keeps the program's results.
 
 The digests are expected to change on purpose when the ordering direction
-is fixed (ROADMAP item 2); that change re-baselines them.  The training
+is fixed (ROADMAP item 1); that change re-baselines them.  The training
 report holds floats from ``sum()`` over floats, so the pins hold for
 CPython 3.10 and 3.11 (3.12 made float ``sum()`` compensated).
 """

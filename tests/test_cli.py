@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,18 +162,33 @@ def test_search_resume_matches_fresh(tmp_path, dataset_dir, pool_file, capsys):
 
 
 def test_search_resume_old_journal_is_data_error(tmp_path, dataset_dir, pool_file, capsys):
+    # Lines of the older index,total and index,total,wins formats.
     journal = tmp_path / "journal.txt"
-    journal.write_text("0,12.5\n")
-    code, _, stderr = run(
-        capsys,
-        "search",
-        "--pool", str(pool_file),
-        "--data", str(dataset_dir),
-        "--resume", str(journal),
-        "--out", str(tmp_path / "r"),
-    )
-    assert code == 2
-    assert "journal.txt:1" in stderr
+    for text in ("0,12.5\n", "0,12.5,3\n"):
+        journal.write_text(text)
+        code, _, stderr = run(
+            capsys,
+            "search",
+            "--pool", str(pool_file),
+            "--data", str(dataset_dir),
+            "--resume", str(journal),
+            "--out", str(tmp_path / "r"),
+        )
+        assert code == 2
+        assert "journal.txt:1" in stderr
+        assert journal.read_text() == text
+
+
+@pytest.mark.parametrize("top_k", ["0", "-2"])
+def test_search_top_k_below_one_is_usage_error(tmp_path, dataset_dir, pool_file, capsys, top_k):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--pool", str(pool_file), "--data", str(dataset_dir),
+              "--top-k", top_k, "--out", str(tmp_path / "r")])
+    assert exc.value.code == 1
+    stderr = capsys.readouterr().err
+    assert "--top-k: must be >= 1" in stderr
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_search_table_oracle_missing_pair(tmp_path, dataset_dir, pool_file, capsys):
@@ -336,3 +355,21 @@ def test_help_lists_subcommands(capsys):
     stdout = capsys.readouterr().out
     for name in ("gen", "features", "order", "search", "train", "check"):
         assert name in stdout
+
+
+@pytest.mark.parametrize(
+    "flag", ["--jobs", "--search-count", "--train-count", "--val-count", "--epochs"]
+)
+def test_pipeline_script_counts_below_one_are_rejected(tmp_path, flag):
+    root = Path(__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_pipeline.py"), flag, "0",
+         "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2  # argparse's usage-error status
+    assert f"{flag}: must be >= 1, got 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()

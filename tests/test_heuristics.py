@@ -44,6 +44,10 @@ def test_ordering_names_and_parse(problem_a):
     assert ordering.reversed().perm == (1, 2, 0)
     with pytest.raises(ValueError, match="unknown variable"):
         parse_ordering("x>q>y", problem_a)
+    # A partial, repeated or overlong ordering of a 3-variable problem.
+    for text in ("x>y", "x>x>y", "x>z>y>x"):
+        with pytest.raises(ValueError, match="exactly once"):
+            parse_ordering(text, problem_a)
 
 
 def test_select_base_weight_examples(problem_a, problem_b):

@@ -23,7 +23,7 @@ from cadorder.features import (
     enumerate_descriptors,
     selected_triplet,
 )
-from cadorder.heuristics import FeatureMatrix, Ordering, feature_matrix, lex_order
+from cadorder.heuristics import FeatureMatrix, feature_matrix, lex_order, parse_ordering
 from cadorder.search import (
     _dense_ranks,
     dataset_digest,
@@ -196,61 +196,6 @@ def test_search_jobs_deterministic():
     )
 
 
-def test_search_journal_resume(tmp_path):
-    fs = _named_pool()
-    dataset = random_dataset(GenConfig(seed=5), 40)
-    oracle = SyntheticCostModel()
-    journal = tmp_path / "journal.txt"
-    full = search_triplets(fs, dataset, oracle, journal_path=journal)
-    lines = journal.read_text().splitlines()
-    assert len(lines) == 120
-
-    # Simulate a kill at 50%: replay only half the journal, then resume.
-    half = tmp_path / "half.txt"
-    half.write_text("\n".join(lines[:60]) + "\n")
-    resumed = search_triplets(fs, dataset, oracle, journal_path=half)
-    assert json.dumps(resumed.to_json(), sort_keys=True) == json.dumps(
-        full.to_json(), sort_keys=True
-    )
-    assert len(half.read_text().splitlines()) == 120
-
-
-def test_search_journal_drops_torn_last_line(tmp_path):
-    fs = _named_pool()
-    dataset = random_dataset(GenConfig(seed=5), 40)
-    oracle = SyntheticCostModel()
-    journal = tmp_path / "journal.txt"
-    full = search_triplets(fs, dataset, oracle, journal_path=journal)
-    lines = journal.read_text().splitlines()
-
-    # A write torn mid-number: "12,3." would parse as 3.0 if trusted.
-    idx = lines[10].split(",")[0]
-    torn = tmp_path / "torn.txt"
-    torn.write_text("\n".join(lines[:10]) + f"\n{idx},3.")
-    resumed = search_triplets(fs, dataset, oracle, journal_path=torn)
-    assert resumed.to_json() == full.to_json()
-    replayed = torn.read_text().splitlines()
-    assert len(replayed) == 120
-    assert sorted(replayed) == sorted(lines)
-
-
-def _assert_journal_rejected(journal, text, line):
-    journal.write_text(text)
-    with pytest.raises(ValueError, match=f"journal.txt:{line}"):
-        search_triplets(_named_pool(), random_dataset(GenConfig(seed=5), 5),
-                        SyntheticCostModel(), journal_path=journal)
-    assert journal.read_text() == text
-
-
-def test_search_journal_malformed_line_raises(tmp_path):
-    _assert_journal_rejected(tmp_path / "journal.txt", "0,12.5,3\n7;3.0,1\n", 2)
-
-
-def test_search_journal_two_field_line_raises(tmp_path):
-    # A line of an older journal: a total without the wins against Brown.
-    _assert_journal_rejected(tmp_path / "journal.txt", "0,12.5,3\n1,12.5\n", 2)
-
-
 class _CountingOracle:
     """Synthetic costs; raises once ``limit`` calls have been made, if given."""
 
@@ -258,6 +203,7 @@ class _CountingOracle:
         self.inner = SyntheticCostModel()
         self.limit = limit
         self.calls = 0
+        self.pairs = []  # (problem id, perm) of each call made
         self.lock = threading.Lock()
 
     def cost(self, pr, ordering):
@@ -265,46 +211,143 @@ class _CountingOracle:
             if self.calls == self.limit:
                 raise RuntimeError("oracle interrupted")
             self.calls += 1
+            self.pairs.append((pr.id, ordering.perm))
         return self.inner.cost(pr, ordering)
 
     def describe(self):
         return self.inner.describe()
 
 
-def _pairs_by_triplet(fs, dataset):
-    """The (problem, ordering) pairs each triplet picks, by the per-problem path.
+def _distinct_pairs(fs, dataset):
+    """The (problem, ordering) pairs that Brown's triplet and the pool's triplets pick.
 
-    Brown's triplet comes first, then the pool's triplets in index order,
-    the order in which the search scans them.
+    Computed by the per-problem path, independently of the search's memos.
     """
     triplets = [brown_features()] + [
         tuple(fs.descriptors[i] for i in ids) for ids in enumerate_triplets(fs)
     ]
-    return [
-        {(p, lex_order(feature_matrix(t, pr)).perm) for p, pr in enumerate(dataset)}
+    return {
+        (p, lex_order(feature_matrix(t, pr)).perm)
         for t in triplets
-    ]
+        for p, pr in enumerate(dataset)
+    }
 
 
-def _interrupted_run(fs, dataset):
-    """An oracle call limit inside the scan; the journal lines and resumed calls it implies.
+def test_search_journal_resume(tmp_path):
+    fs = _named_pool()
+    dataset = random_dataset(GenConfig(seed=5), 40)
+    distinct = len(_distinct_pairs(fs, dataset))
+    journal = tmp_path / "journal.txt"
+    full = search_triplets(fs, dataset, SyntheticCostModel(), journal_path=journal)
+    text = journal.read_text()
+    lines = text.splitlines()
+    assert len(lines) == distinct
+    # Each line is one oracle price: problem index, ordering, repr of the cost.
+    for line in lines:
+        p, names, cost = line.split(",")
+        pr = dataset[int(p)]
+        assert cost == repr(SyntheticCostModel().cost(pr, parse_ordering(names, pr)))
 
-    Triplet ``i`` finishes when the distinct pairs of Brown's triplet and
-    triplets ``0..i`` number at most the limit; the resumed search prices
-    the distinct pairs of Brown's triplet and of the triplets left out.
-    """
-    pairs = _pairs_by_triplet(fs, dataset)
-    total = len(set().union(*pairs))
-    limit = (len(pairs[0]) + total) // 2
-    seen, lines = set(pairs[0]), 0
-    for picked in pairs[1:]:
-        seen |= picked
-        if len(seen) > limit:
-            break
-        lines += 1
-    assert 0 < lines < len(pairs) - 1
-    resumed_calls = len(pairs[0].union(*pairs[1 + lines:]))
-    return limit, lines, resumed_calls
+    # Simulate a kill at 50%: keep half the journal, then resume.
+    half = tmp_path / "half.txt"
+    half.write_text("\n".join(lines[: distinct // 2]) + "\n")
+    oracle = _CountingOracle()
+    resumed = search_triplets(fs, dataset, oracle, journal_path=half)
+    assert resumed.to_json() == full.to_json()
+    assert oracle.calls == distinct - distinct // 2
+    # The missing pairs are priced in the order a fresh search meets them.
+    assert half.read_text() == text
+
+    # A complete journal prices everything: no oracle call, same report.
+    oracle = _CountingOracle()
+    assert search_triplets(fs, dataset, oracle, journal_path=half).to_json() == full.to_json()
+    assert oracle.calls == 0
+    assert half.read_text() == text
+
+
+def test_search_journal_drops_torn_last_line(tmp_path):
+    fs = _named_pool()
+    dataset = random_dataset(GenConfig(seed=5), 40)
+    journal = tmp_path / "journal.txt"
+    full = search_triplets(fs, dataset, SyntheticCostModel(), journal_path=journal)
+    text = journal.read_text()
+    lines = text.splitlines()
+
+    # A write torn mid-number: "3,x0>x2>x1,1" would price the pair at 1.0 if trusted.
+    torn_line = lines[10][: lines[10].rindex(",") + 2]
+    assert float(torn_line.rsplit(",", 1)[1]) != float(lines[10].rsplit(",", 1)[1])
+    torn = tmp_path / "torn.txt"
+    torn.write_text("\n".join(lines[:10]) + "\n" + torn_line)
+    oracle = _CountingOracle()
+    resumed = search_triplets(fs, dataset, oracle, journal_path=torn)
+    assert resumed.to_json() == full.to_json()
+    assert oracle.calls == len(lines) - 10
+    assert torn.read_text() == text
+
+
+_PRICE_LINE = "0,x0>x1>x2,12.5\n"
+
+
+def _assert_journal_rejected(journal, text, line, match=""):
+    journal.write_text(text)
+    with pytest.raises(ValueError, match=f"journal.txt:{line}: .*{match}"):
+        search_triplets(_named_pool(), random_dataset(GenConfig(seed=5), 5),
+                        SyntheticCostModel(), journal_path=journal)
+    assert journal.read_text() == text
+
+
+def test_search_journal_malformed_line_raises(tmp_path):
+    for bad in (
+        "1;x0>x1>x2,3.0",
+        "1,x0>x1>x2,abc",
+        "5,x0>x1>x2,3.0",  # no problem 5 in a dataset of 5
+        "-1,x0>x1>x2,3.0",
+        "1,x0>x1,3.0",  # partial ordering
+        "1,x0>x1>x1,3.0",
+        "0,12.5,3",  # a triplet line of the older index,total,wins format
+    ):
+        _assert_journal_rejected(tmp_path / "journal.txt", _PRICE_LINE + bad + "\n", 2)
+
+
+def test_search_journal_two_field_line_raises(tmp_path):
+    # A pair without its cost, and a line of the oldest index,total format.
+    for bad in ("1,x0>x1>x2", "1,12.5"):
+        _assert_journal_rejected(tmp_path / "journal.txt", _PRICE_LINE + bad + "\n", 2)
+
+
+def test_search_journal_repeated_pair_raises(tmp_path):
+    text = _PRICE_LINE + "1,x0>x1>x2,3.0\n0,x0>x1>x2,13.0\n"
+    _assert_journal_rejected(tmp_path / "journal.txt", text, 3, "already on file")
+
+
+def test_search_journal_bytes_equal_for_any_jobs(tmp_path):
+    fs = _average_pool()
+    dataset = random_dataset(GenConfig(seed=8), 30)
+    journals = []
+    for jobs in (1, 4):
+        path = tmp_path / f"journal-{jobs}.txt"
+        search_triplets(fs, dataset, SyntheticCostModel(), journal_path=path, jobs=jobs)
+        journals.append(path.read_bytes())
+    assert journals[0] == journals[1]
+    assert len(journals[0].splitlines()) == len(_distinct_pairs(fs, dataset))
+
+
+def test_search_journal_of_smaller_pool_prices_only_new_pairs(tmp_path):
+    # The journal holds prices, not totals, so it serves any pool on the same data.
+    dataset = random_dataset(GenConfig(seed=5), 20)
+    small = FeatureSet.from_descriptors(_named_pool().descriptors[:4])
+    journal = tmp_path / "journal.txt"
+    search_triplets(small, dataset, SyntheticCostModel(), journal_path=journal)
+
+    oracle = _CountingOracle()
+    resumed = search_triplets(_named_pool(), dataset, oracle, journal_path=journal)
+    fresh = search_triplets(_named_pool(), dataset, SyntheticCostModel())
+    assert resumed.to_json() == fresh.to_json()
+    index = {pr.id: p for p, pr in enumerate(dataset)}
+    called = [(index[problem_id], perm) for problem_id, perm in oracle.pairs]
+    new = _distinct_pairs(_named_pool(), dataset) - _distinct_pairs(small, dataset)
+    assert new
+    assert sorted(called) == sorted(new)
 
 
 def test_search_prices_each_triplet_once():
@@ -314,13 +357,13 @@ def test_search_prices_each_triplet_once():
     assert len(report.ranked) == report.triplet_count == 120
     # Every triplet is priced, and every distinct (problem, ordering) pair
     # that Brown's triplet or a pool triplet picks reaches the oracle once.
-    assert oracle.calls == len(set().union(*_pairs_by_triplet(_named_pool(), dataset)))
+    assert oracle.calls == len(_distinct_pairs(_named_pool(), dataset))
 
 
 def test_search_oracle_calls_equal_distinct_pairs_for_any_jobs():
     fs = _average_pool()
     dataset = random_dataset(GenConfig(seed=8), 30)
-    distinct = len(set().union(*_pairs_by_triplet(fs, dataset)))
+    distinct = len(_distinct_pairs(fs, dataset))
     reports = []
     for jobs in (1, 4):
         oracle = _CountingOracle()
@@ -329,31 +372,47 @@ def test_search_oracle_calls_equal_distinct_pairs_for_any_jobs():
     assert reports[0] == reports[1]
 
 
+def _stop_limits(fs, dataset):
+    """Oracle call counts to stop a search at: inside the first batch, and midway.
+
+    The first batch is Brown's triplet's pairs, one new pair per problem,
+    so a stop inside it tells a journal written per price from one written
+    per batch.
+    """
+    return len(dataset) // 2, len(_distinct_pairs(fs, dataset)) // 2
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_search_interrupted_journal_resumes(tmp_path, jobs):
     fs = _named_pool()
     dataset = random_dataset(GenConfig(seed=5), 10)
-    fresh = search_triplets(fs, dataset, SyntheticCostModel())
-    limit, done, resumed_calls = _interrupted_run(fs, dataset)
+    full_journal = tmp_path / "full.txt"
+    fresh = search_triplets(fs, dataset, SyntheticCostModel(), journal_path=full_journal)
+    distinct = len(_distinct_pairs(fs, dataset))
 
-    # The oracle fails inside triplet ``done``, the first whose new pairs pass the limit.
-    journal = tmp_path / "journal.txt"
-    with pytest.raises(RuntimeError, match="interrupted"):
-        search_triplets(fs, dataset, _CountingOracle(limit=limit),
-                        journal_path=journal, jobs=jobs)
-    text = journal.read_text()
-    assert text.endswith("\n")
-    lines = text.splitlines()
-    # Triplets are scanned in order on the calling thread, so with any
-    # worker count the triplets done before the failure are all on file.
-    assert len(lines) == done
-    assert all(len(line.split(",")) == 3 for line in lines)
+    for limit in _stop_limits(fs, dataset):
+        journal = tmp_path / f"journal-{limit}.txt"
+        with pytest.raises(RuntimeError, match="interrupted"):
+            search_triplets(fs, dataset, _CountingOracle(limit=limit),
+                            journal_path=journal, jobs=jobs)
+        text = journal.read_text()
+        lines = text.splitlines()
+        # Prices are written on the calling thread in the order the scan
+        # asks for them, so with any worker count the journal is a prefix
+        # of a fresh one.  With one worker it holds every price paid; with
+        # more, a price that arrived after the failed call in that order is
+        # not on file.
+        assert full_journal.read_text().startswith(text)
+        if jobs == 1:
+            assert len(lines) == limit
+        else:
+            assert len(lines) <= limit
 
-    resumed_oracle = _CountingOracle()
-    resumed = search_triplets(fs, dataset, resumed_oracle, journal_path=journal, jobs=jobs)
-    assert resumed.to_json() == fresh.to_json()
-    assert resumed_oracle.calls == resumed_calls
-    assert len(journal.read_text().splitlines()) == 120
+        resumed_oracle = _CountingOracle()
+        resumed = search_triplets(fs, dataset, resumed_oracle, journal_path=journal, jobs=jobs)
+        assert resumed.to_json() == fresh.to_json()
+        assert resumed_oracle.calls == distinct - len(lines)
+        assert journal.read_text() == full_journal.read_text()
 
 
 _KILLED_SEARCH = """
@@ -386,27 +445,26 @@ def test_search_killed_process_journal_resumes(tmp_path):
     fs = _named_pool()
     dataset = random_dataset(GenConfig(seed=5), 10)
     fresh = search_triplets(fs, dataset, SyntheticCostModel())
-    limit, done, resumed_calls = _interrupted_run(fs, dataset)
+    distinct = len(_distinct_pairs(fs, dataset))
 
-    # The process kills itself inside triplet ``done``, the first whose new pairs pass the limit.
-    journal = tmp_path / "journal.txt"
-    src = Path(cadorder.__file__).parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", _KILLED_SEARCH, str(journal), str(limit)],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-    )
-    assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
-    text = journal.read_text()
-    assert text.endswith("\n")
-    lines = text.splitlines()
-    assert len(lines) == done
-    assert all(len(line.split(",")) == 3 for line in lines)
+    for limit in _stop_limits(fs, dataset):
+        # The process kills itself at its oracle call number ``limit + 1``.
+        journal = tmp_path / f"journal-{limit}.txt"
+        src = Path(cadorder.__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILLED_SEARCH, str(journal), str(limit)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
+        text = journal.read_text()
+        assert text.endswith("\n")
+        assert len(text.splitlines()) == limit
 
-    resumed_oracle = _CountingOracle()
-    resumed = search_triplets(fs, dataset, resumed_oracle, journal_path=journal)
-    assert resumed.to_json() == fresh.to_json()
-    assert resumed_oracle.calls == resumed_calls
+        resumed_oracle = _CountingOracle()
+        resumed = search_triplets(fs, dataset, resumed_oracle, journal_path=journal)
+        assert resumed.to_json() == fresh.to_json()
+        assert resumed_oracle.calls == distinct - limit
 
 
 def test_report_csv_shape(problem_a, problem_b):

@@ -42,6 +42,8 @@ def main() -> None:
     parser.add_argument("--init-weight", type=float, default=2.0,
                         help="radix base for the starting weights (w^2, w, 1)")
     args = parser.parse_args()
+    if args.pool_size < 0:
+        parser.error(f"argument --pool-size: must be >= 0, got {args.pool_size}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -81,7 +81,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -120,7 +123,7 @@ def _jobs_default() -> int:
     env = os.environ.get("CADORDER_JOBS") or "1"
     try:
         return _positive_int(env)
-    except (ValueError, argparse.ArgumentTypeError):
+    except argparse.ArgumentTypeError:
         raise UsageError(f"CADORDER_JOBS must be an integer >= 1, got {env!r}") from None
 
 
@@ -163,18 +166,21 @@ def _load_triplet(spec: str):
 
 def cmd_gen(args) -> int:
     started = time.perf_counter()
-    cfg = GenConfig(
-        n_vars=args.n_vars,
-        min_polys=args.min_polys,
-        max_polys=args.max_polys,
-        min_monomials=args.min_monomials,
-        max_monomials=args.max_monomials,
-        max_degree=args.max_degree,
-        coeff_min=args.coeff_min,
-        coeff_max=args.coeff_max,
-        density=args.density,
-        seed=args.seed,
-    )
+    try:
+        cfg = GenConfig(
+            n_vars=args.n_vars,
+            min_polys=args.min_polys,
+            max_polys=args.max_polys,
+            min_monomials=args.min_monomials,
+            max_monomials=args.max_monomials,
+            max_degree=args.max_degree,
+            coeff_min=args.coeff_min,
+            coeff_max=args.coeff_max,
+            density=args.density,
+            seed=args.seed,
+        )
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     problems = random_dataset(cfg, args.count)
     out = write_dataset(problems, args.out, cfg)
     _write_manifest("gen", args, [], [out], started)
@@ -250,19 +256,22 @@ def cmd_search(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
+    try:
+        cfg = TrainConfig(
+            learning_rate=args.lr,
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+            softmax_temperature=args.temperature,
+            seed=args.seed,
+            normalize=not args.no_normalize,
+            validate_per_batch=args.validate_per_batch,
+        )
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     triplet = _load_triplet(args.triplet)
     train_set = load_dataset(args.train)
     val_set = load_dataset(args.val)
     oracle = _build_oracle(args)
-    cfg = TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        softmax_temperature=args.temperature,
-        seed=args.seed,
-        normalize=not args.no_normalize,
-        validate_per_batch=args.validate_per_batch,
-    )
     net = TrainableNetwork.brown_init(triplet, base_weight=args.init_weight)
     report = train(net, train_set, val_set, oracle, cfg)
     out_json = Path(args.out + ".json")
@@ -284,7 +293,7 @@ def cmd_check(args) -> int:
     except FileNotFoundError as e:
         raise UsageError(f"empty dataset: {e}") from None
     triplet = _load_triplet(args.triplet)
-    report = check_equivalence(dataset, triplet, force_w=args.force_w, jobs=args.jobs)
+    report = check_equivalence(dataset, triplet, force_w=args.force_w)
     payload = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     if args.out:
         write_text(args.out, payload)
@@ -362,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset dir")
     p.add_argument("--triplet", default="brown", help="brown | selected | <triplet.json>")
     p.add_argument("--force-w", type=int, default=None, help="override the base weight")
-    p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="worker threads (default: $CADORDER_JOBS, else 1)")
     p.add_argument("--out", default=None, help="report JSON path")
     p.set_defaults(func=cmd_check)
 

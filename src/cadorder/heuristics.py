@@ -27,7 +27,6 @@ is placed first in the ordering (the CLI can flip the printed order with
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -92,10 +91,6 @@ class FeatureMatrix:
     """Per-variable feature rows (n_vars x 3, exact rationals)."""
 
     rows: tuple[tuple, ...]
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.rows)
 
     def max_value(self):
         return max(x for row in self.rows for x in row)
@@ -210,9 +205,10 @@ def order_by_scores(y) -> Ordering:
 def lex_order(fm: FeatureMatrix) -> Ordering:
     """Sort variables by feature row, lexicographically descending.
 
-    Full ties break by ascending variable index, as the network's do.
+    Rows are tuples, so the score sort compares them lexicographically and
+    breaks full ties by ascending variable index, as the network does.
     """
-    return Ordering(tuple(sorted(range(fm.n_vars), key=lambda v: fm.rows[v], reverse=True)))
+    return order_by_scores(fm.rows)
 
 
 def _check_weight(fm: FeatureMatrix, w: int, pr: ProblemInstance) -> None:
@@ -251,41 +247,30 @@ class EquivalenceReport:
         }
 
 
-def _check_one(pr: ProblemInstance, triplet, force_w: int | None):
-    fm = feature_matrix(triplet, pr)
-    w = force_w if force_w is not None else math.floor(fm.max_value()) + 2
-    lex = lex_order(fm)
-    try:
-        _check_weight(fm, w, pr)
-    except BaseWeightError as e:
-        return {"problem_id": pr.id, "w": w, "error": str(e)}, None
-    net = HeuristicNetwork(tuple(triplet), w)
-    y = layer1_forward(net, fm)
-    nn = _order_scores(y) if pr.n_vars <= MAX_EXPLICIT_LAYER else order_by_scores(y)
-    if nn.perm != lex.perm:
-        return None, {
-            "problem_id": pr.id,
-            "lex": lex.names(pr),
-            "nn": nn.names(pr),
-            "w": w,
-        }
-    return None, None
-
-
 def check_equivalence(dataset, triplet=None, force_w: int | None = None, jobs: int = 1) -> EquivalenceReport:
-    """Compare the two ordering paths on every problem.
+    """Compare the two ordering paths on every problem, in dataset order.
 
     Per problem the base weight is re-selected minimally (unless forced),
-    so the result is expected to have zero mismatches.  Results are merged
-    in dataset order regardless of worker count.
+    so the result is expected to have zero mismatches.  The check runs on
+    one thread; threads only slowed this pure-Python loop.  ``jobs`` is
+    accepted and ignored, for callers that still pass it.
     """
     triplet = tuple(triplet) if triplet is not None else brown_features()
     dataset = list(dataset)
-    if jobs > 1 and len(dataset) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda pr: _check_one(pr, triplet, force_w), dataset))
-    else:
-        results = [_check_one(pr, triplet, force_w) for pr in dataset]
-    violations = [v for v, _ in results if v is not None]
-    mismatches = [m for _, m in results if m is not None]
+    violations, mismatches = [], []
+    for pr in dataset:
+        fm = feature_matrix(triplet, pr)
+        w = force_w if force_w is not None else math.floor(fm.max_value()) + 2
+        try:
+            _check_weight(fm, w, pr)
+        except BaseWeightError as e:
+            violations.append({"problem_id": pr.id, "w": w, "error": str(e)})
+            continue
+        y = layer1_forward(HeuristicNetwork(triplet, w), fm)
+        nn = _order_scores(y) if pr.n_vars <= MAX_EXPLICIT_LAYER else order_by_scores(y)
+        lex = lex_order(fm)
+        if nn != lex:
+            mismatches.append(
+                {"problem_id": pr.id, "lex": lex.names(pr), "nn": nn.names(pr), "w": w}
+            )
     return EquivalenceReport(len(dataset), mismatches, violations)

@@ -23,7 +23,7 @@ from pathlib import Path
 from .atomic import write_text
 from .costmodel import CostOracle
 from .features import FeatureSet, brown_features, eval_descriptors
-from .heuristics import FeatureMatrix, Ordering, lex_order, parse_ordering
+from .heuristics import Ordering, order_by_scores, parse_ordering
 from .polyset import serialize_problem
 
 
@@ -108,7 +108,7 @@ def _pricer(descriptors, dataset, oracle: CostOracle, call, by_order, journal):
     def costs(ids) -> list[float]:
         keys = list(zip(*(ranks[i] for i in ids)))
         found = [table.get(key) for table, key in zip(by_ranks, keys)]
-        orders = {p: lex_order(FeatureMatrix(tuple(zip(*keys[p]))))
+        orders = {p: order_by_scores(tuple(zip(*keys[p])))
                   for p, c in enumerate(found) if c is None}
         new = [(p, o) for p, o in orders.items() if o not in by_order[p]]
         for (p, o), c in zip(new, call(lambda po: oracle.cost(dataset[po[0]], po[1]), new)):

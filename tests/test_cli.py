@@ -243,34 +243,68 @@ def test_check_empty_dataset_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("value", ["abc", "0", "-2"])
 def test_invalid_jobs_env_is_usage_error(dataset_dir, pool_file, tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("CADORDER_JOBS", value)
-    for argv in (
-        ["check", "--data", str(dataset_dir)],
-        ["search", "--pool", str(pool_file), "--data", str(dataset_dir),
-         "--out", str(tmp_path / "s")],
-    ):
-        code, _, stderr = run(capsys, *argv)
-        assert code == 1
-        assert "CADORDER_JOBS" in stderr and repr(value) in stderr
+    code, _, stderr = run(capsys, "search", "--pool", str(pool_file), "--data", str(dataset_dir),
+                          "--out", str(tmp_path / "s"))
+    assert code == 1
+    assert "CADORDER_JOBS" in stderr and repr(value) in stderr
     assert not (tmp_path / "s.json").exists()
 
 
-def test_jobs_env_sets_default_and_flag_overrides(dataset_dir, tmp_path, capsys, monkeypatch):
+def test_jobs_env_sets_default_and_flag_overrides(dataset_dir, pool_file, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CADORDER_JOBS", "3")
-    out = tmp_path / "check.json"
-    assert run(capsys, "check", "--data", str(dataset_dir), "--out", str(out))[0] == 0
-    manifest = json.loads((tmp_path / "check.json.manifest.json").read_text())
+    base = ["search", "--pool", str(pool_file), "--data", str(dataset_dir), "--out", str(tmp_path / "s")]
+    assert run(capsys, *base)[0] == 0
+    manifest = json.loads((tmp_path / "s.json.manifest.json").read_text())
     assert manifest["config"]["jobs"] == 3
-    assert run(capsys, "check", "--data", str(dataset_dir), "--out", str(out), "--jobs", "2")[0] == 0
-    manifest = json.loads((tmp_path / "check.json.manifest.json").read_text())
+    assert run(capsys, *base, "--jobs", "2")[0] == 0
+    manifest = json.loads((tmp_path / "s.json.manifest.json").read_text())
     assert manifest["config"]["jobs"] == 2
 
 
 @pytest.mark.parametrize("value", ["0", "abc"])
-def test_invalid_jobs_flag_is_usage_error(dataset_dir, capsys, value):
+def test_invalid_jobs_flag_is_usage_error(dataset_dir, pool_file, tmp_path, capsys, value):
     with pytest.raises(SystemExit) as exc:
-        main(["check", "--data", str(dataset_dir), "--jobs", value])
+        main(["search", "--pool", str(pool_file), "--data", str(dataset_dir),
+              "--out", str(tmp_path / "s"), "--jobs", value])
     assert exc.value.code == 1
-    assert "--jobs" in capsys.readouterr().err
+    stderr = capsys.readouterr().err
+    assert "--jobs: must be" in stderr
+    assert "_positive_int" not in stderr
+
+
+def test_check_has_no_jobs(dataset_dir, tmp_path, capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--data", str(dataset_dir), "--jobs", "2"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    # CADORDER_JOBS sets search's oracle concurrency only; check never reads it.
+    monkeypatch.setenv("CADORDER_JOBS", "abc")
+    out = tmp_path / "check.json"
+    assert run(capsys, "check", "--data", str(dataset_dir), "--out", str(out))[0] == 0
+    manifest = json.loads((tmp_path / "check.json.manifest.json").read_text())
+    assert "jobs" not in manifest["config"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--count", "x"],
+        ["gen", "--count", "2", "--n-vars", "0"],
+        ["gen", "--count", "2", "--min-polys", "5", "--max-polys", "2"],
+        ["train", "--train", "t", "--val", "v", "--epochs", "0"],
+        ["train", "--train", "t", "--val", "v", "--batch-size", "-3"],
+    ],
+)
+def test_bad_flag_values_are_usage_errors(tmp_path, capsys, argv):
+    try:
+        code = main([*argv, "--out", str(tmp_path / "out")])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
+    stderr = capsys.readouterr().err
+    assert "error: " in stderr
+    assert "_positive_int" not in stderr and "Traceback" not in stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_write_leaves_old_report(tmp_path, capsys, monkeypatch):
@@ -358,18 +392,26 @@ def test_help_lists_subcommands(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag", ["--jobs", "--search-count", "--train-count", "--val-count", "--epochs"]
+    "flag, value, message",
+    [
+        pytest.param(flag, "0", "must be >= 1, got 0", id=flag)
+        for flag in ("--jobs", "--search-count", "--train-count", "--val-count", "--epochs")
+    ]
+    + [
+        pytest.param("--val-count", "x", "must be an integer >= 1, got 'x'", id="--val-count=x"),
+        pytest.param("--pool-size", "-1", "must be >= 0, got -1", id="--pool-size=-1"),
+    ],
 )
-def test_pipeline_script_counts_below_one_are_rejected(tmp_path, flag):
+def test_pipeline_script_counts_below_one_are_rejected(tmp_path, flag, value, message):
     root = Path(__file__).parents[1]
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_pipeline.py"), flag, "0",
+        [sys.executable, str(root / "scripts" / "run_pipeline.py"), flag, value,
          "--out", str(tmp_path / "out")],
         env={**os.environ, "PYTHONPATH": str(root / "src")},
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 2  # argparse's usage-error status
-    assert f"{flag}: must be >= 1, got 0" in proc.stderr
+    assert f"{flag}: {message}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()

@@ -15,7 +15,15 @@ import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
-from .polyset import Monomial, Polynomial, ProblemInstance, VariableId, serialize_problem
+from .polyset import (
+    Monomial,
+    ParseError,
+    Polynomial,
+    ProblemInstance,
+    VariableId,
+    parse_problem,
+    serialize_problem,
+)
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -166,10 +174,8 @@ def load_dataset(path: str | Path) -> list[ProblemInstance]:
     """Load a dataset directory; manifest order if present, else sorted names.
 
     Files listed in a manifest must match its sha256 values; a mismatch
-    raises ValueError naming the file.
+    raises ValueError naming the file.  A ParseError names its file too.
     """
-    from .polyset import parse_problem
-
     root = Path(path)
     manifest = root / "manifest.json"
     problems = []
@@ -180,10 +186,17 @@ def load_dataset(path: str | Path) -> list[ProblemInstance]:
             data = file.read_bytes()
             if hashlib.sha256(data).hexdigest() != entry["sha256"]:
                 raise ValueError(f"{file}: sha256 does not match manifest.json")
-            problems.append(parse_problem(data.decode(), problem_id=entry["id"]))
+            problems.append(_parse_file(file, data.decode(), entry["id"]))
     else:
         for f in sorted(root.glob("*.poly")):
-            problems.append(parse_problem(f.read_text(), problem_id=f.stem))
+            problems.append(_parse_file(f, f.read_text(), f.stem))
     if not problems:
         raise FileNotFoundError(f"no .poly files under {root}")
     return problems
+
+
+def _parse_file(file: Path, text: str, problem_id: str) -> ProblemInstance:
+    try:
+        return parse_problem(text, problem_id=problem_id)
+    except ParseError as e:
+        raise ParseError(f"{file}: {e.message}", e.line, e.col) from None

@@ -16,7 +16,8 @@ one polynomial per nonblank line)::
     factor     := ident ["^" integer]
 
 With a ``vars:`` header the variable index order is the header order;
-without one it is first-occurrence order across the file.
+without one it is first-occurrence order across the file.  A problem
+must have at least one variable.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ class ParseError(ValueError):
     """Input text does not conform to the problem grammar."""
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        self.message = message
         self.line = line
         self.col = col
         where = ""
@@ -313,6 +315,8 @@ def parse_problem(text: str, problem_id: str | None = None) -> ProblemInstance:
                         index[name] = len(names)
                         names.append(name)
 
+    if not names:
+        raise ParseError("problem has no variables")
     n = len(names)
     variables = tuple(VariableId(i, name) for i, name in enumerate(names))
     polynomials = []

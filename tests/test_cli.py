@@ -232,6 +232,30 @@ def test_check_tampered_dataset_file_is_data_error(dataset_dir, capsys):
     assert tampered.name in stderr and "sha256" in stderr
 
 
+def test_constant_only_problem_is_data_error(tmp_path, capsys):
+    data = tmp_path / "const"
+    data.mkdir()
+    (data / "five.poly").write_text("5\n")
+    code, stdout, stderr = run(capsys, "check", "--data", str(data))
+    assert code == 2
+    assert "five.poly: problem has no variables" in stderr
+    code, stdout, stderr = run(capsys, "order", "--heuristic", "brown",
+                               "--problem", str(data / "five.poly"))
+    assert code == 2 and stdout == ""
+    assert "problem has no variables" in stderr
+
+
+def test_parse_error_in_dataset_names_its_file(tmp_path, capsys):
+    data = tmp_path / "bad"
+    data.mkdir()
+    (data / "a.poly").write_text(PROBLEM_A_TEXT + "\n")
+    (data / "b.poly").write_text("vars: x\nx ? 2\n")
+    code, _, stderr = run(capsys, "check", "--data", str(data))
+    assert code == 2
+    bad = data / "b.poly"
+    assert f"{bad}: unexpected character '?' (line 2, col 2)" in stderr
+
+
 def test_check_empty_dataset_usage_error(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -1,13 +1,19 @@
+import functools
 import math
+import operator
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import problem_instances
+from cadorder.datagen import GenConfig, random_dataset
 from cadorder.features import brown_features, selected_triplet
 from cadorder.heuristics import (
+    MAX_EXPLICIT_LAYER,
     BaseWeightError,
     FeatureMatrix,
     HeuristicNetwork,
@@ -22,6 +28,8 @@ from cadorder.heuristics import (
     parse_ordering,
     permutation_weights,
     select_base_weight,
+    _order_scores,
+    _unrank,
 )
 from cadorder.polyset import (
     Monomial,
@@ -96,8 +104,97 @@ def test_layer2_scores_examples():
 
 
 def test_layer2_explicit_limit():
-    with pytest.raises(ValueError, match="limited"):
-        permutation_weights(9)
+    too_many = (0,) * (MAX_EXPLICIT_LAYER + 1)
+    message = f"limited to {MAX_EXPLICIT_LAYER} variables"
+    with pytest.raises(ValueError, match=message):
+        permutation_weights(len(too_many))
+    with pytest.raises(ValueError, match=message):
+        layer2_scores(too_many)
+    with pytest.raises(ValueError, match=message):
+        _order_scores(too_many)
+
+
+def _dot_per_neuron(y):
+    """One left-to-right dot product per neuron, the layer's plain definition.
+
+    ``functools.reduce`` rather than ``sum``: from Python 3.12 ``sum``
+    compensates float rounding, which a plain left-to-right sum does not.
+    """
+    return tuple(
+        functools.reduce(operator.add, map(operator.mul, weights, y), 0)
+        for _, weights in permutation_weights(len(y))
+    )
+
+
+def _assert_layer2_matches_reference(y):
+    scores, expected = layer2_scores(y), _dot_per_neuron(y)
+    assert scores == expected
+    assert list(map(type, scores)) == list(map(type, expected))
+
+
+_LAYER2_VALUES = {
+    "int": st.integers(-10**6, 10**6),
+    "fraction": st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    "float": st.floats(-1e6, 1e6, allow_nan=False),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(_LAYER2_VALUES)).flatmap(
+        lambda kind: st.integers(1, 5).flatmap(
+            lambda n: st.lists(_LAYER2_VALUES[kind], min_size=n, max_size=n)
+        )
+    ),
+    st.integers(0, 4),
+    st.integers(0, 4),
+)
+def test_layer2_scores_equal_dot_per_neuron(y, i, j):
+    y[i % len(y)] = y[j % len(y)]  # force a tie whenever i and j differ mod n
+    _assert_layer2_matches_reference(y)
+
+
+def _random_vector(rng, kind, n):
+    if kind == "int":
+        y = [rng.randint(-10**6, 10**6) for _ in range(n)]
+    elif kind == "fraction":
+        y = [Fraction(rng.randint(-400, 400), rng.randint(1, 12)) for _ in range(n)]
+    else:
+        y = [rng.uniform(-1e6, 1e6) for _ in range(n)]
+    y[rng.randrange(1, n)] = y[0]  # force a tie
+    return y
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("kind", sorted(_LAYER2_VALUES))
+def test_layer2_scores_equal_dot_per_neuron_large_n(n, kind):
+    _assert_layer2_matches_reference(_random_vector(random.Random(f"{kind}-{n}"), kind, n))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_argmax_neuron_equals_sort_at_n8_with_ties(seed):
+    rng = random.Random(seed)
+    ys = [
+        [rng.randint(0, 3) for _ in range(8)],
+        [Fraction(rng.randint(0, 3), rng.randint(1, 2)) for _ in range(8)],
+        _random_vector(rng, "int", 8),
+        [seed] * 8,
+    ]
+    for y in ys:
+        assert _order_scores(y) == order_by_scores(y)
+
+
+def test_unrank_is_lexicographic_permutation_order():
+    for n in range(7):
+        assert [_unrank(n, k) for k in range(math.factorial(n))] == list(permutations(range(n)))
+
+
+def test_check_does_not_build_permutation_weights():
+    problems = random_dataset(GenConfig(n_vars=8, max_degree=3, seed=5), 3)
+    permutation_weights.cache_clear()
+    for triplet in (brown_features(), selected_triplet()):
+        assert check_equivalence(problems, triplet).ok
+    assert permutation_weights.cache_info().currsize == 0
 
 
 def test_nn_order_examples(problem_a, problem_b):

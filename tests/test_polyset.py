@@ -63,6 +63,8 @@ def test_comments_and_blank_lines():
         ("vars: x\n2*3", "expected identifier"),
         ("vars: x\nx ? 2", "unexpected character"),
         ("vars: x\n+x", "expected term"),
+        ("5", "problem has no variables"),
+        ("# a constant\n5\n-3", "problem has no variables"),
     ],
 )
 def test_parse_errors(text, fragment):

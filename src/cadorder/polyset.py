@@ -144,131 +144,81 @@ class ProblemInstance:
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^,]))"
+    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^,])|(?P<bad>\S))"
 )
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-class _LineParser:
-    """Recursive-descent parser for one polynomial line.
+def _tokens(text: str, lineno: int) -> list[tuple[str, str, int]]:
+    """Split one line into (kind, value, col) tokens, ending in an "end" marker."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", lineno, m.start() + 1)
+        tokens.append((kind, m.group(kind), m.start(kind) + 1))
+    tokens.append(("end", "", len(text) + 1))
+    return tokens
 
-    Produces a list of (coeff, {name: exponent}) raw terms; variable
-    indices are assigned by the caller once all lines are seen.
+
+def _expected(what: str, token: tuple[str, str, int], lineno: int) -> ParseError:
+    kind, value, col = token
+    if kind == "end":
+        return ParseError(f"syntax error at end of input: expected {what}", lineno, col)
+    return ParseError(f"syntax error: expected {what}, got {value!r}", lineno, col)
+
+
+def _parse_terms(text: str, lineno: int) -> list[tuple[int, list[tuple[str, int]]]]:
+    """Parse one polynomial line into (coeff, [(name, exponent), ...]) terms.
+
+    Variable indices are assigned by the caller once all lines are seen.
     """
-
-    def __init__(self, text: str, lineno: int):
-        self.text = text
-        self.lineno = lineno
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []  # (kind, value, col)
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                stripped = text[pos:].strip()
-                if not stripped:
-                    break
-                raise ParseError(
-                    f"unexpected character {stripped[0]!r}", lineno, pos + 1
-                )
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(kind), m.start(kind) + 1))
-            pos = m.end()
-        self.i = 0
-
-    def _peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def _next(self):
-        tok = self._peek()
-        if tok is not None:
-            self.i += 1
-        return tok
-
-    def _fail(self, expected: str):
-        tok = self._peek()
-        if tok is None:
-            raise ParseError(
-                f"syntax error at end of input: expected {expected}",
-                self.lineno,
-                len(self.text) + 1,
-            )
-        raise ParseError(
-            f"syntax error: expected {expected}, got {tok[1]!r}", self.lineno, tok[2]
-        )
-
-    def parse_polynomial(self) -> list[tuple[int, dict[str, int]]]:
-        terms = []
-        sign = 1
-        tok = self._peek()
-        if tok is not None and tok[:2] == ("op", "-"):
-            self._next()
-            sign = -1
-        terms.append(self._term(sign))
-        while (tok := self._peek()) is not None:
-            if tok[0] == "op" and tok[1] in "+-":
-                self._next()
-                terms.append(self._term(-1 if tok[1] == "-" else 1))
-            else:
-                self._fail("'+' or '-'")
-        return terms
-
-    def _term(self, sign: int) -> tuple[int, dict[str, int]]:
-        tok = self._peek()
-        if tok is None:
-            self._fail("term")
-        if tok[0] == "int":
-            self._next()
-            coeff = sign * int(tok[1])
-            nxt = self._peek()
-            if nxt is not None and nxt[:2] == ("op", "*"):
-                self._next()
-                return coeff, self._factors()
-            return coeff, {}
-        if tok[0] == "ident":
-            return sign, self._factors()
-        self._fail("term")
-
-    def _factors(self) -> dict[str, int]:
-        powers = self._factor({})
-        while (tok := self._peek()) is not None and tok[:2] == ("op", "*"):
-            self._next()
-            powers = self._factor(powers)
-        return powers
-
-    def _factor(self, powers: dict[str, int]) -> dict[str, int]:
-        tok = self._peek()
-        if tok is None or tok[0] != "ident":
-            self._fail("identifier")
-        self._next()
-        name = tok[1]
-        exp = 1
-        nxt = self._peek()
-        if nxt is not None and nxt[:2] == ("op", "^"):
-            self._next()
-            etok = self._next()
-            negative = False
-            if etok is not None and etok[:2] == ("op", "-"):
-                negative = True
-                etok = self._next()
-            if etok is None or etok[0] != "int":
-                self.i -= 1
-                self._fail("integer exponent")
-            if negative:
-                raise ParseError("negative exponent", self.lineno, etok[2])
-            exp = int(etok[1])
-        powers[name] = powers.get(name, 0) + exp
-        return powers
-
-
-def _significant_lines(text: str) -> list[tuple[int, str]]:
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped))
-    return lines
+    tokens = _tokens(text, lineno)
+    terms = []
+    i = 0
+    sign = 1
+    if tokens[0][1] == "-":
+        sign, i = -1, 1
+    while True:
+        kind, value, _ = tokens[i]
+        if kind == "int":
+            coeff = sign * int(value)
+            i += 1
+            has_factors = tokens[i][1] == "*"
+            i += has_factors
+        elif kind == "ident":
+            coeff, has_factors = sign, True
+        else:
+            raise _expected("term", tokens[i], lineno)
+        powers = []
+        while has_factors:
+            kind, name, _ = tokens[i]
+            if kind != "ident":
+                raise _expected("identifier", tokens[i], lineno)
+            i += 1
+            exp = 1
+            if tokens[i][1] == "^":
+                i += 1
+                negative = tokens[i][1] == "-"
+                i += negative
+                if tokens[i][0] != "int":
+                    raise _expected("integer exponent", tokens[i - (tokens[i][0] == "end")], lineno)
+                if negative:
+                    raise ParseError("negative exponent", lineno, tokens[i][2])
+                exp = int(tokens[i][1])
+                i += 1
+            powers.append((name, exp))
+            has_factors = tokens[i][1] == "*"
+            i += has_factors
+        terms.append((coeff, powers))
+        kind, value, _ = tokens[i]
+        if kind == "end":
+            return terms
+        if value not in ("+", "-"):
+            raise _expected("'+' or '-'", tokens[i], lineno)
+        sign = -1 if value == "-" else 1
+        i += 1
 
 
 def parse_problem(text: str, problem_id: str | None = None) -> ProblemInstance:
@@ -277,62 +227,51 @@ def parse_problem(text: str, problem_id: str | None = None) -> ProblemInstance:
     Deterministic: the same input bytes always produce the same instance,
     including variable index assignment.
     """
-    lines = _significant_lines(text)
-    header_names: list[str] | None = None
-    if lines and lines[0][1].startswith("vars:"):
-        lineno, content = lines.pop(0)
-        header_names = []
-        for name in content[len("vars:") :].split(","):
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        code = raw.split("#", 1)[0].strip()
+        if code:
+            lines.append((lineno, code))
+    index: dict[str, int] = {}
+    has_header = bool(lines) and lines[0][1].startswith("vars:")
+    if has_header:
+        lineno, code = lines.pop(0)
+        for name in code[len("vars:") :].split(","):
             name = name.strip()
             if not _IDENT_RE.match(name):
                 raise ParseError(f"bad variable name {name!r} in header", lineno)
-            if name in header_names:
+            if name in index:
                 raise ParseError(f"duplicate variable {name!r} in header", lineno)
-            header_names.append(name)
-        if not header_names:
-            raise ParseError("empty vars: header", lineno)
+            index[name] = len(index)
     if not lines:
         raise ParseError("empty problem: no polynomials")
 
-    raw_polys = [(lineno, _LineParser(content, lineno).parse_polynomial())
-                 for lineno, content in lines]
-
-    if header_names is not None:
-        names = header_names
-        index = {name: i for i, name in enumerate(names)}
-        for lineno, terms in raw_polys:
-            for _, powers in terms:
-                for name in powers:
-                    if name not in index:
+    parsed = [(lineno, _parse_terms(code, lineno)) for lineno, code in lines]
+    for lineno, terms in parsed:
+        for _, powers in terms:
+            for name, _ in powers:
+                if name not in index:
+                    if has_header:
                         raise ParseError(f"unknown variable {name!r}", lineno)
-    else:
-        names = []
-        index = {}
-        for _, terms in raw_polys:
-            for _, powers in terms:
-                for name in powers:
-                    if name not in index:
-                        index[name] = len(names)
-                        names.append(name)
-
-    if not names:
+                    index[name] = len(index)
+    if not index:
         raise ParseError("problem has no variables")
-    n = len(names)
-    variables = tuple(VariableId(i, name) for i, name in enumerate(names))
+
+    n = len(index)
     polynomials = []
-    for lineno, terms in raw_polys:
+    for lineno, terms in parsed:
         monomials = []
         for coeff, powers in terms:
-            if coeff == 0:
-                continue
-            degrees = [0] * n
-            for name, exp in powers.items():
-                degrees[index[name]] += exp
-            monomials.append(Monomial(coeff, tuple(degrees)))
-        canon = canonicalize_monomials(monomials)
-        if not canon:
-            raise ParseError("zero polynomial", lineno)
-        polynomials.append(Polynomial(canon))
+            if coeff:
+                degrees = [0] * n
+                for name, exp in powers:
+                    degrees[index[name]] += exp
+                monomials.append(Monomial(coeff, tuple(degrees)))
+        try:
+            polynomials.append(Polynomial.from_terms(monomials))
+        except ValueError:
+            raise ParseError("zero polynomial", lineno) from None
+    variables = tuple(VariableId(i, name) for name, i in index.items())
     return ProblemInstance(variables, tuple(polynomials), problem_id)
 
 

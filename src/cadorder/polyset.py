@@ -17,7 +17,9 @@ one polynomial per nonblank line)::
 
 With a ``vars:`` header the variable index order is the header order;
 without one it is first-occurrence order across the file.  A problem
-must have at least one variable.
+must have at least one variable.  A :class:`ParseError` gives the file
+line and, for a syntax error, the column, counted from 1 at the start of
+that line.
 """
 
 from __future__ import annotations
@@ -155,9 +157,10 @@ def _tokens(text: str, lineno: int) -> list[tuple[str, str, int]]:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        token = (kind, m.group(kind), m.start(kind) + 1)
         if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}", lineno, m.start() + 1)
-        tokens.append((kind, m.group(kind), m.start(kind) + 1))
+            raise ParseError(f"unexpected character {token[1]!r}", lineno, token[2])
+        tokens.append(token)
     tokens.append(("end", "", len(text) + 1))
     return tokens
 
@@ -203,7 +206,7 @@ def _parse_terms(text: str, lineno: int) -> list[tuple[int, list[tuple[str, int]
                 negative = tokens[i][1] == "-"
                 i += negative
                 if tokens[i][0] != "int":
-                    raise _expected("integer exponent", tokens[i - (tokens[i][0] == "end")], lineno)
+                    raise _expected("integer exponent", tokens[i], lineno)
                 if negative:
                     raise ParseError("negative exponent", lineno, tokens[i][2])
                 exp = int(tokens[i][1])
@@ -229,14 +232,14 @@ def parse_problem(text: str, problem_id: str | None = None) -> ProblemInstance:
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        code = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0].rstrip()
         if code:
             lines.append((lineno, code))
     index: dict[str, int] = {}
-    has_header = bool(lines) and lines[0][1].startswith("vars:")
+    has_header = bool(lines) and lines[0][1].lstrip().startswith("vars:")
     if has_header:
         lineno, code = lines.pop(0)
-        for name in code[len("vars:") :].split(","):
+        for name in code.lstrip()[len("vars:") :].split(","):
             name = name.strip()
             if not _IDENT_RE.match(name):
                 raise ParseError(f"bad variable name {name!r} in header", lineno)

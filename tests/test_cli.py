@@ -253,7 +253,7 @@ def test_parse_error_in_dataset_names_its_file(tmp_path, capsys):
     code, _, stderr = run(capsys, "check", "--data", str(data))
     assert code == 2
     bad = data / "b.poly"
-    assert f"{bad}: unexpected character '?' (line 2, col 2)" in stderr
+    assert f"{bad}: unexpected character '?' (line 2, col 3)" in stderr
 
 
 def test_check_empty_dataset_usage_error(tmp_path, capsys):

@@ -29,7 +29,7 @@ from .costmodel import (
     SyntheticCostModel,
     load_timing_table,
 )
-from .datagen import GenConfig, load_dataset, random_dataset, write_dataset
+from .datagen import GenConfig, load_dataset, parse_file, random_dataset, write_dataset
 from .features import (
     brown_features,
     dedup_features,
@@ -40,7 +40,6 @@ from .features import (
     selected_triplet,
 )
 from .heuristics import (
-    BaseWeightError,
     HeuristicNetwork,
     check_equivalence,
     feature_matrix,
@@ -49,7 +48,6 @@ from .heuristics import (
     nn_order,
     select_base_weight,
 )
-from .polyset import ParseError, parse_problem
 from .search import search_triplets
 from .training import TrainableNetwork, TrainConfig, save_checkpoint, train
 
@@ -58,15 +56,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_VIOLATION = 3
 
-DATA_ERRORS = (
-    ParseError,
-    MissingRecordError,
-    SolverError,
-    BaseWeightError,
-    ValueError,
-    OSError,
-    json.JSONDecodeError,
-)
+DATA_ERRORS = (MissingRecordError, SolverError, ValueError, OSError)
 
 
 class UsageError(Exception):
@@ -204,7 +194,8 @@ def cmd_features(args) -> int:
 
 def cmd_order(args) -> int:
     started = time.perf_counter()
-    pr = parse_problem(Path(args.problem).read_text(), problem_id=Path(args.problem).stem)
+    problem = Path(args.problem)
+    pr = parse_file(problem, problem.read_text(), problem.stem)
     triplet = _load_triplet(args.heuristic)
     fm = feature_matrix(triplet, pr)
     if args.heuristic == "nn":

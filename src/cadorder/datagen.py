@@ -186,16 +186,17 @@ def load_dataset(path: str | Path) -> list[ProblemInstance]:
             data = file.read_bytes()
             if hashlib.sha256(data).hexdigest() != entry["sha256"]:
                 raise ValueError(f"{file}: sha256 does not match manifest.json")
-            problems.append(_parse_file(file, data.decode(), entry["id"]))
+            problems.append(parse_file(file, data.decode(), entry["id"]))
     else:
         for f in sorted(root.glob("*.poly")):
-            problems.append(_parse_file(f, f.read_text(), f.stem))
+            problems.append(parse_file(f, f.read_text(), f.stem))
     if not problems:
         raise FileNotFoundError(f"no .poly files under {root}")
     return problems
 
 
-def _parse_file(file: Path, text: str, problem_id: str) -> ProblemInstance:
+def parse_file(file: Path, text: str, problem_id: str) -> ProblemInstance:
+    """Parse the text of one problem file; a ParseError names the file."""
     try:
         return parse_problem(text, problem_id=problem_id)
     except ParseError as e:

@@ -12,7 +12,10 @@ digit by digit.  The output layer has one neuron per permutation of the
 variables, scoring y under the fixed weight pattern n, n-1, ..., 1 (first
 position weighted n); its argmax neuron names the chosen ordering.  Both
 paths share the same deterministic tie-break (ascending variable index),
-so they agree exactly, ties included.
+so on exact scores (ints, Fractions) they agree exactly, ties included.
+On float scores with tied values, rounding can make nominally equal
+neuron scores differ, so the argmax neuron may name another of the tied
+orderings.
 
 Production code orders by the sort (``lex_order``, ``order_by_scores``).
 The explicit n! output layer (``layer2_scores``) is the reference that

@@ -256,6 +256,14 @@ def test_parse_error_in_dataset_names_its_file(tmp_path, capsys):
     assert f"{bad}: unexpected character '?' (line 2, col 3)" in stderr
 
 
+def test_parse_error_in_problem_file_names_it(tmp_path, capsys):
+    bad = tmp_path / "bad.poly"
+    bad.write_text("vars: x\nx ? 2\n")
+    code, _, stderr = run(capsys, "order", "--heuristic", "brown", "--problem", str(bad))
+    assert code == 2
+    assert f"{bad}: unexpected character '?' (line 2, col 3)" in stderr
+
+
 def test_check_empty_dataset_usage_error(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

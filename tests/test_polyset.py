@@ -91,7 +91,7 @@ def test_error_carries_position():
 
 
 _FUZZ_PIECES = ["x", "y", "ab_1", "0", "1", "12", "+", "-", "*", "^", ",", "?", ":", " ", "#",
-                "\n", "vars:", "vars: x,y"]
+                "\n", "vars:", "vars: x,y", " + ", " - ", "x^2", "2*"]
 
 
 @settings(max_examples=500)

@@ -34,8 +34,8 @@ from .features import (
     brown_features,
     dedup_features,
     default_probe,
-    descriptor_from_record,
     enumerate_descriptors,
+    load_descriptors,
     load_feature_set,
     selected_triplet,
 )
@@ -148,10 +148,12 @@ def _load_triplet(spec: str):
         return brown_features()
     if spec == "selected":
         return selected_triplet()
-    records = json.loads(Path(spec).read_text())
-    if len(records) != 3:
-        raise ValueError(f"triplet file must hold exactly 3 descriptors, got {len(records)}")
-    return tuple(descriptor_from_record(r) for r in records)
+    descriptors = load_descriptors(spec)
+    if len(descriptors) != 3:
+        raise ValueError(
+            f"{spec}: triplet file must hold exactly 3 descriptors, got {len(descriptors)}"
+        )
+    return tuple(descriptors)
 
 
 def cmd_gen(args) -> int:

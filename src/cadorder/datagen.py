@@ -174,14 +174,14 @@ def load_dataset(path: str | Path) -> list[ProblemInstance]:
     """Load a dataset directory; manifest order if present, else sorted names.
 
     Files listed in a manifest must match its sha256 values; a mismatch
-    raises ValueError naming the file.  A ParseError names its file too.
+    raises ValueError naming the file, as does a malformed manifest.  A
+    ParseError names its file too.
     """
     root = Path(path)
     manifest = root / "manifest.json"
     problems = []
     if manifest.exists():
-        meta = json.loads(manifest.read_text())
-        for entry in meta["files"]:
+        for entry in _manifest_files(manifest):
             file = root / entry["name"]
             data = file.read_bytes()
             if hashlib.sha256(data).hexdigest() != entry["sha256"]:
@@ -193,6 +193,21 @@ def load_dataset(path: str | Path) -> list[ProblemInstance]:
     if not problems:
         raise FileNotFoundError(f"no .poly files under {root}")
     return problems
+
+
+def _manifest_files(manifest: Path) -> list[dict]:
+    """The manifest's file entries, each with string name, id and sha256."""
+    try:
+        meta = json.loads(manifest.read_text())
+    except ValueError as e:
+        raise ValueError(f"{manifest}: {e}") from None
+    if not isinstance(meta, dict) or not isinstance(meta.get("files"), list):
+        raise ValueError(f"{manifest}: expected an object with a 'files' list")
+    for i, entry in enumerate(meta["files"]):
+        for key in ("name", "id", "sha256"):
+            if not isinstance(entry, dict) or not isinstance(entry.get(key), str):
+                raise ValueError(f"{manifest}: files[{i}] has no {key!r} string")
+    return meta["files"]
 
 
 def parse_file(file: Path, text: str, problem_id: str) -> ProblemInstance:

@@ -17,7 +17,8 @@ The monomial axis must be reduced before or together with the polynomial
 axis: the kernel table is ragged (polynomials have different monomial
 counts), so a polynomial-axis reduction of the full table has no
 meaningful cell alignment.  Descriptors that attempt it are invalid,
-as are those that reduce an axis twice or leave one unreduced.
+as are those that reduce an axis twice or leave one unreduced.  Building
+one raises, so every descriptor is valid by construction.
 """
 
 from __future__ import annotations
@@ -58,16 +59,19 @@ class Agg(Enum):
 _KERNEL_CODE = {k: i for i, k in enumerate(Kernel)}
 _AGG_CODE = {a: i for i, a in enumerate(Agg)}
 
-_REDUCES_M = {Agg.MAX_M, Agg.SUM_M, Agg.AV_M}
-_REDUCES_P = {Agg.MAX_P, Agg.SUM_P, Agg.AV_P}
-_REDUCES_MP = {Agg.MAX_MP, Agg.SUM_MP, Agg.AV_MP}
-_ELEMENTWISE = {Agg.SGN, Agg.ID}
-
-# Pipeline states: "mp" = full table, "p" = per-polynomial vector, "" = scalar.
+# Axis states: "mp" = full table, "p" = per-polynomial vector, "" = scalar.
+# A stage absent from a state's row cannot apply in that state.
 _TRANSITIONS = {
-    "mp": {**{a: "p" for a in _REDUCES_M}, **{a: "" for a in _REDUCES_MP}},
-    "p": {a: "" for a in _REDUCES_P},
+    "mp": {Agg.MAX_M: "p", Agg.MAX_MP: "", Agg.SUM_M: "p", Agg.SUM_MP: "",
+           Agg.AV_M: "p", Agg.AV_MP: "", Agg.SGN: "mp", Agg.ID: "mp"},
+    "p": {Agg.MAX_P: "", Agg.SUM_P: "", Agg.AV_P: "", Agg.SGN: "p", Agg.ID: "p"},
+    "": {Agg.SGN: "", Agg.ID: ""},
 }
+
+
+def _next_state(agg: Agg, state: str) -> str | None:
+    """Axis state after ``agg``, or None when ``agg`` cannot apply in ``state``."""
+    return _TRANSITIONS[state].get(agg)
 
 
 class InvalidDescriptorError(ValueError):
@@ -76,7 +80,7 @@ class InvalidDescriptorError(ValueError):
 
 @dataclass(frozen=True)
 class FeatureDescriptor:
-    """A kernel plus an ordered pipeline of exactly four aggregation stages."""
+    """A kernel plus four aggregation stages that reduce each axis exactly once."""
 
     kernel: Kernel
     pipeline: tuple[Agg, Agg, Agg, Agg]
@@ -84,18 +88,16 @@ class FeatureDescriptor:
     def __post_init__(self):
         if len(self.pipeline) != 4:
             raise ValueError("pipeline must have exactly 4 stages")
-
-    @property
-    def is_valid(self) -> bool:
         state = "mp"
         for agg in self.pipeline:
-            if agg in _ELEMENTWISE:
-                continue
-            nxt = _TRANSITIONS.get(state, {}).get(agg)
+            nxt = _next_state(agg, state)
             if nxt is None:
-                return False
+                raise InvalidDescriptorError(
+                    f"{agg.value} cannot apply when state is {state or 'scalar'!r}"
+                )
             state = nxt
-        return state == ""
+        if state:
+            raise InvalidDescriptorError(f"pipeline left axis state {state!r} unreduced")
 
     @property
     def encoding(self) -> tuple[int, tuple[int, ...]]:
@@ -129,20 +131,8 @@ def _sgn(x):
     return (x > 0) - (x < 0)
 
 
-def _next_state(agg: Agg, state: str) -> str:
-    """Axis state after ``agg``; raises if ``agg`` cannot apply in ``state``."""
-    nxt = _TRANSITIONS.get(state, {}).get(agg)
-    if nxt is None:
-        if agg in _ELEMENTWISE:
-            return state
-        raise InvalidDescriptorError(
-            f"{agg.value} cannot apply when state is {state or 'scalar'!r}"
-        )
-    return nxt
-
-
 def _apply_stage(agg: Agg, state: str, value):
-    """One stage other than ``id`` on a value in axis state ``state`` (already checked)."""
+    """One stage other than ``id`` on a value in axis state ``state``."""
     if agg is Agg.SGN:
         if state == "mp":
             return [[_sgn(x) for x in row] for row in value]
@@ -168,22 +158,14 @@ def _apply_stage(agg: Agg, state: str, value):
     return Fraction(sum(value), len(value))  # Agg.AV_P
 
 
-def _check_reduced(state: str) -> None:
-    if state != "":
-        raise InvalidDescriptorError(f"pipeline left axis state {state!r} unreduced")
-
-
 def apply_pipeline(pipeline, table):
-    """Run aggregation stages over a kernel table down to a scalar."""
+    """Run a valid descriptor's stages over a kernel table down to a scalar."""
     value = table
     state = "mp"
     for agg in pipeline:
-        if agg is Agg.ID:
-            continue
-        nxt = _next_state(agg, state)
-        value = _apply_stage(agg, state, value)
-        state = nxt
-    _check_reduced(state)
+        if agg is not Agg.ID:
+            value = _apply_stage(agg, state, value)
+            state = _next_state(agg, state)
     return value
 
 
@@ -220,12 +202,11 @@ def _walk_prefixes(node: dict, state: str, values: list):
     """Depth-first over a prefix trie; a node's values die with its subtree."""
     members = node.get(None)
     if members:
-        _check_reduced(state)
         yield tuple(members), values
     for agg, child in node.items():
         if agg is not None:
-            nxt = _next_state(agg, state)
-            yield from _walk_prefixes(child, nxt, [_apply_stage(agg, state, x) for x in values])
+            values_after = [_apply_stage(agg, state, x) for x in values]
+            yield from _walk_prefixes(child, _next_state(agg, state), values_after)
 
 
 def _fd(kernel: Kernel, *stages: Agg) -> FeatureDescriptor:
@@ -261,16 +242,19 @@ def selected_triplet() -> tuple[FeatureDescriptor, FeatureDescriptor, FeatureDes
 
 
 def enumerate_descriptors() -> list[FeatureDescriptor]:
-    """All valid descriptors, in canonical (kernel, pipeline-encoding) order."""
-    from itertools import product
+    """All valid descriptors, in canonical (kernel, pipeline-encoding) order.
 
-    out = []
-    for kernel in Kernel:
-        for pipeline in product(Agg, repeat=4):
-            fd = FeatureDescriptor(kernel, pipeline)
-            if fd.is_valid:
-                out.append(fd)
-    return out
+    Grows stage prefixes through the state table, building only scalar ends.
+    """
+    prefixes = [((), "mp")]
+    for _ in range(4):
+        prefixes = [
+            (pipeline + (agg,), nxt)
+            for pipeline, state in prefixes
+            for agg in Agg
+            if (nxt := _next_state(agg, state)) is not None
+        ]
+    return [FeatureDescriptor(k, p) for k in Kernel for p, state in prefixes if not state]
 
 
 @dataclass(frozen=True)
@@ -312,14 +296,42 @@ class FeatureSet:
 
 
 def descriptor_from_record(record: dict) -> FeatureDescriptor:
-    kernel = Kernel[record["kernel"]]
-    pipeline = tuple(Agg(v) for v in record["pipeline"])
-    return FeatureDescriptor(kernel, pipeline)
+    """Descriptor of a ``{"kernel", "pipeline"}`` record; a ValueError names the bad field."""
+    if not isinstance(record, dict):
+        raise ValueError(f"descriptor record must be an object, got {record!r}")
+    for field in ("kernel", "pipeline"):
+        if field not in record:
+            raise ValueError(f"descriptor record has no {field!r}")
+    kernel, stages = record["kernel"], record["pipeline"]
+    if not isinstance(kernel, str) or kernel not in Kernel.__members__:
+        raise ValueError(f"kernel: unknown kernel {kernel!r}")
+    if not isinstance(stages, list):
+        raise ValueError(f"pipeline: expected a list of stages, got {stages!r}")
+    for stage in stages:
+        if stage not in [a.value for a in Agg]:
+            raise ValueError(f"pipeline: unknown stage {stage!r}")
+    return FeatureDescriptor(Kernel[kernel], tuple(Agg(v) for v in stages))
+
+
+def load_descriptors(path: str | Path) -> list[FeatureDescriptor]:
+    """Descriptors of a JSON list of records; a ValueError names the file and record."""
+    try:
+        records = json.loads(Path(path).read_text())
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: expected a list of descriptor records")
+    descriptors = []
+    for i, record in enumerate(records):
+        try:
+            descriptors.append(descriptor_from_record(record))
+        except ValueError as e:
+            raise ValueError(f"{path}: record {i}: {e}") from None
+    return descriptors
 
 
 def load_feature_set(path: str | Path) -> FeatureSet:
-    records = json.loads(Path(path).read_text())
-    return FeatureSet.from_descriptors(descriptor_from_record(r) for r in records)
+    return FeatureSet.from_descriptors(load_descriptors(path))
 
 
 def dedup_features(candidates, probe) -> FeatureSet:

@@ -26,8 +26,8 @@ the neurons that give variables 0..v the same weights share that partial
 sum.  That takes n(n+1) products and about 2.7 * n! additions (n = 8: 72
 multiplications and 109,592 additions, against 322,560 of each for one
 dot product per neuron).  The gather plan behind it is built once per n
-(about 0.1 s at n = 8 on a 2-core x86-64 host with Python 3.11, where the
-old per-neuron weight table took 0.07 s).  ``check_equivalence`` unranks
+(about 0.1 s at n = 8 on a 2-core x86-64 host with Python 3.11).
+``check_equivalence`` unranks
 the argmax neuron in factorial base, so it never builds
 ``permutation_weights(8)`` (40,320 weight vectors, 10.5 MB); only
 training's gradient and the tests read that table.

@@ -172,6 +172,11 @@ def _expected(what: str, token: tuple[str, str, int], lineno: int) -> ParseError
     return ParseError(f"syntax error: expected {what}, got {value!r}", lineno, col)
 
 
+def _too_long(token: tuple[str, str, int], lineno: int) -> ParseError:
+    """An integer literal past ``int()``'s digit limit (sys.set_int_max_str_digits)."""
+    return ParseError(f"integer literal too long ({len(token[1])} digits)", lineno, token[2])
+
+
 def _parse_terms(text: str, lineno: int) -> list[tuple[int, list[tuple[str, int]]]]:
     """Parse one polynomial line into (coeff, [(name, exponent), ...]) terms.
 
@@ -186,7 +191,10 @@ def _parse_terms(text: str, lineno: int) -> list[tuple[int, list[tuple[str, int]
     while True:
         kind, value, _ = tokens[i]
         if kind == "int":
-            coeff = sign * int(value)
+            try:
+                coeff = sign * int(value)
+            except ValueError:
+                raise _too_long(tokens[i], lineno) from None
             i += 1
             has_factors = tokens[i][1] == "*"
             i += has_factors
@@ -209,7 +217,10 @@ def _parse_terms(text: str, lineno: int) -> list[tuple[int, list[tuple[str, int]
                     raise _expected("integer exponent", tokens[i], lineno)
                 if negative:
                     raise ParseError("negative exponent", lineno, tokens[i][2])
-                exp = int(tokens[i][1])
+                try:
+                    exp = int(tokens[i][1])
+                except ValueError:
+                    raise _too_long(tokens[i], lineno) from None
                 i += 1
             powers.append((name, exp))
             has_factors = tokens[i][1] == "*"

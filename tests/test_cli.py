@@ -264,6 +264,55 @@ def test_parse_error_in_problem_file_names_it(tmp_path, capsys):
     assert f"{bad}: unexpected character '?' (line 2, col 3)" in stderr
 
 
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        pytest.param("{}", "expected an object with a 'files' list", id="no-files"),
+        pytest.param("[]", "expected an object with a 'files' list", id="list"),
+        pytest.param('{"files": [{"name": "a.poly", "id": "a"}]}', "files[0] has no 'sha256' string",
+                     id="no-sha256"),
+        pytest.param('{"files": [', "Expecting value", id="truncated"),
+    ],
+)
+def test_malformed_manifest_is_data_error(tmp_path, capsys, manifest, message):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "a.poly").write_text(PROBLEM_A_TEXT + "\n")
+    (data / "manifest.json").write_text(manifest)
+    code, _, stderr = run(capsys, "check", "--data", str(data))
+    assert code == 2
+    assert f"{data / 'manifest.json'}: " in stderr and message in stderr
+
+
+_GOOD_RECORD = {"kernel": "DEGREE", "pipeline": ["max_mp", "id", "id", "id"]}
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        pytest.param({"kernel": "FOO", "pipeline": _GOOD_RECORD["pipeline"]},
+                     "kernel: unknown kernel 'FOO'", id="unknown-kernel"),
+        pytest.param({"kernel": "DEGREE", "pipeline": ["max_mp", "id", "id", "bar"]},
+                     "pipeline: unknown stage 'bar'", id="unknown-stage"),
+        pytest.param({"kernel": "DEGREE"}, "descriptor record has no 'pipeline'", id="no-pipeline"),
+        pytest.param("DEGREE", "descriptor record must be an object", id="not-an-object"),
+        pytest.param({"kernel": "DEGREE", "pipeline": ["max_m", "id", "id", "id"]},
+                     "pipeline left axis state 'p' unreduced", id="invalid-pipeline"),
+    ],
+)
+@pytest.mark.parametrize("command", ["order", "search"])
+def test_bad_descriptor_record_is_data_error(tmp_path, problem_file, capsys, command, record, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([_GOOD_RECORD, record, _GOOD_RECORD]))
+    if command == "order":
+        argv = ["order", "--heuristic", str(bad), "--problem", str(problem_file)]
+    else:
+        argv = ["search", "--pool", str(bad), "--data", str(tmp_path), "--out", str(tmp_path / "s")]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert f"{bad}: record 1: {message}" in stderr
+
+
 def test_check_empty_dataset_usage_error(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -68,22 +68,17 @@ def test_av_mp_is_mean_of_per_polynomial_means():
     assert eval_feature(av_mp, pr, 0) == Fraction(Fraction(2) + Fraction(1, 2), 2)
 
 
-def test_invalid_pipelines_raise(problem_a):
-    double_m = _fd(Kernel.DEGREE, Agg.MAX_M, Agg.MAX_M)
-    assert not double_m.is_valid
-    with pytest.raises(InvalidDescriptorError):
-        eval_feature(double_m, problem_a, 0)
-
-    never_reduced = _fd(Kernel.DEGREE)
-    assert not never_reduced.is_valid
-    with pytest.raises(InvalidDescriptorError):
-        eval_feature(never_reduced, problem_a, 0)
-
-    # The table is ragged, so the polynomial axis cannot reduce first.
-    p_first = _fd(Kernel.DEGREE, Agg.SUM_P, Agg.SUM_M)
-    assert not p_first.is_valid
-    with pytest.raises(InvalidDescriptorError):
-        eval_feature(p_first, problem_a, 0)
+def test_invalid_pipelines_raise():
+    cases = [
+        ((Agg.MAX_M, Agg.MAX_M), "max_m cannot apply when state is 'p'"),
+        ((), "pipeline left axis state 'mp' unreduced"),
+        # The table is ragged, so the polynomial axis cannot reduce first.
+        ((Agg.SUM_P, Agg.SUM_M), "sum_p cannot apply when state is 'mp'"),
+    ]
+    for stages, message in cases:
+        with pytest.raises(InvalidDescriptorError) as err:
+            _fd(Kernel.DEGREE, *stages)
+        assert str(err.value) == message
 
 
 def test_brown_feature_values(problem_b):
@@ -112,7 +107,16 @@ def test_enumeration_matches_independent_count():
     m_then_p = 6 * (3 * 3) * 2**2
     assert len(valid) == 2 * (both_at_once + m_then_p) == 624
     assert len(set(valid)) == len(valid)
-    assert all(fd.is_valid for fd in valid)
+
+
+def test_enumeration_equals_brute_force():
+    buildable = []
+    for kernel, pipeline in product(Kernel, product(Agg, repeat=4)):
+        try:
+            buildable.append(FeatureDescriptor(kernel, pipeline))
+        except InvalidDescriptorError:
+            pass
+    assert enumerate_descriptors() == buildable
 
 
 def test_enumeration_is_canonically_ordered():

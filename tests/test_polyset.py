@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,11 +78,21 @@ def test_comments_and_blank_lines():
         ("vars: x\nx^", "syntax error at end of input: expected integer exponent (line 2, col 3)"),
         ("vars: x\nx^-2", "negative exponent (line 2, col 4)"),
         ("vars: x\n  x ? 2", "unexpected character '?' (line 2, col 5)"),
+        # Past int()'s digit limit, which the test pins to its default.
+        pytest.param("vars: x\n" + "1" * 5000 + "*x",
+                     "integer literal too long (5000 digits) (line 2, col 1)", id="long-coefficient"),
+        pytest.param("vars: x\nx^" + "1" * 5000,
+                     "integer literal too long (5000 digits) (line 2, col 3)", id="long-exponent"),
     ],
 )
 def test_parse_errors(text, fragment):
-    with pytest.raises(ParseError) as err:
-        parse_problem(text)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_problem(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
     assert fragment in str(err.value)
 
 

@@ -197,7 +197,7 @@ def cmd_features(args) -> int:
 def cmd_order(args) -> int:
     started = time.perf_counter()
     problem = Path(args.problem)
-    pr = parse_file(problem, problem.read_text(), problem.stem)
+    pr = parse_file(problem, problem.read_bytes(), problem.stem)
     triplet = _load_triplet(args.heuristic)
     fm = feature_matrix(triplet, pr)
     if args.heuristic == "nn":

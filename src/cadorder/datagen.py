@@ -16,7 +16,6 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 
 from .polyset import (
-    Monomial,
     ParseError,
     Polynomial,
     ProblemInstance,
@@ -107,14 +106,13 @@ def _nonzero_coeff(rng: SplitMix64, lo: int, hi: int) -> int:
     return rng.next_int(lo, hi)
 
 
-def _sample_monomial(rng: SplitMix64, cfg: GenConfig) -> Monomial:
-    degrees = []
-    for _ in range(cfg.n_vars):
-        if rng.next_float() < cfg.density:
-            degrees.append(rng.next_int(1, cfg.max_degree))
-        else:
-            degrees.append(0)
-    return Monomial(_nonzero_coeff(rng, cfg.coeff_min, cfg.coeff_max), tuple(degrees))
+def _sample_monomial(rng: SplitMix64, cfg: GenConfig) -> tuple[int, tuple[int, ...]]:
+    """A ``(coeff, degrees)`` pair; the degrees are drawn first."""
+    degrees = tuple(
+        rng.next_int(1, cfg.max_degree) if rng.next_float() < cfg.density else 0
+        for _ in range(cfg.n_vars)
+    )
+    return _nonzero_coeff(rng, cfg.coeff_min, cfg.coeff_max), degrees
 
 
 def _sample_polynomial(rng: SplitMix64, cfg: GenConfig) -> Polynomial:
@@ -131,8 +129,8 @@ def _sample_polynomial(rng: SplitMix64, cfg: GenConfig) -> Polynomial:
         last = raw
         if any(m.total_degree > 0 for m in poly.monomials):
             return poly
-    forced = Monomial(last[0].coeff, (1,) + last[0].degrees[1:])
-    return Polynomial.from_terms([forced] + last[1:])
+    coeff, degrees = last[0]
+    return Polynomial.from_terms([(coeff, (1,) + degrees[1:])] + last[1:])
 
 
 def random_problem(cfg: GenConfig, index: int) -> ProblemInstance:
@@ -175,7 +173,7 @@ def load_dataset(path: str | Path) -> list[ProblemInstance]:
 
     Files listed in a manifest must match its sha256 values; a mismatch
     raises ValueError naming the file, as does a malformed manifest.  A
-    ParseError names its file too.
+    file that is not UTF-8 or does not parse is an error naming it too.
     """
     root = Path(path)
     manifest = root / "manifest.json"
@@ -186,10 +184,10 @@ def load_dataset(path: str | Path) -> list[ProblemInstance]:
             data = file.read_bytes()
             if hashlib.sha256(data).hexdigest() != entry["sha256"]:
                 raise ValueError(f"{file}: sha256 does not match manifest.json")
-            problems.append(parse_file(file, data.decode(), entry["id"]))
+            problems.append(parse_file(file, data, entry["id"]))
     else:
         for f in sorted(root.glob("*.poly")):
-            problems.append(parse_file(f, f.read_text(), f.stem))
+            problems.append(parse_file(f, f.read_bytes(), f.stem))
     if not problems:
         raise FileNotFoundError(f"no .poly files under {root}")
     return problems
@@ -210,8 +208,18 @@ def _manifest_files(manifest: Path) -> list[dict]:
     return meta["files"]
 
 
-def parse_file(file: Path, text: str, problem_id: str) -> ProblemInstance:
-    """Parse the text of one problem file; a ParseError names the file."""
+def parse_file(file: Path, data: bytes, problem_id: str) -> ProblemInstance:
+    """Decode and parse the bytes of one problem file; every error names the file.
+
+    Bytes that are not UTF-8 raise a ValueError giving the offset of the
+    first bad byte.
+    """
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as e:
+        raise ValueError(
+            f"{file}: not UTF-8: {e.reason} (byte 0x{data[e.start]:02x} at offset {e.start})"
+        ) from None
     try:
         return parse_problem(text, problem_id=problem_id)
     except ParseError as e:

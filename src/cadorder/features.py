@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from .atomic import write_text
@@ -59,19 +60,64 @@ class Agg(Enum):
 _KERNEL_CODE = {k: i for i, k in enumerate(Kernel)}
 _AGG_CODE = {a: i for i, a in enumerate(Agg)}
 
+
+def _sgn(x):
+    return (x > 0) - (x < 0)
+
+
+def _sgn_p(values):
+    return [_sgn(x) for x in values]
+
+
+def _sgn_mp(table):
+    return [[_sgn(x) for x in row] for row in table]
+
+
+def _av_p(values):
+    return Fraction(sum(values), len(values))
+
+
+def _av_m(table):
+    return [Fraction(sum(row), len(row)) for row in table]
+
+
+def _av_mp(table):
+    return _av_p(_av_m(table))
+
+
+def _max_m(table):
+    return list(map(max, table))
+
+
+def _sum_m(table):
+    return list(map(sum, table))
+
+
+def _max_mp(table):
+    return max(map(max, table))
+
+
+def _sum_mp(table):
+    return sum(map(sum, table))
+
+
 # Axis states: "mp" = full table, "p" = per-polynomial vector, "" = scalar.
-# A stage absent from a state's row cannot apply in that state.
+# Each entry is (next state, the stage's function on a value in this state);
+# ``id`` has no function.  A stage absent from a state's row cannot apply in
+# that state.
 _TRANSITIONS = {
-    "mp": {Agg.MAX_M: "p", Agg.MAX_MP: "", Agg.SUM_M: "p", Agg.SUM_MP: "",
-           Agg.AV_M: "p", Agg.AV_MP: "", Agg.SGN: "mp", Agg.ID: "mp"},
-    "p": {Agg.MAX_P: "", Agg.SUM_P: "", Agg.AV_P: "", Agg.SGN: "p", Agg.ID: "p"},
-    "": {Agg.SGN: "", Agg.ID: ""},
+    "mp": {Agg.MAX_M: ("p", _max_m), Agg.MAX_MP: ("", _max_mp), Agg.SUM_M: ("p", _sum_m),
+           Agg.SUM_MP: ("", _sum_mp), Agg.AV_M: ("p", _av_m), Agg.AV_MP: ("", _av_mp),
+           Agg.SGN: ("mp", _sgn_mp), Agg.ID: ("mp", None)},
+    "p": {Agg.MAX_P: ("", max), Agg.SUM_P: ("", sum), Agg.AV_P: ("", _av_p),
+          Agg.SGN: ("p", _sgn_p), Agg.ID: ("p", None)},
+    "": {Agg.SGN: ("", _sgn), Agg.ID: ("", None)},
 }
 
 
 def _next_state(agg: Agg, state: str) -> str | None:
     """Axis state after ``agg``, or None when ``agg`` cannot apply in ``state``."""
-    return _TRANSITIONS[state].get(agg)
+    return _TRANSITIONS[state].get(agg, (None,))[0]
 
 
 class InvalidDescriptorError(ValueError):
@@ -127,45 +173,23 @@ def eval_kernel(kernel: Kernel, pr: ProblemInstance, v: int) -> list[list[int]]:
     ]
 
 
-def _sgn(x):
-    return (x > 0) - (x < 0)
-
-
-def _apply_stage(agg: Agg, state: str, value):
-    """One stage other than ``id`` on a value in axis state ``state``."""
-    if agg is Agg.SGN:
-        if state == "mp":
-            return [[_sgn(x) for x in row] for row in value]
-        if state == "p":
-            return [_sgn(x) for x in value]
-        return _sgn(value)
-    if agg is Agg.MAX_M:
-        return [max(row) for row in value]
-    if agg is Agg.SUM_M:
-        return [sum(row) for row in value]
-    if agg is Agg.AV_M:
-        return [Fraction(sum(row), len(row)) for row in value]
-    if agg is Agg.MAX_MP:
-        return max(x for row in value for x in row)
-    if agg is Agg.SUM_MP:
-        return sum(x for row in value for x in row)
-    if agg is Agg.AV_MP:
-        return Fraction(sum(Fraction(sum(row), len(row)) for row in value), len(value))
-    if agg is Agg.MAX_P:
-        return max(value)
-    if agg is Agg.SUM_P:
-        return sum(value)
-    return Fraction(sum(value), len(value))  # Agg.AV_P
+@lru_cache(maxsize=None)
+def _stage_functions(pipeline: tuple[Agg, ...]) -> tuple:
+    """The functions of a valid pipeline's stages other than ``id``, in order."""
+    functions = []
+    state = "mp"
+    for agg in pipeline:
+        state, function = _TRANSITIONS[state][agg]
+        if function is not None:
+            functions.append(function)
+    return tuple(functions)
 
 
 def apply_pipeline(pipeline, table):
     """Run a valid descriptor's stages over a kernel table down to a scalar."""
     value = table
-    state = "mp"
-    for agg in pipeline:
-        if agg is not Agg.ID:
-            value = _apply_stage(agg, state, value)
-            state = _next_state(agg, state)
+    for function in _stage_functions(tuple(pipeline)):
+        value = function(value)
     return value
 
 
@@ -205,8 +229,8 @@ def _walk_prefixes(node: dict, state: str, values: list):
         yield tuple(members), values
     for agg, child in node.items():
         if agg is not None:
-            values_after = [_apply_stage(agg, state, x) for x in values]
-            yield from _walk_prefixes(child, _next_state(agg, state), values_after)
+            next_state, function = _TRANSITIONS[state][agg]
+            yield from _walk_prefixes(child, next_state, list(map(function, values)))
 
 
 def _fd(kernel: Kernel, *stages: Agg) -> FeatureDescriptor:

@@ -18,14 +18,17 @@ one polynomial per nonblank line)::
 With a ``vars:`` header the variable index order is the header order;
 without one it is first-occurrence order across the file.  A problem
 must have at least one variable.  A :class:`ParseError` gives the file
-line and, for a syntax error, the column, counted from 1 at the start of
-that line.
+line and, for an error at a token or a header name, the column, counted
+from 1 at the start of that line.  Lines are read in file order, and the
+first error in that order is the one reported; within a line, a character
+that no token can start with is reported before any other error.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 
 
 class ParseError(ValueError):
@@ -41,7 +44,7 @@ class ParseError(ValueError):
         super().__init__(message + where)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VariableId:
     """A variable, identified by its 0-based index and unique name."""
 
@@ -49,7 +52,7 @@ class VariableId:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
     """One term: an exact integer coefficient times a product of variable powers.
 
@@ -63,7 +66,7 @@ class Monomial:
     def __post_init__(self):
         if self.coeff == 0:
             raise ValueError("zero-coefficient monomial")
-        if any(d < 0 for d in self.degrees):
+        if min(self.degrees, default=0) < 0:
             raise ValueError("negative exponent in monomial")
 
     @property
@@ -71,17 +74,17 @@ class Monomial:
         return sum(self.degrees)
 
 
-def canonicalize_monomials(monomials) -> tuple[Monomial, ...]:
-    """Merge like terms, drop zero coefficients, sort by degree vector descending."""
+def canonicalize_monomials(terms) -> tuple[Monomial, ...]:
+    """Merge ``(coeff, degrees)`` pairs into like terms, drop zero coefficients,
+    and build one :class:`Monomial` per kept term, by degree vector descending.
+    """
     merged: dict[tuple[int, ...], int] = {}
-    for m in monomials:
-        merged[m.degrees] = merged.get(m.degrees, 0) + m.coeff
-    out = [Monomial(c, d) for d, c in merged.items() if c != 0]
-    out.sort(key=lambda m: m.degrees, reverse=True)
-    return tuple(out)
+    for coeff, degrees in terms:
+        merged[degrees] = merged.get(degrees, 0) + coeff
+    return tuple(Monomial(c, d) for d, c in sorted(merged.items(), reverse=True) if c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polynomial:
     """A nonempty sum of monomials over a shared variable list."""
 
@@ -92,9 +95,9 @@ class Polynomial:
             raise ValueError("a polynomial needs at least one monomial")
 
     @classmethod
-    def from_terms(cls, monomials) -> Polynomial:
-        """Build in canonical form; raises if the terms cancel to zero."""
-        canon = canonicalize_monomials(monomials)
+    def from_terms(cls, terms) -> Polynomial:
+        """Build from ``(coeff, degrees)`` pairs in canonical form; raises if they cancel to zero."""
+        canon = canonicalize_monomials(terms)
         if not canon:
             raise ValueError("zero polynomial (all terms cancelled)")
         return cls(canon)
@@ -105,7 +108,7 @@ class Polynomial:
         return degs == sorted(set(degs), reverse=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProblemInstance:
     """An ordered-variable set of polynomials.
 
@@ -149,90 +152,130 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^,])|(?P<bad>\S))"
 )
 
+# The characters that no token can start with: the ``bad`` group's.
+_BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z_,*^+-]")
+
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+# Every token from findall sets exactly one of its four fields; the end
+# marker sets none and is recognised by identity.
+_END = ("", "", "", "")
 
-def _tokens(text: str, lineno: int) -> list[tuple[str, str, int]]:
-    """Split one line into (kind, value, col) tokens, ending in an "end" marker."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        token = (kind, m.group(kind), m.start(kind) + 1)
-        if kind == "bad":
-            raise ParseError(f"unexpected character {token[1]!r}", lineno, token[2])
-        tokens.append(token)
-    tokens.append(("end", "", len(text) + 1))
+
+def _tokens(text: str, lineno: int) -> list[tuple[str, str, str, str]]:
+    """Split one line into (int, ident, op, bad) string tuples, ending in ``_END``.
+
+    A character that no token can start with is an error before any other
+    in its line, so no ``bad`` field is ever set.
+    """
+    bad = _BAD_CHAR_RE.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", lineno, bad.start() + 1)
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append(_END)
     return tokens
 
 
-def _expected(what: str, token: tuple[str, str, int], lineno: int) -> ParseError:
-    kind, value, col = token
-    if kind == "end":
-        return ParseError(f"syntax error at end of input: expected {what}", lineno, col)
-    return ParseError(f"syntax error: expected {what}, got {value!r}", lineno, col)
+def _error(message: str, text: str, i: int, lineno: int) -> ParseError:
+    """An error at token ``i`` of ``text``, whose column is found only now."""
+    match = next(islice(_TOKEN_RE.finditer(text), i, None), None)
+    col = len(text) + 1 if match is None else match.start(match.lastgroup) + 1
+    return ParseError(message, lineno, col)
 
 
-def _too_long(token: tuple[str, str, int], lineno: int) -> ParseError:
+def _expected(what: str, text: str, tokens: list, i: int, lineno: int) -> ParseError:
+    if tokens[i] is _END:
+        return _error(f"syntax error at end of input: expected {what}", text, i, lineno)
+    return _error(f"syntax error: expected {what}, got {''.join(tokens[i])!r}", text, i, lineno)
+
+
+def _too_long(text: str, tokens: list, i: int, lineno: int) -> ParseError:
     """An integer literal past ``int()``'s digit limit (sys.set_int_max_str_digits)."""
-    return ParseError(f"integer literal too long ({len(token[1])} digits)", lineno, token[2])
+    return _error(f"integer literal too long ({len(tokens[i][0])} digits)", text, i, lineno)
 
 
-def _parse_terms(text: str, lineno: int) -> list[tuple[int, list[tuple[str, int]]]]:
-    """Parse one polynomial line into (coeff, [(name, exponent), ...]) terms.
+def _parse_terms(
+    text: str, lineno: int, index: dict[str, int], fixed: bool
+) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Parse one polynomial line into (coeff, [(variable index, exponent), ...]) terms.
 
-    Variable indices are assigned by the caller once all lines are seen.
+    Each name is resolved through ``index`` as it is read.  A ``fixed``
+    index (a header's) makes an unknown name an error; otherwise a new name
+    takes the next index, so indices follow first occurrence in file order.
     """
     tokens = _tokens(text, lineno)
     terms = []
     i = 0
     sign = 1
-    if tokens[0][1] == "-":
+    if tokens[0][2] == "-":
         sign, i = -1, 1
     while True:
-        kind, value, _ = tokens[i]
-        if kind == "int":
+        digits, name, _, _ = tokens[i]
+        if digits:
             try:
-                coeff = sign * int(value)
+                coeff = sign * int(digits)
             except ValueError:
-                raise _too_long(tokens[i], lineno) from None
+                raise _too_long(text, tokens, i, lineno) from None
             i += 1
-            has_factors = tokens[i][1] == "*"
+            has_factors = tokens[i][2] == "*"
             i += has_factors
-        elif kind == "ident":
+        elif name:
             coeff, has_factors = sign, True
         else:
-            raise _expected("term", tokens[i], lineno)
+            raise _expected("term", text, tokens, i, lineno)
         powers = []
         while has_factors:
-            kind, name, _ = tokens[i]
-            if kind != "ident":
-                raise _expected("identifier", tokens[i], lineno)
+            name = tokens[i][1]
+            if not name:
+                raise _expected("identifier", text, tokens, i, lineno)
+            v = index.get(name)
+            if v is None:
+                if fixed:
+                    raise _error(f"unknown variable {name!r}", text, i, lineno)
+                v = index[name] = len(index)
             i += 1
             exp = 1
-            if tokens[i][1] == "^":
+            if tokens[i][2] == "^":
                 i += 1
-                negative = tokens[i][1] == "-"
+                negative = tokens[i][2] == "-"
                 i += negative
-                if tokens[i][0] != "int":
-                    raise _expected("integer exponent", tokens[i], lineno)
+                digits = tokens[i][0]
+                if not digits:
+                    raise _expected("integer exponent", text, tokens, i, lineno)
                 if negative:
-                    raise ParseError("negative exponent", lineno, tokens[i][2])
+                    raise _error("negative exponent", text, i, lineno)
                 try:
-                    exp = int(tokens[i][1])
+                    exp = int(digits)
                 except ValueError:
-                    raise _too_long(tokens[i], lineno) from None
+                    raise _too_long(text, tokens, i, lineno) from None
                 i += 1
-            powers.append((name, exp))
-            has_factors = tokens[i][1] == "*"
+            powers.append((v, exp))
+            has_factors = tokens[i][2] == "*"
             i += has_factors
         terms.append((coeff, powers))
-        kind, value, _ = tokens[i]
-        if kind == "end":
+        if tokens[i] is _END:
             return terms
-        if value not in ("+", "-"):
-            raise _expected("'+' or '-'", tokens[i], lineno)
-        sign = -1 if value == "-" else 1
+        op = tokens[i][2]
+        if op not in ("+", "-"):
+            raise _expected("'+' or '-'", text, tokens, i, lineno)
+        sign = -1 if op == "-" else 1
         i += 1
+
+
+def _parse_header(code: str, lineno: int) -> dict[str, int]:
+    """Index of each name in a ``vars:`` header line, in header order."""
+    index: dict[str, int] = {}
+    col = code.index("vars:") + len("vars:") + 1
+    for piece in code[col - 1 :].split(","):
+        name = piece.strip()
+        at = col + len(piece) - len(piece.lstrip())
+        if not _IDENT_RE.match(name):
+            raise ParseError(f"bad variable name {name!r} in header", lineno, at)
+        if name in index:
+            raise ParseError(f"duplicate variable {name!r} in header", lineno, at)
+        index[name] = len(index)
+        col += len(piece) + 1
+    return index
 
 
 def parse_problem(text: str, problem_id: str | None = None) -> ProblemInstance:
@@ -246,43 +289,29 @@ def parse_problem(text: str, problem_id: str | None = None) -> ProblemInstance:
         code = raw.split("#", 1)[0].rstrip()
         if code:
             lines.append((lineno, code))
-    index: dict[str, int] = {}
     has_header = bool(lines) and lines[0][1].lstrip().startswith("vars:")
+    index: dict[str, int] = {}
     if has_header:
         lineno, code = lines.pop(0)
-        for name in code.lstrip()[len("vars:") :].split(","):
-            name = name.strip()
-            if not _IDENT_RE.match(name):
-                raise ParseError(f"bad variable name {name!r} in header", lineno)
-            if name in index:
-                raise ParseError(f"duplicate variable {name!r} in header", lineno)
-            index[name] = len(index)
+        index = _parse_header(code, lineno)
     if not lines:
         raise ParseError("empty problem: no polynomials")
 
-    parsed = [(lineno, _parse_terms(code, lineno)) for lineno, code in lines]
-    for lineno, terms in parsed:
-        for _, powers in terms:
-            for name, _ in powers:
-                if name not in index:
-                    if has_header:
-                        raise ParseError(f"unknown variable {name!r}", lineno)
-                    index[name] = len(index)
+    parsed = [(lineno, _parse_terms(code, lineno, index, has_header)) for lineno, code in lines]
     if not index:
         raise ParseError("problem has no variables")
 
     n = len(index)
     polynomials = []
     for lineno, terms in parsed:
-        monomials = []
+        pairs = []
         for coeff, powers in terms:
-            if coeff:
-                degrees = [0] * n
-                for name, exp in powers:
-                    degrees[index[name]] += exp
-                monomials.append(Monomial(coeff, tuple(degrees)))
+            degrees = [0] * n
+            for v, exp in powers:
+                degrees[v] += exp
+            pairs.append((coeff, tuple(degrees)))
         try:
-            polynomials.append(Polynomial.from_terms(monomials))
+            polynomials.append(Polynomial.from_terms(pairs))
         except ValueError:
             raise ParseError("zero polynomial", lineno) from None
     variables = tuple(VariableId(i, name) for name, i in index.items())

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import strategies as st
 
 from cadorder.polyset import (
-    Monomial,
     Polynomial,
     ProblemInstance,
     VariableId,
@@ -46,6 +45,6 @@ def problem_instances(draw, min_vars=1, max_vars=4, max_polys=3, max_monomials=5
         terms = draw(
             st.dictionaries(degree_vectors, nonzero_ints(), min_size=1, max_size=max_monomials)
         )
-        polys.append(Polynomial.from_terms(Monomial(c, d) for d, c in terms.items()))
+        polys.append(Polynomial.from_terms((c, d) for d, c in terms.items()))
     variables = tuple(VariableId(i, f"x{i}") for i in range(n))
     return ProblemInstance(variables, tuple(polys))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -262,6 +263,24 @@ def test_parse_error_in_problem_file_names_it(tmp_path, capsys):
     code, _, stderr = run(capsys, "order", "--heuristic", "brown", "--problem", str(bad))
     assert code == 2
     assert f"{bad}: unexpected character '?' (line 2, col 3)" in stderr
+
+
+@pytest.mark.parametrize("source", ["manifest", "no-manifest", "order"])
+def test_non_utf8_problem_file_is_data_error(tmp_path, capsys, source):
+    data = tmp_path / "data"
+    data.mkdir()
+    bad = data / "u.poly"
+    bad.write_bytes(b"vars: x\nx^2 \xff\n")
+    if source == "manifest":
+        entry = {"name": "u.poly", "id": "u", "sha256": hashlib.sha256(bad.read_bytes()).hexdigest()}
+        (data / "manifest.json").write_text(json.dumps({"files": [entry]}))
+    if source == "order":
+        argv = ["order", "--heuristic", "brown", "--problem", str(bad)]
+    else:
+        argv = ["check", "--data", str(data)]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert f"{bad}: not UTF-8: invalid start byte (byte 0xff at offset 12)" in stderr
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import problem_instances
 from cadorder.features import (
+    _TRANSITIONS,
     Agg,
     FeatureDescriptor,
     FeatureSet,
@@ -66,6 +67,47 @@ def test_av_mp_is_mean_of_per_polynomial_means():
     pr = parse_problem("vars: x\nx^2\nx + 1")
     av_mp = _fd(Kernel.DEGREE, Agg.AV_MP)
     assert eval_feature(av_mp, pr, 0) == Fraction(Fraction(2) + Fraction(1, 2), 2)
+
+
+# A ragged kernel table (rows of 3, 1 and 2 monomials), a per-polynomial
+# vector holding a Fraction, and a scalar.
+_RAGGED = [[2, 0, 1], [3], [0, 5]]
+_VECTOR = [1, Fraction(5, 2), 0]
+_STAGE_CASES = [
+    ("mp", Agg.MAX_M, _RAGGED, "p", [2, 3, 5]),
+    ("mp", Agg.SUM_M, _RAGGED, "p", [3, 3, 5]),
+    ("mp", Agg.AV_M, _RAGGED, "p", [Fraction(1), Fraction(3), Fraction(5, 2)]),
+    ("mp", Agg.MAX_MP, _RAGGED, "", 5),
+    ("mp", Agg.SUM_MP, _RAGGED, "", 11),
+    # The mean of the row means, 13/6, not the grand mean over cells, 11/6.
+    ("mp", Agg.AV_MP, _RAGGED, "", Fraction(13, 6)),
+    ("mp", Agg.SGN, _RAGGED, "mp", [[1, 0, 1], [1], [0, 1]]),
+    ("p", Agg.MAX_P, _VECTOR, "", Fraction(5, 2)),
+    ("p", Agg.SUM_P, _VECTOR, "", Fraction(7, 2)),
+    ("p", Agg.AV_P, _VECTOR, "", Fraction(7, 6)),
+    ("p", Agg.SGN, _VECTOR, "p", [1, 1, 0]),
+    ("", Agg.SGN, Fraction(-7, 2), "", -1),
+]
+
+
+@pytest.mark.parametrize("state, agg, value, next_state, expected", _STAGE_CASES,
+                         ids=[f"{state or 'scalar'}-{agg.value}" for state, agg, *_ in _STAGE_CASES])
+def test_stage_table_entry(state, agg, value, next_state, expected):
+    got_state, function = _TRANSITIONS[state][agg]
+    got = function(value)
+    assert got_state == next_state
+    assert got == expected
+    assert type(got) is type(expected)
+    if isinstance(got, list):
+        assert [type(x) for x in got] == [type(x) for x in expected]
+
+
+def test_stage_cases_cover_the_table():
+    entries = {(state, agg) for state, row in _TRANSITIONS.items() for agg in row}
+    stages = {(state, agg) for state, agg, *_ in _STAGE_CASES}
+    assert entries - stages == {("mp", Agg.ID), ("p", Agg.ID), ("", Agg.ID)}
+    assert len(stages) == len(_STAGE_CASES) == 12
+    assert all(_TRANSITIONS[state][Agg.ID] == (state, None) for state in _TRANSITIONS)
 
 
 def test_invalid_pipelines_raise():

@@ -1,3 +1,5 @@
+import ast
+import re
 import sys
 
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import problem_instances
 from cadorder.polyset import (
+    _BAD_CHAR_RE,
+    _TOKEN_RE,
     Monomial,
     ParseError,
     Polynomial,
@@ -27,6 +31,18 @@ def test_parse_two_polynomials(problem_a):
 def test_like_terms_merge():
     pr = parse_problem("vars: x\n3*x - 2*x")
     assert pr.polynomials[0].monomials == (Monomial(1, (1,)),)
+
+
+def test_cancelled_terms_are_dropped():
+    kept = (Monomial(3, (0, 1)),)
+    assert Polynomial.from_terms([(2, (1, 0)), (3, (0, 1)), (-2, (1, 0))]).monomials == kept
+    assert parse_problem("vars: x,y\n2*x + 3*y - 2*x").polynomials[0].monomials == kept
+
+
+def test_bad_character_class_matches_bad_tokens():
+    for c in map(chr, range(0x3100)):
+        token = _TOKEN_RE.match(c)
+        assert bool(_BAD_CHAR_RE.match(c)) == (token is not None and token.lastgroup == "bad"), c
 
 
 def test_repeated_factor_multiplies():
@@ -83,6 +99,22 @@ def test_comments_and_blank_lines():
                      "integer literal too long (5000 digits) (line 2, col 1)", id="long-coefficient"),
         pytest.param("vars: x\nx^" + "1" * 5000,
                      "integer literal too long (5000 digits) (line 2, col 3)", id="long-exponent"),
+        # Header names and unknown variables are placed at the name.
+        pytest.param("vars: x\nx + w", "unknown variable 'w' (line 2, col 5)", id="unknown-variable-col"),
+        pytest.param("vars: x\n  3*x*w^2", "unknown variable 'w' (line 2, col 7)",
+                     id="unknown-factor-col"),
+        pytest.param("vars: x,x\nx", "duplicate variable 'x' in header (line 1, col 9)",
+                     id="duplicate-variable-col"),
+        pytest.param("  vars: x, 1y\nx", "bad variable name '1y' in header (line 1, col 12)",
+                     id="bad-variable-name-col"),
+        pytest.param("vars: x,\nx", "bad variable name '' in header (line 1, col 9)",
+                     id="empty-variable-name-col"),
+        # With two errors, the first in file order is reported; within a
+        # line, a character no token can start with comes first.
+        pytest.param("vars: x\nw\nx y", "unknown variable 'w' (line 2, col 1)", id="first-error-line"),
+        pytest.param("vars: x\nw y", "unknown variable 'w' (line 2, col 1)", id="first-error-col"),
+        pytest.param("vars: x\nx y ?", "unexpected character '?' (line 2, col 5)",
+                     id="bad-character-after-syntax-error"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -118,6 +150,27 @@ def test_fuzz_parse_round_trips_or_raises_parse_error(text):
         assert parse_problem(serialize_problem(pr)) == pr
 
 
+# The token or name an error quotes: after "got", "character", "variable" or "name".
+_QUOTED_RE = re.compile(r"(?:got|character|variable|name) ('(?:[^'\\]|\\.)*')")
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(_FUZZ_PIECES + ["w", "\t", "x,"]), max_size=30).map("".join))
+def test_fuzz_error_columns_point_at_their_token(text):
+    """A quoted token or name is at its error's column; end of input is one past the code."""
+    try:
+        parse_problem(text)
+    except ParseError as e:
+        if e.col is None:
+            return
+        line = text.splitlines()[e.line - 1]
+        if "end of input" in e.message:
+            assert e.col == len(line.split("#", 1)[0].rstrip()) + 1
+        elif quoted := _QUOTED_RE.search(e.message):
+            value = ast.literal_eval(quoted.group(1))
+            assert line[e.col - 1 : e.col - 1 + len(value)] == value
+
+
 def test_serialize_examples(problem_a):
     assert serialize_problem(problem_a) == "vars: x,y,z\nx^2*y + z\nx*z^2 - 1\n"
     neg = parse_problem("vars: x\n-x + 1")
@@ -135,7 +188,7 @@ def test_polynomial_must_be_nonempty():
     with pytest.raises(ValueError):
         Polynomial(())
     with pytest.raises(ValueError):
-        Polynomial.from_terms([Monomial(1, (1,)), Monomial(-1, (1,))])
+        Polynomial.from_terms([(1, (1,)), (-1, (1,))])
 
 
 def test_degree_vector_length_checked():
@@ -155,8 +208,8 @@ def test_round_trip(pr):
 @given(problem_instances())
 def test_canonicalization_idempotent(pr):
     for poly in pr.polynomials:
-        once = canonicalize_monomials(poly.monomials)
-        assert canonicalize_monomials(once) == once
+        once = canonicalize_monomials((m.coeff, m.degrees) for m in poly.monomials)
+        assert canonicalize_monomials((m.coeff, m.degrees) for m in once) == once
         assert Polynomial(once).is_canonical
 
 

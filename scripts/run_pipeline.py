@@ -36,7 +36,6 @@ def main() -> None:
     parser.add_argument("--val-count", type=_positive_int, default=200)
     parser.add_argument("--pool-size", type=int, default=10,
                         help="feature classes fed to the search (0 = all)")
-    parser.add_argument("--jobs", type=_positive_int, default=1)
     parser.add_argument("--epochs", type=_positive_int, default=30)
     parser.add_argument("--lr", type=float, default=0.05)
     parser.add_argument("--init-weight", type=float, default=2.0,
@@ -64,7 +63,7 @@ def main() -> None:
 
     print("\n== triplet search ==")
     search_data = random_dataset(GenConfig(seed=10), args.search_count)
-    report = search_triplets(pool, search_data, oracle, top_k=10, jobs=args.jobs)
+    report = search_triplets(pool, search_data, oracle, top_k=10)
     report.save_json(out / "search.json")
     report.save_csv(out / "search.csv")
     print(f"baseline (overall-degree triplet): {report.baseline['total_cost']:.1f}")

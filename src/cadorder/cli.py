@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -27,6 +28,7 @@ from .costmodel import (
     MissingRecordError,
     SolverError,
     SyntheticCostModel,
+    TimingTable,
     load_timing_table,
 )
 from .datagen import GenConfig, load_dataset, parse_file, random_dataset, write_dataset
@@ -43,7 +45,7 @@ from .heuristics import (
     HeuristicNetwork,
     check_equivalence,
     feature_matrix,
-    layer1_forward,
+    layer1_scores,
     lex_order,
     nn_order,
     select_base_weight,
@@ -123,11 +125,15 @@ def _add_oracle_flags(sub) -> None:
         default="synthetic",
         help="synthetic | table:<csv> | cmd:<template with {problem_file} {ordering}>",
     )
-    sub.add_argument("--step-base", type=float, default=2.0, help="synthetic oracle step base")
-    sub.add_argument("--noise-seed", type=int, default=None, help="synthetic oracle noise seed")
-    sub.add_argument("--noise-scale", type=float, default=0.0, help="synthetic oracle noise scale")
+    sub.add_argument("--step-base", type=float, default=SyntheticCostModel.step_base,
+                     help="synthetic oracle step base")
+    sub.add_argument("--noise-seed", type=int, default=SyntheticCostModel.noise_seed,
+                     help="synthetic oracle noise seed")
+    sub.add_argument("--noise-scale", type=float, default=SyntheticCostModel.noise_scale,
+                     help="synthetic oracle noise scale")
     sub.add_argument("--timeout", type=float, default=None, help="timeout seconds (table/cmd oracle)")
-    sub.add_argument("--penalty", type=float, default=1.0, help="timeout penalty factor")
+    sub.add_argument("--penalty", type=float, default=TimingTable.penalty_factor,
+                     help="timeout penalty factor")
 
 
 def _build_oracle(args):
@@ -159,18 +165,7 @@ def _load_triplet(spec: str):
 def cmd_gen(args) -> int:
     started = time.perf_counter()
     try:
-        cfg = GenConfig(
-            n_vars=args.n_vars,
-            min_polys=args.min_polys,
-            max_polys=args.max_polys,
-            min_monomials=args.min_monomials,
-            max_monomials=args.max_monomials,
-            max_degree=args.max_degree,
-            coeff_min=args.coeff_min,
-            coeff_max=args.coeff_max,
-            density=args.density,
-            seed=args.seed,
-        )
+        cfg = GenConfig(**{f.name: getattr(args, f.name) for f in fields(GenConfig)})
     except ValueError as e:
         raise UsageError(str(e)) from None
     problems = random_dataset(cfg, args.count)
@@ -199,20 +194,20 @@ def cmd_order(args) -> int:
     problem = Path(args.problem)
     pr = parse_file(problem, problem.read_bytes(), problem.stem)
     triplet = _load_triplet(args.heuristic)
-    fm = feature_matrix(triplet, pr)
+    rows = feature_matrix(triplet, pr)
     if args.heuristic == "nn":
         w = select_base_weight([pr], triplet)
         net = HeuristicNetwork(tuple(triplet), w)
         ordering = nn_order(net, pr)
     else:
-        ordering = lex_order(fm)
+        ordering = lex_order(rows)
     if args.reverse:
         ordering = ordering.reversed()
     if args.explain:
-        for v, row in enumerate(fm.rows):
+        for v, row in enumerate(rows):
             print(f"{pr.variables[v].name}: features = {tuple(str(x) for x in row)}")
         if args.heuristic == "nn":
-            for name, yv in zip(pr.var_names, layer1_forward(net, fm)):
+            for name, yv in zip(pr.var_names, layer1_scores(net.layer1, rows)):
                 print(f"{name}: y = {yv}")
     print(ordering.names(pr))
     if args.out:
@@ -306,18 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a seeded random dataset")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--n-vars", type=int, default=3)
-    p.add_argument("--min-polys", type=int, default=1)
-    p.add_argument("--max-polys", type=int, default=4)
-    p.add_argument("--min-monomials", type=int, default=1)
-    p.add_argument("--max-monomials", type=int, default=8)
-    p.add_argument("--max-degree", type=int, default=6)
-    p.add_argument("--coeff-min", type=int, default=-100)
-    p.add_argument("--coeff-max", type=int, default=100)
-    p.add_argument("--density", type=float, default=0.7)
+    for f in fields(GenConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("features", help="enumerate and deduplicate the feature grammar")
@@ -348,11 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triplet", default="selected", help="brown | selected | <triplet.json>")
     p.add_argument("--train", required=True, help="training dataset dir")
     p.add_argument("--val", required=True, help="validation dataset dir")
-    p.add_argument("--lr", type=float, default=2e-5)
-    p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--temperature", type=float, default=TrainConfig.softmax_temperature)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--init-weight", type=float, default=30.0)
     p.add_argument("--no-normalize", action="store_true", help="train on raw feature values")
     p.add_argument("--validate-per-batch", action="store_true")

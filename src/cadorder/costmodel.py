@@ -59,12 +59,15 @@ class TimingTable:
         rec = self.records.get(key)
         if rec is None:
             raise MissingRecordError(f"no timing record for {key}")
-        if rec.timed_out:
-            return self.timeout_s * self.penalty_factor
-        return rec.time_s
+        return _price(rec, self.timeout_s, self.penalty_factor)
 
     def describe(self) -> str:
         return f"table(n={len(self.records)},timeout={self.timeout_s},penalty={self.penalty_factor})"
+
+
+def _price(rec: CostRecord, timeout_s: float | None, penalty_factor: float) -> float:
+    """A record's cost: its time, or timeout_s * penalty_factor if it timed out."""
+    return timeout_s * penalty_factor if rec.timed_out else rec.time_s
 
 
 def _parse_bool(text: str, row: int) -> bool:
@@ -224,9 +227,7 @@ class ExternalSolverAdapter:
 
     def cost(self, pr: ProblemInstance, ordering: Ordering) -> float:
         rec = self.run(pr, ordering)
-        if rec.timed_out:
-            return self.timeout_s * self.penalty_factor
-        return rec.time_s
+        return _price(rec, self.timeout_s, self.penalty_factor)
 
     def describe(self) -> str:
         return f"cmd({self.template!r},timeout={self.timeout_s})"

@@ -307,8 +307,7 @@ class FeatureSet:
         return [
             {
                 "id": i,
-                "kernel": fd.kernel.name,
-                "pipeline": [a.value for a in fd.pipeline],
+                **descriptor_record(fd),
                 "description": fd.describe(),
                 "class_size": len(self.provenance.get(fd, (fd,))),
             }
@@ -317,6 +316,11 @@ class FeatureSet:
 
     def save(self, path: str | Path) -> None:
         write_text(path, json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
+
+
+def descriptor_record(fd: FeatureDescriptor) -> dict:
+    """The ``{"kernel", "pipeline"}`` record that ``descriptor_from_record`` reads back."""
+    return {"kernel": fd.kernel.name, "pipeline": [a.value for a in fd.pipeline]}
 
 
 def descriptor_from_record(record: dict) -> FeatureDescriptor:

@@ -1,36 +1,37 @@
-"""Variable orderings from feature triplets, two equivalent ways.
+"""The constrained network and the variable orderings it encodes.
 
 The direct way sorts variables by their (f1, f2, f3) feature rows compared
 lexicographically.  The network way encodes the same comparison as a
 two-layer summation network: with a base weight w chosen so that every
-feature value is below w - 1, the first-layer score
+feature value is below w - 1 (``base_weight``), the first-layer score
 
     y_v = f1(v) * w**2 + f2(v) * w + f3(v)
 
-is a radix-w encoding of the row, so comparing scores is comparing rows
-digit by digit.  The output layer has one neuron per permutation of the
-variables, scoring y under the fixed weight pattern n, n-1, ..., 1 (first
-position weighted n); its argmax neuron names the chosen ordering.  Both
-paths share the same deterministic tie-break (ascending variable index),
-so on exact scores (ints, Fractions) they agree exactly, ties included.
-On float scores with tied values, rounding can make nominally equal
-neuron scores differ, so the argmax neuron may name another of the tied
-orderings.
+is a radix-w encoding of the row (``radix_weights``, ``layer1_scores``),
+so comparing scores is comparing rows digit by digit.  The output layer
+has one neuron per permutation of the variables, scoring y under the
+fixed weight pattern n, n-1, ..., 1 (first position weighted n); its
+argmax neuron names the chosen ordering.  Both paths share the same
+deterministic tie-break (ascending variable index), so on exact scores
+(ints, Fractions) they agree exactly, ties included.  On float scores
+with tied values, rounding can make nominally equal neuron scores
+differ, so the argmax neuron may name another of the tied orderings.
 
-Production code orders by the sort (``lex_order``, ``order_by_scores``).
-The explicit n! output layer (``layer2_scores``) is the reference that
-``check_equivalence`` compares against, and the layer that training
-relaxes to a softmax.  It is summed over shared variable prefixes: each
+Every layer of the network is defined here, once; training reuses them
+with trainable first-layer weights.  Production code orders by the sort
+(``lex_order``, ``order_by_scores``).  The explicit n! output layer
+(``layer2_scores``) is the reference that ``check_equivalence`` compares
+against, and the layer that training relaxes to a softmax; its gradient
+is ``layer2_backward``.  It is summed over shared variable prefixes: each
 score sum_v W[v] * y[v] is added left to right over the variables, and
 the neurons that give variables 0..v the same weights share that partial
 sum.  That takes n(n+1) products and about 2.7 * n! additions (n = 8: 72
 multiplications and 109,592 additions, against 322,560 of each for one
 dot product per neuron).  The gather plan behind it is built once per n
 (about 0.1 s at n = 8 on a 2-core x86-64 host with Python 3.11).
-``check_equivalence`` unranks
-the argmax neuron in factorial base, so it never builds
-``permutation_weights(8)`` (40,320 weight vectors, 10.5 MB); only
-training's gradient and the tests read that table.
+``check_equivalence`` unranks the argmax neuron in factorial base, so it
+never builds ``permutation_weights(8)`` (40,320 weight vectors, 10.5 MB);
+only ``layer2_backward`` and the tests read that table.
 
 Convention: the variable with the lexicographically greatest feature row
 is placed first in the ordering (the CLI can flip the printed order with
@@ -40,11 +41,11 @@ is placed first in the ordering (the CLI can flip the printed order with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 
 from .features import FeatureDescriptor, brown_features, eval_kernel, apply_pipeline
 from .polyset import ProblemInstance
@@ -99,18 +100,8 @@ def parse_ordering(text: str, pr: ProblemInstance) -> Ordering:
     return Ordering(perm)
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Per-variable feature rows (n_vars x 3, exact rationals)."""
-
-    rows: tuple[tuple, ...]
-
-    def max_value(self):
-        return max(x for row in self.rows for x in row)
-
-
-def feature_matrix(triplet, pr: ProblemInstance) -> FeatureMatrix:
-    """Evaluate the triplet for every variable, sharing kernel tables."""
+def feature_matrix(triplet, pr: ProblemInstance) -> tuple[tuple, ...]:
+    """Feature rows, one (f1, f2, f3) tuple per variable, sharing kernel tables."""
     tables = {}
     rows = []
     for v in range(pr.n_vars):
@@ -122,7 +113,22 @@ def feature_matrix(triplet, pr: ProblemInstance) -> FeatureMatrix:
                 table = tables[key] = eval_kernel(fd.kernel, pr, v)
             row.append(apply_pipeline(fd.pipeline, table))
         rows.append(tuple(row))
-    return FeatureMatrix(tuple(rows))
+    return tuple(rows)
+
+
+def radix_weights(w):
+    """First-layer weights (w**2, w, 1): y_v is row v read as radix-w digits."""
+    return (w * w, w, 1)
+
+
+def base_weight(rows) -> int:
+    """Smallest integer w with every value of ``rows`` below w - 1."""
+    return math.floor(max(map(max, rows))) + 2
+
+
+def layer1_scores(weights, rows) -> list:
+    """First-layer score y_v = sum_i weights[i] * row_v[i] of each row; exact on ints and Fractions."""
+    return [sum(map(mul, weights, row)) for row in rows]
 
 
 def select_base_weight(dataset, triplet) -> int:
@@ -133,19 +139,10 @@ def select_base_weight(dataset, triplet) -> int:
     floor(max) + 2, but the unit gap the dominance argument needs may not
     hold; a warning flags that case.
     """
-    dataset = list(dataset)
-    if not dataset:
+    rows = [row for pr in dataset for row in feature_matrix(triplet, pr)]
+    if not rows:
         raise ValueError("dataset must be nonempty")
-    top = 0
-    fractional = False
-    for pr in dataset:
-        fm = feature_matrix(triplet, pr)
-        for row in fm.rows:
-            for value in row:
-                if isinstance(value, Fraction) and value.denominator != 1:
-                    fractional = True
-        top = max(top, fm.max_value())
-    if fractional:
+    if any(isinstance(x, Fraction) and x.denominator != 1 for row in rows for x in row):
         import warnings
 
         warnings.warn(
@@ -153,7 +150,7 @@ def select_base_weight(dataset, triplet) -> int:
             "but not the unit gap; lexicographic comparison stays authoritative",
             stacklevel=2,
         )
-    return math.floor(top) + 2
+    return base_weight(rows)
 
 
 @dataclass(frozen=True)
@@ -169,14 +166,7 @@ class HeuristicNetwork:
 
     @property
     def layer1(self) -> tuple[int, int, int]:
-        w = self.base_weight
-        return (w * w, w, 1)
-
-
-def layer1_forward(net: HeuristicNetwork, fm: FeatureMatrix) -> tuple:
-    """First-layer scores y_v, exact."""
-    w2, w, one = net.layer1
-    return tuple(r[0] * w2 + r[1] * w + r[2] * one for r in fm.rows)
+        return radix_weights(self.base_weight)
 
 
 def _neurons(n: int):
@@ -259,6 +249,31 @@ def layer2_scores(y) -> tuple:
     return tuple(sums)
 
 
+@lru_cache(maxsize=None)
+def _weight_columns(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per variable, the weight each output neuron gives it, in neuron order."""
+    return tuple(zip(*(weights for _, weights in permutation_weights(n))))
+
+
+def layer2_backward(n: int, dscores) -> list:
+    """Gradient of the output layer: d(sum_k dscores[k] * score_k) / d y_v per variable.
+
+    Each variable's weight column dotted with ``dscores``, added left to
+    right in neuron order; exact on Fractions.
+    """
+    return [reduce(add, map(mul, column, dscores), 0) for column in _weight_columns(n)]
+
+
+def _rank(perm) -> int:
+    """Lexicographic index of a permutation of range(n); the inverse of ``_unrank``."""
+    pool = sorted(perm)
+    k = 0
+    for i, v in enumerate(perm):
+        k += pool.index(v) * math.factorial(len(perm) - 1 - i)
+        pool.remove(v)
+    return k
+
+
 def _unrank(n: int, k: int) -> tuple[int, ...]:
     """The k-th permutation of range(n) in lexicographic order (factorial base)."""
     pool = list(range(n))
@@ -280,18 +295,18 @@ def order_by_scores(y) -> Ordering:
     return Ordering(tuple(sorted(range(len(y)), key=lambda v: y[v], reverse=True)))
 
 
-def lex_order(fm: FeatureMatrix) -> Ordering:
+def lex_order(rows) -> Ordering:
     """Sort variables by feature row, lexicographically descending.
 
     Rows are tuples, so the score sort compares them lexicographically and
     breaks full ties by ascending variable index, as the network does.
     """
-    return order_by_scores(fm.rows)
+    return order_by_scores(rows)
 
 
-def _check_weight(fm: FeatureMatrix, w: int, pr: ProblemInstance) -> None:
+def _check_weight(rows, w: int, pr: ProblemInstance) -> None:
     bound = w - 1
-    for v, row in enumerate(fm.rows):
+    for v, row in enumerate(rows):
         for i, value in enumerate(row):
             if not value < bound:
                 raise BaseWeightError(pr.id, v, i, value, w)
@@ -302,9 +317,9 @@ def nn_order(net: HeuristicNetwork, pr: ProblemInstance) -> Ordering:
 
     The argmax neuron is found by sorting y, which picks the same neuron.
     """
-    fm = feature_matrix(net.triplet, pr)
-    _check_weight(fm, net.base_weight, pr)
-    return order_by_scores(layer1_forward(net, fm))
+    rows = feature_matrix(net.triplet, pr)
+    _check_weight(rows, net.base_weight, pr)
+    return order_by_scores(layer1_scores(net.layer1, rows))
 
 
 @dataclass
@@ -318,11 +333,7 @@ class EquivalenceReport:
         return not self.mismatches and not self.violations
 
     def to_json(self) -> dict:
-        return {
-            "total": self.total,
-            "mismatches": self.mismatches,
-            "violations": self.violations,
-        }
+        return asdict(self)
 
 
 def check_equivalence(dataset, triplet=None, force_w: int | None = None, jobs: int = 1) -> EquivalenceReport:
@@ -337,16 +348,16 @@ def check_equivalence(dataset, triplet=None, force_w: int | None = None, jobs: i
     dataset = list(dataset)
     violations, mismatches = [], []
     for pr in dataset:
-        fm = feature_matrix(triplet, pr)
-        w = force_w if force_w is not None else math.floor(fm.max_value()) + 2
+        rows = feature_matrix(triplet, pr)
+        w = force_w if force_w is not None else base_weight(rows)
         try:
-            _check_weight(fm, w, pr)
+            _check_weight(rows, w, pr)
         except BaseWeightError as e:
             violations.append({"problem_id": pr.id, "w": w, "error": str(e)})
             continue
-        y = layer1_forward(HeuristicNetwork(triplet, w), fm)
+        y = layer1_scores(radix_weights(w), rows)
         nn = _order_scores(y) if pr.n_vars <= MAX_EXPLICIT_LAYER else order_by_scores(y)
-        lex = lex_order(fm)
+        lex = lex_order(rows)
         if nn != lex:
             mismatches.append(
                 {"problem_id": pr.id, "lex": lex.names(pr), "nn": nn.names(pr), "w": w}

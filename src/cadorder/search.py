@@ -16,7 +16,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import permutations
 from pathlib import Path
 
@@ -37,14 +37,7 @@ class SearchReport:
     baseline: dict
 
     def to_json(self) -> dict:
-        return {
-            "dataset_id": self.dataset_id,
-            "oracle_id": self.oracle_id,
-            "pool_size": self.pool_size,
-            "triplet_count": self.triplet_count,
-            "baseline": self.baseline,
-            "ranked": self.ranked,
-        }
+        return asdict(self)
 
     def save_json(self, path: str | Path) -> None:
         write_text(path, json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")

@@ -20,21 +20,21 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, asdict
-from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
-from types import MappingProxyType
 
 from .atomic import write_text
 from .costmodel import CostOracle
-from .features import FeatureDescriptor, descriptor_from_record
+from .features import FeatureDescriptor, descriptor_from_record, descriptor_record
 from .heuristics import (
-    FeatureMatrix,
     Ordering,
+    _rank,
     feature_matrix,
+    layer1_scores,
+    layer2_backward,
     layer2_scores,
     order_by_scores,
-    permutation_weights,
+    radix_weights,
 )
 from .polyset import ProblemInstance
 
@@ -55,25 +55,17 @@ class TrainableNetwork:
 
     @classmethod
     def brown_init(cls, triplet, base_weight: float = 30.0, feature_scale=(1.0, 1.0, 1.0)):
-        """Radix-style starting point (w^2, w, 1)."""
-        w = float(base_weight)
-        return cls(tuple(triplet), [w * w, w, 1.0], tuple(feature_scale))
+        """Radix-style starting point (w^2, w, 1), the frozen network's layer 1."""
+        weights = list(map(float, radix_weights(float(base_weight))))
+        return cls(tuple(triplet), weights, tuple(feature_scale))
 
-    def scaled_rows(self, fm: FeatureMatrix) -> list[tuple[float, float, float]]:
+    def scaled_rows(self, rows) -> list[tuple[float, float, float]]:
         s = self.feature_scale
-        return [tuple(float(x) / s[i] for i, x in enumerate(row)) for row in fm.rows]
+        return [tuple(float(x) / s[i] for i, x in enumerate(row)) for row in rows]
 
-    def scores_y(self, fm: FeatureMatrix) -> list[float]:
-        return _scores(self.weights, self.scaled_rows(fm))
-
-    def hard_order(self, fm: FeatureMatrix) -> Ordering:
+    def hard_order(self, rows) -> Ordering:
         """Argmax ordering: descending y with ascending-index tie-break."""
-        return order_by_scores(self.scores_y(fm))
-
-
-def _scores(weights, rows) -> list[float]:
-    """First-layer scores y of scaled feature rows."""
-    return [sum(wi * xi for wi, xi in zip(weights, row)) for row in rows]
+        return order_by_scores(layer1_scores(self.weights, self.scaled_rows(rows)))
 
 
 def _softmax(scores: list[float]) -> list[float]:
@@ -87,49 +79,43 @@ def _probs(weights, rows, temperature: float) -> list[float]:
     """Softmax over the permutation neurons for scaled feature rows."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    return _softmax([s / temperature for s in layer2_scores(_scores(weights, rows))])
+    return _softmax([s / temperature for s in layer2_scores(layer1_scores(weights, rows))])
 
 
-def forward_soft(net: TrainableNetwork, fm: FeatureMatrix, temperature: float = 1.0) -> list[float]:
+def forward_soft(net: TrainableNetwork, rows, temperature: float = 1.0) -> list[float]:
     """Probability of each permutation neuron, in lexicographic neuron order."""
-    return _probs(net.weights, net.scaled_rows(fm), temperature)
-
-
-@lru_cache(maxsize=None)
-def _neuron_index(n: int) -> MappingProxyType:
-    """Read-only map from ordering to its neuron's position, built once per n."""
-    return MappingProxyType({perm: i for i, (perm, _) in enumerate(permutation_weights(n))})
+    return _probs(net.weights, net.scaled_rows(rows), temperature)
 
 
 def _loss_and_gradient(weights, batch, temperature: float) -> tuple[float, list[float]]:
-    """Mean cross-entropy and its gradient over (scaled rows, target permutation) pairs."""
+    """Mean cross-entropy and its gradient over (scaled rows, target neuron index) pairs."""
     total = 0.0
     grad = [0.0, 0.0, 0.0]
     for x, target in batch:
         n = len(x)
         probs = _probs(weights, x, temperature)
-        target_idx = _neuron_index(n)[target]
-        total += -math.log(max(probs[target_idx], 1e-300))
-        dy = [0.0] * n
-        for k, (_, pw) in enumerate(permutation_weights(n)):
-            coef = (probs[k] - (1.0 if k == target_idx else 0.0)) / temperature
-            for v in range(n):
-                dy[v] += coef * pw[v]
+        total += -math.log(max(probs[target], 1e-300))
+        dscores = [p / temperature for p in probs]
+        dscores[target] = (probs[target] - 1.0) / temperature
+        dy = layer2_backward(n, dscores)
         for i in range(3):
             grad[i] += sum(dy[v] * x[v][i] for v in range(n))
     return total / len(batch), [g / len(batch) for g in grad]
 
 
+def _ranked(net: TrainableNetwork, batch) -> list:
+    """(scaled rows, target neuron index) of each (feature rows, Ordering) pair."""
+    return [(net.scaled_rows(rows), _rank(target.perm)) for rows, target in batch]
+
+
 def loss(net: TrainableNetwork, batch, temperature: float = 1.0) -> float:
     """Mean cross-entropy of the soft orderings against target orderings."""
-    batch = [(net.scaled_rows(fm), target.perm) for fm, target in batch]
-    return _loss_and_gradient(net.weights, batch, temperature)[0]
+    return _loss_and_gradient(net.weights, _ranked(net, batch), temperature)[0]
 
 
 def gradient(net: TrainableNetwork, batch, temperature: float = 1.0) -> list[float]:
     """Analytic d(loss)/d(weights), averaged over the batch."""
-    batch = [(net.scaled_rows(fm), target.perm) for fm, target in batch]
-    return _loss_and_gradient(net.weights, batch, temperature)[1]
+    return _loss_and_gradient(net.weights, _ranked(net, batch), temperature)[1]
 
 
 class AdamOptimizer:
@@ -252,8 +238,8 @@ def optimal_ordering(oracle: CostOracle, pr: ProblemInstance) -> tuple[Ordering,
 def fit_feature_scale(matrices) -> tuple[float, float, float]:
     """Per-feature maxima over the training set; absent features scale by 1."""
     top = [0.0, 0.0, 0.0]
-    for fm in matrices:
-        for row in fm.rows:
+    for rows in matrices:
+        for row in rows:
             for i, x in enumerate(row):
                 top[i] = max(top[i], float(x))
     return tuple(t if t > 0 else 1.0 for t in top)
@@ -264,7 +250,7 @@ def _validate(weights, rows, cost_rows, best_costs):
     total = 0.0
     hits = 0
     for x, costs, best_cost in zip(rows, cost_rows, best_costs):
-        c = costs[order_by_scores(_scores(weights, x)).perm]
+        c = costs[order_by_scores(layer1_scores(weights, x)).perm]
         total += c
         hits += c == best_cost
     return total, hits / len(rows)
@@ -298,8 +284,8 @@ def train(
 
     # Each problem's n! orderings are priced once, and its feature rows
     # scaled once: the scale stays fixed while the weights train.
-    targets = [_argmin(_cost_row(oracle, pr))[0].perm for pr in train_set]
-    samples = [(work.scaled_rows(fm), t) for fm, t in zip(train_matrices, targets)]
+    targets = [_rank(_argmin(_cost_row(oracle, pr))[0].perm) for pr in train_set]
+    samples = [(work.scaled_rows(rows), t) for rows, t in zip(train_matrices, targets)]
     val_costs = [_cost_row(oracle, pr) for pr in val_set]
     val_best = [_argmin(row)[1] for row in val_costs]
     val_rows = [work.scaled_rows(feature_matrix(net.triplet, pr)) for pr in val_set]
@@ -347,10 +333,7 @@ def save_checkpoint(path: str | Path, report: TrainReport, triplet) -> None:
     payload = {
         "weights": report.final_weights,
         "feature_scale": list(report.feature_scale),
-        "triplet": [
-            {"kernel": fd.kernel.name, "pipeline": [a.value for a in fd.pipeline]}
-            for fd in triplet
-        ],
+        "triplet": [descriptor_record(fd) for fd in triplet],
         "config_hash": report.config.digest(),
     }
     write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from conftest import PROBLEM_A_TEXT, PROBLEM_B_TEXT
 from cadorder.cli import main
+from cadorder.datagen import GenConfig
 
 
 def run(capsys, *argv):
@@ -48,6 +50,15 @@ def test_gen_writes_dataset_and_manifest(tmp_path, capsys):
     assert len(list(out.glob("*.poly"))) == 5
     assert (out / "manifest.json").exists()
     assert (out / "run_manifest.json").exists()
+
+
+def test_gen_defaults_are_gen_config_defaults(tmp_path, capsys):
+    out = tmp_path / "ds"
+    assert run(capsys, "gen", "--count", "2", "--out", str(out))[0] == 0
+    expected = asdict(GenConfig(seed=0))
+    assert json.loads((out / "manifest.json").read_text())["config"] == expected
+    config = json.loads((out / "run_manifest.json").read_text())["config"]
+    assert {k: config[k] for k in expected} == expected
 
 
 def test_gen_rerun_identical_hashes(tmp_path, capsys):
@@ -495,7 +506,7 @@ def test_help_lists_subcommands(capsys):
     "flag, value, message",
     [
         pytest.param(flag, "0", "must be >= 1, got 0", id=flag)
-        for flag in ("--jobs", "--search-count", "--train-count", "--val-count", "--epochs")
+        for flag in ("--search-count", "--train-count", "--val-count", "--epochs")
     ]
     + [
         pytest.param("--val-count", "x", "must be an integer >= 1, got 'x'", id="--val-count=x"),

@@ -15,20 +15,22 @@ from cadorder.features import brown_features, selected_triplet
 from cadorder.heuristics import (
     MAX_EXPLICIT_LAYER,
     BaseWeightError,
-    FeatureMatrix,
     HeuristicNetwork,
     Ordering,
     check_equivalence,
     feature_matrix,
-    layer1_forward,
+    layer1_scores,
+    layer2_backward,
     layer2_scores,
     lex_order,
     nn_order,
     order_by_scores,
     parse_ordering,
     permutation_weights,
+    radix_weights,
     select_base_weight,
     _order_scores,
+    _rank,
     _unrank,
 )
 from cadorder.polyset import (
@@ -79,16 +81,20 @@ def test_lex_order_examples(problem_a, problem_b):
     triplet = brown_features()
     assert lex_order(feature_matrix(triplet, problem_b)).names(problem_b) == "x>y>z"
     assert lex_order(feature_matrix(triplet, problem_a)).names(problem_a) == "x>z>y"
-    tied = FeatureMatrix(((1, 1, 1), (1, 1, 1), (1, 1, 1)))
+    tied = ((1, 1, 1), (1, 1, 1), (1, 1, 1))
     assert lex_order(tied).perm == (0, 1, 2)
 
 
 def test_layer1_forward_examples(problem_a, problem_b):
     net = HeuristicNetwork(brown_features(), 5)
-    assert layer1_forward(net, feature_matrix(net.triplet, problem_b)) == (92, 62, 36)
-    assert layer1_forward(net, feature_matrix(net.triplet, problem_a)) == (67, 41, 67)
-    zero = FeatureMatrix(((0, 0, 0), (0, 0, 0)))
-    assert layer1_forward(net, zero) == (0, 0)
+    assert net.layer1 == radix_weights(5) == (25, 5, 1)
+    assert layer1_scores(net.layer1, feature_matrix(net.triplet, problem_b)) == [92, 62, 36]
+    assert layer1_scores(net.layer1, feature_matrix(net.triplet, problem_a)) == [67, 41, 67]
+    assert layer1_scores(net.layer1, ((0, 0, 0), (0, 0, 0))) == [0, 0]
+    # Exact on Fractions: no float creeps in.
+    y = layer1_scores(net.layer1, ((Fraction(1, 3), 2, Fraction(1, 2)),))
+    assert y == [Fraction(1, 3) * 25 + 10 + Fraction(1, 2)]
+    assert type(y[0]) is Fraction
 
 
 def test_layer2_scores_examples():
@@ -187,6 +193,40 @@ def test_argmax_neuron_equals_sort_at_n8_with_ties(seed):
 def test_unrank_is_lexicographic_permutation_order():
     for n in range(7):
         assert [_unrank(n, k) for k in range(math.factorial(n))] == list(permutations(range(n)))
+        assert [_rank(_unrank(n, k)) for k in range(math.factorial(n))] == list(range(math.factorial(n)))
+
+
+def _backward_per_neuron(n, dscores, zero):
+    """d y_v accumulated neuron by neuron over ``permutation_weights``, from ``zero``."""
+    dy = [zero] * n
+    for k, (_, weights) in enumerate(permutation_weights(n)):
+        for v in range(n):
+            dy[v] += dscores[k] * weights[v]
+    return dy
+
+
+def _bits(values):
+    """Values with each float as its hex form, so signed zeros and last bits compare."""
+    return [(type(x), x.hex() if isinstance(x, float) else x) for x in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(_LAYER2_VALUES)).flatmap(
+        lambda kind: st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.just(kind),
+                st.just(n),
+                st.lists(_LAYER2_VALUES[kind], min_size=math.factorial(n),
+                         max_size=math.factorial(n)),
+            )
+        )
+    )
+)
+def test_layer2_backward_equals_per_neuron_loop(case):
+    kind, n, dscores = case
+    expected = _backward_per_neuron(n, dscores, 0.0 if kind == "float" else 0)
+    assert _bits(layer2_backward(n, dscores)) == _bits(expected)
 
 
 def test_check_does_not_build_permutation_weights():
@@ -296,8 +336,7 @@ def test_argmax_scale_invariance(pr, scale):
     triplet = brown_features()
     w = select_base_weight([pr], triplet)
     net = HeuristicNetwork(triplet, w)
-    fm = feature_matrix(triplet, pr)
-    y = layer1_forward(net, fm)
+    y = layer1_scores(net.layer1, feature_matrix(triplet, pr))
     scaled = tuple(scale * yv for yv in y)
     assert order_by_scores(y).perm == order_by_scores(scaled).perm
     scores = layer2_scores(scaled)
@@ -313,11 +352,11 @@ def test_monotone_dominance(pr):
     triplet = brown_features()
     w = select_base_weight([pr], triplet)
     net = HeuristicNetwork(triplet, w)
-    fm = feature_matrix(triplet, pr)
-    y = layer1_forward(net, fm)
+    rows = feature_matrix(triplet, pr)
+    y = layer1_scores(net.layer1, rows)
     for v in range(pr.n_vars):
         for u in range(pr.n_vars):
-            if fm.rows[v] > fm.rows[u]:
+            if rows[v] > rows[u]:
                 assert y[v] > y[u]
 
 
@@ -326,10 +365,10 @@ def test_monotone_dominance(pr):
 def test_selected_weight_is_minimal(pr):
     triplet = brown_features()
     w = select_base_weight([pr], triplet)
-    top = feature_matrix(triplet, pr).max_value()
+    top = max(map(max, feature_matrix(triplet, pr)))
     assert all(
         value < w - 1
-        for row in feature_matrix(triplet, pr).rows
+        for row in feature_matrix(triplet, pr)
         for value in row
     )
     if top >= 1:

@@ -23,7 +23,7 @@ from cadorder.features import (
     enumerate_descriptors,
     selected_triplet,
 )
-from cadorder.heuristics import FeatureMatrix, feature_matrix, lex_order, parse_ordering
+from cadorder.heuristics import feature_matrix, lex_order, parse_ordering
 from cadorder.search import (
     _dense_ranks,
     dataset_digest,
@@ -152,8 +152,8 @@ _values = st.one_of(
 def test_dense_rank_rows_order_as_value_rows(columns):
     # Each column ranked within itself, as the search ranks a descriptor
     # within a problem; small value ranges make ties common.
-    values = FeatureMatrix(tuple(zip(*columns)))
-    ranked = FeatureMatrix(tuple(zip(*(_dense_ranks(col) for col in columns))))
+    values = tuple(zip(*columns))
+    ranked = tuple(zip(*(_dense_ranks(col) for col in columns)))
     assert lex_order(ranked) == lex_order(values)
 
 

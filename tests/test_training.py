@@ -9,7 +9,6 @@ from cadorder.costmodel import SyntheticCostModel
 from cadorder.datagen import GenConfig, random_dataset, random_problem
 from cadorder.features import brown_features, selected_triplet
 from cadorder.heuristics import (
-    FeatureMatrix,
     HeuristicNetwork,
     Ordering,
     feature_matrix,
@@ -74,6 +73,15 @@ def test_argmax_matches_frozen_network_path():
         soft = TrainableNetwork.brown_init(triplet, base_weight=w)
         probs = forward_soft(soft, feature_matrix(triplet, pr))
         assert perms[max(range(6), key=probs.__getitem__)] == frozen.perm
+
+
+@pytest.mark.parametrize("w", [2, 5, 30])
+def test_brown_init_is_the_frozen_radix_layer(w):
+    net = TrainableNetwork.brown_init(brown_features(), base_weight=w)
+    assert net.weights == list(map(float, HeuristicNetwork(brown_features(), w).layer1))
+    assert all(type(x) is float for x in net.weights)
+    if w == 2:
+        assert net.weights == [4.0, 2.0, 1.0]
 
 
 def test_brown_frozen_weights_prefer_lexicographic_ordering(problem_b):
@@ -161,7 +169,7 @@ def test_gradient_norm_shrinks_as_confidence_grows(problem_b):
 def test_gradient_zero_on_fully_tied_batch():
     # All feature rows equal: every neuron scores the same, so each target
     # contributes a gradient that cancels exactly.
-    fm = FeatureMatrix(((2, 3, 1), (2, 3, 1), (2, 3, 1)))
+    fm = ((2, 3, 1), (2, 3, 1), (2, 3, 1))
     batch = [(fm, Ordering(p)) for p in permutations(range(3))]
     g = gradient(_net([0.7, -1.2, 0.4]), batch)
     assert all(abs(x) <= 1e-8 for x in g)
@@ -243,7 +251,7 @@ def test_feature_scale_fits_training_maxima():
     matrices = [feature_matrix(TRIPLET, pr) for pr in problems]
     scale = fit_feature_scale(matrices)
     for i in range(3):
-        top = max(float(fm.rows[v][i]) for fm in matrices for v in range(3))
+        top = max(float(fm[v][i]) for fm in matrices for v in range(3))
         assert scale[i] == top
     report = train(
         TrainableNetwork.brown_init(TRIPLET),

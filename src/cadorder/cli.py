@@ -42,16 +42,15 @@ from .features import (
     selected_triplet,
 )
 from .heuristics import (
-    HeuristicNetwork,
+    base_weight,
     check_equivalence,
     feature_matrix,
-    layer1_scores,
     lex_order,
-    nn_order,
-    select_base_weight,
+    order_by_scores,
+    radix_scores,
 )
 from .search import search_triplets
-from .training import TrainableNetwork, TrainConfig, save_checkpoint, train
+from .training import INIT_WEIGHT, TrainableNetwork, TrainConfig, save_checkpoint, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,6 +58,9 @@ EXIT_DATA = 2
 EXIT_VIOLATION = 3
 
 DATA_ERRORS = (MissingRecordError, SolverError, ValueError, OSError)
+
+# A command whose output is a directory writes its manifest inside it.
+RUN_MANIFEST = "run_manifest.json"
 
 
 class UsageError(Exception):
@@ -83,12 +85,13 @@ def _positive_int(text: str) -> int:
 
 
 def _sha256_path(path: Path) -> str | None:
+    """Digest of a file, or of a directory's files except the run manifests written into it."""
     if path.is_file():
         return hashlib.sha256(path.read_bytes()).hexdigest()
     if path.is_dir():
         h = hashlib.sha256()
         for f in sorted(path.rglob("*")):
-            if f.is_file():
+            if f.is_file() and f.name != RUN_MANIFEST:
                 h.update(f.name.encode())
                 h.update(f.read_bytes())
         return h.hexdigest()
@@ -106,7 +109,7 @@ def _write_manifest(command: str, args, inputs, outputs, started: float) -> None
     }
     outputs = list(outputs)
     first = Path(outputs[0])
-    target = first / "run_manifest.json" if first.is_dir() else first.with_name(first.name + ".manifest.json")
+    target = first / RUN_MANIFEST if first.is_dir() else first.with_name(first.name + ".manifest.json")
     write_text(target, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -196,9 +199,8 @@ def cmd_order(args) -> int:
     triplet = _load_triplet(args.heuristic)
     rows = feature_matrix(triplet, pr)
     if args.heuristic == "nn":
-        w = select_base_weight([pr], triplet)
-        net = HeuristicNetwork(tuple(triplet), w)
-        ordering = nn_order(net, pr)
+        y = radix_scores(rows, base_weight(rows), pr.id)
+        ordering = order_by_scores(y)
     else:
         ordering = lex_order(rows)
     if args.reverse:
@@ -207,7 +209,7 @@ def cmd_order(args) -> int:
         for v, row in enumerate(rows):
             print(f"{pr.variables[v].name}: features = {tuple(str(x) for x in row)}")
         if args.heuristic == "nn":
-            for name, yv in zip(pr.var_names, layer1_scores(net.layer1, rows)):
+            for name, yv in zip(pr.var_names, y):
                 print(f"{name}: y = {yv}")
     print(ordering.names(pr))
     if args.out:
@@ -340,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--temperature", type=float, default=TrainConfig.softmax_temperature)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p.add_argument("--init-weight", type=float, default=30.0)
+    p.add_argument("--init-weight", type=float, default=INIT_WEIGHT)
     p.add_argument("--no-normalize", action="store_true", help="train on raw feature values")
     p.add_argument("--validate-per-batch", action="store_true")
     p.add_argument("--out", required=True, help="output path prefix")

@@ -341,21 +341,25 @@ def descriptor_from_record(record: dict) -> FeatureDescriptor:
     return FeatureDescriptor(Kernel[kernel], tuple(Agg(v) for v in stages))
 
 
-def load_descriptors(path: str | Path) -> list[FeatureDescriptor]:
-    """Descriptors of a JSON list of records; a ValueError names the file and record."""
-    try:
-        records = json.loads(Path(path).read_text())
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+def descriptors_from_records(records) -> list[FeatureDescriptor]:
+    """Descriptors of a list of records; a ValueError names the bad record."""
     if not isinstance(records, list):
-        raise ValueError(f"{path}: expected a list of descriptor records")
+        raise ValueError("expected a list of descriptor records")
     descriptors = []
     for i, record in enumerate(records):
         try:
             descriptors.append(descriptor_from_record(record))
         except ValueError as e:
-            raise ValueError(f"{path}: record {i}: {e}") from None
+            raise ValueError(f"record {i}: {e}") from None
     return descriptors
+
+
+def load_descriptors(path: str | Path) -> list[FeatureDescriptor]:
+    """Descriptors of a JSON list of records; a ValueError names the file and record."""
+    try:
+        return descriptors_from_records(json.loads(Path(path).read_text()))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def load_feature_set(path: str | Path) -> FeatureSet:

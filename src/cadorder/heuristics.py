@@ -18,7 +18,10 @@ with tied values, rounding can make nominally equal neuron scores
 differ, so the argmax neuron may name another of the tied orderings.
 
 Every layer of the network is defined here, once; training reuses them
-with trainable first-layer weights.  Production code orders by the sort
+with trainable first-layer weights.  The frozen network's first layer is
+evaluated in one function, ``radix_scores``: it checks the weight
+condition and returns y, for ``check_equivalence`` and for the CLI's
+``order --heuristic nn``.  Production code orders by the sort
 (``lex_order``, ``order_by_scores``).  The explicit n! output layer
 (``layer2_scores``) is the reference that ``check_equivalence`` compares
 against, and the layer that training relaxes to a softmax; its gradient
@@ -42,12 +45,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations
 from operator import add, itemgetter, mul
 
-from .features import FeatureDescriptor, brown_features, eval_kernel, apply_pipeline
+from .features import brown_features, eval_kernel, apply_pipeline
 from .polyset import ProblemInstance
 
 # The factorial output layer is only materialized up to this many variables;
@@ -131,42 +133,18 @@ def layer1_scores(weights, rows) -> list:
     return [sum(map(mul, weights, row)) for row in rows]
 
 
-def select_base_weight(dataset, triplet) -> int:
-    """Smallest integer w with every feature value of the dataset below w - 1.
+def radix_scores(rows, w: int, problem_id) -> list:
+    """First-layer scores of the frozen network with base weight ``w``.
 
-    For integer-valued features this is (max value) + 2.  Fractional
-    (average-based) values still satisfy the strict bound with
-    floor(max) + 2, but the unit gap the dominance argument needs may not
-    hold; a warning flags that case.
+    Raises BaseWeightError unless every feature value is below w - 1, the
+    condition under which comparing scores is comparing rows.
     """
-    rows = [row for pr in dataset for row in feature_matrix(triplet, pr)]
-    if not rows:
-        raise ValueError("dataset must be nonempty")
-    if any(isinstance(x, Fraction) and x.denominator != 1 for row in rows for x in row):
-        import warnings
-
-        warnings.warn(
-            "fractional feature values: base weight guarantees the strict bound "
-            "but not the unit gap; lexicographic comparison stays authoritative",
-            stacklevel=2,
-        )
-    return base_weight(rows)
-
-
-@dataclass(frozen=True)
-class HeuristicNetwork:
-    """Frozen two-layer network equivalent to lexicographic triplet ordering."""
-
-    triplet: tuple[FeatureDescriptor, FeatureDescriptor, FeatureDescriptor]
-    base_weight: int
-
-    def __post_init__(self):
-        if self.base_weight < 2:
-            raise ValueError("base weight must be at least 2")
-
-    @property
-    def layer1(self) -> tuple[int, int, int]:
-        return radix_weights(self.base_weight)
+    bound = w - 1
+    for v, row in enumerate(rows):
+        for i, value in enumerate(row):
+            if not value < bound:
+                raise BaseWeightError(problem_id, v, i, value, w)
+    return layer1_scores(radix_weights(w), rows)
 
 
 def _neurons(n: int):
@@ -304,24 +282,6 @@ def lex_order(rows) -> Ordering:
     return order_by_scores(rows)
 
 
-def _check_weight(rows, w: int, pr: ProblemInstance) -> None:
-    bound = w - 1
-    for v, row in enumerate(rows):
-        for i, value in enumerate(row):
-            if not value < bound:
-                raise BaseWeightError(pr.id, v, i, value, w)
-
-
-def nn_order(net: HeuristicNetwork, pr: ProblemInstance) -> Ordering:
-    """Ordering chosen by the network; raises BaseWeightError if w is too small.
-
-    The argmax neuron is found by sorting y, which picks the same neuron.
-    """
-    rows = feature_matrix(net.triplet, pr)
-    _check_weight(rows, net.base_weight, pr)
-    return order_by_scores(layer1_scores(net.layer1, rows))
-
-
 @dataclass
 class EquivalenceReport:
     total: int
@@ -351,11 +311,10 @@ def check_equivalence(dataset, triplet=None, force_w: int | None = None, jobs: i
         rows = feature_matrix(triplet, pr)
         w = force_w if force_w is not None else base_weight(rows)
         try:
-            _check_weight(rows, w, pr)
+            y = radix_scores(rows, w, pr.id)
         except BaseWeightError as e:
             violations.append({"problem_id": pr.id, "w": w, "error": str(e)})
             continue
-        y = layer1_scores(radix_weights(w), rows)
         nn = _order_scores(y) if pr.n_vars <= MAX_EXPLICIT_LAYER else order_by_scores(y)
         lex = lex_order(rows)
         if nn != lex:

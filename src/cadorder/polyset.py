@@ -297,13 +297,13 @@ def parse_problem(text: str, problem_id: str | None = None) -> ProblemInstance:
     if not lines:
         raise ParseError("empty problem: no polynomials")
 
-    parsed = [(lineno, _parse_terms(code, lineno, index, has_header)) for lineno, code in lines]
+    parsed = [(lineno, code, _parse_terms(code, lineno, index, has_header)) for lineno, code in lines]
     if not index:
         raise ParseError("problem has no variables")
 
     n = len(index)
     polynomials = []
-    for lineno, terms in parsed:
+    for lineno, code, terms in parsed:
         pairs = []
         for coeff, powers in terms:
             degrees = [0] * n
@@ -313,7 +313,8 @@ def parse_problem(text: str, problem_id: str | None = None) -> ProblemInstance:
         try:
             polynomials.append(Polynomial.from_terms(pairs))
         except ValueError:
-            raise ParseError("zero polynomial", lineno) from None
+            col = len(code) - len(code.lstrip()) + 1  # the line's first token
+            raise ParseError("zero polynomial", lineno, col) from None
     variables = tuple(VariableId(i, name) for name, i in index.items())
     return ProblemInstance(variables, tuple(polynomials), problem_id)
 

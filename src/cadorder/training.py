@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .atomic import write_text
 from .costmodel import CostOracle
-from .features import FeatureDescriptor, descriptor_from_record, descriptor_record
+from .features import FeatureDescriptor, descriptor_record, descriptors_from_records
 from .heuristics import (
     Ordering,
     _rank,
@@ -37,6 +37,9 @@ from .heuristics import (
     radix_weights,
 )
 from .polyset import ProblemInstance
+
+# Default base weight of ``TrainableNetwork.brown_init``'s radix starting point.
+INIT_WEIGHT = 30.0
 
 
 @dataclass
@@ -54,10 +57,9 @@ class TrainableNetwork:
             raise ValueError("feature scales must be positive")
 
     @classmethod
-    def brown_init(cls, triplet, base_weight: float = 30.0, feature_scale=(1.0, 1.0, 1.0)):
+    def brown_init(cls, triplet, base_weight: float = INIT_WEIGHT):
         """Radix-style starting point (w^2, w, 1), the frozen network's layer 1."""
-        weights = list(map(float, radix_weights(float(base_weight))))
-        return cls(tuple(triplet), weights, tuple(feature_scale))
+        return cls(tuple(triplet), list(map(float, radix_weights(float(base_weight)))))
 
     def scaled_rows(self, rows) -> list[tuple[float, float, float]]:
         s = self.feature_scale
@@ -121,7 +123,7 @@ def gradient(net: TrainableNetwork, batch, temperature: float = 1.0) -> list[flo
 class AdamOptimizer:
     """Adaptive-moment gradient descent with bias correction."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float, beta1: float, beta2: float, eps: float):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -340,6 +342,15 @@ def save_checkpoint(path: str | Path, report: TrainReport, triplet) -> None:
 
 
 def load_checkpoint(path: str | Path) -> TrainableNetwork:
-    payload = json.loads(Path(path).read_text())
-    triplet = tuple(descriptor_from_record(r) for r in payload["triplet"])
-    return TrainableNetwork(triplet, list(payload["weights"]), tuple(payload["feature_scale"]))
+    """The network a checkpoint holds; a ValueError names the file and what is wrong."""
+    try:
+        payload = json.loads(Path(path).read_text())
+        if not isinstance(payload, dict):
+            raise ValueError("expected a checkpoint object")
+        for key in ("triplet", "weights", "feature_scale"):
+            if key not in payload:
+                raise ValueError(f"checkpoint has no {key!r}")
+        triplet = tuple(descriptors_from_records(payload["triplet"]))
+        return TrainableNetwork(triplet, list(payload["weights"]), tuple(payload["feature_scale"]))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -25,13 +25,15 @@ from cadorder.features import (
     selected_triplet,
 )
 from cadorder.heuristics import (
+    BaseWeightError,
+    base_weight,
     check_equivalence,
     feature_matrix,
     layer2_scores,
     lex_order,
     order_by_scores,
     permutation_weights,
-    select_base_weight,
+    radix_scores,
 )
 from cadorder.polyset import parse_problem
 from cadorder.search import enumerate_triplets, search_triplets
@@ -84,14 +86,14 @@ def test_c02_selected_weight_is_sharp():
         triplet = brown_features()
         for pr in random_dataset(GenConfig(seed=1), 1_000):
             fm = feature_matrix(triplet, pr)
-            w = select_base_weight([pr], triplet)
-            top = max(map(max, fm))
-            assert all(value < w - 1 for row in fm for value in row)
-            if top >= 1:
-                shrunk = w - 1
-                assert not all(
-                    value < shrunk - 1 for row in fm for value in row
-                ), f"w={w} not minimal on {pr.id}"
+            w = base_weight(fm)
+            radix_scores(fm, w, pr.id)  # every value is below w - 1
+            if max(map(max, fm)) >= 1:
+                try:
+                    radix_scores(fm, w - 1, pr.id)
+                except BaseWeightError:
+                    continue
+                raise AssertionError(f"w={w} not minimal on {pr.id}")
 
 
 def test_c03_argmax_neuron_equals_descending_sort():

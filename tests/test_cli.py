@@ -70,6 +70,23 @@ def test_gen_rerun_identical_hashes(tmp_path, capsys):
     assert [f["sha256"] for f in ma["files"]] == [f["sha256"] for f in mb["files"]]
 
 
+def test_input_digest_skips_run_manifest(tmp_path, capsys):
+    """Identical data has one input digest, whatever run manifest gen left beside it."""
+
+    def digest(data):
+        out = tmp_path / f"check-{data.name}.json"
+        assert run(capsys, "check", "--data", str(data), "--out", str(out))[0] == 0
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        return manifest["inputs"][str(data)]
+
+    a, b = tmp_path / "a", tmp_path / "b"
+    for data in (a, b):
+        run(capsys, "gen", "--seed", "0", "--count", "30", "--out", str(data))
+    assert digest(a) == digest(b)
+    (b / "run_manifest.json").unlink()
+    assert digest(a) == digest(b)
+
+
 def test_gen_count_zero_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--count", "0", "--out", str(tmp_path / "x")])

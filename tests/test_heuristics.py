@@ -15,20 +15,19 @@ from cadorder.features import brown_features, selected_triplet
 from cadorder.heuristics import (
     MAX_EXPLICIT_LAYER,
     BaseWeightError,
-    HeuristicNetwork,
     Ordering,
+    base_weight,
     check_equivalence,
     feature_matrix,
     layer1_scores,
     layer2_backward,
     layer2_scores,
     lex_order,
-    nn_order,
     order_by_scores,
     parse_ordering,
     permutation_weights,
+    radix_scores,
     radix_weights,
-    select_base_weight,
     _order_scores,
     _rank,
     _unrank,
@@ -59,22 +58,14 @@ def test_ordering_names_and_parse(problem_a):
             parse_ordering(text, problem_a)
 
 
-def test_select_base_weight_examples(problem_a, problem_b):
+def test_base_weight_examples(problem_a, problem_b):
     triplet = brown_features()
-    assert select_base_weight([problem_a], triplet) == 5
-    assert select_base_weight([problem_b], triplet) == 5
+    assert base_weight(feature_matrix(triplet, problem_a)) == 5
+    assert base_weight(feature_matrix(triplet, problem_b)) == 5
     constant = parse_problem("vars: x\n1")
-    assert select_base_weight([constant], triplet) == 2
-
-
-def test_select_base_weight_warns_on_fractional(problem_a):
-    from cadorder.features import Agg, FeatureDescriptor, Kernel
-
-    av = FeatureDescriptor(Kernel.DEGREE, (Agg.AV_M, Agg.SUM_P, Agg.ID, Agg.ID))
-    triplet = (av, brown_features()[1], brown_features()[2])
-    with pytest.warns(UserWarning, match="fractional"):
-        w = select_base_weight([problem_a], triplet)
-    assert w == 5  # max is still the integer 3 from the other features
+    assert base_weight(feature_matrix(triplet, constant)) == 2
+    # A fractional maximum still gives floor(max) + 2.
+    assert base_weight(((Fraction(7, 2), 3, 1), (0, 0, 0))) == 5
 
 
 def test_lex_order_examples(problem_a, problem_b):
@@ -86,14 +77,17 @@ def test_lex_order_examples(problem_a, problem_b):
 
 
 def test_layer1_forward_examples(problem_a, problem_b):
-    net = HeuristicNetwork(brown_features(), 5)
-    assert net.layer1 == radix_weights(5) == (25, 5, 1)
-    assert layer1_scores(net.layer1, feature_matrix(net.triplet, problem_b)) == [92, 62, 36]
-    assert layer1_scores(net.layer1, feature_matrix(net.triplet, problem_a)) == [67, 41, 67]
-    assert layer1_scores(net.layer1, ((0, 0, 0), (0, 0, 0))) == [0, 0]
+    layer1 = radix_weights(5)
+    assert layer1 == (25, 5, 1)
+    rows_b = feature_matrix(brown_features(), problem_b)
+    assert layer1_scores(layer1, rows_b) == radix_scores(rows_b, 5, "b") == [92, 62, 36]
+    rows_a = feature_matrix(brown_features(), problem_a)
+    assert layer1_scores(layer1, rows_a) == radix_scores(rows_a, 5, "a") == [67, 41, 67]
+    assert layer1_scores(layer1, ((0, 0, 0), (0, 0, 0))) == [0, 0]
     # Exact on Fractions: no float creeps in.
-    y = layer1_scores(net.layer1, ((Fraction(1, 3), 2, Fraction(1, 2)),))
-    assert y == [Fraction(1, 3) * 25 + 10 + Fraction(1, 2)]
+    rows = ((Fraction(1, 3), 2, Fraction(1, 2)),)
+    y = layer1_scores(layer1, rows)
+    assert y == radix_scores(rows, 5, "f") == [Fraction(1, 3) * 25 + 10 + Fraction(1, 2)]
     assert type(y[0]) is Fraction
 
 
@@ -237,21 +231,25 @@ def test_check_does_not_build_permutation_weights():
     assert permutation_weights.cache_info().currsize == 0
 
 
+def _nn_order(triplet, pr, w=None):
+    """The frozen network's ordering of ``pr``, at the minimal base weight unless given."""
+    rows = feature_matrix(triplet, pr)
+    return order_by_scores(radix_scores(rows, base_weight(rows) if w is None else w, pr.id))
+
+
 def test_nn_order_examples(problem_a, problem_b):
-    net = HeuristicNetwork(brown_features(), 5)
-    assert nn_order(net, problem_b).names(problem_b) == "x>y>z"
-    assert nn_order(net, problem_a).names(problem_a) == "x>z>y"
+    assert _nn_order(brown_features(), problem_b, 5).names(problem_b) == "x>y>z"
+    assert _nn_order(brown_features(), problem_a, 5).names(problem_a) == "x>z>y"
     single = parse_problem("vars: x\nx^2 + 1")
-    net1 = HeuristicNetwork(brown_features(), select_base_weight([single], brown_features()))
-    assert nn_order(net1, single).perm == (0,)
+    assert _nn_order(brown_features(), single).perm == (0,)
 
 
 def test_nn_order_rejects_undersized_weight(problem_b):
-    net = HeuristicNetwork(brown_features(), 2)
     with pytest.raises(BaseWeightError) as err:
-        nn_order(net, problem_b)
+        _nn_order(brown_features(), problem_b, 2)
     assert err.value.value == 3
     assert err.value.w == 2
+    assert err.value.problem_id == "b"
 
 
 def test_check_equivalence_hand_instances(problem_a, problem_b, problem_c):
@@ -283,18 +281,15 @@ def test_check_equivalence_force_w_reports_violation(problem_b):
 @given(problem_instances(min_vars=1, max_vars=4), st.sampled_from(["brown", "selected"]))
 def test_equivalence_property(pr, which):
     triplet = brown_features() if which == "brown" else selected_triplet()
-    w = select_base_weight([pr], triplet)
-    net = HeuristicNetwork(triplet, w)
-    assert nn_order(net, pr).perm == lex_order(feature_matrix(triplet, pr)).perm
+    assert _nn_order(triplet, pr).perm == lex_order(feature_matrix(triplet, pr)).perm
 
 
 @settings(max_examples=100, deadline=None)
 @given(problem_instances(min_vars=2, max_vars=3), st.integers(0, 20))
 def test_equivalence_holds_for_any_admissible_w(pr, slack):
     triplet = brown_features()
-    w = select_base_weight([pr], triplet) + slack
-    net = HeuristicNetwork(triplet, w)
-    assert nn_order(net, pr).perm == lex_order(feature_matrix(triplet, pr)).perm
+    rows = feature_matrix(triplet, pr)
+    assert _nn_order(triplet, pr, base_weight(rows) + slack).perm == lex_order(rows).perm
 
 
 def _rational_vectors(max_n=4):
@@ -333,15 +328,13 @@ def test_rearrangement_with_forced_ties(y, i, j):
     st.fractions(min_value=Fraction(1, 7), max_value=9, max_denominator=7),
 )
 def test_argmax_scale_invariance(pr, scale):
-    triplet = brown_features()
-    w = select_base_weight([pr], triplet)
-    net = HeuristicNetwork(triplet, w)
-    y = layer1_scores(net.layer1, feature_matrix(triplet, pr))
+    rows = feature_matrix(brown_features(), pr)
+    y = radix_scores(rows, base_weight(rows), pr.id)
     scaled = tuple(scale * yv for yv in y)
     assert order_by_scores(y).perm == order_by_scores(scaled).perm
     scores = layer2_scores(scaled)
     best = max(range(len(scores)), key=lambda i: (scores[i], -i))
-    assert [p for p, _ in permutation_weights(pr.n_vars)][best] == nn_order(net, pr).perm
+    assert [p for p, _ in permutation_weights(pr.n_vars)][best] == order_by_scores(y).perm
 
 
 @settings(max_examples=150, deadline=None)
@@ -349,11 +342,8 @@ def test_argmax_scale_invariance(pr, scale):
 def test_monotone_dominance(pr):
     # If a row strictly beats another at the first differing feature and the
     # weight condition holds, its first-layer score is strictly larger.
-    triplet = brown_features()
-    w = select_base_weight([pr], triplet)
-    net = HeuristicNetwork(triplet, w)
-    rows = feature_matrix(triplet, pr)
-    y = layer1_scores(net.layer1, rows)
+    rows = feature_matrix(brown_features(), pr)
+    y = radix_scores(rows, base_weight(rows), pr.id)
     for v in range(pr.n_vars):
         for u in range(pr.n_vars):
             if rows[v] > rows[u]:
@@ -363,18 +353,16 @@ def test_monotone_dominance(pr):
 @settings(max_examples=100, deadline=None)
 @given(problem_instances(min_vars=1, max_vars=3))
 def test_selected_weight_is_minimal(pr):
-    triplet = brown_features()
-    w = select_base_weight([pr], triplet)
-    top = max(map(max, feature_matrix(triplet, pr)))
-    assert all(
-        value < w - 1
-        for row in feature_matrix(triplet, pr)
-        for value in row
-    )
-    if top >= 1:
-        assert not top < (w - 1) - 1
+    rows = feature_matrix(brown_features(), pr)
+    w = base_weight(rows)
+    radix_scores(rows, w, pr.id)  # every value is below w - 1
+    if max(map(max, rows)) >= 1:
+        with pytest.raises(BaseWeightError):
+            radix_scores(rows, w - 1, pr.id)
 
 
-def test_base_weight_must_be_sane():
-    with pytest.raises(ValueError):
-        HeuristicNetwork(brown_features(), 1)
+def test_base_weight_must_be_sane(problem_b):
+    # Feature values are never negative, so no w below 2 passes the condition.
+    for rows in (feature_matrix(brown_features(), problem_b), ((0, 0, 0),)):
+        with pytest.raises(BaseWeightError):
+            radix_scores(rows, 1, "b")

@@ -99,6 +99,12 @@ def test_comments_and_blank_lines():
                      "integer literal too long (5000 digits) (line 2, col 1)", id="long-coefficient"),
         pytest.param("vars: x\nx^" + "1" * 5000,
                      "integer literal too long (5000 digits) (line 2, col 3)", id="long-exponent"),
+        # A polynomial whose terms cancel is placed at the line's first token.
+        pytest.param("vars: x\n  x - x", "zero polynomial (line 2, col 3)", id="zero-polynomial-col"),
+        pytest.param("vars: x,y\n0\n\t0*y", "zero polynomial (line 2, col 1)",
+                     id="zero-polynomial-first-col"),
+        pytest.param("vars: x,y\nx\n\ty - y  # gone", "zero polynomial (line 3, col 2)",
+                     id="zero-polynomial-tab-col"),
         # Header names and unknown variables are placed at the name.
         pytest.param("vars: x\nx + w", "unknown variable 'w' (line 2, col 5)", id="unknown-variable-col"),
         pytest.param("vars: x\n  3*x*w^2", "unknown variable 'w' (line 2, col 7)",

@@ -9,11 +9,12 @@ from cadorder.costmodel import SyntheticCostModel
 from cadorder.datagen import GenConfig, random_dataset, random_problem
 from cadorder.features import brown_features, selected_triplet
 from cadorder.heuristics import (
-    HeuristicNetwork,
     Ordering,
+    base_weight,
     feature_matrix,
-    nn_order,
-    select_base_weight,
+    order_by_scores,
+    radix_scores,
+    radix_weights,
 )
 from cadorder.training import (
     AdamOptimizer,
@@ -68,17 +69,18 @@ def test_argmax_matches_frozen_network_path():
     perms = list(permutations(range(3)))
     for index in range(1000):
         pr = random_problem(GenConfig(seed=13), index)
-        w = select_base_weight([pr], triplet)
-        frozen = nn_order(HeuristicNetwork(triplet, w), pr)
+        rows = feature_matrix(triplet, pr)
+        w = base_weight(rows)
+        frozen = order_by_scores(radix_scores(rows, w, pr.id))
         soft = TrainableNetwork.brown_init(triplet, base_weight=w)
-        probs = forward_soft(soft, feature_matrix(triplet, pr))
+        probs = forward_soft(soft, rows)
         assert perms[max(range(6), key=probs.__getitem__)] == frozen.perm
 
 
 @pytest.mark.parametrize("w", [2, 5, 30])
 def test_brown_init_is_the_frozen_radix_layer(w):
     net = TrainableNetwork.brown_init(brown_features(), base_weight=w)
-    assert net.weights == list(map(float, HeuristicNetwork(brown_features(), w).layer1))
+    assert net.weights == list(map(float, radix_weights(w)))
     assert all(type(x) is float for x in net.weights)
     if w == 2:
         assert net.weights == [4.0, 2.0, 1.0]
@@ -181,10 +183,11 @@ def test_adam_single_step_hand_computed(problem_b):
     init = [2.0, -1.0, 0.5]
     lr = 0.1
 
+    cfg = TrainConfig()
     g = gradient(TrainableNetwork(TRIPLET, list(init), (1.0, 1.0, 1.0)), [(fm, target)])
-    expected = [w - lr * gi / (abs(gi) + 1e-8) for w, gi in zip(init, g)]
+    expected = [w - lr * gi / (abs(gi) + cfg.epsilon) for w, gi in zip(init, g)]
 
-    opt = AdamOptimizer(lr)
+    opt = AdamOptimizer(lr, cfg.beta1, cfg.beta2, cfg.epsilon)
     weights = list(init)
     opt.step(weights, g)
     assert weights == pytest.approx(expected, rel=1e-12)
@@ -341,6 +344,26 @@ def test_checkpoint_round_trip(tmp_path):
     assert net.triplet == TRIPLET
     assert net.weights == report.final_weights
     assert net.feature_scale == tuple(report.feature_scale)
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        pytest.param('{"weights": [1, 2, 3], "feature_scale": [1, 1, 1]}',
+                     "checkpoint has no 'triplet'", id="no-triplet"),
+        pytest.param('{"weights": [1, 2, 3], "trip', "Unterminated string", id="truncated"),
+        pytest.param('{"weights": [1, 2, 3], "feature_scale": [1, 1, 1], '
+                     '"triplet": [{"kernel": "FOO", "pipeline": []}]}',
+                     "record 0: kernel: unknown kernel 'FOO'", id="bad-descriptor"),
+    ],
+)
+def test_bad_checkpoint_names_its_file(tmp_path, text, fragment):
+    path = tmp_path / "weights.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert fragment in str(err.value)
 
 
 def test_config_validation():

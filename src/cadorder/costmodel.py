@@ -122,10 +122,8 @@ def load_timing_table(
 
 def _per_poly_max_degrees(pr: ProblemInstance) -> list[int]:
     """m_v = sum over polynomials of the variable's maximum degree in each."""
-    out = []
-    for v in range(pr.n_vars):
-        out.append(sum(max(m.degrees[v] for m in p.monomials) for p in pr.polynomials))
-    return out
+    per_poly = [map(max, zip(*(m.degrees for m in p.monomials))) for p in pr.polynomials]
+    return list(map(sum, zip(*per_poly)))
 
 
 @dataclass(frozen=True)

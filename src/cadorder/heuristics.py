@@ -25,13 +25,18 @@ condition and returns y, for ``check_equivalence`` and for the CLI's
 (``lex_order``, ``order_by_scores``).  The explicit n! output layer
 (``layer2_scores``) is the reference that ``check_equivalence`` compares
 against, and the layer that training relaxes to a softmax; its gradient
-is ``layer2_backward``.  It is summed over shared variable prefixes: each
-score sum_v W[v] * y[v] is added left to right over the variables, and
-the neurons that give variables 0..v the same weights share that partial
-sum.  That takes n(n+1) products and about 2.7 * n! additions (n = 8: 72
-multiplications and 109,592 additions, against 322,560 of each for one
-dot product per neuron).  The gather plan behind it is built once per n
-(about 0.1 s at n = 8 on a 2-core x86-64 host with Python 3.11).
+is ``layer2_backward``.  Training evaluates a mini-batch at a time, in
+column form: ``layer1_columns`` and ``layer2_columns`` take one column
+per variable, holding one value per sample, and add every value as
+``layer1_scores`` and ``layer2_scores`` add it for one sample;
+``layer2_backward`` is column in, column out.  Layer 2 is summed over
+shared variable prefixes: each score sum_v W[v] * y[v] is added left to
+right over the variables, and the neurons that give variables 0..v the
+same weights share that partial sum.  That takes n(n+1) products and
+about 2.7 * n! additions (n = 8: 72 multiplications and 109,592
+additions, against 322,560 of each for one dot product per neuron).
+The gather plan behind it is built once per n (about 0.1 s at n = 8 on a
+2-core x86-64 host with Python 3.11).
 ``check_equivalence`` unranks the argmax neuron in factorial base, so it
 never builds ``permutation_weights(8)`` (40,320 weight vectors, 10.5 MB);
 only ``layer2_backward`` and the tests read that table.
@@ -45,8 +50,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache, reduce
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, repeat
 from operator import add, itemgetter, mul
 
 from .features import brown_features, eval_kernel, apply_pipeline
@@ -131,6 +136,22 @@ def base_weight(rows) -> int:
 def layer1_scores(weights, rows) -> list:
     """First-layer score y_v = sum_i weights[i] * row_v[i] of each row; exact on ints and Fractions."""
     return [sum(map(mul, weights, row)) for row in rows]
+
+
+def layer1_columns(weights, columns) -> list:
+    """Column form of ``layer1_scores`` over a batch of samples with the same n.
+
+    ``columns[v][i]`` holds feature i of variable v, one value per sample;
+    the result holds y_v per sample, added as ``layer1_scores`` adds it:
+    left to right from the int 0 that ``sum`` starts from.
+    """
+    out = []
+    for features in columns:
+        y = repeat(0)
+        for weight, x in zip(weights, features):
+            y = map(add, y, map(mul, repeat(weight), x))
+        out.append(list(y))
+    return out
 
 
 def radix_scores(rows, w: int, problem_id) -> list:
@@ -227,6 +248,21 @@ def layer2_scores(y) -> tuple:
     return tuple(sums)
 
 
+def layer2_columns(y) -> tuple:
+    """Column form of ``layer2_scores`` over a batch of samples with the same n.
+
+    ``y[v]`` holds y_v, one value per sample; the result holds one column
+    of scores per neuron, each added exactly as ``layer2_scores`` adds it.
+    """
+    n = len(y)
+    steps = _layer2_plan(n)
+    products = [list(map(mul, repeat(w), yv)) for yv in y for w in range(n + 1)]
+    sums = tuple(products[1 : n + 1])
+    for parents, terms in steps:
+        sums = tuple([list(map(add, a, b)) for a, b in zip(parents(sums), terms(products))])
+    return sums
+
+
 @lru_cache(maxsize=None)
 def _weight_columns(n: int) -> tuple[tuple[int, ...], ...]:
     """Per variable, the weight each output neuron gives it, in neuron order."""
@@ -236,10 +272,18 @@ def _weight_columns(n: int) -> tuple[tuple[int, ...], ...]:
 def layer2_backward(n: int, dscores) -> list:
     """Gradient of the output layer: d(sum_k dscores[k] * score_k) / d y_v per variable.
 
-    Each variable's weight column dotted with ``dscores``, added left to
-    right in neuron order; exact on Fractions.
+    Column in, column out: ``dscores[k]`` holds one value per sample, and
+    so does each variable's result, its weight column dotted with the
+    sample's ``dscores``, added left to right in neuron order from 0;
+    exact on Fractions.
     """
-    return [reduce(add, map(mul, column, dscores), 0) for column in _weight_columns(n)]
+    out = []
+    for column in _weight_columns(n):
+        dy = repeat(0)
+        for weight, d in zip(column, dscores):
+            dy = list(map(add, dy, map(mul, repeat(weight), d)))
+        out.append(dy)
+    return out
 
 
 def _rank(perm) -> int:

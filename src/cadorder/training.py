@@ -8,6 +8,13 @@ Weights are three scalars shared across variables; the permutation output
 layer stays fixed.  Gradients are analytic; the optimizer is the standard
 adaptive-moment scheme (bias-corrected first and second moment estimates).
 
+Each mini-batch is computed column-wise (``_loss_and_gradient``): its
+samples are grouped by n, and each network term is one column over the
+group's samples, built with the column forms of the layers in
+``heuristics``.  The float operations are those of a per-sample pass, in
+the same order, and the per-sample losses and gradient terms are added in
+batch order, so the results equal a per-sample loop bit for bit.
+
 Feature scaling: inputs can be divided by per-feature training-set maxima
 so the three gradient components have comparable size.  Disable it
 (``normalize=False``) to train on raw feature values.
@@ -20,7 +27,9 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, asdict
-from itertools import permutations
+from functools import reduce
+from itertools import groupby, permutations, repeat
+from operator import add, itemgetter, mul, sub, truediv
 from pathlib import Path
 
 from .atomic import write_text
@@ -30,9 +39,10 @@ from .heuristics import (
     Ordering,
     _rank,
     feature_matrix,
+    layer1_columns,
     layer1_scores,
     layer2_backward,
-    layer2_scores,
+    layer2_columns,
     order_by_scores,
     radix_weights,
 )
@@ -40,6 +50,11 @@ from .polyset import ProblemInstance
 
 # Default base weight of ``TrainableNetwork.brown_init``'s radix starting point.
 INIT_WEIGHT = 30.0
+
+# Samples per column in ``_loss_and_gradient``.  It bounds the memory that
+# a large batch (the whole training set, for the epoch-0 loss) holds at
+# once; the results do not depend on it.
+_CHUNK = 64
 
 
 @dataclass
@@ -51,6 +66,8 @@ class TrainableNetwork:
     feature_scale: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
+        if len(self.triplet) != 3:
+            raise ValueError("three feature descriptors required")
         if len(self.weights) != 3 or len(self.feature_scale) != 3:
             raise ValueError("three weights and three scale divisors required")
         if any(s <= 0 for s in self.feature_scale):
@@ -70,38 +87,72 @@ class TrainableNetwork:
         return order_by_scores(layer1_scores(self.weights, self.scaled_rows(rows)))
 
 
-def _softmax(scores: list[float]) -> list[float]:
-    top = max(scores)
-    exps = [math.exp(s - top) for s in scores]
-    z = sum(exps)
-    return [e / z for e in exps]
+def _columns(rows) -> list:
+    """Same-n samples' feature rows as columns: ``[v][i]`` is feature i of variable v."""
+    return [tuple(zip(*var)) for var in zip(*rows)]
 
 
-def _probs(weights, rows, temperature: float) -> list[float]:
-    """Softmax over the permutation neurons for scaled feature rows."""
+def _probabilities(weights, columns, temperature: float) -> list[list[float]]:
+    """Softmax over the permutation neurons, one column per neuron.
+
+    Each column holds one probability per sample; every value is computed
+    with the float operations of a per-sample softmax, in the same order.
+    """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    return _softmax([s / temperature for s in layer2_scores(layer1_scores(weights, rows))])
+    scores = layer2_columns(layer1_columns(weights, columns))
+    scores = [list(map(truediv, s, repeat(temperature))) for s in scores]
+    top = list(map(max, zip(*scores)))
+    exps = [list(map(math.exp, map(sub, s, top))) for s in scores]
+    z = repeat(0)
+    for e in exps:
+        z = list(map(add, z, e))
+    return [list(map(truediv, e, z)) for e in exps]
 
 
 def forward_soft(net: TrainableNetwork, rows, temperature: float = 1.0) -> list[float]:
     """Probability of each permutation neuron, in lexicographic neuron order."""
-    return _probs(net.weights, net.scaled_rows(rows), temperature)
+    columns = _columns([net.scaled_rows(rows)])
+    return [p[0] for p in _probabilities(net.weights, columns, temperature)]
+
+
+def _terms(weights, rows, targets, temperature: float) -> list[list[float]]:
+    """Columns of per-sample cross-entropy and gradient terms, for same-n samples."""
+    columns = _columns(rows)
+    probs = _probabilities(weights, columns, temperature)
+    dscores = [list(map(truediv, p, repeat(temperature))) for p in probs]
+    losses = []
+    for i, target in enumerate(targets):
+        p = probs[target][i]
+        losses.append(-math.log(max(p, 1e-300)))
+        dscores[target][i] = (p - 1.0) / temperature
+    dy = layer2_backward(len(columns), dscores)
+    grads = []
+    for i in range(3):
+        g = repeat(0)
+        for dy_v, features in zip(dy, columns):
+            g = map(add, g, map(mul, dy_v, features[i]))
+        grads.append(list(g))
+    return [losses, *grads]
 
 
 def _loss_and_gradient(weights, batch, temperature: float) -> tuple[float, list[float]]:
-    """Mean cross-entropy and its gradient over (scaled rows, target neuron index) pairs."""
-    total = 0.0
-    grad = [0.0, 0.0, 0.0]
-    for x, target in batch:
-        n = len(x)
-        probs = _probs(weights, x, temperature)
-        total += -math.log(max(probs[target], 1e-300))
-        dscores = [p / temperature for p in probs]
-        dscores[target] = (probs[target] - 1.0) / temperature
-        dy = layer2_backward(n, dscores)
-        for i in range(3):
-            grad[i] += sum(dy[v] * x[v][i] for v in range(n))
+    """Mean cross-entropy and its gradient over (scaled rows, target neuron index) pairs.
+
+    Samples are grouped by n and computed column-wise, at most
+    ``_CHUNK`` at a time; their terms are put back in batch order and
+    added from 0.0, sample by sample.
+    """
+    ns = list(map(len, map(itemgetter(0), batch)))
+    order = sorted(range(len(batch)), key=ns.__getitem__)
+    terms = [[], [], [], []]
+    for start in range(0, len(order), _CHUNK):
+        for _, group in groupby(order[start : start + _CHUNK], key=ns.__getitem__):
+            rows, targets = zip(*map(batch.__getitem__, group))
+            for column, part in zip(terms, _terms(weights, rows, targets, temperature)):
+                column.extend(part)
+    back = sorted(range(len(order)), key=order.__getitem__)
+    total, *grad = (reduce(add, map(column.__getitem__, back), 0.0) for column in terms)
     return total / len(batch), [g / len(batch) for g in grad]
 
 
@@ -350,6 +401,10 @@ def load_checkpoint(path: str | Path) -> TrainableNetwork:
         for key in ("triplet", "weights", "feature_scale"):
             if key not in payload:
                 raise ValueError(f"checkpoint has no {key!r}")
+        for key in ("weights", "feature_scale"):
+            value = payload[key]
+            if not isinstance(value, list) or not all(isinstance(x, (int, float)) for x in value):
+                raise ValueError(f"{key!r} must be a list of numbers")
         triplet = tuple(descriptors_from_records(payload["triplet"]))
         return TrainableNetwork(triplet, list(payload["weights"]), tuple(payload["feature_scale"]))
     except ValueError as e:

@@ -3,7 +3,7 @@ from itertools import permutations
 import pytest
 
 from conftest import problem_instances
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from cadorder.costmodel import (
     CostRecord,
@@ -18,6 +18,7 @@ from cadorder.costmodel import (
 from cadorder.features import selected_triplet, eval_feature
 from cadorder.heuristics import Ordering, feature_matrix, lex_order
 from cadorder.features import brown_features
+from cadorder.polyset import parse_problem
 
 
 def test_synthetic_examples(problem_a):
@@ -46,6 +47,23 @@ def test_synthetic_determinism(problem_a):
     base = SyntheticCostModel(step_base=2.0).cost(problem_a, ordering)
     assert base <= first < 1.5 * base
     assert noisy.cost(problem_a, Ordering((1, 0, 2))) != first
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem_instances(min_vars=1, max_vars=8, max_monomials=3))
+@example(parse_problem("vars: x\nx^3"))
+@example(parse_problem("vars: x,y\nx^2*y\ny^4\n3"))
+@example(parse_problem("vars: a,b,c,d,e,f,g,h\na^2*h\nb*c^3 + d\ne*f*g^2 - h^5"))
+def test_per_poly_max_degrees_equals_per_variable_loop(pr):
+    from cadorder.costmodel import _per_poly_max_degrees
+
+    expected = [
+        sum(max(m.degrees[v] for m in p.monomials) for p in pr.polynomials)
+        for v in range(pr.n_vars)
+    ]
+    result = _per_poly_max_degrees(pr)
+    assert result == expected
+    assert all(type(x) is int for x in result)
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,8 +19,10 @@ from cadorder.heuristics import (
     base_weight,
     check_equivalence,
     feature_matrix,
+    layer1_columns,
     layer1_scores,
     layer2_backward,
+    layer2_columns,
     layer2_scores,
     lex_order,
     order_by_scores,
@@ -204,6 +206,15 @@ def _bits(values):
     return [(type(x), x.hex() if isinstance(x, float) else x) for x in values]
 
 
+def _samples(size, values):
+    """1 to 4 samples, each a list of ``size`` values."""
+    return st.lists(st.lists(values, min_size=size, max_size=size), min_size=1, max_size=4)
+
+
+def _transpose(samples):
+    return [list(column) for column in zip(*samples)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from(sorted(_LAYER2_VALUES)).flatmap(
@@ -211,16 +222,47 @@ def _bits(values):
             lambda n: st.tuples(
                 st.just(kind),
                 st.just(n),
-                st.lists(_LAYER2_VALUES[kind], min_size=math.factorial(n),
-                         max_size=math.factorial(n)),
+                _samples(math.factorial(n), _LAYER2_VALUES[kind]),
             )
         )
     )
 )
 def test_layer2_backward_equals_per_neuron_loop(case):
-    kind, n, dscores = case
-    expected = _backward_per_neuron(n, dscores, 0.0 if kind == "float" else 0)
-    assert _bits(layer2_backward(n, dscores)) == _bits(expected)
+    kind, n, samples = case
+    columns = layer2_backward(n, _transpose(samples))
+    for i, dscores in enumerate(samples):
+        expected = _backward_per_neuron(n, dscores, 0.0 if kind == "float" else 0)
+        assert _bits([column[i] for column in columns]) == _bits(expected)
+
+
+_SIGNED_FLOATS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(lambda n: _samples(n, _SIGNED_FLOATS)),
+)
+def test_layer2_columns_equal_layer2_scores_per_sample(samples):
+    columns = layer2_columns(_transpose(samples))
+    assert len(columns) == math.factorial(len(samples[0]))
+    for i, y in enumerate(samples):
+        assert _bits([column[i] for column in columns]) == _bits(layer2_scores(y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_SIGNED_FLOATS, min_size=3, max_size=3),
+    st.integers(1, 5).flatmap(lambda n: _samples(n, st.tuples(*[_SIGNED_FLOATS] * 3))),
+)
+def test_layer1_columns_add_left_to_right_from_zero(weights, samples):
+    # layer1_scores' sum() up to Python 3.11, spelled out as in _dot_per_neuron.
+    # Rows of -0.0 under weights of either sign give y = 0.0, as sum() does.
+    columns = [_transpose(var) for var in zip(*samples)]
+    ys = layer1_columns(weights, columns)
+    for i, rows in enumerate(samples):
+        expected = [functools.reduce(operator.add, map(operator.mul, weights, row), 0)
+                    for row in rows]
+        assert _bits([y[i] for y in ys]) == _bits(expected)
 
 
 def test_check_does_not_build_permutation_weights():

@@ -1,9 +1,13 @@
 import json
 import math
 import random
+from functools import reduce
 from itertools import permutations
+from operator import add, mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cadorder.costmodel import SyntheticCostModel
 from cadorder.datagen import GenConfig, random_dataset, random_problem
@@ -12,7 +16,9 @@ from cadorder.heuristics import (
     Ordering,
     base_weight,
     feature_matrix,
+    layer2_scores,
     order_by_scores,
+    permutation_weights,
     radix_scores,
     radix_weights,
 )
@@ -22,6 +28,7 @@ from cadorder.training import (
     TrainableNetwork,
     TrainConfig,
     TrainReport,
+    _loss_and_gradient,
     fit_feature_scale,
     forward_soft,
     gradient,
@@ -175,6 +182,76 @@ def test_gradient_zero_on_fully_tied_batch():
     batch = [(fm, Ordering(p)) for p in permutations(range(3))]
     g = gradient(_net([0.7, -1.2, 0.4]), batch)
     assert all(abs(x) <= 1e-8 for x in g)
+
+
+def _sum(values):
+    """``sum()`` of floats up to Python 3.11: left to right from the int 0."""
+    return reduce(add, values, 0)
+
+
+def _per_sample_loss_and_gradient(weights, batch, temperature):
+    """One softmax and one backward pass per sample: what the batch path must equal, bit for bit."""
+    total = 0.0
+    grad = [0.0, 0.0, 0.0]
+    for x, target in batch:
+        n = len(x)
+        y = [_sum(map(mul, weights, row)) for row in x]
+        scores = [s / temperature for s in layer2_scores(y)]
+        top = max(scores)
+        exps = [math.exp(s - top) for s in scores]
+        z = _sum(exps)
+        probs = [e / z for e in exps]
+        total += -math.log(max(probs[target], 1e-300))
+        dscores = [p / temperature for p in probs]
+        dscores[target] = (probs[target] - 1.0) / temperature
+        columns = zip(*(w for _, w in permutation_weights(n)))
+        dy = [_sum(map(mul, column, dscores)) for column in columns]
+        for i in range(3):
+            grad[i] += _sum(dy[v] * x[v][i] for v in range(n))
+    return total / len(batch), [g / len(batch) for g in grad]
+
+
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _training_samples(draw):
+    """(scaled rows, target neuron) with n = 1..5; some samples all (signed) zeros."""
+    n = draw(st.integers(1, 5))
+    value = _SIGNED_ZERO if draw(st.booleans()) else st.one_of(
+        _SIGNED_ZERO, st.floats(-4, 4, allow_nan=False))
+    rows = tuple(tuple(draw(value) for _ in range(3)) for _ in range(n))
+    return rows, draw(st.integers(0, math.factorial(n) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(_SIGNED_ZERO, st.floats(-6, 6, allow_nan=False)), min_size=3, max_size=3),
+    st.lists(_training_samples(), min_size=1, max_size=8),
+    st.sampled_from([0.5, 1.0, 3.0]),
+)
+def test_batch_loss_and_gradient_equal_per_sample_loop(weights, batch, temperature):
+    # Mixed-n batches are computed per n, then summed in batch order: every
+    # bit of the loss and of each gradient component must match the loop.
+    total, grad = _loss_and_gradient(weights, batch, temperature)
+    expected_total, expected_grad = _per_sample_loss_and_gradient(weights, batch, temperature)
+    assert total.hex() == expected_total.hex()
+    assert [g.hex() for g in grad] == [g.hex() for g in expected_grad]
+
+
+def test_batch_longer_than_a_chunk_equals_per_sample_loop():
+    # 200 mixed-n samples span several of the batch path's chunks.
+    rng = random.Random(5)
+    batch = []
+    for _ in range(200):
+        n = rng.choice([1, 2, 3, 3, 4])
+        rows = tuple(tuple(rng.uniform(0, 1) for _ in range(3)) for _ in range(n))
+        batch.append((rows, rng.randrange(math.factorial(n))))
+    weights = [1.5, -2.0, 0.25]
+    total, grad = _loss_and_gradient(weights, batch, 1.0)
+    expected_total, expected_grad = _per_sample_loss_and_gradient(weights, batch, 1.0)
+    assert total.hex() == expected_total.hex()
+    assert [g.hex() for g in grad] == [g.hex() for g in expected_grad]
 
 
 def test_adam_single_step_hand_computed(problem_b):
@@ -355,6 +432,12 @@ def test_checkpoint_round_trip(tmp_path):
         pytest.param('{"weights": [1, 2, 3], "feature_scale": [1, 1, 1], '
                      '"triplet": [{"kernel": "FOO", "pipeline": []}]}',
                      "record 0: kernel: unknown kernel 'FOO'", id="bad-descriptor"),
+        pytest.param('{"weights": 5, "feature_scale": [1, 1, 1], "triplet": []}',
+                     "'weights' must be a list of numbers", id="weights-not-a-list"),
+        pytest.param('{"weights": [1, 2, 3], "feature_scale": "1", "triplet": []}',
+                     "'feature_scale' must be a list of numbers", id="scale-not-a-list"),
+        pytest.param('{"weights": [1, 2, 3], "feature_scale": [1, 1, 1], "triplet": []}',
+                     "three feature descriptors required", id="empty-triplet"),
     ],
 )
 def test_bad_checkpoint_names_its_file(tmp_path, text, fragment):

@@ -7,11 +7,29 @@ degree in that monomial, or its containment sign times the monomial's
 total degree.  Aggregators then reduce the monomial axis, the polynomial
 axis, or both, with elementwise sign/identity allowed anywhere.
 
-All evaluation is exact: integers throughout, `Fraction` once an
-averaging stage divides.  Averages are per the usual per-polynomial
-definitions: av_m divides each polynomial's sum by its own monomial
-count, and av_mp is the mean of the per-polynomial means (not the grand
-mean over all cells).
+Averages are per the usual per-polynomial definitions: av_m divides each
+polynomial's sum by its own monomial count, and av_mp is the mean of the
+per-polynomial means (not the grand mean over all cells).
+
+All evaluation is exact and on plain ints.  Every stage runs on values
+scaled by one positive integer per problem, ``problem_scale(pr)`` =
+D = lcm(monomial counts) * |P|, with |P| the polynomial count, so a
+feature's true value is its scaled value over D.  Multiply the kernel
+table by D; then every value a stage produces is an integer:
+
+* sgn maps to {-D, 0, D}; max and sum keep the scale;
+* av_m divides a row sum of multiples of D by the row's monomial count
+  |p|, which divides D, leaving multiples of D / |p|, still multiples
+  of |P|;
+* so av_p, or av_mp's outer mean, divides exactly by |P|.
+
+Stages use exact integer ``//``, and a ``Fraction`` is built only by
+``eval_feature`` and ``heuristics.feature_matrix``, from the final value.
+Those two scale by D only when a descriptor averages, and by 1
+otherwise.  ``eval_descriptors`` yields the scaled ints: D is the same
+for every variable of a problem, so grouping equal value vectors (dedup)
+and ranking within a problem (search) see the true values' classes and
+ranks.
 
 The monomial axis must be reduced before or together with the polynomial
 axis: the kernel table is ragged (polynomials have different monomial
@@ -24,10 +42,10 @@ one raises, so every descriptor is valid by construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 
 from .atomic import write_text
@@ -61,44 +79,53 @@ _KERNEL_CODE = {k: i for i, k in enumerate(Kernel)}
 _AGG_CODE = {a: i for i, a in enumerate(Agg)}
 
 
-def _sgn(x):
-    return (x > 0) - (x < 0)
+# Stage functions take (value, d): a value scaled by the problem's scale d.
+def _sgn(x, d):
+    return d if x > 0 else -d if x < 0 else 0
 
 
-def _sgn_p(values):
-    return [_sgn(x) for x in values]
+def _sgn_p(values, d):
+    return [d if x > 0 else -d if x < 0 else 0 for x in values]
 
 
-def _sgn_mp(table):
-    return [[_sgn(x) for x in row] for row in table]
+def _sgn_mp(table, d):
+    return [[d if x > 0 else -d if x < 0 else 0 for x in row] for row in table]
 
 
-def _av_p(values):
-    return Fraction(sum(values), len(values))
+def _max_p(values, d):
+    return max(values)
 
 
-def _av_m(table):
-    return [Fraction(sum(row), len(row)) for row in table]
+def _sum_p(values, d):
+    return sum(values)
 
 
-def _av_mp(table):
-    return _av_p(_av_m(table))
+def _av_p(values, d):
+    return sum(values) // len(values)
 
 
-def _max_m(table):
+def _max_m(table, d):
     return list(map(max, table))
 
 
-def _sum_m(table):
+def _sum_m(table, d):
     return list(map(sum, table))
 
 
-def _max_mp(table):
+def _av_m(table, d):
+    return [sum(row) // len(row) for row in table]
+
+
+def _max_mp(table, d):
     return max(map(max, table))
 
 
-def _sum_mp(table):
+def _sum_mp(table, d):
     return sum(map(sum, table))
+
+
+def _av_mp(table, d):
+    return _av_p(_av_m(table, d), d)
 
 
 # Axis states: "mp" = full table, "p" = per-polynomial vector, "" = scalar.
@@ -109,15 +136,20 @@ _TRANSITIONS = {
     "mp": {Agg.MAX_M: ("p", _max_m), Agg.MAX_MP: ("", _max_mp), Agg.SUM_M: ("p", _sum_m),
            Agg.SUM_MP: ("", _sum_mp), Agg.AV_M: ("p", _av_m), Agg.AV_MP: ("", _av_mp),
            Agg.SGN: ("mp", _sgn_mp), Agg.ID: ("mp", None)},
-    "p": {Agg.MAX_P: ("", max), Agg.SUM_P: ("", sum), Agg.AV_P: ("", _av_p),
+    "p": {Agg.MAX_P: ("", _max_p), Agg.SUM_P: ("", _sum_p), Agg.AV_P: ("", _av_p),
           Agg.SGN: ("p", _sgn_p), Agg.ID: ("p", None)},
     "": {Agg.SGN: ("", _sgn), Agg.ID: ("", None)},
 }
 
 
-def _next_state(agg: Agg, state: str) -> str | None:
-    """Axis state after ``agg``, or None when ``agg`` cannot apply in ``state``."""
-    return _TRANSITIONS[state].get(agg, (None,))[0]
+def problem_scale(pr: ProblemInstance) -> int:
+    """D = lcm(monomial counts) * polynomial count: every scaled stage value is an int."""
+    return math.lcm(*[len(p.monomials) for p in pr.polynomials]) * len(pr.polynomials)
+
+
+def _transition(agg: Agg, state: str) -> tuple:
+    """(axis state after ``agg``, its function), or (None, None) when ``agg`` cannot apply."""
+    return _TRANSITIONS[state].get(agg, (None, None))
 
 
 class InvalidDescriptorError(ValueError):
@@ -126,24 +158,36 @@ class InvalidDescriptorError(ValueError):
 
 @dataclass(frozen=True)
 class FeatureDescriptor:
-    """A kernel plus four aggregation stages that reduce each axis exactly once."""
+    """A kernel plus four aggregation stages that reduce each axis exactly once.
+
+    ``stages`` holds the functions of the stages other than ``id``, in
+    order, found in the state table once, at construction; ``averages``
+    says whether one of them is a mean.
+    """
 
     kernel: Kernel
     pipeline: tuple[Agg, Agg, Agg, Agg]
+    stages: tuple = field(init=False, repr=False, compare=False)
+    averages: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.pipeline) != 4:
             raise ValueError("pipeline must have exactly 4 stages")
         state = "mp"
+        stages = []
         for agg in self.pipeline:
-            nxt = _next_state(agg, state)
+            nxt, function = _transition(agg, state)
             if nxt is None:
                 raise InvalidDescriptorError(
                     f"{agg.value} cannot apply when state is {state or 'scalar'!r}"
                 )
+            if function is not None:
+                stages.append(function)
             state = nxt
         if state:
             raise InvalidDescriptorError(f"pipeline left axis state {state!r} unreduced")
+        object.__setattr__(self, "stages", tuple(stages))
+        object.__setattr__(self, "averages", any(f in (_av_m, _av_p, _av_mp) for f in stages))
 
     @property
     def encoding(self) -> tuple[int, tuple[int, ...]]:
@@ -152,85 +196,85 @@ class FeatureDescriptor:
     @property
     def stage_count(self) -> int:
         """Number of non-identity stages; ties in dedup prefer fewer."""
-        return sum(1 for a in self.pipeline if a is not Agg.ID)
+        return len(self.stages)
 
     def describe(self) -> str:
         """Math-style reading, outermost stage first, e.g. ``sum_p max_m d_v``."""
         stages = [a.value for a in self.pipeline if a is not Agg.ID]
         return " ".join(list(reversed(stages)) + [self.kernel.value])
 
-    def uses_average(self) -> bool:
-        return any(a in (Agg.AV_P, Agg.AV_M, Agg.AV_MP) for a in self.pipeline)
 
-
-def eval_kernel(kernel: Kernel, pr: ProblemInstance, v: int) -> list[list[int]]:
-    """Kernel table for variable index ``v``: one row per polynomial."""
+def eval_kernel(kernel: Kernel, pr: ProblemInstance, v: int, d: int = 1) -> list[list[int]]:
+    """Kernel table for variable index ``v``, scaled by ``d``: one row per polynomial."""
     if kernel is Kernel.DEGREE:
-        return [[m.degrees[v] for m in p.monomials] for p in pr.polynomials]
-    return [
-        [m.total_degree if m.degrees[v] else 0 for m in p.monomials]
-        for p in pr.polynomials
-    ]
+        table = [[m.degrees[v] for m in p.monomials] for p in pr.polynomials]
+    else:
+        table = [
+            [m.total_degree if m.degrees[v] else 0 for m in p.monomials]
+            for p in pr.polynomials
+        ]
+    if d == 1:
+        return table
+    return [[x * d for x in row] for row in table]
 
 
-@lru_cache(maxsize=None)
-def _stage_functions(pipeline: tuple[Agg, ...]) -> tuple:
-    """The functions of a valid pipeline's stages other than ``id``, in order."""
-    functions = []
-    state = "mp"
-    for agg in pipeline:
-        state, function = _TRANSITIONS[state][agg]
-        if function is not None:
-            functions.append(function)
-    return tuple(functions)
-
-
-def apply_pipeline(pipeline, table):
-    """Run a valid descriptor's stages over a kernel table down to a scalar."""
+def apply_stages(fd: FeatureDescriptor, table, d: int = 1) -> int:
+    """Run a descriptor's stages over a kernel table scaled by ``d``, down to a scaled int."""
     value = table
-    for function in _stage_functions(tuple(pipeline)):
-        value = function(value)
+    for function in fd.stages:
+        value = function(value, d)
     return value
 
 
 def eval_feature(fd: FeatureDescriptor, pr: ProblemInstance, v: int):
-    """Exact rational value of the feature for variable index ``v``."""
-    return apply_pipeline(fd.pipeline, eval_kernel(fd.kernel, pr, v))
+    """Exact rational value of the feature for variable index ``v``.
+
+    An int when ``fd`` does not average; otherwise a Fraction, built once
+    from the value scaled by ``problem_scale(pr)``.
+    """
+    d = problem_scale(pr) if fd.averages else 1
+    n = apply_stages(fd, eval_kernel(fd.kernel, pr, v, d), d)
+    return n if d == 1 else Fraction(n, d)
 
 
 def eval_descriptors(descriptors, problems):
     """Evaluate many descriptors at once, sharing every stage prefix.
 
-    Descriptors are grouped by kernel and by their stages without ``id``
-    (a no-op), and the groups form one prefix trie per kernel.  Each kernel
-    table is built once per (problem, variable); each trie node applies its
-    stage once to its parent's values.  Yields ``(members, values)`` per
-    group, where ``members`` are the group's descriptors in input order and
-    ``values`` runs over every (problem, variable) pair, problem-major --
-    the same values ``eval_feature`` gives one by one.
+    Descriptors are grouped by kernel and by their stage functions (``id``
+    has none), and the groups form one prefix trie per kernel.  Each kernel
+    table is built once per (problem, variable), scaled by
+    ``problem_scale``; each trie node applies its stage once to its
+    parent's values.  Yields ``(members, values)`` per group, where
+    ``members`` are the group's descriptors in input order and ``values``
+    runs over every (problem, variable) pair, problem-major: ints equal to
+    ``eval_feature`` times ``problem_scale`` of the pair's problem.
     """
     problems = list(problems)
+    scales = [problem_scale(pr) for pr in problems]
+    per_pair = [d for pr, d in zip(problems, scales) for _ in range(pr.n_vars)]
     tries: dict[Kernel, dict] = {}
     for fd in descriptors:
         node = tries.setdefault(fd.kernel, {})
-        for agg in fd.pipeline:
-            if agg is not Agg.ID:
-                node = node.setdefault(agg, {})
+        for function in fd.stages:
+            node = node.setdefault(function, {})
         node.setdefault(None, []).append(fd)
     for kernel, root in tries.items():
-        tables = [eval_kernel(kernel, pr, v) for pr in problems for v in range(pr.n_vars)]
-        yield from _walk_prefixes(root, "mp", tables)
+        tables = [
+            eval_kernel(kernel, pr, v, d)
+            for pr, d in zip(problems, scales)
+            for v in range(pr.n_vars)
+        ]
+        yield from _walk_prefixes(root, tables, per_pair)
 
 
-def _walk_prefixes(node: dict, state: str, values: list):
+def _walk_prefixes(node: dict, values: list, scales: list):
     """Depth-first over a prefix trie; a node's values die with its subtree."""
     members = node.get(None)
     if members:
         yield tuple(members), values
-    for agg, child in node.items():
-        if agg is not None:
-            next_state, function = _TRANSITIONS[state][agg]
-            yield from _walk_prefixes(child, next_state, list(map(function, values)))
+    for function, child in node.items():
+        if function is not None:
+            yield from _walk_prefixes(child, list(map(function, values, scales)), scales)
 
 
 def _fd(kernel: Kernel, *stages: Agg) -> FeatureDescriptor:
@@ -276,7 +320,7 @@ def enumerate_descriptors() -> list[FeatureDescriptor]:
             (pipeline + (agg,), nxt)
             for pipeline, state in prefixes
             for agg in Agg
-            if (nxt := _next_state(agg, state)) is not None
+            if (nxt := _transition(agg, state)[0]) is not None
         ]
     return [FeatureDescriptor(k, p) for k in Kernel for p, state in prefixes if not state]
 

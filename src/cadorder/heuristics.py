@@ -50,11 +50,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, repeat
 from operator import add, itemgetter, mul
 
-from .features import brown_features, eval_kernel, apply_pipeline
+from .features import apply_stages, brown_features, eval_kernel, problem_scale
 from .polyset import ProblemInstance
 
 # The factorial output layer is only materialized up to this many variables;
@@ -108,18 +109,22 @@ def parse_ordering(text: str, pr: ProblemInstance) -> Ordering:
 
 
 def feature_matrix(triplet, pr: ProblemInstance) -> tuple[tuple, ...]:
-    """Feature rows, one (f1, f2, f3) tuple per variable, sharing kernel tables."""
-    tables = {}
+    """Feature rows, one (f1, f2, f3) tuple per variable, sharing kernel tables.
+
+    The tables are scaled by ``problem_scale(pr)`` only when a descriptor
+    averages; each value is then a Fraction of its scaled int, else the int.
+    """
+    d = problem_scale(pr) if any(fd.averages for fd in triplet) else 1
+    kernels = []
+    for fd in triplet:
+        if fd.kernel not in kernels:
+            kernels.append(fd.kernel)
+    slots = [kernels.index(fd.kernel) for fd in triplet]
     rows = []
     for v in range(pr.n_vars):
-        row = []
-        for fd in triplet:
-            key = (fd.kernel, v)
-            table = tables.get(key)
-            if table is None:
-                table = tables[key] = eval_kernel(fd.kernel, pr, v)
-            row.append(apply_pipeline(fd.pipeline, table))
-        rows.append(tuple(row))
+        tables = [eval_kernel(kernel, pr, v, d) for kernel in kernels]
+        row = [apply_stages(fd, tables[i], d) for fd, i in zip(triplet, slots)]
+        rows.append(tuple(row) if d == 1 else tuple(Fraction(n, d) for n in row))
     return tuple(rows)
 
 

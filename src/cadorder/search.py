@@ -197,7 +197,7 @@ def search_triplets(
                 "descriptions": [fs.descriptors[i].describe() for i in ids],
                 "total_cost": totals[idx],
                 "wins_vs_brown": wins[idx],
-                "uses_average": any(fs.descriptors[i].uses_average() for i in ids),
+                "uses_average": any(fs.descriptors[i].averages for i in ids),
             }
         )
 

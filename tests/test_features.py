@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import problem_instances
@@ -14,7 +14,6 @@ from cadorder.features import (
     FeatureSet,
     InvalidDescriptorError,
     Kernel,
-    apply_pipeline,
     brown_features,
     dedup_features,
     default_probe,
@@ -24,6 +23,7 @@ from cadorder.features import (
     eval_feature,
     eval_kernel,
     load_feature_set,
+    problem_scale,
     selected_triplet,
     separation_probes,
 )
@@ -34,8 +34,17 @@ def _fd(kernel, *stages):
     return FeatureDescriptor(kernel, tuple(stages) + (Agg.ID,) * (4 - len(stages)))
 
 
+# Polynomials of 2, 3, 5 and 7 monomials: coprime counts, the largest scale
+# for their size.
+_COPRIME = parse_problem(
+    "vars: x,y,z\nx + y\nx^2 + y + z\nx^3 + x^2*y + y^2 + z + 1\n"
+    "x^4 + x^3*z + x*y*z + y^3 + z^2 + y + 1"
+)
+
+
 def test_degree_kernel(problem_a):
     assert eval_kernel(Kernel.DEGREE, problem_a, 0) == [[2, 0], [1, 0]]
+    assert eval_kernel(Kernel.DEGREE, problem_a, 0, 3) == [[6, 0], [3, 0]]
 
 
 def test_signed_total_degree_kernel(problem_a):
@@ -70,9 +79,12 @@ def test_av_mp_is_mean_of_per_polynomial_means():
 
 
 # A ragged kernel table (rows of 3, 1 and 2 monomials), a per-polynomial
-# vector holding a Fraction, and a scalar.
+# vector holding a Fraction, and a scalar.  Each stage function takes the
+# value scaled by d; d = 18, the scale of a problem with these rows, makes
+# every case integral.
 _RAGGED = [[2, 0, 1], [3], [0, 5]]
 _VECTOR = [1, Fraction(5, 2), 0]
+_SCALE = 18
 _STAGE_CASES = [
     ("mp", Agg.MAX_M, _RAGGED, "p", [2, 3, 5]),
     ("mp", Agg.SUM_M, _RAGGED, "p", [3, 3, 5]),
@@ -90,16 +102,28 @@ _STAGE_CASES = [
 ]
 
 
+def _scaled(value, d):
+    """``value`` times ``d``, with every number an int; raises unless integral."""
+    if isinstance(value, list):
+        return [_scaled(x, d) for x in value]
+    scaled = value * d
+    assert scaled == int(scaled), f"{value} * {d} is not an integer"
+    return int(scaled)
+
+
 @pytest.mark.parametrize("state, agg, value, next_state, expected", _STAGE_CASES,
                          ids=[f"{state or 'scalar'}-{agg.value}" for state, agg, *_ in _STAGE_CASES])
 def test_stage_table_entry(state, agg, value, next_state, expected):
     got_state, function = _TRANSITIONS[state][agg]
-    got = function(value)
+    got = function(_scaled(value, _SCALE), _SCALE)
+    want = _scaled(expected, _SCALE)
     assert got_state == next_state
-    assert got == expected
-    assert type(got) is type(expected)
-    if isinstance(got, list):
-        assert [type(x) for x in got] == [type(x) for x in expected]
+    assert got == want
+    assert _types(got) == _types(want)
+
+
+def _types(value):
+    return [_types(x) for x in value] if isinstance(value, list) else type(value)
 
 
 def test_stage_cases_cover_the_table():
@@ -121,6 +145,26 @@ def test_invalid_pipelines_raise():
         with pytest.raises(InvalidDescriptorError) as err:
             _fd(Kernel.DEGREE, *stages)
         assert str(err.value) == message
+
+
+def test_problem_scale_hand_cases():
+    # Rows of 3, 1 and 2 monomials, as in the stage cases: lcm 6 times 3 polynomials.
+    assert problem_scale(parse_problem("vars: x,y\nx^2 + x*y + y\nx^3\ny^5 + 1")) == _SCALE == 18
+    assert problem_scale(parse_problem("vars: x\nx^2")) == 1
+    # Coprime monomial counts 2, 3, 5 and 7: lcm 210 times 4 polynomials.
+    assert problem_scale(_COPRIME) == 210 * 4
+
+
+def test_descriptors_hold_their_stage_functions():
+    for fd in enumerate_descriptors():
+        state, functions = "mp", []
+        for agg in fd.pipeline:
+            state, function = _TRANSITIONS[state][agg]
+            if function is not None:
+                functions.append(function)
+        assert fd.stages == tuple(functions)
+        assert fd.stage_count == len(_stripped(fd))
+        assert fd.averages == any(a in (Agg.AV_M, Agg.AV_P, Agg.AV_MP) for a in fd.pipeline)
 
 
 def test_brown_feature_values(problem_b):
@@ -287,15 +331,73 @@ def test_dedup_matches_naive_grouping(probe, candidates):
 @given(problem_instances(min_vars=1, max_vars=3), _padded_candidates())
 def test_shared_prefix_values_match_per_problem_path(pr, candidates):
     yielded = []
+    d = problem_scale(pr)
     for members, values in eval_descriptors(candidates, [pr, pr]):
         assert len({(fd.kernel, _stripped(fd)) for fd in members}) == 1
+        assert len({fd.stages for fd in members}) == 1
+        assert all(type(x) is int for x in values)
         yielded += members
         for fd in members:
-            assert values == [eval_feature(fd, pr, v) for v in range(pr.n_vars)] * 2
-            for v in range(pr.n_vars):
-                table = eval_kernel(fd.kernel, pr, v)
-                assert apply_pipeline(fd.pipeline, table) == apply_pipeline(_stripped(fd), table)
+            assert values == [eval_feature(fd, pr, v) * d for v in range(pr.n_vars)] * 2
     assert Counter(yielded) == Counter(candidates)
+
+
+def test_every_yielded_value_is_an_int():
+    probe = separation_probes() + [_COPRIME]
+    groups = list(eval_descriptors(enumerate_descriptors(), probe))
+    assert sum(len(members) for members, _ in groups) == 624
+    for _, values in groups:
+        assert len(values) == 3 * len(probe)
+        assert all(type(x) is int for x in values)
+
+
+def _reference_sgn(x):
+    return (x > 0) - (x < 0)
+
+
+def _reference_av_p(values):
+    return Fraction(sum(values), len(values))
+
+
+def _reference_av_m(table):
+    return [Fraction(sum(row), len(row)) for row in table]
+
+
+# The grammar's stages on true values, with a Fraction wherever a mean
+# divides: the reference that the scaled-integer stages must reproduce.
+_REFERENCE_STAGES = {
+    "mp": {Agg.MAX_M: ("p", lambda t: list(map(max, t))),
+           Agg.MAX_MP: ("", lambda t: max(map(max, t))),
+           Agg.SUM_M: ("p", lambda t: list(map(sum, t))),
+           Agg.SUM_MP: ("", lambda t: sum(map(sum, t))),
+           Agg.AV_M: ("p", _reference_av_m),
+           Agg.AV_MP: ("", lambda t: _reference_av_p(_reference_av_m(t))),
+           Agg.SGN: ("mp", lambda t: [[_reference_sgn(x) for x in row] for row in t]),
+           Agg.ID: ("mp", None)},
+    "p": {Agg.MAX_P: ("", max), Agg.SUM_P: ("", sum), Agg.AV_P: ("", _reference_av_p),
+          Agg.SGN: ("p", lambda values: [_reference_sgn(x) for x in values]),
+          Agg.ID: ("p", None)},
+    "": {Agg.SGN: ("", _reference_sgn), Agg.ID: ("", None)},
+}
+
+
+def _reference_feature(fd, pr, v):
+    value, state = eval_kernel(fd.kernel, pr, v), "mp"
+    for agg in fd.pipeline:
+        state, function = _REFERENCE_STAGES[state][agg]
+        if function is not None:
+            value = function(value)
+    return value
+
+
+@settings(max_examples=25, deadline=None)
+@given(problem_instances(min_vars=1, max_vars=5, max_polys=4, max_monomials=7))
+@example(_COPRIME)
+def test_eval_feature_matches_fraction_reference(pr):
+    for fd in enumerate_descriptors():
+        for v in range(pr.n_vars):
+            got, want = eval_feature(fd, pr, v), _reference_feature(fd, pr, v)
+            assert got == want and str(got) == str(want)
 
 
 def test_named_features_survive_enumeration_dedup(problem_a, problem_b, problem_c):

@@ -1,5 +1,6 @@
 """Atomic file writes: a reader sees a file's old bytes or its new ones."""
 
+import json
 import os
 from pathlib import Path
 
@@ -12,3 +13,8 @@ def write_text(path, text: str) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as JSON with sorted keys and a two-space indent, atomically."""
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")

@@ -22,7 +22,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .atomic import write_text
+from .atomic import write_json, write_text
 from .costmodel import (
     ExternalSolverAdapter,
     MissingRecordError,
@@ -50,7 +50,14 @@ from .heuristics import (
     radix_scores,
 )
 from .search import search_triplets
-from .training import INIT_WEIGHT, TrainableNetwork, TrainConfig, save_checkpoint, train
+from .training import (
+    INIT_WEIGHT,
+    DivergenceError,
+    TrainableNetwork,
+    TrainConfig,
+    save_checkpoint,
+    train,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,7 +117,7 @@ def _write_manifest(command: str, args, inputs, outputs, started: float) -> None
     outputs = list(outputs)
     first = Path(outputs[0])
     target = first / RUN_MANIFEST if first.is_dir() else first.with_name(first.name + ".manifest.json")
-    write_text(target, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(target, manifest)
 
 
 def _jobs_default() -> int:
@@ -263,10 +270,13 @@ def cmd_train(args) -> int:
     val_set = load_dataset(args.val)
     oracle = _build_oracle(args)
     net = TrainableNetwork.brown_init(triplet, base_weight=args.init_weight)
-    report = train(net, train_set, val_set, oracle, cfg)
+    try:
+        report = train(net, train_set, val_set, oracle, cfg)
+    except DivergenceError as e:
+        raise UsageError(str(e)) from None
     out_json = Path(args.out + ".json")
     out_ckpt = Path(args.out + ".ckpt.json")
-    write_text(out_json, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+    write_json(out_json, report.to_json())
     save_checkpoint(out_ckpt, report, triplet)
     _write_manifest("train", args, [args.train, args.val], [out_json, out_ckpt], started)
     print(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import os
 import shlex
 import signal
@@ -70,6 +71,17 @@ def _price(rec: CostRecord, timeout_s: float | None, penalty_factor: float) -> f
     return timeout_s * penalty_factor if rec.timed_out else rec.time_s
 
 
+def _check_pricing(timeout_s: float | None, penalty_factor: float) -> None:
+    """A timeout, when given, must be finite and positive; a penalty finite and >= 0.
+
+    The comparisons are written so that NaN fails them.
+    """
+    if timeout_s is not None and not 0 < timeout_s < math.inf:
+        raise ValueError(f"timeout must be finite and positive, got {timeout_s}")
+    if not 0 <= penalty_factor < math.inf:
+        raise ValueError(f"penalty factor must be finite and >= 0, got {penalty_factor}")
+
+
 def _parse_bool(text: str, row: int) -> bool:
     value = text.strip().lower()
     if value in ("true", "1"):
@@ -83,6 +95,7 @@ def load_timing_table(
     path: str | Path, timeout_s: float | None = None, penalty_factor: float = 1.0
 ) -> TimingTable:
     """Load the CSV schema ``problem,ordering,time_s,timed_out``."""
+    _check_pricing(timeout_s, penalty_factor)
     expected = ["problem", "ordering", "time_s", "timed_out"]
     records: dict[tuple[str, str], CostRecord] = {}
     first_row: dict[tuple[str, str], int] = {}
@@ -141,8 +154,8 @@ class SyntheticCostModel:
     noise_scale: float = 0.0
 
     def __post_init__(self):
-        if self.step_base <= 0:
-            raise ValueError("step_base must be positive")
+        if not 0 < self.step_base < math.inf:
+            raise ValueError(f"step_base must be finite and positive, got {self.step_base}")
         if not (0.0 <= self.noise_scale < 1.0):
             raise ValueError("noise_scale must be in [0, 1)")
 
@@ -183,6 +196,7 @@ class ExternalSolverAdapter:
     penalty_factor: float = 1.0
 
     def __post_init__(self):
+        _check_pricing(self.timeout_s, self.penalty_factor)
         for placeholder in ("{problem_file}", "{ordering}"):
             if placeholder not in self.template:
                 raise ValueError(f"command template is missing {placeholder}")

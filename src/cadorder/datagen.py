@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
+from .atomic import write_json
 from .polyset import (
     ParseError,
     Polynomial,
@@ -164,7 +165,7 @@ def write_dataset(problems, out_dir: str | Path, cfg: GenConfig | None = None) -
         "count": len(files),
         "files": files,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(out / "manifest.json", manifest)
     return out
 
 

@@ -48,7 +48,7 @@ from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
-from .atomic import write_text
+from .atomic import write_json
 from .polyset import ProblemInstance, parse_problem
 
 
@@ -162,13 +162,15 @@ class FeatureDescriptor:
 
     ``stages`` holds the functions of the stages other than ``id``, in
     order, found in the state table once, at construction; ``averages``
-    says whether one of them is a mean.
+    says whether one of them is a mean.  ``encoding``, the (kernel code,
+    stage codes) key of the canonical order, is also fixed at construction.
     """
 
     kernel: Kernel
     pipeline: tuple[Agg, Agg, Agg, Agg]
     stages: tuple = field(init=False, repr=False, compare=False)
     averages: bool = field(init=False, repr=False, compare=False)
+    encoding: tuple[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.pipeline) != 4:
@@ -188,10 +190,8 @@ class FeatureDescriptor:
             raise InvalidDescriptorError(f"pipeline left axis state {state!r} unreduced")
         object.__setattr__(self, "stages", tuple(stages))
         object.__setattr__(self, "averages", any(f in (_av_m, _av_p, _av_mp) for f in stages))
-
-    @property
-    def encoding(self) -> tuple[int, tuple[int, ...]]:
-        return _KERNEL_CODE[self.kernel], tuple(_AGG_CODE[a] for a in self.pipeline)
+        encoding = _KERNEL_CODE[self.kernel], tuple(_AGG_CODE[a] for a in self.pipeline)
+        object.__setattr__(self, "encoding", encoding)
 
     @property
     def stage_count(self) -> int:
@@ -340,13 +340,6 @@ class FeatureSet:
         descriptors = tuple(descriptors)
         return cls(descriptors, {fd: (fd,) for fd in descriptors})
 
-    def class_of(self, fd: FeatureDescriptor) -> FeatureDescriptor | None:
-        """Representative whose class contains ``fd``, if any."""
-        for rep, members in self.provenance.items():
-            if fd == rep or fd in members:
-                return rep
-        return None
-
     def to_json(self) -> list[dict]:
         return [
             {
@@ -359,7 +352,7 @@ class FeatureSet:
         ]
 
     def save(self, path: str | Path) -> None:
-        write_text(path, json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_json())
 
 
 def descriptor_record(fd: FeatureDescriptor) -> dict:

@@ -102,11 +102,6 @@ class Polynomial:
             raise ValueError("zero polynomial (all terms cancelled)")
         return cls(canon)
 
-    @property
-    def is_canonical(self) -> bool:
-        degs = [m.degrees for m in self.monomials]
-        return degs == sorted(set(degs), reverse=True)
-
 
 @dataclass(frozen=True, slots=True)
 class ProblemInstance:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -20,7 +19,7 @@ from dataclasses import asdict, dataclass
 from itertools import permutations
 from pathlib import Path
 
-from .atomic import write_text
+from .atomic import write_json, write_text
 from .costmodel import CostOracle
 from .features import FeatureSet, brown_features, eval_descriptors
 from .heuristics import Ordering, order_by_scores, parse_ordering
@@ -40,7 +39,7 @@ class SearchReport:
         return asdict(self)
 
     def save_json(self, path: str | Path) -> None:
-        write_text(path, json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_json())
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -216,10 +215,7 @@ def search_triplets(
 
 def _triplet_ids(triplet, fs: FeatureSet) -> tuple[int, ...] | None:
     """Ids of the classes containing each descriptor, or None if any is absent."""
-    ids = []
-    for fd in triplet:
-        rep = fs.class_of(fd)
-        if rep is None:
-            return None
-        ids.append(fs.descriptors.index(rep))
-    return tuple(ids)
+    rep_of = {fd: rep for rep, members in fs.provenance.items() for fd in members}
+    if not all(fd in rep_of for fd in triplet):
+        return None
+    return tuple(fs.descriptors.index(rep_of[fd]) for fd in triplet)

@@ -32,7 +32,7 @@ from itertools import groupby, permutations, repeat
 from operator import add, itemgetter, mul, sub, truediv
 from pathlib import Path
 
-from .atomic import write_text
+from .atomic import write_json
 from .costmodel import CostOracle
 from .features import FeatureDescriptor, descriptor_record, descriptors_from_records
 from .heuristics import (
@@ -110,12 +110,6 @@ def _probabilities(weights, columns, temperature: float) -> list[list[float]]:
     return [list(map(truediv, e, z)) for e in exps]
 
 
-def forward_soft(net: TrainableNetwork, rows, temperature: float = 1.0) -> list[float]:
-    """Probability of each permutation neuron, in lexicographic neuron order."""
-    columns = _columns([net.scaled_rows(rows)])
-    return [p[0] for p in _probabilities(net.weights, columns, temperature)]
-
-
 def _terms(weights, rows, targets, temperature: float) -> list[list[float]]:
     """Columns of per-sample cross-entropy and gradient terms, for same-n samples."""
     columns = _columns(rows)
@@ -156,21 +150,6 @@ def _loss_and_gradient(weights, batch, temperature: float) -> tuple[float, list[
     return total / len(batch), [g / len(batch) for g in grad]
 
 
-def _ranked(net: TrainableNetwork, batch) -> list:
-    """(scaled rows, target neuron index) of each (feature rows, Ordering) pair."""
-    return [(net.scaled_rows(rows), _rank(target.perm)) for rows, target in batch]
-
-
-def loss(net: TrainableNetwork, batch, temperature: float = 1.0) -> float:
-    """Mean cross-entropy of the soft orderings against target orderings."""
-    return _loss_and_gradient(net.weights, _ranked(net, batch), temperature)[0]
-
-
-def gradient(net: TrainableNetwork, batch, temperature: float = 1.0) -> list[float]:
-    """Analytic d(loss)/d(weights), averaged over the batch."""
-    return _loss_and_gradient(net.weights, _ranked(net, batch), temperature)[1]
-
-
 class AdamOptimizer:
     """Adaptive-moment gradient descent with bias correction."""
 
@@ -207,12 +186,15 @@ class TrainConfig:
     validate_per_batch: bool = False
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        # Written so that NaN fails each comparison.
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("betas must be in (0, 1)")
-        if self.softmax_temperature <= 0:
-            raise ValueError("softmax_temperature must be positive")
+        if not 0 < self.softmax_temperature < math.inf:
+            raise ValueError(
+                f"softmax_temperature must be finite and positive, got {self.softmax_temperature}"
+            )
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
 
@@ -281,11 +263,6 @@ def _argmin(row: dict[tuple[int, ...], float]) -> tuple[Ordering, float]:
     """Cheapest ordering of a cost row; ties pick the smallest permutation."""
     best = min(row, key=row.__getitem__)
     return Ordering(best), row[best]
-
-
-def optimal_ordering(oracle: CostOracle, pr: ProblemInstance) -> tuple[Ordering, float]:
-    """Exhaustive argmin over all orderings; ties pick the smallest permutation."""
-    return _argmin(_cost_row(oracle, pr))
 
 
 def fit_feature_scale(matrices) -> tuple[float, float, float]:
@@ -389,7 +366,7 @@ def save_checkpoint(path: str | Path, report: TrainReport, triplet) -> None:
         "triplet": [descriptor_record(fd) for fd in triplet],
         "config_hash": report.config.digest(),
     }
-    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)
 
 
 def load_checkpoint(path: str | Path) -> TrainableNetwork:

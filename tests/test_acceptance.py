@@ -26,6 +26,7 @@ from cadorder.features import (
 )
 from cadorder.heuristics import (
     BaseWeightError,
+    _rank,
     base_weight,
     check_equivalence,
     feature_matrix,
@@ -40,9 +41,8 @@ from cadorder.search import enumerate_triplets, search_triplets
 from cadorder.training import (
     TrainableNetwork,
     TrainConfig,
+    _loss_and_gradient,
     fit_feature_scale,
-    gradient,
-    loss,
     train,
 )
 
@@ -151,10 +151,9 @@ def test_c05_containment_features_occupy_distinct_classes():
         fs = dedup_features(enumerate_descriptors(), default_probe())
         monomial_count = brown_features()[2]
         polynomial_count = selected_triplet()[2]
-        rep_m = fs.class_of(monomial_count)
-        rep_p = fs.class_of(polynomial_count)
-        assert rep_m is not None and rep_p is not None
-        assert rep_m != rep_p
+        rep_of = {fd: rep for rep, members in fs.provenance.items() for fd in members}
+        assert monomial_count in rep_of and polynomial_count in rep_of
+        assert rep_of[monomial_count] != rep_of[polynomial_count]
 
 
 def test_c06_search_matches_independent_brute_force():
@@ -202,16 +201,17 @@ def test_c08_gradient_matches_central_differences():
         perms = list(permutations(range(3)))
         h = 1e-4
 
-        from cadorder.heuristics import Ordering
-
         for _ in range(120):
             weights = [rng.uniform(-4, 4) for _ in range(3)]
             net = TrainableNetwork(triplet, weights, scale)
             batch = [
-                (matrices[rng.randrange(len(matrices))], Ordering(perms[rng.randrange(6)]))
+                (
+                    net.scaled_rows(matrices[rng.randrange(len(matrices))]),
+                    _rank(perms[rng.randrange(6)]),
+                )
                 for _ in range(rng.randint(1, 5))
             ]
-            analytic = gradient(net, batch)
+            analytic = _loss_and_gradient(weights, batch, 1.0)[1]
             numeric = []
             for i in range(3):
                 up, down = list(weights), list(weights)
@@ -219,8 +219,8 @@ def test_c08_gradient_matches_central_differences():
                 down[i] -= h
                 numeric.append(
                     (
-                        loss(TrainableNetwork(triplet, up, scale), batch)
-                        - loss(TrainableNetwork(triplet, down, scale), batch)
+                        _loss_and_gradient(up, batch, 1.0)[0]
+                        - _loss_and_gradient(down, batch, 1.0)[0]
                     )
                     / (2 * h)
                 )

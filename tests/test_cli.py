@@ -510,6 +510,64 @@ def test_bad_oracle_spec_is_data_error(dataset_dir, pool_file, tmp_path, capsys)
     assert "unknown oracle" in stderr
 
 
+_SOLVER = "cmd:true {problem_file} {ordering}"
+
+
+@pytest.mark.parametrize(
+    "command, flags, code, message",
+    [
+        ("search", ["--step-base", "nan"], 2, "step_base must be finite and positive"),
+        ("search", ["--step-base", "inf"], 2, "step_base must be finite and positive"),
+        ("search", ["--oracle", "table", "--timeout", "nan"], 2, "timeout must be finite"),
+        ("search", ["--oracle", "table", "--timeout", "1", "--penalty", "nan"], 2,
+         "penalty factor must be finite"),
+        ("search", ["--oracle", "table", "--timeout", "1", "--penalty", "inf"], 2,
+         "penalty factor must be finite"),
+        ("search", ["--oracle", _SOLVER, "--timeout", "nan"], 2, "timeout must be finite"),
+        ("search", ["--oracle", _SOLVER, "--timeout", "inf"], 2, "timeout must be finite"),
+        ("search", ["--oracle", _SOLVER, "--timeout", "1", "--penalty", "inf"], 2,
+         "penalty factor must be finite"),
+        ("train", ["--lr", "nan"], 1, "learning_rate must be finite"),
+        ("train", ["--lr", "inf"], 1, "learning_rate must be finite"),
+        ("train", ["--temperature", "nan"], 1, "softmax_temperature must be finite"),
+        ("train", ["--temperature", "inf"], 1, "softmax_temperature must be finite"),
+    ],
+)
+def test_non_finite_settings_are_rejected(
+    tmp_path, dataset_dir, pool_file, capsys, command, flags, code, message
+):
+    table = tmp_path / "times.csv"
+    table.write_text("problem,ordering,time_s,timed_out\n")
+    flags = [f"table:{table}" if f == "table" else f for f in flags]
+    inputs = {"search": ["--pool", str(pool_file), "--data", str(dataset_dir)],
+              "train": ["--train", str(dataset_dir), "--val", str(dataset_dir)]}[command]
+    out = tmp_path / "r"
+    got, _, stderr = run(capsys, command, *inputs, *flags, "--out", str(out))
+    assert got == code
+    assert message in stderr
+    assert "Traceback" not in stderr
+    assert not out.with_suffix(".json").exists()
+
+
+def test_diverged_train_is_a_usage_error_without_traceback(tmp_path, dataset_dir):
+    # A separate process: an uncaught exception would print its traceback.
+    root = Path(__file__).parents[1]
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cadorder.cli", "train", "--train", str(dataset_dir),
+         "--val", str(dataset_dir), "--epochs", "1", "--init-weight", "1e300",
+         "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "usage error: non-finite loss at epoch 1\n"
+    assert not out.with_suffix(".json").exists()
+
+
 def test_help_lists_subcommands(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

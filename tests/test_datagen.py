@@ -55,7 +55,8 @@ def test_invariant_sweep():
         assert 1 <= len(pr.polynomials) <= 4
         for poly in pr.polynomials:
             assert 1 <= len(poly.monomials) <= 8
-            assert poly.is_canonical
+            degrees = [m.degrees for m in poly.monomials]
+            assert degrees == sorted(set(degrees), reverse=True)
             assert any(m.total_degree > 0 for m in poly.monomials)
             for m in poly.monomials:
                 # Like-term merging may push a summed coefficient past the
@@ -105,6 +106,24 @@ def test_write_and_load_dataset(tmp_path):
     loaded = load_dataset(out)
     assert loaded == problems
     assert [p.id for p in loaded] == [p.id for p in problems]
+
+
+def test_failed_manifest_write_leaves_old_manifest(tmp_path, monkeypatch):
+    from cadorder import atomic
+
+    cfg = GenConfig(seed=9)
+    problems = random_dataset(cfg, 3)
+    out = write_dataset(problems, tmp_path / "ds", cfg)
+    before = (out / "manifest.json").read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(atomic.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk gone"):
+        write_dataset(problems, out, None)
+    assert (out / "manifest.json").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir() if p.suffix != ".poly") == ["manifest.json"]
 
 
 def test_load_dataset_without_manifest(tmp_path):

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -165,6 +166,15 @@ def test_descriptors_hold_their_stage_functions():
         assert fd.stages == tuple(functions)
         assert fd.stage_count == len(_stripped(fd))
         assert fd.averages == any(a in (Agg.AV_M, Agg.AV_P, Agg.AV_MP) for a in fd.pipeline)
+
+
+def test_encoding_is_fixed_at_construction():
+    field = {f.name: f for f in fields(FeatureDescriptor)}["encoding"]
+    assert not (field.init or field.repr or field.compare)
+    kernels, aggs = list(Kernel), list(Agg)
+    for fd in enumerate_descriptors():
+        expected = kernels.index(fd.kernel), tuple(map(aggs.index, fd.pipeline))
+        assert vars(fd)["encoding"] == expected
 
 
 def test_brown_feature_values(problem_b):
@@ -403,8 +413,9 @@ def test_eval_feature_matches_fraction_reference(pr):
 def test_named_features_survive_enumeration_dedup(problem_a, problem_b, problem_c):
     probe = [problem_a, problem_b, problem_c]
     fs = dedup_features(enumerate_descriptors(), probe)
+    members = [fd for group in fs.provenance.values() for fd in group]
     for fd in brown_features() + selected_triplet():
-        assert fs.class_of(fd) is not None
+        assert fd in members
 
 
 def test_describe_strings():

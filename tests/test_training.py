@@ -13,7 +13,7 @@ from cadorder.costmodel import SyntheticCostModel
 from cadorder.datagen import GenConfig, random_dataset, random_problem
 from cadorder.features import brown_features, selected_triplet
 from cadorder.heuristics import (
-    Ordering,
+    _rank,
     base_weight,
     feature_matrix,
     layer2_scores,
@@ -28,13 +28,13 @@ from cadorder.training import (
     TrainableNetwork,
     TrainConfig,
     TrainReport,
+    _argmin,
+    _columns,
+    _cost_row,
     _loss_and_gradient,
+    _probabilities,
     fit_feature_scale,
-    forward_soft,
-    gradient,
     load_checkpoint,
-    loss,
-    optimal_ordering,
     save_checkpoint,
     train,
 )
@@ -47,8 +47,8 @@ def _net(weights, scale=(1.0, 1.0, 1.0)):
 
 
 def test_zero_weights_give_uniform_distribution(problem_a):
-    fm = feature_matrix(TRIPLET, problem_a)
-    probs = forward_soft(_net([0.0, 0.0, 0.0]), fm)
+    rows = _net([0.0, 0.0, 0.0]).scaled_rows(feature_matrix(TRIPLET, problem_a))
+    probs = [p for (p,) in _probabilities([0.0, 0.0, 0.0], _columns([rows]), 1.0)]
     assert probs == pytest.approx([1 / 6] * 6)
 
 
@@ -58,14 +58,16 @@ def test_probabilities_normalized_and_positive():
         pr = random_problem(GenConfig(seed=21), index)
         fm = feature_matrix(TRIPLET, pr)
         net = _net([rng.uniform(-5, 5) for _ in range(3)])
-        probs = forward_soft(net, fm, temperature=rng.choice([0.5, 1.0, 3.0]))
+        columns = _columns([net.scaled_rows(fm)])
+        probs = [p for (p,) in _probabilities(net.weights, columns, rng.choice([0.5, 1.0, 3.0]))]
         assert abs(sum(probs) - 1.0) <= 1e-12
         assert all(p > 0 for p in probs)
 
 
 def test_temperature_must_be_positive(problem_a):
+    rows = _net([1, 1, 1]).scaled_rows(feature_matrix(TRIPLET, problem_a))
     with pytest.raises(ValueError):
-        forward_soft(_net([1, 1, 1]), feature_matrix(TRIPLET, problem_a), temperature=0)
+        _probabilities([1, 1, 1], _columns([rows]), 0)
 
 
 def test_argmax_matches_frozen_network_path():
@@ -80,7 +82,8 @@ def test_argmax_matches_frozen_network_path():
         w = base_weight(rows)
         frozen = order_by_scores(radix_scores(rows, w, pr.id))
         soft = TrainableNetwork.brown_init(triplet, base_weight=w)
-        probs = forward_soft(soft, rows)
+        columns = _columns([soft.scaled_rows(rows)])
+        probs = [p for (p,) in _probabilities(soft.weights, columns, 1.0)]
         assert perms[max(range(6), key=probs.__getitem__)] == frozen.perm
 
 
@@ -96,43 +99,45 @@ def test_brown_init_is_the_frozen_radix_layer(w):
 def test_brown_frozen_weights_prefer_lexicographic_ordering(problem_b):
     fm = feature_matrix(brown_features(), problem_b)
     net = TrainableNetwork.brown_init(brown_features())
-    probs = forward_soft(net, fm)
+    probs = [p for (p,) in _probabilities(net.weights, _columns([net.scaled_rows(fm)]), 1.0)]
     assert max(range(6), key=probs.__getitem__) == 0  # neuron of (x, y, z)
 
 
 def test_loss_uniform_is_log_six(problem_a, problem_b):
+    net = _net([0.0, 0.0, 0.0])
     batch = [
-        (feature_matrix(TRIPLET, pr), Ordering((0, 1, 2)))
+        (net.scaled_rows(feature_matrix(TRIPLET, pr)), _rank((0, 1, 2)))
         for pr in (problem_a, problem_b)
     ]
-    assert loss(_net([0.0, 0.0, 0.0]), batch) == pytest.approx(math.log(6))
+    assert _loss_and_gradient(net.weights, batch, 1.0)[0] == pytest.approx(math.log(6))
 
 
 def test_loss_below_uniform_for_correct_target(problem_b):
     fm = feature_matrix(brown_features(), problem_b)
     net = TrainableNetwork.brown_init(brown_features())
-    batch = [(fm, Ordering((0, 1, 2)))]
-    assert loss(net, batch) < math.log(6)
+    batch = [(net.scaled_rows(fm), _rank((0, 1, 2)))]
+    assert _loss_and_gradient(net.weights, batch, 1.0)[0] < math.log(6)
 
 
 def test_loss_near_zero_when_confident(problem_b):
     fm = feature_matrix(TRIPLET, problem_b)
     strong = _net([500.0, 0.0, 0.0])
     target = strong.hard_order(fm)
-    assert loss(strong, [(fm, target)]) == pytest.approx(0.0, abs=1e-6)
+    batch = [(strong.scaled_rows(fm), _rank(target.perm))]
+    assert _loss_and_gradient(strong.weights, batch, 1.0)[0] == pytest.approx(0.0, abs=1e-6)
 
 
-def _finite_difference(net, batch, temperature, h=1e-4):
+def _finite_difference(weights, batch, temperature, h=1e-4):
     grads = []
     for i in range(3):
-        up = list(net.weights)
-        down = list(net.weights)
+        up = list(weights)
+        down = list(weights)
         up[i] += h
         down[i] -= h
         grads.append(
             (
-                loss(TrainableNetwork(net.triplet, up, net.feature_scale), batch, temperature)
-                - loss(TrainableNetwork(net.triplet, down, net.feature_scale), batch, temperature)
+                _loss_and_gradient(up, batch, temperature)[0]
+                - _loss_and_gradient(down, batch, temperature)[0]
             )
             / (2 * h)
         )
@@ -155,21 +160,25 @@ def test_gradient_matches_finite_differences():
     for _ in range(30):
         net = TrainableNetwork(TRIPLET, [rng.uniform(-3, 3) for _ in range(3)], scale)
         batch = [
-            (matrices[rng.randrange(len(matrices))], Ordering(perms[rng.randrange(6)]))
+            (
+                net.scaled_rows(matrices[rng.randrange(len(matrices))]),
+                _rank(perms[rng.randrange(6)]),
+            )
             for _ in range(rng.randint(1, 6))
         ]
         temperature = rng.choice([0.5, 1.0, 2.0])
-        analytic = gradient(net, batch, temperature)
-        numeric = _finite_difference(net, batch, temperature)
+        analytic = _loss_and_gradient(net.weights, batch, temperature)[1]
+        numeric = _finite_difference(net.weights, batch, temperature)
         assert _gradients_match(analytic, numeric)
 
 
 def test_gradient_norm_shrinks_as_confidence_grows(problem_b):
     fm = feature_matrix(TRIPLET, problem_b)
-    target = _net([1.0, 0.0, 0.0]).hard_order(fm)
+    net = _net([1.0, 0.0, 0.0])
+    batch = [(net.scaled_rows(fm), _rank(net.hard_order(fm).perm))]
     norms = []
     for factor in (1.0, 2.0, 4.0, 8.0):
-        g = gradient(_net([factor, 0.0, 0.0]), [(fm, target)])
+        g = _loss_and_gradient([factor, 0.0, 0.0], batch, 1.0)[1]
         norms.append(math.sqrt(sum(x * x for x in g)))
     assert norms == sorted(norms, reverse=True)
     assert norms[-1] < norms[0]
@@ -178,9 +187,9 @@ def test_gradient_norm_shrinks_as_confidence_grows(problem_b):
 def test_gradient_zero_on_fully_tied_batch():
     # All feature rows equal: every neuron scores the same, so each target
     # contributes a gradient that cancels exactly.
-    fm = ((2, 3, 1), (2, 3, 1), (2, 3, 1))
-    batch = [(fm, Ordering(p)) for p in permutations(range(3))]
-    g = gradient(_net([0.7, -1.2, 0.4]), batch)
+    rows = _net([0.7, -1.2, 0.4]).scaled_rows(((2, 3, 1), (2, 3, 1), (2, 3, 1)))
+    batch = [(rows, _rank(p)) for p in permutations(range(3))]
+    g = _loss_and_gradient([0.7, -1.2, 0.4], batch, 1.0)[1]
     assert all(abs(x) <= 1e-8 for x in g)
 
 
@@ -256,12 +265,13 @@ def test_batch_longer_than_a_chunk_equals_per_sample_loop():
 
 def test_adam_single_step_hand_computed(problem_b):
     fm = feature_matrix(TRIPLET, problem_b)
-    target = optimal_ordering(SyntheticCostModel(), problem_b)[0]
+    target = _argmin(_cost_row(SyntheticCostModel(), problem_b))[0]
     init = [2.0, -1.0, 0.5]
     lr = 0.1
 
     cfg = TrainConfig()
-    g = gradient(TrainableNetwork(TRIPLET, list(init), (1.0, 1.0, 1.0)), [(fm, target)])
+    net = TrainableNetwork(TRIPLET, list(init), (1.0, 1.0, 1.0))
+    g = _loss_and_gradient(net.weights, [(net.scaled_rows(fm), _rank(target.perm))], 1.0)[1]
     expected = [w - lr * gi / (abs(gi) + cfg.epsilon) for w, gi in zip(init, g)]
 
     opt = AdamOptimizer(lr, cfg.beta1, cfg.beta2, cfg.epsilon)
@@ -277,8 +287,8 @@ def test_train_single_sample_single_epoch_matches_hand_step(problem_b):
     report = train(net, [problem_b], [problem_b], oracle, cfg)
 
     fm = feature_matrix(TRIPLET, problem_b)
-    target = optimal_ordering(oracle, problem_b)[0]
-    g = gradient(net, [(fm, target)])
+    target = _argmin(_cost_row(oracle, problem_b))[0]
+    g = _loss_and_gradient(net.weights, [(net.scaled_rows(fm), _rank(target.perm))], 1.0)[1]
     expected = [w - 0.1 * gi / (abs(gi) + 1e-8) for w, gi in zip(net.weights, g)]
     assert report.entries[1].weights == pytest.approx(expected, rel=1e-12)
 
@@ -292,7 +302,7 @@ def test_optimal_ordering_breaks_ties_lexicographically():
             return "flat"
 
     pr = random_problem(GenConfig(), 0)
-    ordering, cost = optimal_ordering(FlatOracle(), pr)
+    ordering, cost = _argmin(_cost_row(FlatOracle(), pr))
     assert ordering.perm == (0, 1, 2)
     assert cost == 1.0
 

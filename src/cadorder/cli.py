@@ -105,6 +105,29 @@ def _sha256_path(path: Path) -> str | None:
     return None
 
 
+def _manifest_path(outputs) -> Path:
+    """The run manifest's path: inside the first output if it is a directory, else beside it."""
+    first = Path(outputs[0])
+    return first / RUN_MANIFEST if first.is_dir() else first.with_name(first.name + ".manifest.json")
+
+
+def _check_outputs(inputs, outputs, resume=None) -> None:
+    """Refuse, before any work, an output (its manifest included) that is an input file.
+
+    A ``--resume`` journal is read and appended, so it may be neither an
+    input nor an output.  Either case is a usage error.
+    """
+    taken = set()
+    for p in map(Path, inputs):
+        taken.update(f.resolve() for f in [p, *(p.rglob("*") if p.is_dir() else ())])
+    for out in [*map(Path, outputs), _manifest_path(outputs)]:
+        if out.resolve() in taken:
+            raise UsageError(f"output {out} is an input of this run")
+        taken.add(out.resolve())
+    if resume is not None and Path(resume).resolve() in taken:
+        raise UsageError(f"--resume {resume} is an input or an output of this run")
+
+
 def _write_manifest(command: str, args, inputs, outputs, started: float) -> None:
     manifest = {
         "command": command,
@@ -114,10 +137,7 @@ def _write_manifest(command: str, args, inputs, outputs, started: float) -> None
         "tool_version": __version__,
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
-    outputs = list(outputs)
-    first = Path(outputs[0])
-    target = first / RUN_MANIFEST if first.is_dir() else first.with_name(first.name + ".manifest.json")
-    write_json(target, manifest)
+    write_json(_manifest_path(outputs), manifest)
 
 
 def _jobs_default() -> int:
@@ -159,6 +179,16 @@ def _build_oracle(args):
     raise ValueError(f"unknown oracle {spec!r}")
 
 
+def _oracle_inputs(args) -> list[str]:
+    """The timing table that a ``table:`` oracle reads, if any."""
+    return [args.oracle[len("table:"):]] if args.oracle.startswith("table:") else []
+
+
+def _triplet_inputs(spec: str) -> list[str]:
+    """The triplet file that ``_load_triplet(spec)`` reads, if any."""
+    return [] if spec in ("brown", "nn", "selected") else [spec]
+
+
 def _load_triplet(spec: str):
     if spec == "brown" or spec == "nn":
         return brown_features()
@@ -187,6 +217,8 @@ def cmd_gen(args) -> int:
 
 def cmd_features(args) -> int:
     started = time.perf_counter()
+    inputs = [args.probe] if args.probe else []
+    _check_outputs(inputs, [args.out])
     if args.probe is not None:
         probe = load_dataset(args.probe)
     else:
@@ -194,13 +226,16 @@ def cmd_features(args) -> int:
     candidates = enumerate_descriptors()
     fs = dedup_features(candidates, probe)
     fs.save(args.out)
-    _write_manifest("features", args, [args.probe] if args.probe else [], [args.out], started)
+    _write_manifest("features", args, inputs, [args.out], started)
     print(f"{len(candidates)} valid descriptors -> {len(fs)} classes over {len(probe)} probe problems")
     return EXIT_OK
 
 
 def cmd_order(args) -> int:
     started = time.perf_counter()
+    inputs = [args.problem, *_triplet_inputs(args.heuristic)]
+    if args.out:
+        _check_outputs(inputs, [args.out])
     problem = Path(args.problem)
     pr = parse_file(problem, problem.read_bytes(), problem.stem)
     triplet = _load_triplet(args.heuristic)
@@ -221,12 +256,15 @@ def cmd_order(args) -> int:
     print(ordering.names(pr))
     if args.out:
         write_text(args.out, ordering.names(pr) + "\n")
-        _write_manifest("order", args, [args.problem], [args.out], started)
+        _write_manifest("order", args, inputs, [args.out], started)
     return EXIT_OK
 
 
 def cmd_search(args) -> int:
     started = time.perf_counter()
+    inputs = [args.pool, args.data, *_oracle_inputs(args)]
+    outputs = [Path(args.out + ".json"), Path(args.out + ".csv")]
+    _check_outputs(inputs, outputs, args.resume)
     fs = load_feature_set(args.pool)
     dataset = load_dataset(args.data)
     oracle = _build_oracle(args)
@@ -238,11 +276,9 @@ def cmd_search(args) -> int:
         journal_path=args.resume,
         jobs=args.jobs,
     )
-    out_json = Path(args.out + ".json")
-    out_csv = Path(args.out + ".csv")
-    report.save_json(out_json)
-    report.save_csv(out_csv)
-    _write_manifest("search", args, [args.pool, args.data], [out_json, out_csv], started)
+    report.save_json(outputs[0])
+    report.save_csv(outputs[1])
+    _write_manifest("search", args, inputs, outputs, started)
     best = report.ranked[0]
     print(
         f"evaluated {report.triplet_count} triplets; best {best['features']} "
@@ -265,6 +301,9 @@ def cmd_train(args) -> int:
         )
     except ValueError as e:
         raise UsageError(str(e)) from None
+    inputs = [args.train, args.val, *_triplet_inputs(args.triplet), *_oracle_inputs(args)]
+    outputs = [Path(args.out + ".json"), Path(args.out + ".ckpt.json")]
+    _check_outputs(inputs, outputs)
     triplet = _load_triplet(args.triplet)
     train_set = load_dataset(args.train)
     val_set = load_dataset(args.val)
@@ -274,11 +313,9 @@ def cmd_train(args) -> int:
         report = train(net, train_set, val_set, oracle, cfg)
     except DivergenceError as e:
         raise UsageError(str(e)) from None
-    out_json = Path(args.out + ".json")
-    out_ckpt = Path(args.out + ".ckpt.json")
-    write_json(out_json, report.to_json())
-    save_checkpoint(out_ckpt, report, triplet)
-    _write_manifest("train", args, [args.train, args.val], [out_json, out_ckpt], started)
+    write_json(outputs[0], report.to_json())
+    save_checkpoint(outputs[1], report, triplet)
+    _write_manifest("train", args, inputs, outputs, started)
     print(
         f"epoch0 val cost {report.epoch0_val_cost:.6g} -> best (epoch {report.best_epoch}) "
         f"{report.best_val_cost:.6g}"
@@ -288,6 +325,9 @@ def cmd_train(args) -> int:
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
+    inputs = [args.data, *_triplet_inputs(args.triplet)]
+    if args.out:
+        _check_outputs(inputs, [args.out])
     try:
         dataset = load_dataset(args.data)
     except FileNotFoundError as e:
@@ -297,7 +337,7 @@ def cmd_check(args) -> int:
     payload = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     if args.out:
         write_text(args.out, payload)
-        _write_manifest("check", args, [args.data], [args.out], started)
+        _write_manifest("check", args, inputs, [args.out], started)
     else:
         print(payload, end="")
     print(

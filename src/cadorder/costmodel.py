@@ -1,9 +1,10 @@
 """Cost oracles: price a (problem, ordering) pair.
 
 Three implementations share the same contract: a table of recorded
-timings, a deterministic synthetic model for desk-scale experiments, and
-an adapter that shells out to an external solver and measures wall time.
-Timed-out runs cost timeout_s * penalty_factor.
+timings (a search journal is one), a deterministic synthetic model for
+desk-scale experiments, and an adapter that shells out to an external
+solver and measures wall time.  Timed-out runs cost timeout_s *
+penalty_factor.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import signal
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -33,6 +34,9 @@ class SolverError(RuntimeError):
     """The external solver failed for a reason other than timing out."""
 
 
+TIMING_COLUMNS = ("problem", "ordering", "time_s", "timed_out")
+
+
 class CostOracle(Protocol):
     def cost(self, pr: ProblemInstance, ordering: Ordering) -> float: ...
 
@@ -45,6 +49,7 @@ class CostRecord:
     ordering: str
     time_s: float
     timed_out: bool
+    line: int | None = field(default=None, compare=False)  # in the file it was read from
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,10 @@ class TimingTable:
         return _price(rec, self.timeout_s, self.penalty_factor)
 
     def describe(self) -> str:
-        return f"table(n={len(self.records)},timeout={self.timeout_s},penalty={self.penalty_factor})"
+        rows = sorted((key, rec.time_s, rec.timed_out) for key, rec in self.records.items())
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+        return (f"table(n={len(self.records)},sha256={digest},"
+                f"timeout={self.timeout_s},penalty={self.penalty_factor})")
 
 
 def _price(rec: CostRecord, timeout_s: float | None, penalty_factor: float) -> float:
@@ -82,54 +90,58 @@ def _check_pricing(timeout_s: float | None, penalty_factor: float) -> None:
         raise ValueError(f"penalty factor must be finite and >= 0, got {penalty_factor}")
 
 
-def _parse_bool(text: str, row: int) -> bool:
+def _parse_bool(text: str, where: str) -> bool:
     value = text.strip().lower()
     if value in ("true", "1"):
         return True
     if value in ("false", "0"):
         return False
-    raise ValueError(f"row {row}: timed_out must be true/false, got {text!r}")
+    raise ValueError(f"{where}: timed_out must be true/false, got {text!r}")
 
 
 def load_timing_table(
     path: str | Path, timeout_s: float | None = None, penalty_factor: float = 1.0
 ) -> TimingTable:
-    """Load the CSV schema ``problem,ordering,time_s,timed_out``."""
+    """Load the CSV schema ``problem,ordering,time_s,timed_out``.
+
+    One leading ``#`` line, such as a search journal's first line, is
+    skipped.  An error in the file's contents names ``path:line``.
+    """
     _check_pricing(timeout_s, penalty_factor)
-    expected = ["problem", "ordering", "time_s", "timed_out"]
     records: dict[tuple[str, str], CostRecord] = {}
-    first_row: dict[tuple[str, str], int] = {}
     with open(path, newline="") as fh:
+        skipped = fh.readline().startswith("#")
+        if not skipped:
+            fh.seek(0)
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header] != expected:
-            raise ValueError(f"expected header {','.join(expected)}, got {header}")
-        for rowno, row in enumerate(reader, start=2):
+        if header is None or [h.strip() for h in header] != list(TIMING_COLUMNS):
+            raise ValueError(
+                f"{path}:{skipped + 1}: expected header {','.join(TIMING_COLUMNS)}, got {header}"
+            )
+        for row in reader:
+            line = skipped + reader.line_num
+            where = f"{path}:{line}"
             if not row:
                 continue
             if len(row) != 4:
-                raise ValueError(f"row {rowno}: expected 4 fields, got {len(row)}")
+                raise ValueError(f"{where}: expected 4 fields, got {len(row)}")
             problem, ordering, time_text, timed_text = (f.strip() for f in row)
             try:
                 time_s = float(time_text)
             except ValueError:
-                raise ValueError(f"row {rowno}: bad time_s {time_text!r}") from None
+                raise ValueError(f"{where}: bad time_s {time_text!r}") from None
             if time_s < 0:
-                raise ValueError(f"row {rowno}: negative time {time_s}")
-            timed_out = _parse_bool(timed_text, rowno)
+                raise ValueError(f"{where}: negative time {time_s}")
+            timed_out = _parse_bool(timed_text, where)
+            if timed_out and timeout_s is None:
+                raise ValueError(f"{where}: timed out, so a timeout_s is required")
+            if not timed_out and timeout_s is not None and time_s > timeout_s:
+                raise ValueError(f"{where}: time {time_s} exceeds timeout {timeout_s}")
             key = (problem, ordering)
             if key in records:
-                raise ValueError(
-                    f"row {rowno}: duplicate key {key} (first at row {first_row[key]})"
-                )
-            records[key] = CostRecord(problem, ordering, time_s, timed_out)
-            first_row[key] = rowno
-    if timeout_s is None and any(r.timed_out for r in records.values()):
-        raise ValueError("table contains timed-out rows; a timeout_s is required")
-    if timeout_s is not None:
-        for key, rec in records.items():
-            if not rec.timed_out and rec.time_s > timeout_s:
-                raise ValueError(f"record {key}: time {rec.time_s} exceeds timeout {timeout_s}")
+                raise ValueError(f"{where}: duplicate key {key} (first at line {records[key].line})")
+            records[key] = CostRecord(problem, ordering, time_s, timed_out, line)
     return TimingTable(records, timeout_s, penalty_factor)
 
 
@@ -242,7 +254,7 @@ class ExternalSolverAdapter:
         return _price(rec, self.timeout_s, self.penalty_factor)
 
     def describe(self) -> str:
-        return f"cmd({self.template!r},timeout={self.timeout_s})"
+        return f"cmd({self.template!r},timeout={self.timeout_s},penalty={self.penalty_factor})"
 
 
 @dataclass(frozen=True)

@@ -337,8 +337,13 @@ class FeatureSet:
 
     @classmethod
     def from_descriptors(cls, descriptors) -> FeatureSet:
+        """One class per descriptor; a descriptor listed twice raises ValueError."""
         descriptors = tuple(descriptors)
-        return cls(descriptors, {fd: (fd,) for fd in descriptors})
+        provenance = {fd: (fd,) for fd in descriptors}
+        if len(provenance) < len(descriptors):
+            repeated = next(fd for i, fd in enumerate(descriptors) if fd in descriptors[:i])
+            raise ValueError(f"descriptor {repeated.describe()!r} is listed twice")
+        return cls(descriptors, provenance)
 
     def to_json(self) -> list[dict]:
         return [
@@ -400,7 +405,12 @@ def load_descriptors(path: str | Path) -> list[FeatureDescriptor]:
 
 
 def load_feature_set(path: str | Path) -> FeatureSet:
-    return FeatureSet.from_descriptors(load_descriptors(path))
+    """The pool of a descriptor file; a ValueError names the file."""
+    descriptors = load_descriptors(path)
+    try:
+        return FeatureSet.from_descriptors(descriptors)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def dedup_features(candidates, probe) -> FeatureSet:

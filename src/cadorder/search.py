@@ -20,7 +20,7 @@ from itertools import permutations
 from pathlib import Path
 
 from .atomic import write_json, write_text
-from .costmodel import CostOracle
+from .costmodel import TIMING_COLUMNS, CostOracle, load_timing_table
 from .features import FeatureSet, brown_features, eval_descriptors
 from .heuristics import Ordering, order_by_scores, parse_ordering
 from .polyset import serialize_problem
@@ -83,7 +83,8 @@ def _pricer(descriptors, dataset, oracle: CostOracle, call, by_order, journal):
     ranks per problem.  Per problem, a rank triple maps to its cost and an
     ordering to its oracle cost (``by_order``), so each distinct (problem,
     ordering) pair reaches the oracle once; ``call`` maps the oracle over a
-    triplet's new pairs, and each price is appended to ``journal`` as it arrives.
+    triplet's new pairs, and each price is written to the ``journal`` csv
+    writer as it arrives.
     """
     spans, start = [], 0
     for pr in dataset:
@@ -106,7 +107,7 @@ def _pricer(descriptors, dataset, oracle: CostOracle, call, by_order, journal):
         for (p, o), c in zip(new, call(lambda po: oracle.cost(dataset[po[0]], po[1]), new)):
             by_order[p][o] = c
             if journal is not None:
-                journal.write(f"{p},{o.names(dataset[p])},{c!r}\n")
+                journal.writerow([dataset[p].id, o.names(dataset[p]), repr(c), "false"])
         for p, o in orders.items():
             found[p] = by_ranks[p][keys[p]] = by_order[p][o]
         return found
@@ -114,31 +115,45 @@ def _pricer(descriptors, dataset, oracle: CostOracle, call, by_order, journal):
     return costs
 
 
-def _load_journal(path: str | Path | None, dataset) -> list[dict[Ordering, float]]:
-    """Per problem, the prices on a journal's ``problem,ordering,cost`` lines; none without one.
+def _load_journal(path: str | Path | None, dataset, first_line: str) -> list[dict[Ordering, float]]:
+    """Per problem, the prices in a journal that starts with ``first_line``; none without one.
 
-    A last line without its newline is a torn write: it is cut from the
-    file, so its pair is priced again and later appends start on a fresh
-    line.  A malformed complete line, a second price for a pair among
-    them, raises ValueError naming ``path:line``.
+    A journal is a timing table under a first line that names the oracle
+    and the dataset.  A non-empty file that starts otherwise raises
+    ValueError and is left as it is.  A last row without its newline is a
+    torn write: it is cut from the file, so its pair is priced again and
+    later appends start on a fresh line.  Rows name problems by id, so the
+    ids must be distinct and read back as written; a row that names no
+    problem of the dataset, or a bad ordering, raises ValueError naming
+    ``path:line``.
     """
     by_order: list[dict[Ordering, float]] = [{} for _ in dataset]
-    if path is None or not os.path.exists(path):
+    if path is None:
         return by_order
-    data = Path(path).read_bytes()
+    index = {pr.id: p for p, pr in enumerate(dataset)}
+    # load_timing_table strips each field, so an id must not start or end with whitespace.
+    if None in index or len(index) < len(dataset) or any(i != i.strip() for i in index):
+        raise ValueError("a journal needs distinct problem ids without surrounding whitespace")
+    data = Path(path).read_bytes() if os.path.exists(path) else b""
+    if not data:
+        return by_order
+    if not data.startswith(f"{first_line}\n".encode()):
+        got = data.split(b"\n", 1)[0][:200].decode(errors="replace")
+        raise ValueError(f"{path}:1: first line {got!r} is not this run's {first_line!r}")
     complete = data[: data.rfind(b"\n") + 1]
     if len(complete) < len(data):
         os.truncate(path, len(complete))
-    for lineno, line in enumerate(complete.decode().splitlines(), start=1):
+    for rec in load_timing_table(path).records.values():
         try:
-            p_text, order_text, cost_text = line.split(",")
-            p = range(len(dataset)).index(int(p_text))
-            ordering = parse_ordering(order_text, dataset[p])
+            p = index.get(rec.problem_id)
+            if p is None:
+                raise ValueError(f"no problem {rec.problem_id!r} in the dataset")
+            ordering = parse_ordering(rec.ordering, dataset[p])
             if ordering in by_order[p]:
                 raise ValueError("pair already on file")
-            by_order[p][ordering] = float(cost_text)
+            by_order[p][ordering] = rec.time_s
         except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: malformed journal line {line!r}: {e}") from None
+            raise ValueError(f"{path}:{rec.line}: {e}") from None
     return by_order
 
 
@@ -159,23 +174,30 @@ def search_triplets(
     run at once over the pairs a triplet newly needs.  A journal file
     makes long runs resumable: each oracle price is appended to it as it
     arrives, and a resumed search prices only the pairs not on file and
-    recomputes every total.  The journal is bound to the dataset and the
-    oracle, which are not checked yet.
+    recomputes every total.  The journal is a timing table whose first
+    line binds it to the oracle and the dataset, so ``load_timing_table``
+    replays it.
     """
     dataset = list(dataset)
     triplets = enumerate_triplets(fs)
     k = len(fs)
     brown_ids = _triplet_ids(brown_features(), fs)
+    digest = dataset_digest(dataset)
+    first_line = f"# oracle: {oracle.describe()}; dataset: {digest}"
 
-    by_order = _load_journal(journal_path, dataset)
+    by_order = _load_journal(journal_path, dataset, first_line)
 
     # Line-buffered, so a killed search leaves every price written so far on file.
     # A failed oracle call cancels the calls its batch has not started.
     with ThreadPoolExecutor(max(jobs, 1)) as pool, (
-        open(journal_path, "a", buffering=1) if journal_path is not None else nullcontext()
+        open(journal_path, "a", buffering=1, newline="")
+        if journal_path is not None else nullcontext()
     ) as fh:
+        journal = None if fh is None else csv.writer(fh, lineterminator="\n")
+        if fh is not None and fh.tell() == 0:
+            fh.write(f"{first_line}\n{','.join(TIMING_COLUMNS)}\n")
         call = pool.map if jobs > 1 else map
-        costs = _pricer(fs.descriptors + brown_features(), dataset, oracle, call, by_order, fh)
+        costs = _pricer(fs.descriptors + brown_features(), dataset, oracle, call, by_order, journal)
         brown = costs((k, k + 1, k + 2))
         totals, wins = [], []
         for per_problem in map(costs, triplets):
@@ -201,7 +223,7 @@ def search_triplets(
         )
 
     return SearchReport(
-        dataset_id=dataset_digest(dataset),
+        dataset_id=digest,
         oracle_id=oracle.describe(),
         pool_size=len(fs),
         triplet_count=len(triplets),

@@ -208,6 +208,103 @@ def test_search_resume_old_journal_is_data_error(tmp_path, dataset_dir, pool_fil
         assert journal.read_text() == text
 
 
+@pytest.mark.parametrize("case", ["other-data", "step-base-3", "pool-json"])
+def test_search_resume_of_another_run_is_data_error(tmp_path, dataset_dir, pool_file, capsys, case):
+    base = ["search", "--pool", str(pool_file), "--top-k", "3"]
+    journal = tmp_path / "journal.txt"
+    run(capsys, *base, "--data", str(dataset_dir), "--resume", str(journal),
+        "--out", str(tmp_path / "first"))
+    rest = ["--data", str(dataset_dir)]
+    if case == "other-data":
+        # Another dataset of the same size.
+        other = tmp_path / "other"
+        assert run(capsys, "gen", "--seed", "1", "--count", "25", "--out", str(other))[0] == 0
+        rest = ["--data", str(other)]
+    elif case == "step-base-3":
+        rest += ["--step-base", "3"]
+    else:
+        # A one-line JSON file, without a trailing newline.
+        journal = tmp_path / "notes.json"
+        journal.write_text(json.dumps(json.loads(pool_file.read_text())))
+    before = journal.read_bytes()
+    code, stdout, stderr = run(capsys, *base, *rest, "--resume", str(journal),
+                               "--out", str(tmp_path / "r"))
+    assert code == 2 and stdout == ""
+    assert f"{journal}:1: first line" in stderr
+    assert journal.read_bytes() == before
+    assert not list(tmp_path.glob("r.*"))
+
+
+def test_search_journal_replays_through_a_table_oracle(tmp_path, dataset_dir, pool_file, capsys):
+    base = ["search", "--pool", str(pool_file), "--data", str(dataset_dir)]
+    journal = tmp_path / "j.txt"
+    assert run(capsys, *base, "--resume", str(journal), "--out", str(tmp_path / "first"))[0] == 0
+    assert journal.read_text().startswith("# oracle: synthetic(")
+    code, _, _ = run(capsys, *base, "--oracle", f"table:{journal}", "--out", str(tmp_path / "replay"))
+    assert code == 0
+    first = json.loads((tmp_path / "first.json").read_text())
+    replay = json.loads((tmp_path / "replay.json").read_text())
+    assert replay["ranked"] == first["ranked"]
+    assert replay["baseline"] == first["baseline"]
+    assert replay["oracle_id"].startswith("table(")
+
+
+def test_search_pool_with_a_repeated_descriptor_is_data_error(tmp_path, dataset_dir, capsys):
+    from cadorder.features import brown_features, descriptor_record
+
+    dup = tmp_path / "dup.json"
+    dup.write_text(json.dumps([descriptor_record(fd) for fd in brown_features() * 2][:4]))
+    code, stdout, stderr = run(capsys, "search", "--pool", str(dup), "--data", str(dataset_dir),
+                               "--out", str(tmp_path / "r"))
+    assert code == 2 and stdout == ""
+    assert f"{dup}: descriptor 'max_mp d_v' is listed twice" in stderr
+    assert not list(tmp_path.glob("r.*"))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param("search --pool {t}/pool.json --data {t}/data --out {t}/pool",
+                     "output {t}/pool.json is an input", id="search-over-pool"),
+        pytest.param("search --pool {t}/pool.json --data {t}/data --oracle table:{t}/times.csv "
+                     "--out {t}/times", "output {t}/times.csv is an input", id="search-over-table"),
+        pytest.param("search --pool {t}/pool.json --data {t}/data --out {t}/data/manifest",
+                     "output {t}/data/manifest.json is an input", id="search-into-dataset"),
+        pytest.param("search --pool {t}/pool.json --data {t}/data --resume {t}/pool.json "
+                     "--out {t}/r", "--resume {t}/pool.json is an input", id="resume-pool"),
+        pytest.param("search --pool {t}/pool.json --data {t}/data --oracle table:{t}/times.csv "
+                     "--resume {t}/times.csv --out {t}/r", "--resume {t}/times.csv is an input",
+                     id="resume-table"),
+        pytest.param("search --pool {t}/pool.json --data {t}/data --resume {t}/r.json "
+                     "--out {t}/r", "--resume {t}/r.json is an input or an output", id="resume-output"),
+        pytest.param("search --pool {t}/pool.json --data {t}/data --resume {t}/r.json.manifest.json "
+                     "--out {t}/r", "--resume {t}/r.json.manifest.json is", id="resume-manifest"),
+        pytest.param("order --problem {t}/a.poly --out {t}/a.poly",
+                     "output {t}/a.poly is an input", id="order-over-problem"),
+        pytest.param("check --data {t}/data --triplet {t}/t.json.manifest.json --out {t}/t.json",
+                     "output {t}/t.json.manifest.json is an input", id="check-manifest-over-triplet"),
+        pytest.param("train --train {t}/data --val {t}/data --triplet {t}/t.json --out {t}/t",
+                     "output {t}/t.json is an input", id="train-over-triplet"),
+        pytest.param("features --probe {t}/data --out {t}/data/manifest.json",
+                     "output {t}/data/manifest.json is an input", id="features-into-dataset"),
+    ],
+)
+def test_output_over_an_input_is_usage_error(tmp_path, dataset_dir, pool_file, problem_file,
+                                             capsys, argv, message):
+    from cadorder.features import brown_features, descriptor_record
+
+    (tmp_path / "times.csv").write_text("problem,ordering,time_s,timed_out\n")
+    records = json.dumps([descriptor_record(fd) for fd in brown_features()])
+    (tmp_path / "t.json").write_text(records)
+    (tmp_path / "t.json.manifest.json").write_text(records)
+    (tmp_path / "r.json.manifest.json").write_text("{}")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    code, stdout, stderr = run(capsys, *argv.format(t=tmp_path).split())
+    assert code == 1 and stdout == ""
+    assert f"usage error: {message.format(t=tmp_path)}" in stderr
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 @pytest.mark.parametrize("top_k", ["0", "-2"])
 def test_search_top_k_below_one_is_usage_error(tmp_path, dataset_dir, pool_file, capsys, top_k):
     with pytest.raises(SystemExit) as exc:

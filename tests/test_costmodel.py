@@ -117,7 +117,7 @@ def test_load_timing_table(tmp_path):
 @pytest.mark.parametrize(
     "rows, fragment",
     [
-        ("p1,x>y,-1,false\n", "row 2: negative time"),
+        ("p1,x>y,-1,false\n", "bad.csv:2: negative time"),
         ("p1,x>y,1.0,false\np1,x>y,2.0,false\n", "duplicate key"),
         ("p1,x>y,abc,false\n", "bad time_s"),
         ("p1,x>y,1.0,maybe\n", "timed_out"),
@@ -129,6 +129,65 @@ def test_load_timing_table_errors(tmp_path, rows, fragment):
     path.write_text("problem,ordering,time_s,timed_out\n" + rows)
     with pytest.raises(ValueError, match=fragment):
         load_timing_table(path, timeout_s=10.0)
+    # Below one leading "#" line, each error names the line one further down.
+    line = rows.count("\n") + 1
+    path.write_text("# oracle: synthetic; dataset: 0\nproblem,ordering,time_s,timed_out\n" + rows)
+    with pytest.raises(ValueError, match=f"bad.csv:{line + 1}: "):
+        load_timing_table(path, timeout_s=10.0)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p1,x>y,1.0,false\n", "t.csv:1: expected header"),
+        ("# a\n# b\nproblem,ordering,time_s,timed_out\n", "t.csv:2: expected header"),
+        ("problem,ordering,time_s,timed_out\n\np1,x>y,1.0,false\np1,x>y,2.0,false\n",
+         "t.csv:4: duplicate key ('p1', 'x>y') (first at line 3)"),
+        ('problem,ordering,time_s,timed_out\n"p\n1",x>y,1.0,false\np2,x>y,-1.0,false\n',
+         "t.csv:4: negative time"),  # a quoted id spans lines 2 and 3
+        ("problem,ordering,time_s,timed_out\np1,x>y,9.9,true\n",
+         "t.csv:2: timed out, so a timeout_s is required"),
+    ],
+)
+def test_load_timing_table_errors_name_file_and_line(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as e:
+        load_timing_table(path)
+    assert str(e.value).startswith(f"{path.parent}/{message}")
+
+
+def test_load_timing_table_skips_one_leading_comment_line(tmp_path):
+    path = tmp_path / "times.csv"
+    path.write_text("# recorded on the lab machine\n"
+                    "problem,ordering,time_s,timed_out\n"
+                    "p1,x>y>z,1.5,false\n")
+    table = load_timing_table(path)
+    assert table.records == {("p1", "x>y>z"): CostRecord("p1", "x>y>z", 1.5, False)}
+    assert table.records[("p1", "x>y>z")].line == 3
+
+
+def test_describe_names_every_setting_that_changes_a_price(tmp_path):
+    template = "mycad {problem_file} --order {ordering}"
+    assert ExternalSolverAdapter(template, 1.0, 2.0).describe() == (
+        f"cmd({template!r},timeout=1.0,penalty=2.0)"
+    )
+    assert (ExternalSolverAdapter(template, 1.0, 2.0).describe()
+            != ExternalSolverAdapter(template, 1.0, 3.0).describe())
+
+    def table(rows):
+        path = tmp_path / "t.csv"
+        path.write_text("problem,ordering,time_s,timed_out\n" + "".join(rows))
+        return load_timing_table(path, timeout_s=10.0)
+
+    a = ["a,x>y>z,1.5,false\n", "a,x>z>y,10.0,true\n"]
+    b = ["a,x>y>z,1.25,false\n", "a,x>z>y,10.0,true\n"]
+    c = ["a,x>y>z,1.5,false\n", "a,x>z>y,10.0,false\n"]
+    # The same row count, but other prices: each description differs.
+    assert len({table(rows).describe() for rows in (a, b, c)}) == 3
+    # The row order does not change a price, nor the description.
+    assert table(a[::-1]).describe() == table(a).describe()
+    assert table(a).describe().startswith("table(n=2,sha256=")
 
 
 def test_load_timing_table_header_required(tmp_path):

@@ -1,3 +1,5 @@
+import json
+import re
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
@@ -19,6 +21,7 @@ from cadorder.features import (
     dedup_features,
     default_probe,
     descriptor_from_record,
+    descriptor_record,
     enumerate_descriptors,
     eval_descriptors,
     eval_feature,
@@ -432,6 +435,16 @@ def test_feature_set_json_round_trip(tmp_path, problem_a, problem_b, problem_c):
     fs.save(path)
     loaded = load_feature_set(path)
     assert loaded.descriptors == fs.descriptors
+
+
+def test_feature_set_rejects_a_repeated_descriptor(tmp_path):
+    brown = brown_features()
+    with pytest.raises(ValueError, match="descriptor 'max_mp d_v' is listed twice"):
+        FeatureSet.from_descriptors(brown + brown[:1])
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps([descriptor_record(fd) for fd in brown + brown[:1]]))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: descriptor 'max_mp d_v'"):
+        load_feature_set(path)
 
 
 def test_descriptor_record_round_trip():

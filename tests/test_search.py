@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cadorder
-from cadorder.costmodel import SyntheticCostModel
+from cadorder.costmodel import SyntheticCostModel, load_timing_table
 from cadorder.datagen import GenConfig, random_dataset
 from cadorder.features import (
     Agg,
@@ -233,6 +233,11 @@ def _distinct_pairs(fs, dataset):
     }
 
 
+def _rows(text):
+    """The price rows of a journal's text, below its first line and header."""
+    return text.splitlines()[2:]
+
+
 def test_search_journal_resume(tmp_path):
     fs = _named_pool()
     dataset = random_dataset(GenConfig(seed=5), 40)
@@ -241,16 +246,22 @@ def test_search_journal_resume(tmp_path):
     full = search_triplets(fs, dataset, SyntheticCostModel(), journal_path=journal)
     text = journal.read_text()
     lines = text.splitlines()
-    assert len(lines) == distinct
-    # Each line is one oracle price: problem index, ordering, repr of the cost.
-    for line in lines:
-        p, names, cost = line.split(",")
-        pr = dataset[int(p)]
+    assert lines[:2] == [
+        f"# oracle: {SyntheticCostModel().describe()}; dataset: {dataset_digest(dataset)}",
+        "problem,ordering,time_s,timed_out",
+    ]
+    assert len(_rows(text)) == distinct
+    # Each row is one oracle price: problem id, ordering, repr of the cost.
+    by_id = {pr.id: pr for pr in dataset}
+    for row in _rows(text):
+        problem_id, names, cost, timed_out = row.split(",")
+        pr = by_id[problem_id]
         assert cost == repr(SyntheticCostModel().cost(pr, parse_ordering(names, pr)))
+        assert timed_out == "false"
 
-    # Simulate a kill at 50%: keep half the journal, then resume.
+    # Simulate a kill at 50%: keep half the rows, then resume.
     half = tmp_path / "half.txt"
-    half.write_text("\n".join(lines[: distinct // 2]) + "\n")
+    half.write_text("\n".join(lines[: 2 + distinct // 2]) + "\n")
     oracle = _CountingOracle()
     resumed = search_triplets(fs, dataset, oracle, journal_path=half)
     assert resumed.to_json() == full.to_json()
@@ -273,19 +284,25 @@ def test_search_journal_drops_torn_last_line(tmp_path):
     text = journal.read_text()
     lines = text.splitlines()
 
-    # A write torn mid-number: "3,x0>x2>x1,1" would price the pair at 1.0 if trusted.
-    torn_line = lines[10][: lines[10].rindex(",") + 2]
-    assert float(torn_line.rsplit(",", 1)[1]) != float(lines[10].rsplit(",", 1)[1])
+    # A write torn mid-number: "rnd-5-3,x0>x2>x1,1" would price the pair at 1.0 if trusted.
+    problem_id, names, cost, _ = lines[12].split(",")
+    torn_line = f"{problem_id},{names},{cost[0]}"
+    assert float(cost[0]) != float(cost)
     torn = tmp_path / "torn.txt"
-    torn.write_text("\n".join(lines[:10]) + "\n" + torn_line)
+    torn.write_text("\n".join(lines[:12]) + "\n" + torn_line)
     oracle = _CountingOracle()
     resumed = search_triplets(fs, dataset, oracle, journal_path=torn)
     assert resumed.to_json() == full.to_json()
-    assert oracle.calls == len(lines) - 10
+    assert oracle.calls == len(lines) - 12
     assert torn.read_text() == text
 
 
-_PRICE_LINE = "0,x0>x1>x2,12.5\n"
+def _preamble(dataset):
+    return (f"# oracle: {SyntheticCostModel().describe()}; dataset: {dataset_digest(dataset)}\n"
+            "problem,ordering,time_s,timed_out\n")
+
+
+_PRICE_ROW = "rnd-5-0,x0>x1>x2,12.5,false\n"
 
 
 def _assert_journal_rejected(journal, text, line, match=""):
@@ -296,28 +313,113 @@ def _assert_journal_rejected(journal, text, line, match=""):
     assert journal.read_text() == text
 
 
-def test_search_journal_malformed_line_raises(tmp_path):
-    for bad in (
-        "1;x0>x1>x2,3.0",
-        "1,x0>x1>x2,abc",
-        "5,x0>x1>x2,3.0",  # no problem 5 in a dataset of 5
-        "-1,x0>x1>x2,3.0",
-        "1,x0>x1,3.0",  # partial ordering
-        "1,x0>x1>x1,3.0",
-        "0,12.5,3",  # a triplet line of the older index,total,wins format
-    ):
-        _assert_journal_rejected(tmp_path / "journal.txt", _PRICE_LINE + bad + "\n", 2)
-
-
-def test_search_journal_two_field_line_raises(tmp_path):
-    # A pair without its cost, and a line of the oldest index,total format.
-    for bad in ("1,x0>x1>x2", "1,12.5"):
-        _assert_journal_rejected(tmp_path / "journal.txt", _PRICE_LINE + bad + "\n", 2)
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ("rnd-5-1;x0>x1>x2,3.0,false", "expected 4 fields"),
+        ("rnd-5-1,x0>x1>x2,abc,false", "bad time_s"),
+        ("rnd-5-5,x0>x1>x2,3.0,false", "no problem 'rnd-5-5'"),  # a dataset of 5
+        ("-1,x0>x1>x2,3.0,false", "no problem '-1'"),
+        ("1,x0>x1>x2,3.0,false", "no problem '1'"),  # an index, as older journals keyed rows
+        ("rnd-5-1,x0>x1,3.0,false", "exactly once"),  # partial ordering
+        ("rnd-5-1,x0>x1>x1,3.0,false", "exactly once"),
+        ("rnd-5-1,x0>x1>x3,3.0,false", "unknown variable"),
+        ("rnd-5-1,x0>x1>x2,-1.0,false", "negative time"),
+        ("rnd-5-1,x0>x1>x2,3.0,maybe", "timed_out must be true/false"),
+        ("rnd-5-1,x0>x1>x2,3.0,true", "timeout_s is required"),
+        ("0,12.5,3", "expected 4 fields"),  # a triplet line of the older index,total,wins format
+        ("1,x0>x1>x2,3.0", "expected 4 fields"),  # a price line of the older format
+        ("1,x0>x1>x2", "expected 4 fields"),  # a pair without its cost
+        ("1,12.5", "expected 4 fields"),  # a line of the oldest index,total format
+    ],
+)
+def test_search_journal_bad_row_raises(tmp_path, bad, match):
+    text = _preamble(random_dataset(GenConfig(seed=5), 5)) + _PRICE_ROW + bad + "\n"
+    _assert_journal_rejected(tmp_path / "journal.txt", text, 4, match)
 
 
 def test_search_journal_repeated_pair_raises(tmp_path):
-    text = _PRICE_LINE + "1,x0>x1>x2,3.0\n0,x0>x1>x2,13.0\n"
-    _assert_journal_rejected(tmp_path / "journal.txt", text, 3, "already on file")
+    text = _preamble(random_dataset(GenConfig(seed=5), 5)) + _PRICE_ROW
+    _assert_journal_rejected(tmp_path / "journal.txt",
+                             text + "rnd-5-1,x0>x1>x2,3.0,false\nrnd-5-0,x0>x1>x2,13.0,false\n",
+                             5, "duplicate key")
+    # The same pair, spelled with spaces around its variable names.
+    _assert_journal_rejected(tmp_path / "journal.txt", text + "rnd-5-0,x0 > x1 > x2,13.0,false\n",
+                             4, "already on file")
+
+
+@pytest.mark.parametrize("first_line", [
+    pytest.param("# oracle: synthetic(step=3.0,noise_seed=None,noise_scale=0.0); dataset: {digest}",
+                 id="other-oracle"),
+    pytest.param("# oracle: {oracle}; dataset: 0000000000000000", id="other-dataset"),
+    pytest.param("problem,ordering,time_s,timed_out", id="table-without-first-line"),
+    pytest.param("0,x0>x1>x2,12.5", id="older-index-keyed-journal"),
+    pytest.param('[{"kernel": "DEGREE", "pipeline": ["max_mp", "id", "id", "id"]}]',
+                 id="pool-json-without-newline"),
+])
+def test_search_journal_of_another_run_is_left_as_it_is(tmp_path, first_line):
+    dataset = random_dataset(GenConfig(seed=5), 5)
+    text = first_line.replace("{oracle}", SyntheticCostModel().describe()).replace(
+        "{digest}", dataset_digest(dataset))
+    if not text.startswith("["):
+        text += "\n" + _PRICE_ROW
+    journal = tmp_path / "journal.txt"
+    journal.write_text(text)
+    oracle = _CountingOracle()
+    with pytest.raises(ValueError, match="journal.txt:1: first line .* is not this run's"):
+        search_triplets(_named_pool(), dataset, oracle, journal_path=journal)
+    assert journal.read_text() == text
+    assert oracle.calls == 0
+
+
+def test_search_empty_journal_starts_fresh(tmp_path):
+    dataset = random_dataset(GenConfig(seed=5), 5)
+    fresh, empty = tmp_path / "fresh.txt", tmp_path / "empty.txt"
+    empty.write_text("")
+    search_triplets(_named_pool(), dataset, SyntheticCostModel(), journal_path=fresh)
+    search_triplets(_named_pool(), dataset, SyntheticCostModel(), journal_path=empty)
+    assert empty.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("ids", [["a", "b", "a"], ["a", None, "c"], ["a", " b", "c"]],
+                         ids=["repeated", "none", "space"])
+def test_search_journal_needs_distinct_problem_ids(tmp_path, ids):
+    dataset = [pr.with_id(i) for pr, i in zip(random_dataset(GenConfig(seed=5), 3), ids)]
+    oracle = _CountingOracle()
+    with pytest.raises(ValueError, match="distinct problem ids"):
+        search_triplets(_named_pool(), dataset, oracle, journal_path=tmp_path / "j.txt")
+    assert oracle.calls == 0
+    assert not (tmp_path / "j.txt").exists()
+    # Without a journal, ids are not needed.
+    search_triplets(_named_pool(), dataset, oracle)
+
+
+def test_search_journal_round_trips_ids_with_commas_and_quotes(tmp_path):
+    fs = _named_pool()
+    ids = ['p,"0"', "p'1", 'say "hi", twice']
+    dataset = [pr.with_id(i) for pr, i in zip(random_dataset(GenConfig(seed=5), 3), ids)]
+    journal = tmp_path / "journal.txt"
+    full = search_triplets(fs, dataset, SyntheticCostModel(), journal_path=journal)
+    assert {problem for problem, _ in load_timing_table(journal).records} == set(ids)
+    oracle = _CountingOracle()
+    assert search_triplets(fs, dataset, oracle, journal_path=journal).to_json() == full.to_json()
+    assert oracle.calls == 0
+
+
+def test_search_journal_replays_as_a_timing_table(tmp_path):
+    fs = _named_pool()
+    dataset = random_dataset(GenConfig(seed=5), 20)
+    journal = tmp_path / "journal.txt"
+    full = search_triplets(fs, dataset, SyntheticCostModel(), journal_path=journal)
+    table = load_timing_table(journal)
+    index = {pr.id: p for p, pr in enumerate(dataset)}
+    assert {(index[problem], parse_ordering(names, dataset[index[problem]]).perm)
+            for problem, names in table.records} == _distinct_pairs(fs, dataset)
+    # The table is the replay's only oracle: no solver and no synthetic model.
+    replay = search_triplets(fs, dataset, table)
+    assert replay.ranked == full.ranked
+    assert replay.baseline == full.baseline
+    assert replay.oracle_id.startswith("table(")
 
 
 def test_search_journal_bytes_equal_for_any_jobs(tmp_path):
@@ -329,7 +431,7 @@ def test_search_journal_bytes_equal_for_any_jobs(tmp_path):
         search_triplets(fs, dataset, SyntheticCostModel(), journal_path=path, jobs=jobs)
         journals.append(path.read_bytes())
     assert journals[0] == journals[1]
-    assert len(journals[0].splitlines()) == len(_distinct_pairs(fs, dataset))
+    assert len(_rows(journals[0].decode())) == len(_distinct_pairs(fs, dataset))
 
 
 def test_search_journal_of_smaller_pool_prices_only_new_pairs(tmp_path):
@@ -396,7 +498,7 @@ def test_search_interrupted_journal_resumes(tmp_path, jobs):
             search_triplets(fs, dataset, _CountingOracle(limit=limit),
                             journal_path=journal, jobs=jobs)
         text = journal.read_text()
-        lines = text.splitlines()
+        lines = _rows(text)
         # Prices are written on the calling thread in the order the scan
         # asks for them, so with any worker count the journal is a prefix
         # of a fresh one.  With one worker it holds every price paid; with
@@ -459,7 +561,7 @@ def test_search_killed_process_journal_resumes(tmp_path):
         assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
         text = journal.read_text()
         assert text.endswith("\n")
-        assert len(text.splitlines()) == limit
+        assert len(_rows(text)) == limit
 
         resumed_oracle = _CountingOracle()
         resumed = search_triplets(fs, dataset, resumed_oracle, journal_path=journal)

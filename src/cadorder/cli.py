@@ -128,8 +128,10 @@ def _check_outputs(inputs, outputs, resume=None) -> None:
         raise UsageError(f"--resume {resume} is an input or an output of this run")
 
 
-def _write_manifest(command: str, args, inputs, outputs, started: float) -> None:
+def _write_manifest(command: str, args, inputs, outputs, started: float, **stage_s) -> None:
+    """Write the run manifest; ``stage_s`` adds per-stage times, in seconds."""
     manifest = {
+        **{k: round(v, 6) for k, v in stage_s.items()},
         "command": command,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "inputs": {str(p): _sha256_path(Path(p)) for p in inputs},
@@ -333,11 +335,14 @@ def cmd_check(args) -> int:
     except FileNotFoundError as e:
         raise UsageError(f"empty dataset: {e}") from None
     triplet = _load_triplet(args.triplet)
+    loaded = time.perf_counter()
     report = check_equivalence(dataset, triplet, force_w=args.force_w)
+    checked = time.perf_counter()
     payload = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     if args.out:
         write_text(args.out, payload)
-        _write_manifest("check", args, inputs, [args.out], started)
+        _write_manifest("check", args, inputs, [args.out], started,
+                        load_s=loaded - started, check_s=checked - loaded)
     else:
         print(payload, end="")
     print(

@@ -133,6 +133,8 @@ def load_timing_table(
                 raise ValueError(f"{where}: bad time_s {time_text!r}") from None
             if time_s < 0:
                 raise ValueError(f"{where}: negative time {time_s}")
+            if not time_s < math.inf:  # also false for NaN
+                raise ValueError(f"{where}: bad time_s {time_text!r}")
             timed_out = _parse_bool(timed_text, where)
             if timed_out and timeout_s is None:
                 raise ValueError(f"{where}: timed out, so a timeout_s is required")

@@ -22,24 +22,36 @@ with trainable first-layer weights.  The frozen network's first layer is
 evaluated in one function, ``radix_scores``: it checks the weight
 condition and returns y, for ``check_equivalence`` and for the CLI's
 ``order --heuristic nn``.  Production code orders by the sort
-(``lex_order``, ``order_by_scores``).  The explicit n! output layer
-(``layer2_scores``) is the reference that ``check_equivalence`` compares
-against, and the layer that training relaxes to a softmax; its gradient
-is ``layer2_backward``.  Training evaluates a mini-batch at a time, in
-column form: ``layer1_columns`` and ``layer2_columns`` take one column
-per variable, holding one value per sample, and add every value as
-``layer1_scores`` and ``layer2_scores`` add it for one sample;
-``layer2_backward`` is column in, column out.  Layer 2 is summed over
-shared variable prefixes: each score sum_v W[v] * y[v] is added left to
-right over the variables, and the neurons that give variables 0..v the
-same weights share that partial sum.  That takes n(n+1) products and
-about 2.7 * n! additions (n = 8: 72 multiplications and 109,592
-additions, against 322,560 of each for one dot product per neuron).
-The gather plan behind it is built once per n (about 0.1 s at n = 8 on a
-2-core x86-64 host with Python 3.11).
-``check_equivalence`` unranks the argmax neuron in factorial base, so it
-never builds ``permutation_weights(8)`` (40,320 weight vectors, 10.5 MB);
-only ``layer2_backward`` and the tests read that table.
+(``lex_order``, ``order_by_scores``).  The explicit n! output layer is
+the reference that ``check_equivalence`` compares against, and the layer
+that training relaxes to a softmax; its gradient is ``layer2_backward``.
+
+``check_equivalence`` scores exact y (ints, Fractions) as one packed
+integer product (``_packed_scores``).  y is scaled by the lcm of its
+denominators and shifted by its minimum; every neuron's weights are a
+permutation of 1..n, so that moves every score by the same affine map
+and keeps the argmax and its ties.  Each variable's weight in every
+neuron is packed into one int, one unsigned field per neuron
+(``_packed_columns``), so the scores are sum_v y_v * column_v: n big-int
+multiplications per problem.  The fields are 32 bits wide, or 64 when
+the largest score needs it; the n = 8 columns take about 1.3 MB at 32
+bits.  Float y, and scores of 2**64 or more, go through
+``layer2_scores`` instead.
+
+``layer2_scores`` adds each score sum_v W[v] * y[v] left to right over
+the variables, the order that training's column form needs, and the
+neurons that give variables 0..v the same weights share that partial
+sum.  That takes n(n+1) products and about 2.7 * n! additions (n = 8: 72
+multiplications and 109,592 additions, against 322,560 of each for one
+dot product per neuron), through a gather plan built once per n.
+Training evaluates a mini-batch at a time, in column form:
+``layer1_columns`` and ``layer2_columns`` take one column per variable,
+holding one value per sample, and add every value as ``layer1_scores``
+and ``layer2_scores`` add it for one sample; ``layer2_backward`` is
+column in, column out.  ``check_equivalence`` unranks the argmax neuron
+in factorial base, so it never builds ``permutation_weights(8)`` (40,320
+weight vectors, 10.5 MB); only ``layer2_backward`` and the tests read
+that table.
 
 Convention: the variable with the lexicographically greatest feature row
 is placed first in the ordering (the CLI can flip the printed order with
@@ -49,6 +61,8 @@ is placed first in the ordering (the CLI can flip the printed order with
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -62,6 +76,9 @@ from .polyset import ProblemInstance
 # past it, check_equivalence compares against the sort path (same result by
 # the rearrangement inequality).
 MAX_EXPLICIT_LAYER = 8
+
+# Unsigned array typecodes of the packed output layer's fields, narrowest first.
+_PACKED_TYPECODES = ("I", "Q")
 
 
 class BaseWeightError(ValueError):
@@ -173,10 +190,14 @@ def radix_scores(rows, w: int, problem_id) -> list:
     return layer1_scores(radix_weights(w), rows)
 
 
-def _neurons(n: int):
-    """(ordering, weight vector) of each output neuron, lexicographic."""
+def _check_layer_size(n: int) -> None:
     if n > MAX_EXPLICIT_LAYER:
         raise ValueError(f"explicit output layer limited to {MAX_EXPLICIT_LAYER} variables")
+
+
+def _neurons(n: int):
+    """(ordering, weight vector) of each output neuron, lexicographic."""
+    _check_layer_size(n)
     return map(_neuron, permutations(range(n)))
 
 
@@ -311,9 +332,57 @@ def _unrank(n: int, k: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
+@lru_cache(maxsize=None)
+def _packed_columns(n: int, typecode: str) -> tuple[int, ...]:
+    """Per variable, its weight in every output neuron, packed into one int.
+
+    Neuron k's weight is field k of an unsigned ``array(typecode)``, read
+    as one int in native byte order, so ``sum(y_v * column_v)`` holds
+    neuron k's score in field k while every score fits its field.
+    """
+    _check_layer_size(n)
+    return tuple(
+        int.from_bytes(
+            array(typecode, [n - perm.index(v) for perm in permutations(range(n))]).tobytes(),
+            sys.byteorder,
+        )
+        for v in range(n)
+    )
+
+
+def _packed_scores(y) -> array | None:
+    """Every neuron's score of exact ``y`` as one packed integer product.
+
+    ``y`` is scaled by the lcm D of its denominators and shifted by its
+    minimum, so neuron k's field holds D * s_k - D * min(y) * n(n+1)/2 for
+    its score s_k: one affine map for every neuron, since each gives the
+    weights 1..n, which keeps the argmax and its ties.  The fields are 32
+    bits wide if the largest score fits, else 64.  None for float ``y``
+    or a largest score of 2**64 or more.
+    """
+    if not all(isinstance(v, (int, Fraction)) for v in y):
+        return None
+    d = math.lcm(*(v.denominator for v in y))
+    ints = [v.numerator * (d // v.denominator) for v in y]
+    low = min(ints)
+    ints = [v - low for v in ints]
+    n = len(ints)
+    # The largest score weights the greatest value n (rearrangement inequality).
+    top = sum(map(mul, sorted(ints, reverse=True), range(n, 0, -1)))
+    for typecode in _PACKED_TYPECODES:
+        scores = array(typecode)
+        if top < 1 << (8 * scores.itemsize):
+            total = sum(map(mul, ints, _packed_columns(n, typecode)))
+            scores.frombytes(total.to_bytes(math.factorial(n) * scores.itemsize, sys.byteorder))
+            return scores
+    return None
+
+
 def _order_scores(y) -> Ordering:
     """Argmax neuron, first (lexicographically smallest) on ties."""
-    scores = layer2_scores(y)
+    scores = _packed_scores(y)
+    if scores is None:
+        scores = layer2_scores(y)
     return Ordering(_unrank(len(y), scores.index(max(scores))))
 
 

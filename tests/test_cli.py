@@ -510,6 +510,16 @@ def test_check_has_no_jobs(dataset_dir, tmp_path, capsys, monkeypatch):
     assert "jobs" not in manifest["config"]
 
 
+def test_check_manifest_times_its_stages(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "check.json"
+    assert run(capsys, "check", "--data", str(dataset_dir), "--out", str(out))[0] == 0
+    manifest = json.loads((tmp_path / "check.json.manifest.json").read_text())
+    load_s, check_s = manifest["load_s"], manifest["check_s"]
+    assert load_s >= 0 and check_s >= 0
+    # Each time is rounded to the microsecond on its own.
+    assert load_s + check_s <= manifest["wall_time_s"] + 2e-6
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -120,6 +120,9 @@ def test_load_timing_table(tmp_path):
         ("p1,x>y,-1,false\n", "bad.csv:2: negative time"),
         ("p1,x>y,1.0,false\np1,x>y,2.0,false\n", "duplicate key"),
         ("p1,x>y,abc,false\n", "bad time_s"),
+        ("p1,x>y,nan,false\n", "bad.csv:2: bad time_s 'nan'"),
+        ("p1,x>y,inf,false\n", "bad.csv:2: bad time_s 'inf'"),
+        ("p1,x>y,-inf,false\n", "bad.csv:2: negative time"),
         ("p1,x>y,1.0,maybe\n", "timed_out"),
         ("p1,x>y,1.0\n", "expected 4 fields"),
     ],

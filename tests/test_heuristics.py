@@ -30,7 +30,10 @@ from cadorder.heuristics import (
     permutation_weights,
     radix_scores,
     radix_weights,
+    _layer2_plan,
     _order_scores,
+    _packed_columns,
+    _packed_scores,
     _rank,
     _unrank,
 )
@@ -114,6 +117,12 @@ def test_layer2_explicit_limit():
         layer2_scores(too_many)
     with pytest.raises(ValueError, match=message):
         _order_scores(too_many)
+    # Past the limit, neither the packed columns nor the plan is built.
+    with pytest.raises(ValueError, match=message):
+        _packed_columns(len(too_many), "I")
+    for y in ((0.5,) * len(too_many), (2**64,) + too_many[1:]):
+        with pytest.raises(ValueError, match=message):
+            _order_scores(y)
 
 
 def _dot_per_neuron(y):
@@ -184,6 +193,70 @@ def test_argmax_neuron_equals_sort_at_n8_with_ties(seed):
     ]
     for y in ys:
         assert _order_scores(y) == order_by_scores(y)
+
+
+def _expected_packed(y):
+    """``layer2_scores(y)`` under the affine map that makes exact ``y`` non-negative ints."""
+    n = len(y)
+    d = math.lcm(*(Fraction(v).denominator for v in y))
+    offset = d * min(y) * n * (n + 1) // 2
+    return [d * s - offset for s in layer2_scores(y)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["int", "fraction"]).flatmap(
+        lambda kind: st.integers(1, 8).flatmap(
+            lambda n: st.lists(_LAYER2_VALUES[kind], min_size=n, max_size=n)
+        )
+    ),
+    st.integers(0, 7),
+    st.integers(0, 7),
+)
+def test_packed_scores_are_layer2_scores_scaled_and_shifted(y, i, j):
+    y[i % len(y)] = y[j % len(y)]  # force a tie whenever i and j differ mod n
+    scores = _packed_scores(y)
+    assert scores.typecode == "I"  # these scores all fit 32-bit fields
+    assert list(scores) == _expected_packed(y)
+    assert _order_scores(y) == order_by_scores(y)
+
+
+def _with_largest_score(top):
+    """y = (0, b, a) with largest score 3a + 2b = ``top``."""
+    b = next(b for b in range(3) if (top - 2 * b) % 3 == 0)
+    return [0, b, (top - 2 * b) // 3]
+
+
+@pytest.mark.parametrize(
+    "top, typecode",
+    [(2**32 - 1, "I"), (2**32, "Q"), (2**64 - 1, "Q"), (2**64, None)],
+)
+def test_packed_field_width_follows_largest_score(top, typecode):
+    y = _with_largest_score(top)
+    assert max(layer2_scores(y)) == top
+    scores = _packed_scores(y)
+    if typecode is None:
+        assert scores is None  # takes the plan
+    else:
+        assert scores.typecode == typecode
+        assert max(scores) == top
+        assert list(scores) == _expected_packed(y)
+    assert _order_scores(y) == order_by_scores(y)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_order_scores_past_64_bits_equals_sort_at_n8(seed):
+    rng = random.Random(seed)
+    y = [rng.choice([0, 2**70, 2**70 + 1, rng.randint(0, 2**80)]) for _ in range(8)]
+    assert _packed_scores(y) is None
+    _layer2_plan.cache_clear()
+    assert _order_scores(y) == order_by_scores(y)
+    assert _layer2_plan.cache_info().currsize == 1
+
+
+def test_packed_scores_leave_float_y_to_the_plan():
+    assert _packed_scores([1.0, 2, 3]) is None
+    assert list(_packed_scores([Fraction(1, 2), 1, -3])) == _expected_packed([Fraction(1, 2), 1, -3])
 
 
 def test_unrank_is_lexicographic_permutation_order():
@@ -268,9 +341,12 @@ def test_layer1_columns_add_left_to_right_from_zero(weights, samples):
 def test_check_does_not_build_permutation_weights():
     problems = random_dataset(GenConfig(n_vars=8, max_degree=3, seed=5), 3)
     permutation_weights.cache_clear()
+    _layer2_plan.cache_clear()
     for triplet in (brown_features(), selected_triplet()):
         assert check_equivalence(problems, triplet).ok
     assert permutation_weights.cache_info().currsize == 0
+    # Exact scores take the packed product, so the n! gather plan is never built.
+    assert _layer2_plan.cache_info().currsize == 0
 
 
 def _nn_order(triplet, pr, w=None):

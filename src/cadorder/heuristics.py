@@ -33,9 +33,8 @@ permutation of 1..n, so that moves every score by the same affine map
 and keeps the argmax and its ties.  Each variable's weight in every
 neuron is packed into one int, one unsigned field per neuron
 (``_packed_columns``), so the scores are sum_v y_v * column_v: n big-int
-multiplications per problem.  The fields are 32 bits wide, or 64 when
-the largest score needs it; the n = 8 columns take about 1.3 MB at 32
-bits.  Float y, and scores of 2**64 or more, go through
+multiplications per problem.  The fields are 32 bits wide, and the
+n = 8 columns take about 1.3 MB.  Scores of 2**32 or more go through
 ``layer2_scores`` instead.
 
 ``layer2_scores`` adds each score sum_v W[v] * y[v] left to right over
@@ -77,8 +76,8 @@ from .polyset import ProblemInstance
 # the rearrangement inequality).
 MAX_EXPLICIT_LAYER = 8
 
-# Unsigned array typecodes of the packed output layer's fields, narrowest first.
-_PACKED_TYPECODES = ("I", "Q")
+# Unsigned array typecode of the packed output layer's fields (32 bits).
+_PACKED_FIELD = "I"
 
 
 class BaseWeightError(ValueError):
@@ -333,17 +332,17 @@ def _unrank(n: int, k: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _packed_columns(n: int, typecode: str) -> tuple[int, ...]:
+def _packed_columns(n: int) -> tuple[int, ...]:
     """Per variable, its weight in every output neuron, packed into one int.
 
-    Neuron k's weight is field k of an unsigned ``array(typecode)``, read
-    as one int in native byte order, so ``sum(y_v * column_v)`` holds
+    Neuron k's weight is field k of an unsigned ``array(_PACKED_FIELD)``,
+    read as one int in native byte order, so ``sum(y_v * column_v)`` holds
     neuron k's score in field k while every score fits its field.
     """
     _check_layer_size(n)
     return tuple(
         int.from_bytes(
-            array(typecode, [n - perm.index(v) for perm in permutations(range(n))]).tobytes(),
+            array(_PACKED_FIELD, [n - perm.index(v) for perm in permutations(range(n))]).tobytes(),
             sys.byteorder,
         )
         for v in range(n)
@@ -351,17 +350,14 @@ def _packed_columns(n: int, typecode: str) -> tuple[int, ...]:
 
 
 def _packed_scores(y) -> array | None:
-    """Every neuron's score of exact ``y`` as one packed integer product.
+    """Every neuron's score of exact ``y`` (ints, Fractions) as one packed integer product.
 
     ``y`` is scaled by the lcm D of its denominators and shifted by its
     minimum, so neuron k's field holds D * s_k - D * min(y) * n(n+1)/2 for
     its score s_k: one affine map for every neuron, since each gives the
-    weights 1..n, which keeps the argmax and its ties.  The fields are 32
-    bits wide if the largest score fits, else 64.  None for float ``y``
-    or a largest score of 2**64 or more.
+    weights 1..n, which keeps the argmax and its ties.  None if the
+    largest score does not fit a field.
     """
-    if not all(isinstance(v, (int, Fraction)) for v in y):
-        return None
     d = math.lcm(*(v.denominator for v in y))
     ints = [v.numerator * (d // v.denominator) for v in y]
     low = min(ints)
@@ -369,17 +365,16 @@ def _packed_scores(y) -> array | None:
     n = len(ints)
     # The largest score weights the greatest value n (rearrangement inequality).
     top = sum(map(mul, sorted(ints, reverse=True), range(n, 0, -1)))
-    for typecode in _PACKED_TYPECODES:
-        scores = array(typecode)
-        if top < 1 << (8 * scores.itemsize):
-            total = sum(map(mul, ints, _packed_columns(n, typecode)))
-            scores.frombytes(total.to_bytes(math.factorial(n) * scores.itemsize, sys.byteorder))
-            return scores
-    return None
+    scores = array(_PACKED_FIELD)
+    if top >= 1 << (8 * scores.itemsize):
+        return None
+    total = sum(map(mul, ints, _packed_columns(n)))
+    scores.frombytes(total.to_bytes(math.factorial(n) * scores.itemsize, sys.byteorder))
+    return scores
 
 
 def _order_scores(y) -> Ordering:
-    """Argmax neuron, first (lexicographically smallest) on ties."""
+    """Argmax neuron of exact ``y``, first (lexicographically smallest) on ties."""
     scores = _packed_scores(y)
     if scores is None:
         scores = layer2_scores(y)

@@ -270,6 +270,7 @@ def cmd_search(args) -> int:
     fs = load_feature_set(args.pool)
     dataset = load_dataset(args.data)
     oracle = _build_oracle(args)
+    loaded = time.perf_counter()
     report = search_triplets(
         fs,
         dataset,
@@ -278,9 +279,11 @@ def cmd_search(args) -> int:
         journal_path=args.resume,
         jobs=args.jobs,
     )
+    searched = time.perf_counter()
     report.save_json(outputs[0])
     report.save_csv(outputs[1])
-    _write_manifest("search", args, inputs, outputs, started)
+    _write_manifest("search", args, inputs, outputs, started,
+                    load_s=loaded - started, search_s=searched - loaded)
     best = report.ranked[0]
     print(
         f"evaluated {report.triplet_count} triplets; best {best['features']} "
@@ -311,13 +314,16 @@ def cmd_train(args) -> int:
     val_set = load_dataset(args.val)
     oracle = _build_oracle(args)
     net = TrainableNetwork.brown_init(triplet, base_weight=args.init_weight)
+    loaded = time.perf_counter()
     try:
         report = train(net, train_set, val_set, oracle, cfg)
     except DivergenceError as e:
         raise UsageError(str(e)) from None
+    trained = time.perf_counter()
     write_json(outputs[0], report.to_json())
     save_checkpoint(outputs[1], report, triplet)
-    _write_manifest("train", args, inputs, outputs, started)
+    _write_manifest("train", args, inputs, outputs, started,
+                    load_s=loaded - started, train_s=trained - loaded)
     print(
         f"epoch0 val cost {report.epoch0_val_cost:.6g} -> best (epoch {report.best_epoch}) "
         f"{report.best_val_cost:.6g}"

@@ -172,9 +172,10 @@ def write_dataset(problems, out_dir: str | Path, cfg: GenConfig | None = None) -
 def load_dataset(path: str | Path) -> list[ProblemInstance]:
     """Load a dataset directory; manifest order if present, else sorted names.
 
-    Files listed in a manifest must match its sha256 values; a mismatch
-    raises ValueError naming the file, as does a malformed manifest.  A
-    file that is not UTF-8 or does not parse is an error naming it too.
+    Files listed in a manifest must exist and match its sha256 values; a
+    missing file or a mismatch raises ValueError naming the file, as does a
+    malformed manifest.  A file that is not UTF-8 or does not parse is an
+    error naming it too.
     """
     root = Path(path)
     manifest = root / "manifest.json"
@@ -182,7 +183,10 @@ def load_dataset(path: str | Path) -> list[ProblemInstance]:
     if manifest.exists():
         for entry in _manifest_files(manifest):
             file = root / entry["name"]
-            data = file.read_bytes()
+            try:
+                data = file.read_bytes()
+            except FileNotFoundError:
+                raise ValueError(f"{file}: listed in manifest.json but missing") from None
             if hashlib.sha256(data).hexdigest() != entry["sha256"]:
                 raise ValueError(f"{file}: sha256 does not match manifest.json")
             problems.append(parse_file(file, data, entry["id"]))

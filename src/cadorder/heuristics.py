@@ -35,22 +35,21 @@ neuron is packed into one int, one unsigned field per neuron
 (``_packed_columns``), so the scores are sum_v y_v * column_v: n big-int
 multiplications per problem.  The fields are 32 bits wide, and the
 n = 8 columns take about 1.3 MB.  Scores of 2**32 or more go through
-``layer2_scores`` instead.
+``layer2_scores`` instead, which no benchmark workload reaches at the
+minimal base weight: at n = 8 it builds ``permutation_weights(8)``
+(40,320 weight vectors, 10.5 MB) and takes 322,560 multiplications and
+about as many additions, some 55 ms per problem on one core of a Xeon
+with Python 3.11.
 
-``layer2_scores`` adds each score sum_v W[v] * y[v] left to right over
-the variables, the order that training's column form needs, and the
-neurons that give variables 0..v the same weights share that partial
-sum.  That takes n(n+1) products and about 2.7 * n! additions (n = 8: 72
-multiplications and 109,592 additions, against 322,560 of each for one
-dot product per neuron), through a gather plan built once per n.
-Training evaluates a mini-batch at a time, in column form:
-``layer1_columns`` and ``layer2_columns`` take one column per variable,
-holding one value per sample, and add every value as ``layer1_scores``
-and ``layer2_scores`` add it for one sample; ``layer2_backward`` is
-column in, column out.  ``check_equivalence`` unranks the argmax neuron
-in factorial base, so it never builds ``permutation_weights(8)`` (40,320
-weight vectors, 10.5 MB); only ``layer2_backward`` and the tests read
-that table.
+``layer2_scores`` is the layer's definition, one dot product per neuron,
+added left to right over the variables from the first product, the order
+that training's column form needs.  Training evaluates a mini-batch at a
+time, in column form: ``layer1_columns`` and ``layer2_columns`` take one
+column per variable, holding one value per sample, and add every value
+as ``layer1_scores`` and ``layer2_scores`` add it for one sample;
+``layer2_backward`` is column in, column out.  ``check_equivalence``
+unranks the argmax neuron in factorial base, so on packed scores it
+never builds ``permutation_weights(8)``.
 
 Convention: the variable with the lexicographically greatest feature row
 is placed first in the ordering (the CLI can flip the printed order with
@@ -64,9 +63,9 @@ import sys
 from array import array
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations, repeat
-from operator import add, itemgetter, mul
+from operator import add, getitem, mul
 
 from .features import apply_stages, brown_features, eval_kernel, problem_scale
 from .polyset import ProblemInstance
@@ -194,12 +193,6 @@ def _check_layer_size(n: int) -> None:
         raise ValueError(f"explicit output layer limited to {MAX_EXPLICIT_LAYER} variables")
 
 
-def _neurons(n: int):
-    """(ordering, weight vector) of each output neuron, lexicographic."""
-    _check_layer_size(n)
-    return map(_neuron, permutations(range(n)))
-
-
 def _neuron(perm: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """An ordering and the weight of each variable in its neuron, n for the first."""
     n = len(perm)
@@ -217,60 +210,17 @@ def permutation_weights(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]]
     applies: n for the ordering's first variable down to 1 for its last.
     Built once per n; every caller shares the same immutable tuple.
     """
-    return tuple(_neurons(n))
-
-
-@lru_cache(maxsize=None)
-def _layer2_plan(n: int) -> tuple:
-    """Gathers that sum the output layer over shared weight prefixes.
-
-    Level v keeps one partial sum per distinct prefix (W[0], ..., W[v]) of
-    the neurons' weight vectors: its parent's sum plus the product
-    ``P[v * (n + 1) + W[v]] = W[v] * y[v]``.  Level 0 is the products
-    w * y[0] for w = 1..n, and the levels below n - 2 are in lexicographic
-    prefix order.  A prefix of n - 1 weights fixes the neuron, so the last
-    two levels are in neuron order, filled in one pass over the neurons;
-    the last level's parent is the sum at its own position (``tuple`` of a
-    tuple is that tuple).
-    """
-    neurons = _neurons(n)  # checks the size limit before any work
-    if n < 2:
-        return ()  # level 0 is the whole layer
-    lex = max(n - 2, 1)
-    weights = range(1, n + 1)
-    level = [(w,) for w in weights]
-    steps = []
-    for v in range(1, lex):
-        index = {p: i for i, p in enumerate(level)}
-        level = [p + (w,) for p in level for w in weights if w not in p]
-        steps.append((
-            itemgetter(*(index[p[:-1]] for p in level)),
-            itemgetter(*(v * (n + 1) + p[-1] for p in level)),
-        ))
-    index = {p: i for i, p in enumerate(level)}
-    parents, terms = [], {v: [] for v in range(lex, n)}
-    for _, w in neurons:
-        parents.append(index[w[:lex]])
-        for v, column in terms.items():
-            column.append(v * (n + 1) + w[v])
-    for v, column in terms.items():
-        steps.append((itemgetter(*parents) if v == lex else tuple, itemgetter(*column)))
-    return tuple(steps)
+    _check_layer_size(n)
+    return tuple(map(_neuron, permutations(range(n))))
 
 
 def layer2_scores(y) -> tuple:
     """Score of every permutation neuron for first-layer output ``y``.
 
-    Each score is sum_v W[v] * y[v], added left to right over v; neurons
-    that agree on W[0..v] share that partial sum.
+    Each score is sum_v W[v] * y[v], added left to right over v from the
+    first product (not from 0, which would turn a sum of -0.0 into 0.0).
     """
-    n = len(y)
-    steps = _layer2_plan(n)
-    products = [w * yv for yv in y for w in range(n + 1)]
-    sums = products[1 : n + 1]
-    for parents, terms in steps:
-        sums = tuple(map(add, parents(sums), terms(products)))
-    return tuple(sums)
+    return tuple(reduce(add, map(mul, weights, y)) for _, weights in permutation_weights(len(y)))
 
 
 def layer2_columns(y) -> tuple:
@@ -278,14 +228,15 @@ def layer2_columns(y) -> tuple:
 
     ``y[v]`` holds y_v, one value per sample; the result holds one column
     of scores per neuron, each added exactly as ``layer2_scores`` adds it.
+    Each product column w * y_v is built once and shared by the neurons
+    that give variable v the weight w.
     """
     n = len(y)
-    steps = _layer2_plan(n)
-    products = [list(map(mul, repeat(w), yv)) for yv in y for w in range(n + 1)]
-    sums = tuple(products[1 : n + 1])
-    for parents, terms in steps:
-        sums = tuple([list(map(add, a, b)) for a, b in zip(parents(sums), terms(products))])
-    return sums
+    products = [{w: list(map(mul, repeat(w), yv)) for w in range(1, n + 1)} for yv in y]
+    return tuple(
+        reduce(lambda a, b: list(map(add, a, b)), map(getitem, products, weights))
+        for _, weights in permutation_weights(n)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass, field, asdict
 from functools import reduce
 from itertools import groupby, permutations, repeat
-from operator import add, itemgetter, mul, sub, truediv
+from operator import add, mul, sub, truediv
 from pathlib import Path
 
 from .atomic import write_json
@@ -137,7 +137,7 @@ def _loss_and_gradient(weights, batch, temperature: float) -> tuple[float, list[
     ``_CHUNK`` at a time; their terms are put back in batch order and
     added from 0.0, sample by sample.
     """
-    ns = list(map(len, map(itemgetter(0), batch)))
+    ns = [len(rows) for rows, _ in batch]
     order = sorted(range(len(batch)), key=ns.__getitem__)
     terms = [[], [], [], []]
     for start in range(0, len(order), _CHUNK):

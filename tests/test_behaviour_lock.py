@@ -17,7 +17,13 @@ import json
 
 from cadorder.costmodel import SyntheticCostModel
 from cadorder.datagen import GenConfig, random_dataset
-from cadorder.features import FeatureSet, dedup_features, default_probe, enumerate_descriptors
+from cadorder.features import (
+    FeatureSet,
+    dedup_features,
+    default_probe,
+    enumerate_descriptors,
+    selected_triplet,
+)
 from cadorder.search import search_triplets
 from cadorder.training import TrainableNetwork, TrainConfig, train
 
@@ -27,6 +33,10 @@ PINNED = {
     "search.csv": "f3ff7df840d80818c0ad76f335f43c35387d50699d553eada98eeb0a8f32349d",
     "train.json": "0f73d151e97009410ec0bb6e06a9875c8e4445242daa02cb4a626097a04ccb1e",
 }
+
+# A training report at n = 4, where the output layer has 24 neurons and
+# each score adds four products.
+PINNED_N4_TRAIN = "df55277098b21e3ecb4c9fff34749fd6a8dd34f2c8b41021a7af5dca16824390"
 
 
 def run_small_pipeline(out) -> dict[str, str]:
@@ -52,3 +62,15 @@ def run_small_pipeline(out) -> dict[str, str]:
 
 def test_small_pipeline_reports_are_pinned(tmp_path):
     assert run_small_pipeline(tmp_path) == PINNED
+
+
+def test_n4_train_report_is_pinned(tmp_path):
+    result = train(
+        TrainableNetwork.brown_init(selected_triplet(), base_weight=2.0),
+        random_dataset(GenConfig(n_vars=4, seed=13), 40),
+        random_dataset(GenConfig(n_vars=4, seed=14), 12),
+        SyntheticCostModel(),
+        TrainConfig(learning_rate=0.05, epochs=3, batch_size=16),
+    )
+    report = json.dumps(result.to_json(), indent=2) + "\n"
+    assert hashlib.sha256(report.encode()).hexdigest() == PINNED_N4_TRAIN

@@ -457,6 +457,19 @@ def test_bad_descriptor_record_is_data_error(tmp_path, problem_file, capsys, com
     assert f"{bad}: record 1: {message}" in stderr
 
 
+@pytest.mark.parametrize("command", ["check", "search"])
+def test_file_missing_from_manifest_is_data_error(dataset_dir, pool_file, tmp_path, capsys, command):
+    gone = dataset_dir / json.loads((dataset_dir / "manifest.json").read_text())["files"][3]["name"]
+    gone.unlink()
+    if command == "check":
+        argv = ["check", "--data", str(dataset_dir)]
+    else:
+        argv = ["search", "--pool", str(pool_file), "--data", str(dataset_dir), "--out", str(tmp_path / "s")]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert f"{gone}: listed in manifest.json but missing" in stderr
+
+
 def test_check_empty_dataset_usage_error(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -518,6 +531,26 @@ def test_check_manifest_times_its_stages(dataset_dir, tmp_path, capsys):
     assert load_s >= 0 and check_s >= 0
     # Each time is rounded to the microsecond on its own.
     assert load_s + check_s <= manifest["wall_time_s"] + 2e-6
+
+
+def test_search_manifest_times_its_stages(dataset_dir, pool_file, tmp_path, capsys):
+    out = tmp_path / "s"
+    argv = ["search", "--pool", str(pool_file), "--data", str(dataset_dir), "--out", str(out)]
+    assert run(capsys, *argv)[0] == 0
+    manifest = json.loads((tmp_path / "s.json.manifest.json").read_text())
+    load_s, search_s = manifest["load_s"], manifest["search_s"]
+    assert load_s >= 0 and search_s > 0
+    assert load_s + search_s <= manifest["wall_time_s"] + 2e-6
+
+
+def test_train_manifest_times_its_stages(dataset_dir, tmp_path, capsys):
+    argv = ["train", "--train", str(dataset_dir), "--val", str(dataset_dir), "--epochs", "1",
+            "--out", str(tmp_path / "t")]
+    assert run(capsys, *argv)[0] == 0
+    manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
+    load_s, train_s = manifest["load_s"], manifest["train_s"]
+    assert load_s >= 0 and train_s > 0
+    assert load_s + train_s <= manifest["wall_time_s"] + 2e-6
 
 
 @pytest.mark.parametrize(

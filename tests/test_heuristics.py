@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import problem_instances
@@ -30,7 +30,6 @@ from cadorder.heuristics import (
     permutation_weights,
     radix_scores,
     radix_weights,
-    _layer2_plan,
     _order_scores,
     _packed_columns,
     _packed_scores,
@@ -101,6 +100,8 @@ def test_layer2_scores_examples():
     assert max(scores) == 3 * 92 + 2 * 62 + 36 == 436
     assert scores.index(436) == 0  # neuron of ordering (0, 1, 2)
     assert layer2_scores((0, 0, 0)) == (0,) * 6
+    # Each score adds from its first product, so a sum of -0.0 keeps its sign.
+    assert _bits(layer2_scores((-0.0, -0.0))) == _bits((-0.0, -0.0))
     best = max(range(6), key=lambda i: layer2_scores((1, 2, 3))[i])
     assert list(permutation_weights(3))[best][0] == (2, 1, 0)
     # Built once per n and shared: the same immutable object every call.
@@ -117,7 +118,7 @@ def test_layer2_explicit_limit():
         layer2_scores(too_many)
     with pytest.raises(ValueError, match=message):
         _order_scores(too_many)
-    # Past the limit, neither the packed columns nor the plan is built.
+    # Past the limit, neither the packed columns nor the neuron table is built.
     with pytest.raises(ValueError, match=message):
         _packed_columns(len(too_many))
     with pytest.raises(ValueError, match=message):
@@ -195,11 +196,15 @@ def test_argmax_neuron_equals_sort_at_n8_with_ties(seed):
 
 
 def _expected_packed(y):
-    """``layer2_scores(y)`` under the affine map that makes exact ``y`` non-negative ints."""
+    """``layer2_scores(y)`` under the affine map that makes exact ``y`` non-negative ints.
+
+    d * layer2_scores(y) is taken as layer2_scores of the ints d * y_v, the
+    same values, since ``layer2_scores`` on Fractions is slow at n = 8.
+    """
     n = len(y)
     d = math.lcm(*(Fraction(v).denominator for v in y))
     offset = d * min(y) * n * (n + 1) // 2
-    return [d * s - offset for s in layer2_scores(y)]
+    return [s - offset for s in layer2_scores([int(d * v) for v in y])]
 
 
 @settings(max_examples=150, deadline=None)
@@ -234,7 +239,7 @@ def test_packed_fields_hold_scores_below_2_pow_32(top):
         assert max(scores) == top
         assert list(scores) == _expected_packed(y)
     else:
-        assert scores is None  # takes the plan
+        assert scores is None  # takes layer2_scores
     assert _order_scores(y) == order_by_scores(y)
 
 
@@ -243,9 +248,10 @@ def test_order_scores_past_64_bits_equals_sort_at_n8(seed):
     rng = random.Random(seed)
     y = [rng.choice([0, 2**70, 2**70 + 1, rng.randint(0, 2**80)]) for _ in range(8)]
     assert _packed_scores(y) is None
-    _layer2_plan.cache_clear()
+    permutation_weights.cache_clear()
     assert _order_scores(y) == order_by_scores(y)
-    assert _layer2_plan.cache_info().currsize == 1
+    # Only this fallback builds the n = 8 neuron table.
+    assert permutation_weights.cache_info().currsize == 1
 
 
 def test_unrank_is_lexicographic_permutation_order():
@@ -300,10 +306,20 @@ def test_layer2_backward_equals_per_neuron_loop(case):
 _SIGNED_FLOATS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6, allow_nan=False))
 
 
+def _signed_zero_samples(n):
+    """Three samples of n floats: two mixing signed zeros with random values, one all -0.0."""
+    rng = random.Random(n)
+    mixed = [[rng.choice([0.0, -0.0, rng.uniform(-1e6, 1e6)]) for _ in range(n)] for _ in range(2)]
+    return [*mixed, [-0.0] * n]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 5).flatmap(lambda n: _samples(n, _SIGNED_FLOATS)),
 )
+@example(_signed_zero_samples(6))
+@example(_signed_zero_samples(7))
+@example(_signed_zero_samples(8))
 def test_layer2_columns_equal_layer2_scores_per_sample(samples):
     columns = layer2_columns(_transpose(samples))
     assert len(columns) == math.factorial(len(samples[0]))
@@ -330,12 +346,10 @@ def test_layer1_columns_add_left_to_right_from_zero(weights, samples):
 def test_check_does_not_build_permutation_weights():
     problems = random_dataset(GenConfig(n_vars=8, max_degree=3, seed=5), 3)
     permutation_weights.cache_clear()
-    _layer2_plan.cache_clear()
     for triplet in (brown_features(), selected_triplet()):
         assert check_equivalence(problems, triplet).ok
+    # Exact scores below 2**32 take the packed product, never the neuron table.
     assert permutation_weights.cache_info().currsize == 0
-    # Exact scores take the packed product, so the n! gather plan is never built.
-    assert _layer2_plan.cache_info().currsize == 0
 
 
 def _nn_order(triplet, pr, w=None):

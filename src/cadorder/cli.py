@@ -211,8 +211,11 @@ def cmd_gen(args) -> int:
     except ValueError as e:
         raise UsageError(str(e)) from None
     problems = random_dataset(cfg, args.count)
+    generated = time.perf_counter()
     out = write_dataset(problems, args.out, cfg)
-    _write_manifest("gen", args, [], [out], started)
+    written = time.perf_counter()
+    _write_manifest("gen", args, [], [out], started,
+                    generate_s=generated - started, write_s=written - generated)
     print(f"wrote {len(problems)} problems to {out}")
     return EXIT_OK
 
@@ -336,10 +339,7 @@ def cmd_check(args) -> int:
     inputs = [args.data, *_triplet_inputs(args.triplet)]
     if args.out:
         _check_outputs(inputs, [args.out])
-    try:
-        dataset = load_dataset(args.data)
-    except FileNotFoundError as e:
-        raise UsageError(f"empty dataset: {e}") from None
+    dataset = load_dataset(args.data)
     triplet = _load_triplet(args.triplet)
     loaded = time.perf_counter()
     report = check_equivalence(dataset, triplet, force_w=args.force_w)

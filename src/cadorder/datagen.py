@@ -6,12 +6,21 @@ state advances by the 64-bit golden-ratio gamma, outputs are finalized
 with two xor-shift multiplies), implemented here in plain integer
 arithmetic so identical datasets arise byte-for-byte on any platform.
 The per-problem stream seed is ``mix64(mix64(seed) ^ (index + GAMMA))``.
+
+The generator is counter-based: output k (from 1) of a stream seeded s is
+``mix64(s + k * GAMMA mod 2**64)``.  So ``SplitMix64`` computes its draws
+``_BLOCK`` at a time, as one packed integer with a 128-bit lane per draw
+(``_mix64_block``), and serves them one by one; the outputs, and so every
+dataset, are those of the one-at-a-time recurrence.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
+from array import array
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -28,6 +37,13 @@ from .polyset import (
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 
+# Draws computed per packed evaluation of mix64, one 128-bit lane each.
+_BLOCK = 64
+_LANE_BITS = 128
+_LANES_LOW = sum(_MASK << (_LANE_BITS * i) for i in range(_BLOCK))
+_LANES_ONE = sum(1 << (_LANE_BITS * i) for i in range(_BLOCK))
+_LANES_STEP = sum((i + 1) * _GAMMA << (_LANE_BITS * i) for i in range(_BLOCK))
+
 
 def _mix64(z: int) -> int:
     z &= _MASK
@@ -36,15 +52,71 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _mix64_block(state: int) -> array:
+    """``mix64(state + k * GAMMA)`` for k = 1.._BLOCK and a state below 2**64.
+
+    Lane k - 1 of one packed int holds the k-th state in its low 64 bits,
+    and every step of ``_mix64`` runs on all lanes at once.  It stays exact
+    because each lane is masked back to 64 bits before a shift or multiply:
+    a lane times a 64-bit constant is below 2**128, so no carry reaches the
+    next lane, and a right shift of at most 31 bits moves the next lane's
+    bits only into the cleared bits 64..127.  The last shift's spill is left
+    there, in the high words that the unpacking drops.
+    """
+    z = (state * _LANES_ONE + _LANES_STEP) & _LANES_LOW
+    z = ((z ^ (z >> 30)) & _LANES_LOW) * 0xBF58476D1CE4E5B9 & _LANES_LOW
+    z = ((z ^ (z >> 27)) & _LANES_LOW) * 0x94D049BB133111EB & _LANES_LOW
+    z ^= z >> 31
+    # Native order: a lane's low word comes first in little-endian bytes;
+    # in big-endian bytes the lanes are reversed and the low word is second.
+    words = array("Q", z.to_bytes(_BLOCK * _LANE_BITS // 8, sys.byteorder))
+    return words[::2] if sys.byteorder == "little" else words[::-2]
+
+
+def _stream(state: int):
+    """Every output of the stream seeded ``state``, a block at a time."""
+    while True:
+        yield from _mix64_block(state)
+        state = (state + _BLOCK * _GAMMA) & _MASK
+
+
+def _int_draw(next_u64, lo: int, hi: int):
+    """A callable drawing uniform integers in [lo, hi] from ``next_u64``.
+
+    Rejection avoids modulo bias; the span and rejection limit are
+    computed here, once, rather than on every draw.
+    """
+    span = hi - lo + 1
+    if span <= 0:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    limit = (1 << 64) - ((1 << 64) % span)
+
+    def draw() -> int:
+        r = next_u64()
+        while r >= limit:
+            r = next_u64()
+        return lo + r % span
+
+    return draw
+
+
+def _float_limit(p: float) -> int:
+    """The bound b with ``(u >> 11) * 2.0**-53 < p`` exactly when ``u < b``.
+
+    Scaling by 2**53 is exact, and ``floor(u / 2**11) < x`` holds exactly
+    when ``u < ceil(x) * 2**11``.
+    """
+    return math.ceil(p * 2.0**53) << 11
+
+
 class SplitMix64:
-    """Tiny deterministic PRNG stream; state advances by the golden gamma."""
+    """Tiny deterministic PRNG stream; state advances by the golden gamma.
+
+    ``next_u64()`` returns the next 64-bit output.
+    """
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK
-        return _mix64(self._state)
+        self.next_u64 = _stream(seed & _MASK).__next__
 
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53 random bits."""
@@ -52,14 +124,7 @@ class SplitMix64:
 
     def next_int(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], by rejection to avoid modulo bias."""
-        span = hi - lo + 1
-        if span <= 0:
-            raise ValueError(f"empty range [{lo}, {hi}]")
-        limit = (1 << 64) - ((1 << 64) % span)
-        while True:
-            r = self.next_u64()
-            if r < limit:
-                return lo + r % span
+        return _int_draw(self.next_u64, lo, hi)()
 
 
 def _problem_stream(seed: int, index: int) -> SplitMix64:
@@ -100,28 +165,46 @@ class GenConfig:
             raise ValueError("density must be in (0, 1]")
 
 
-def _nonzero_coeff(rng: SplitMix64, lo: int, hi: int) -> int:
+def _nonzero_coeff_draw(next_u64, lo: int, hi: int):
+    """A callable drawing nonzero integers in [lo, hi]; one draw each."""
     if lo <= 0 <= hi:
-        c = rng.next_int(lo, hi - 1)
-        return c + 1 if c >= 0 else c
-    return rng.next_int(lo, hi)
+        draw = _int_draw(next_u64, lo, hi - 1)
+
+        def nonzero() -> int:
+            c = draw()
+            return c + 1 if c >= 0 else c
+
+        return nonzero
+    return _int_draw(next_u64, lo, hi)
 
 
-def _sample_monomial(rng: SplitMix64, cfg: GenConfig) -> tuple[int, tuple[int, ...]]:
-    """A ``(coeff, degrees)`` pair; the degrees are drawn first."""
-    degrees = tuple(
-        rng.next_int(1, cfg.max_degree) if rng.next_float() < cfg.density else 0
-        for _ in range(cfg.n_vars)
-    )
-    return _nonzero_coeff(rng, cfg.coeff_min, cfg.coeff_max), degrees
+def _monomial_draw(next_u64, cfg: GenConfig):
+    """A callable drawing ``(coeff, degrees)`` pairs.
+
+    Per variable, a density float and, below the density, a degree int;
+    the coefficient is drawn last.
+    """
+    density_limit = _float_limit(cfg.density)
+    degree = _int_draw(next_u64, 1, cfg.max_degree)
+    coeff = _nonzero_coeff_draw(next_u64, cfg.coeff_min, cfg.coeff_max)
+    variables = range(cfg.n_vars)
+
+    def draw() -> tuple[int, tuple[int, ...]]:
+        degrees = tuple([degree() if next_u64() < density_limit else 0 for _ in variables])
+        return coeff(), degrees
+
+    return draw
 
 
-def _sample_polynomial(rng: SplitMix64, cfg: GenConfig) -> Polynomial:
-    # Degenerate draws (empty after cancellation, or constant-only) are
-    # resampled; after 100 rejections one variable is forced to degree 1.
+def _sample_polynomial(monomial, size) -> Polynomial:
+    """A polynomial of ``size()`` draws of ``monomial()``.
+
+    Degenerate draws (empty after cancellation, or constant-only) are
+    resampled; after 100 rejections one variable is forced to degree 1.
+    """
     last = None
     for _ in range(100):
-        raw = [_sample_monomial(rng, cfg) for _ in range(rng.next_int(cfg.min_monomials, cfg.max_monomials))]
+        raw = [monomial() for _ in range(size())]
         try:
             poly = Polynomial.from_terms(raw)
         except ValueError:
@@ -138,7 +221,9 @@ def random_problem(cfg: GenConfig, index: int) -> ProblemInstance:
     """Deterministic problem number ``index`` of the stream defined by ``cfg``."""
     rng = _problem_stream(cfg.seed, index)
     n_polys = rng.next_int(cfg.min_polys, cfg.max_polys)
-    polys = tuple(_sample_polynomial(rng, cfg) for _ in range(n_polys))
+    monomial = _monomial_draw(rng.next_u64, cfg)
+    size = _int_draw(rng.next_u64, cfg.min_monomials, cfg.max_monomials)
+    polys = tuple(_sample_polynomial(monomial, size) for _ in range(n_polys))
     variables = tuple(VariableId(i, f"x{i}") for i in range(cfg.n_vars))
     return ProblemInstance(variables, polys, f"rnd-{cfg.seed}-{index}")
 

@@ -470,12 +470,19 @@ def test_file_missing_from_manifest_is_data_error(dataset_dir, pool_file, tmp_pa
     assert f"{gone}: listed in manifest.json but missing" in stderr
 
 
-def test_check_empty_dataset_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["check", "search", "train"])
+def test_empty_dataset_is_data_error(dataset_dir, pool_file, tmp_path, capsys, command):
     empty = tmp_path / "empty"
     empty.mkdir()
-    code, _, stderr = run(capsys, "check", "--data", str(empty))
-    assert code == 1
-    assert "usage error" in stderr
+    argv = {
+        "check": ["check", "--data", str(empty)],
+        "search": ["search", "--pool", str(pool_file), "--data", str(empty), "--out", str(tmp_path / "s")],
+        "train": ["train", "--train", str(empty), "--val", str(dataset_dir), "--epochs", "1",
+                  "--out", str(tmp_path / "t")],
+    }[command]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: no .poly files under {empty}\n"
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2"])
@@ -521,6 +528,15 @@ def test_check_has_no_jobs(dataset_dir, tmp_path, capsys, monkeypatch):
     assert run(capsys, "check", "--data", str(dataset_dir), "--out", str(out))[0] == 0
     manifest = json.loads((tmp_path / "check.json.manifest.json").read_text())
     assert "jobs" not in manifest["config"]
+
+
+def test_gen_manifest_times_its_stages(tmp_path, capsys):
+    out = tmp_path / "ds"
+    assert run(capsys, "gen", "--count", "5", "--out", str(out))[0] == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    generate_s, write_s = manifest["generate_s"], manifest["write_s"]
+    assert generate_s > 0 and write_s > 0
+    assert generate_s + write_s <= manifest["wall_time_s"] + 2e-6
 
 
 def test_check_manifest_times_its_stages(dataset_dir, tmp_path, capsys):

@@ -1,5 +1,10 @@
+import hashlib
+import sys
+from itertools import islice
+
 import pytest
 
+from cadorder import datagen
 from cadorder.datagen import (
     GenConfig,
     SplitMix64,
@@ -16,6 +21,74 @@ def test_splitmix_reference_values():
     rng = SplitMix64(0)
     assert rng.next_u64() == 0xE220A8397B1DCDAF
     assert rng.next_u64() == 0x6E789E6AA1B965F4
+
+
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def reference_stream(seed):
+    """SplitMix64 one output at a time: output k is mix64(seed + k * GAMMA)."""
+    state = seed % 2**64
+    while True:
+        state = (state + GAMMA) % 2**64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        yield z ^ (z >> 31)
+
+
+# Enough draws to cross three block boundaries, and a few into the next block.
+DRAWS = 3 * datagen._BLOCK + 5
+
+# The 33rd state of the last seed is 2**64 - 1, so the 34th wraps past
+# 2**64 in the middle of the first block.
+SEEDS = [0, 1, 2**64 - 1, (2**64 - 1 - 33 * GAMMA) % 2**64]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_splitmix_blocks_match_the_scalar_recurrence(seed):
+    rng = SplitMix64(seed)
+    assert [rng.next_u64() for _ in range(DRAWS)] == list(islice(reference_stream(seed), DRAWS))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_splitmix_bounded_draws_match_the_scalar_recurrence(seed):
+    # Half the 64-bit range lies above next_int(0, 2**63)'s rejection limit.
+    ref = reference_stream(seed)
+    expected, consumed = [], 0
+    for _ in range(DRAWS):
+        r = next(ref)
+        consumed += 1
+        while r > 2**63:
+            r = next(ref)
+            consumed += 1
+        expected.append(r)
+    assert consumed > DRAWS + DRAWS // 4
+    rng = SplitMix64(seed)
+    assert [rng.next_int(0, 2**63) for _ in range(DRAWS)] == expected
+
+    rng, ref = SplitMix64(seed), reference_stream(seed)
+    floats = [rng.next_float() for _ in range(DRAWS)]
+    assert floats == [(next(ref) >> 11) / 2**53 for _ in range(DRAWS)]
+
+
+def test_splitmix_block_unpacking_in_either_byte_order(monkeypatch):
+    expected = list(islice(reference_stream(7), 1, datagen._BLOCK + 1))
+    assert list(datagen._mix64_block(7 + GAMMA)) == expected
+    # The other byte order, emulated: its 8-byte words read back swapped.
+    monkeypatch.setattr(sys, "byteorder", {"little": "big", "big": "little"}[sys.byteorder])
+    words = datagen._mix64_block(7 + GAMMA)
+    monkeypatch.undo()
+    words.byteswap()
+    assert list(words) == expected
+
+
+@pytest.mark.parametrize("p", [1.0, 0.7, 0.5, 1e-9, 2**-53, 3 * 2**-54, 5e-324])
+def test_float_limit_is_the_exact_next_float_threshold(p):
+    bound = datagen._float_limit(p)
+    for u in (0, bound - 2049, bound - 2048, bound - 1, bound, bound + 2047, 2**64 - 1):
+        if 0 <= u < 2**64:
+            assert ((u >> 11) * 2.0**-53 < p) == (u < bound)
 
 
 def test_splitmix_bounded_draws_stay_in_range():
@@ -38,6 +111,41 @@ def test_random_problem_pure_in_index():
     cfg = GenConfig(seed=5)
     batch = random_dataset(cfg, 10)
     assert batch[7] == random_problem(cfg, 7)
+
+
+# sha256 of the concatenated serializations; recorded before the
+# generator's draws were computed a block at a time, and unchanged since.
+PINNED_DATASETS = [
+    (GenConfig(seed=10), 150, "d422f5aed0f5b7db2bc2e897513deb96a8777f2bb4375c058c2c503d717d6017"),
+    (GenConfig(n_vars=8, seed=1), 36, "9034a122c7d884f84f072ac3b335614f126d638c71fd755f431ab07833dc2ce2"),
+    # Zero lies outside the coefficient range: _nonzero_coeff's second branch.
+    (
+        GenConfig(coeff_min=1, coeff_max=3, density=1.0, max_degree=1),
+        50,
+        "1dd4776e19c4fec48358477958b68d38f491118dc0ca2e9d469148b40c1acba0",
+    ),
+    # Every monomial is constant, so each polynomial takes the 100-rejection fallback.
+    (GenConfig(density=1e-9), 4, "2309a1fe942721bfd4ebc22a35ffb22e4e1f18d650772e34b4dd1508d1578960"),
+]
+
+
+def _dataset_digest(cfg, count):
+    text = "".join(serialize_problem(p) for p in random_dataset(cfg, count))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("cfg,count,digest", PINNED_DATASETS)
+def test_generated_datasets_are_pinned(cfg, count, digest):
+    assert _dataset_digest(cfg, count) == digest
+
+
+def test_sparse_config_reaches_the_rejection_fallback():
+    # The fallback forces x0 to degree 1 in the last rejected draw, whose
+    # other monomials are all constant.
+    for pr in random_dataset(GenConfig(density=1e-9), 4):
+        for poly in pr.polynomials:
+            degrees = {m.degrees for m in poly.monomials}
+            assert (1, 0, 0) in degrees and degrees <= {(1, 0, 0), (0, 0, 0)}
 
 
 def test_forced_structure():

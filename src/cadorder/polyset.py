@@ -22,6 +22,14 @@ line and, for an error at a token or a header name, the column, counted
 from 1 at the start of that line.  Lines are read in file order, and the
 first error in that order is the one reported; within a line, a character
 that no token can start with is reported before any other error.
+
+The variable index is fixed before any polynomial line is read: it is the
+header's, or else every name in the file in first-occurrence order.  A
+valid line is read by regular expressions alone: one fullmatch of the
+grammar (``_POLY_RE``), one findall of its terms, and one findall of each
+term's factors, from which each term's coefficient and degree vector are
+built directly.  A line that fails them goes to a token walker, which runs
+only to locate and word the line's first error.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import NoReturn
 
 
 class ParseError(ValueError):
@@ -143,14 +152,29 @@ class ProblemInstance:
         return ProblemInstance(self.variables, self.polynomials, problem_id)
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^,])|(?P<bad>\S))"
-)
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<int>\d+)|(?P<ident>{_NAME})|(?P<op>[-+*^,])|(?P<bad>\S))")
 
 # The characters that no token can start with: the ``bad`` group's.
 _BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z_,*^+-]")
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_NAME_RE = re.compile(_NAME)
+
+# The polynomial grammar over _TOKEN_RE's classes, with whitespace allowed
+# around every token.  A match splits a line into the walker's tokens: what
+# may follow an integer or a name starts with whitespace or an operator, so
+# neither can stop short inside a run of its own characters.
+_FACTOR = rf"{_NAME}(?:\s*\^\s*\d+)?"
+_FACTORS = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
+_TERM = rf"(?:\d+(?:\s*\*\s*{_FACTORS})?|{_FACTORS})"
+_POLY_RE = re.compile(rf"\s*-?\s*{_TERM}(?:\s*[-+]\s*{_TERM})*\s*")
+
+# In a line _POLY_RE accepts: each term's sign, coefficient digits and
+# factor text, then each factor's name and exponent digits.  The lookahead
+# keeps findall from matching an empty term at the end of the line.
+_TERM_RE = re.compile(r"(?=\S)([-+]?)\s*(\d*)\s*\*?\s*([^-+]*)")
+_FACTOR_RE = re.compile(rf"({_NAME})(?:\s*\^\s*(\d+))?")
 
 # Every token from findall sets exactly one of its four fields; the end
 # marker sets none and is recognised by identity.
@@ -184,77 +208,84 @@ def _expected(what: str, text: str, tokens: list, i: int, lineno: int) -> ParseE
     return _error(f"syntax error: expected {what}, got {''.join(tokens[i])!r}", text, i, lineno)
 
 
-def _too_long(text: str, tokens: list, i: int, lineno: int) -> ParseError:
-    """An integer literal past ``int()``'s digit limit (sys.set_int_max_str_digits)."""
-    return _error(f"integer literal too long ({len(tokens[i][0])} digits)", text, i, lineno)
+def _check_int(text: str, tokens: list, i: int, lineno: int) -> None:
+    """Raise if integer token ``i`` is past ``int()``'s digit limit (sys.set_int_max_str_digits)."""
+    digits = tokens[i][0]
+    try:
+        int(digits)
+    except ValueError:
+        raise _error(f"integer literal too long ({len(digits)} digits)", text, i, lineno) from None
 
 
-def _parse_terms(
-    text: str, lineno: int, index: dict[str, int], fixed: bool
-) -> list[tuple[int, list[tuple[int, int]]]]:
-    """Parse one polynomial line into (coeff, [(variable index, exponent), ...]) terms.
+def _raise_line_error(text: str, lineno: int, index: dict[str, int]) -> NoReturn:
+    """Raise the first error in a polynomial line that :func:`_read_line` could not read.
 
-    Each name is resolved through ``index`` as it is read.  A ``fixed``
-    index (a header's) makes an unknown name an error; otherwise a new name
-    takes the next index, so indices follow first occurrence in file order.
+    Walks the line's tokens in grammar order, so the error is the first in
+    the line and its column is its token's; a name not in ``index`` is an
+    unknown variable.
     """
     tokens = _tokens(text, lineno)
-    terms = []
-    i = 0
-    sign = 1
-    if tokens[0][2] == "-":
-        sign, i = -1, 1
+    i = int(tokens[0][2] == "-")
     while True:
         digits, name, _, _ = tokens[i]
         if digits:
-            try:
-                coeff = sign * int(digits)
-            except ValueError:
-                raise _too_long(text, tokens, i, lineno) from None
+            _check_int(text, tokens, i, lineno)
             i += 1
             has_factors = tokens[i][2] == "*"
             i += has_factors
         elif name:
-            coeff, has_factors = sign, True
+            has_factors = True
         else:
             raise _expected("term", text, tokens, i, lineno)
-        powers = []
         while has_factors:
             name = tokens[i][1]
             if not name:
                 raise _expected("identifier", text, tokens, i, lineno)
-            v = index.get(name)
-            if v is None:
-                if fixed:
-                    raise _error(f"unknown variable {name!r}", text, i, lineno)
-                v = index[name] = len(index)
+            if name not in index:
+                raise _error(f"unknown variable {name!r}", text, i, lineno)
             i += 1
-            exp = 1
             if tokens[i][2] == "^":
                 i += 1
                 negative = tokens[i][2] == "-"
                 i += negative
-                digits = tokens[i][0]
-                if not digits:
+                if not tokens[i][0]:
                     raise _expected("integer exponent", text, tokens, i, lineno)
                 if negative:
                     raise _error("negative exponent", text, i, lineno)
-                try:
-                    exp = int(digits)
-                except ValueError:
-                    raise _too_long(text, tokens, i, lineno) from None
+                _check_int(text, tokens, i, lineno)
                 i += 1
-            powers.append((v, exp))
             has_factors = tokens[i][2] == "*"
             i += has_factors
-        terms.append((coeff, powers))
         if tokens[i] is _END:
-            return terms
-        op = tokens[i][2]
-        if op not in ("+", "-"):
+            raise AssertionError(f"line {lineno} is valid but _read_line rejected it: {text!r}")
+        if tokens[i][2] not in ("+", "-"):
             raise _expected("'+' or '-'", text, tokens, i, lineno)
-        sign = -1 if op == "-" else 1
         i += 1
+
+
+def _read_line(text: str, lineno: int, index: dict[str, int]) -> list[tuple[int, tuple[int, ...]]]:
+    """The ``(coeff, degrees)`` terms of one polynomial line, over the variables of ``index``.
+
+    A line that ``_POLY_RE`` accepts, whose names are all in ``index`` and
+    whose integers ``int()`` reads, is read with one findall for its terms
+    and one per term for its factors.  Any other line goes to the token
+    walker, which raises its first error.
+    """
+    if _POLY_RE.fullmatch(text):
+        n = len(index)
+        terms = []
+        try:
+            for sign, digits, factors in _TERM_RE.findall(text):
+                degrees = [0] * n
+                for name, exp in _FACTOR_RE.findall(factors):
+                    degrees[index[name]] += int(exp) if exp else 1
+                coeff = int(digits) if digits else 1
+                terms.append((-coeff if sign == "-" else coeff, tuple(degrees)))
+        except (KeyError, ValueError):
+            pass
+        else:
+            return terms
+    _raise_line_error(text, lineno, index)
 
 
 def _parse_header(code: str, lineno: int) -> dict[str, int]:
@@ -264,7 +295,7 @@ def _parse_header(code: str, lineno: int) -> dict[str, int]:
     for piece in code[col - 1 :].split(","):
         name = piece.strip()
         at = col + len(piece) - len(piece.lstrip())
-        if not _IDENT_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise ParseError(f"bad variable name {name!r} in header", lineno, at)
         if name in index:
             raise ParseError(f"duplicate variable {name!r} in header", lineno, at)
@@ -276,6 +307,12 @@ def _parse_header(code: str, lineno: int) -> dict[str, int]:
 def parse_problem(text: str, problem_id: str | None = None) -> ProblemInstance:
     """Parse problem text into a canonicalized :class:`ProblemInstance`.
 
+    The variable index is the header's, or else every name in the file in
+    first-occurrence order, one findall per line.  A valid polynomial line
+    is then read by one ``_POLY_RE`` fullmatch, one findall of its terms and
+    one findall of each term's factors (:func:`_read_line`); the token
+    walker runs only on a line that fails them, to locate and word its error.
+
     Deterministic: the same input bytes always produce the same instance,
     including variable index assignment.
     """
@@ -285,28 +322,23 @@ def parse_problem(text: str, problem_id: str | None = None) -> ProblemInstance:
         if code:
             lines.append((lineno, code))
     has_header = bool(lines) and lines[0][1].lstrip().startswith("vars:")
-    index: dict[str, int] = {}
     if has_header:
         lineno, code = lines.pop(0)
         index = _parse_header(code, lineno)
     if not lines:
         raise ParseError("empty problem: no polynomials")
+    if not has_header:
+        names = dict.fromkeys(name for _, code in lines for name in _NAME_RE.findall(code))
+        index = {name: i for i, name in enumerate(names)}
 
-    parsed = [(lineno, code, _parse_terms(code, lineno, index, has_header)) for lineno, code in lines]
+    parsed = [(lineno, code, _read_line(code, lineno, index)) for lineno, code in lines]
     if not index:
         raise ParseError("problem has no variables")
 
-    n = len(index)
     polynomials = []
     for lineno, code, terms in parsed:
-        pairs = []
-        for coeff, powers in terms:
-            degrees = [0] * n
-            for v, exp in powers:
-                degrees[v] += exp
-            pairs.append((coeff, tuple(degrees)))
         try:
-            polynomials.append(Polynomial.from_terms(pairs))
+            polynomials.append(Polynomial.from_terms(terms))
         except ValueError:
             col = len(code) - len(code.lstrip()) + 1  # the line's first token
             raise ParseError("zero polynomial", lineno, col) from None

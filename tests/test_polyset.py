@@ -1,6 +1,8 @@
 import ast
 import re
 import sys
+from contextlib import contextmanager
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -9,14 +11,28 @@ from hypothesis import strategies as st
 from conftest import problem_instances
 from cadorder.polyset import (
     _BAD_CHAR_RE,
+    _POLY_RE,
     _TOKEN_RE,
     Monomial,
     ParseError,
     Polynomial,
+    ProblemInstance,
+    VariableId,
     canonicalize_monomials,
     parse_problem,
     serialize_problem,
 )
+
+
+@contextmanager
+def _default_digit_limit():
+    """Pin int()'s digit limit to its default, 4,300, for the parse."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_parse_two_polynomials(problem_a):
@@ -124,13 +140,8 @@ def test_comments_and_blank_lines():
     ],
 )
 def test_parse_errors(text, fragment):
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        with pytest.raises(ParseError) as err:
-            parse_problem(text)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    with _default_digit_limit(), pytest.raises(ParseError) as err:
+        parse_problem(text)
     assert fragment in str(err.value)
 
 
@@ -177,6 +188,232 @@ def test_fuzz_error_columns_point_at_their_token(text):
             assert line[e.col - 1 : e.col - 1 + len(value)] == value
 
 
+# The parser as it was before valid lines were read by _POLY_RE and two
+# findall passes: every line through the token walker, which builds the
+# terms.  parse_problem must give the same instance or the same error.
+_REF_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^,])|(?P<bad>\S))"
+)
+_REF_BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z_,*^+-]")
+_REF_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_REF_END = ("", "", "", "")
+
+
+def _ref_tokens(text, lineno):
+    bad = _REF_BAD_CHAR_RE.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", lineno, bad.start() + 1)
+    tokens = _REF_TOKEN_RE.findall(text)
+    tokens.append(_REF_END)
+    return tokens
+
+
+def _ref_error(message, text, i, lineno):
+    match = next(islice(_REF_TOKEN_RE.finditer(text), i, None), None)
+    col = len(text) + 1 if match is None else match.start(match.lastgroup) + 1
+    return ParseError(message, lineno, col)
+
+
+def _ref_expected(what, text, tokens, i, lineno):
+    if tokens[i] is _REF_END:
+        return _ref_error(f"syntax error at end of input: expected {what}", text, i, lineno)
+    return _ref_error(f"syntax error: expected {what}, got {''.join(tokens[i])!r}", text, i, lineno)
+
+
+def _ref_too_long(text, tokens, i, lineno):
+    return _ref_error(f"integer literal too long ({len(tokens[i][0])} digits)", text, i, lineno)
+
+
+def _ref_parse_terms(text, lineno, index, fixed):
+    tokens = _ref_tokens(text, lineno)
+    terms = []
+    i = 0
+    sign = 1
+    if tokens[0][2] == "-":
+        sign, i = -1, 1
+    while True:
+        digits, name, _, _ = tokens[i]
+        if digits:
+            try:
+                coeff = sign * int(digits)
+            except ValueError:
+                raise _ref_too_long(text, tokens, i, lineno) from None
+            i += 1
+            has_factors = tokens[i][2] == "*"
+            i += has_factors
+        elif name:
+            coeff, has_factors = sign, True
+        else:
+            raise _ref_expected("term", text, tokens, i, lineno)
+        powers = []
+        while has_factors:
+            name = tokens[i][1]
+            if not name:
+                raise _ref_expected("identifier", text, tokens, i, lineno)
+            v = index.get(name)
+            if v is None:
+                if fixed:
+                    raise _ref_error(f"unknown variable {name!r}", text, i, lineno)
+                v = index[name] = len(index)
+            i += 1
+            exp = 1
+            if tokens[i][2] == "^":
+                i += 1
+                negative = tokens[i][2] == "-"
+                i += negative
+                digits = tokens[i][0]
+                if not digits:
+                    raise _ref_expected("integer exponent", text, tokens, i, lineno)
+                if negative:
+                    raise _ref_error("negative exponent", text, i, lineno)
+                try:
+                    exp = int(digits)
+                except ValueError:
+                    raise _ref_too_long(text, tokens, i, lineno) from None
+                i += 1
+            powers.append((v, exp))
+            has_factors = tokens[i][2] == "*"
+            i += has_factors
+        terms.append((coeff, powers))
+        if tokens[i] is _REF_END:
+            return terms
+        op = tokens[i][2]
+        if op not in ("+", "-"):
+            raise _ref_expected("'+' or '-'", text, tokens, i, lineno)
+        sign = -1 if op == "-" else 1
+        i += 1
+
+
+def _ref_parse_header(code, lineno):
+    index = {}
+    col = code.index("vars:") + len("vars:") + 1
+    for piece in code[col - 1 :].split(","):
+        name = piece.strip()
+        at = col + len(piece) - len(piece.lstrip())
+        if not _REF_IDENT_RE.match(name):
+            raise ParseError(f"bad variable name {name!r} in header", lineno, at)
+        if name in index:
+            raise ParseError(f"duplicate variable {name!r} in header", lineno, at)
+        index[name] = len(index)
+        col += len(piece) + 1
+    return index
+
+
+def _ref_parse_problem(text):
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        code = raw.split("#", 1)[0].rstrip()
+        if code:
+            lines.append((lineno, code))
+    has_header = bool(lines) and lines[0][1].lstrip().startswith("vars:")
+    index = {}
+    if has_header:
+        lineno, code = lines.pop(0)
+        index = _ref_parse_header(code, lineno)
+    if not lines:
+        raise ParseError("empty problem: no polynomials")
+    parsed = [(lineno, code, _ref_parse_terms(code, lineno, index, has_header))
+              for lineno, code in lines]
+    if not index:
+        raise ParseError("problem has no variables")
+    n = len(index)
+    polynomials = []
+    for lineno, code, terms in parsed:
+        pairs = []
+        for coeff, powers in terms:
+            degrees = [0] * n
+            for v, exp in powers:
+                degrees[v] += exp
+            pairs.append((coeff, tuple(degrees)))
+        try:
+            polynomials.append(Polynomial.from_terms(pairs))
+        except ValueError:
+            col = len(code) - len(code.lstrip()) + 1
+            raise ParseError("zero polynomial", lineno, col) from None
+    variables = tuple(VariableId(i, name) for name, i in index.items())
+    return ProblemInstance(variables, tuple(polynomials))
+
+
+def _outcome(parse, text):
+    """The instance's names and monomials, or the error's message, line and column."""
+    try:
+        pr = parse(text)
+    except ParseError as e:
+        return ("error", e.message, e.line, e.col)
+    return ("ok", pr.var_names, pr.polynomials)
+
+
+_SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\xa0"])
+_DIGITS = st.sampled_from(["1", "2", "12", "007", "0", "٣", "١٢"])
+_MUTATIONS = _FUZZ_PIECES + ["w", "\t", "\xa0", "٣", "^ -", "\r\n", "é"]
+
+
+@st.composite
+def _grammar_texts(draw):
+    """A problem from the grammar, with random whitespace around ``*``, ``^``,
+    ``+`` and ``-``, a header in random order or none, trailing comments, and
+    then one random mutation or none; about half of these parse.
+    """
+    names = draw(st.lists(st.sampled_from(["x", "y", "z", "w", "ab_1", "_t"]),
+                          min_size=1, max_size=4, unique=True))
+    lines = []
+    if draw(st.booleans()):
+        order = draw(st.permutations(names))
+        lines.append("vars:" + ",".join(draw(_SPACE) + name + draw(_SPACE) for name in order))
+    for _ in range(draw(st.integers(1, 3))):
+        line = ""
+        for k in range(draw(st.integers(1, 4))):
+            factors = []
+            for name in draw(st.lists(st.sampled_from(names), max_size=3)):
+                if draw(st.booleans()):
+                    name += draw(_SPACE) + "^" + draw(_SPACE) + draw(_DIGITS)
+                factors.append(name)
+            term = "".join(
+                (draw(_SPACE) + "*" + draw(_SPACE) if j else "") + f for j, f in enumerate(factors)
+            )
+            if not factors or draw(st.booleans()):
+                coeff = draw(_DIGITS)
+                term = coeff + draw(_SPACE) + "*" + draw(_SPACE) + term if factors else coeff
+            sign = draw(st.sampled_from(["", "-"] if k == 0 else ["+", "-"]))
+            line += draw(_SPACE) + sign + draw(_SPACE) + term
+        if draw(st.booleans()):
+            line += draw(_SPACE) + "# note"
+        lines.append(line)
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    mutation = draw(st.sampled_from(["none", "delete", "insert", "replace"]))
+    if mutation == "none":
+        return text
+    at = draw(st.integers(0, len(text)))
+    piece = "" if mutation == "delete" else draw(st.sampled_from(_MUTATIONS))
+    return text[:at] + piece + text[at + (mutation != "insert") :]
+
+
+@settings(max_examples=500)
+@given(st.one_of(
+    st.lists(st.sampled_from(_FUZZ_PIECES + ["\t", "\xa0", "٣", "w", "^ -", "\r\n", "1" * 4301]),
+             max_size=30).map("".join),
+    _grammar_texts(),
+))
+def test_parse_matches_the_reference_parser(text):
+    with _default_digit_limit():
+        assert _outcome(parse_problem, text) == _outcome(_ref_parse_problem, text)
+
+
+def _ref_reads(line):
+    try:
+        _ref_parse_terms(line, 1, {}, False)
+    except ParseError:
+        return False
+    return True
+
+
+def test_poly_re_character_classes_match_the_reference():
+    """_POLY_RE uses the token classes: a [0-9] or [ \\t] for \\d or \\s shows here."""
+    for c in map(chr, range(0x3100)):
+        for line in (c, "x^" + c, "x " + c):
+            assert bool(_POLY_RE.fullmatch(line)) == _ref_reads(line), ascii(line)
+
+
 def test_serialize_examples(problem_a):
     assert serialize_problem(problem_a) == "vars: x,y,z\nx^2*y + z\nx*z^2 - 1\n"
     neg = parse_problem("vars: x\n-x + 1")
@@ -198,8 +435,6 @@ def test_polynomial_must_be_nonempty():
 
 
 def test_degree_vector_length_checked():
-    from cadorder.polyset import ProblemInstance, VariableId
-
     two_vars = (VariableId(0, "x"), VariableId(1, "y"))
     one_var_polys = parse_problem("vars: x\nx").polynomials
     with pytest.raises(ValueError, match="degree vector"):

@@ -5,6 +5,9 @@ timings (a search journal is one), a deterministic synthetic model for
 desk-scale experiments, and an adapter that shells out to an external
 solver and measures wall time.  Timed-out runs cost timeout_s *
 penalty_factor.
+
+Search and training price orderings through a ``PriceStore``, which asks
+the oracle once per pair and journals the prices of a resumable run.
 """
 
 from __future__ import annotations
@@ -19,10 +22,12 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import permutations
 from pathlib import Path
 from typing import Callable, Protocol
 
-from .heuristics import Ordering
+from .heuristics import Ordering, parse_ordering
 from .polyset import ProblemInstance, serialize_problem
 
 
@@ -278,3 +283,97 @@ def total_cost(
         total += c
         items.append((pr.id or str(i), c))
     return CostTotal(total, tuple(items))
+
+
+def dataset_digest(dataset) -> str:
+    h = hashlib.sha256()
+    for pr in dataset:
+        h.update(serialize_problem(pr).encode())
+    return h.hexdigest()[:16]
+
+
+class PriceStore:
+    """Oracle prices of a dataset's (position, ``Ordering``) pairs, each asked for once.
+
+    Prices are kept by ``perm``: an ``Ordering``'s hash runs in Python.  A
+    journal is a timing table under a first line naming the oracle and
+    ``dataset_id``, the dataset's digest; inside the ``with`` block each new
+    price is appended as it arrives.  A non-empty file without that first line
+    raises ValueError and is left as it is; a torn last row is cut and its
+    pair priced again.  Rows name problems by id, so ids must be distinct and
+    read back as written; a bad row raises ValueError naming ``path:line``.
+    """
+
+    def __init__(self, oracle: CostOracle, dataset, journal_path: str | Path | None = None):
+        self.oracle = oracle
+        self.dataset = list(dataset)
+        self.path = journal_path
+        self._known: list[dict[tuple[int, ...], float]] = [{} for _ in self.dataset]
+        self._journal = None
+        if journal_path is not None:
+            self._first_line = f"# oracle: {oracle.describe()}; dataset: {self.dataset_id}"
+            self._read_journal()
+
+    @cached_property
+    def dataset_id(self) -> str:
+        return dataset_digest(self.dataset)
+
+    def _read_journal(self) -> None:
+        path, dataset, first_line = self.path, self.dataset, self._first_line
+        index = {pr.id: p for p, pr in enumerate(dataset)}
+        # load_timing_table strips each field, so an id must not start or end with whitespace.
+        if None in index or len(index) < len(dataset) or any(i != i.strip() for i in index):
+            raise ValueError("a journal needs distinct problem ids without surrounding whitespace")
+        data = Path(path).read_bytes() if os.path.exists(path) else b""
+        if not data:
+            return
+        if not data.startswith(f"{first_line}\n".encode()):
+            got = data.split(b"\n", 1)[0][:200].decode(errors="replace")
+            raise ValueError(f"{path}:1: first line {got!r} is not this run's {first_line!r}")
+        complete = data[: data.rfind(b"\n") + 1]
+        if len(complete) < len(data):
+            os.truncate(path, len(complete))
+        for rec in load_timing_table(path).records.values():
+            try:
+                p = index.get(rec.problem_id)
+                if p is None:
+                    raise ValueError(f"no problem {rec.problem_id!r} in the dataset")
+                perm = parse_ordering(rec.ordering, dataset[p]).perm
+                if perm in self._known[p]:
+                    raise ValueError("pair already on file")
+                self._known[p][perm] = rec.time_s
+            except ValueError as e:
+                raise ValueError(f"{path}:{rec.line}: {e}") from None
+
+    def __enter__(self) -> PriceStore:
+        if self.path is not None:  # line-buffered: a killed run keeps every price paid for
+            self._fh = open(self.path, "a", buffering=1, newline="")
+            if self._fh.tell() == 0:
+                self._fh.write(f"{self._first_line}\n{','.join(TIMING_COLUMNS)}\n")
+            self._journal = csv.writer(self._fh, lineterminator="\n")
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._journal is not None:
+            self._fh.close()
+
+    def prices(self, pairs, call=map) -> list[float]:
+        """One price per pair; ``call`` maps the oracle over the new pairs.
+
+        Each new pair is asked for once, in order of first appearance, and
+        its price is kept, and journaled, on the calling thread as it arrives.
+        """
+        pairs, known = list(pairs), self._known
+        asked = list({(p, o.perm): (p, o) for p, o in pairs if o.perm not in known[p]}.values())
+        priced = call(lambda po: self.oracle.cost(self.dataset[po[0]], po[1]), asked)
+        for (p, ordering), c in zip(asked, priced):
+            known[p][ordering.perm] = c
+            if self._journal is not None:
+                pr = self.dataset[p]
+                self._journal.writerow([pr.id, ordering.names(pr), repr(c), "false"])
+        return [known[p][ordering.perm] for p, ordering in pairs]
+
+    def row(self, p: int) -> list[float]:
+        """The prices of all n! orderings of problem ``p``, in ``permutations`` order."""
+        n = self.dataset[p].n_vars
+        return self.prices((p, Ordering(perm)) for perm in permutations(range(n)))

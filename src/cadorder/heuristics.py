@@ -262,16 +262,6 @@ def layer2_backward(n: int, dscores) -> list:
     return out
 
 
-def _rank(perm) -> int:
-    """Lexicographic index of a permutation of range(n); the inverse of ``_unrank``."""
-    pool = sorted(perm)
-    k = 0
-    for i, v in enumerate(perm):
-        k += pool.index(v) * math.factorial(len(perm) - 1 - i)
-        pool.remove(v)
-    return k
-
-
 def _unrank(n: int, k: int) -> tuple[int, ...]:
     """The k-th permutation of range(n) in lexicographic order (factorial base)."""
     pool = list(range(n))

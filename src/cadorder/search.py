@@ -3,27 +3,24 @@
 Every ordered triplet of distinct deduplicated features defines a frozen
 lexicographic/network heuristic; each is priced as the summed oracle cost
 of the orderings it picks, then ranked.  Each distinct (problem, ordering)
-pair is priced once.  Worker count and resuming from a journal of those
-prices never change the report.
+pair is priced once, by ``costmodel.PriceStore``, which also keeps the
+journal of those prices.  Worker count and resuming from a journal never
+change the report.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
-import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from itertools import permutations
 from pathlib import Path
 
 from .atomic import write_json, write_text
-from .costmodel import TIMING_COLUMNS, CostOracle, load_timing_table
+from .costmodel import CostOracle, PriceStore, dataset_digest  # dataset_digest: re-exported
 from .features import FeatureSet, brown_features, eval_descriptors
-from .heuristics import Ordering, order_by_scores, parse_ordering
-from .polyset import serialize_problem
+from .heuristics import order_by_scores
 
 
 @dataclass
@@ -55,13 +52,6 @@ class SearchReport:
         write_text(path, self.to_csv())
 
 
-def dataset_digest(dataset) -> str:
-    h = hashlib.sha256()
-    for pr in dataset:
-        h.update(serialize_problem(pr).encode())
-    return h.hexdigest()[:16]
-
-
 def enumerate_triplets(fs: FeatureSet) -> list[tuple[int, int, int]]:
     """All ordered triplets of distinct descriptor ids, k*(k-1)*(k-2) of them."""
     k = len(fs)
@@ -76,15 +66,12 @@ def _dense_ranks(values) -> tuple[int, ...]:
     return tuple(map(distinct.index, values))
 
 
-def _pricer(descriptors, dataset, oracle: CostOracle, call, by_order, journal):
-    """``costs(ids)``: per-problem oracle costs of a triplet of indices into ``descriptors``.
+def _pricer(descriptors, dataset, store: PriceStore, call):
+    """``costs(ids)``: per-problem prices of a triplet of indices into ``descriptors``.
 
     Each descriptor is evaluated once over the dataset and kept as dense
-    ranks per problem.  Per problem, a rank triple maps to its cost and an
-    ordering to its oracle cost (``by_order``), so each distinct (problem,
-    ordering) pair reaches the oracle once; ``call`` maps the oracle over a
-    triplet's new pairs, and each price is written to the ``journal`` csv
-    writer as it arrives.
+    ranks per problem.  Per problem, a rank triple maps to its price; only
+    a new one asks the ``store``, through ``call``, for its ordering's price.
     """
     spans, start = [], 0
     for pr in dataset:
@@ -101,60 +88,13 @@ def _pricer(descriptors, dataset, oracle: CostOracle, call, by_order, journal):
     def costs(ids) -> list[float]:
         keys = list(zip(*(ranks[i] for i in ids)))
         found = [table.get(key) for table, key in zip(by_ranks, keys)]
-        orders = {p: order_by_scores(tuple(zip(*keys[p])))
-                  for p, c in enumerate(found) if c is None}
-        new = [(p, o) for p, o in orders.items() if o not in by_order[p]]
-        for (p, o), c in zip(new, call(lambda po: oracle.cost(dataset[po[0]], po[1]), new)):
-            by_order[p][o] = c
-            if journal is not None:
-                journal.writerow([dataset[p].id, o.names(dataset[p]), repr(c), "false"])
-        for p, o in orders.items():
-            found[p] = by_ranks[p][keys[p]] = by_order[p][o]
+        missing = [(p, order_by_scores(tuple(zip(*keys[p]))))
+                   for p, c in enumerate(found) if c is None]
+        for (p, _), c in zip(missing, store.prices(missing, call)):
+            found[p] = by_ranks[p][keys[p]] = c
         return found
 
     return costs
-
-
-def _load_journal(path: str | Path | None, dataset, first_line: str) -> list[dict[Ordering, float]]:
-    """Per problem, the prices in a journal that starts with ``first_line``; none without one.
-
-    A journal is a timing table under a first line that names the oracle
-    and the dataset.  A non-empty file that starts otherwise raises
-    ValueError and is left as it is.  A last row without its newline is a
-    torn write: it is cut from the file, so its pair is priced again and
-    later appends start on a fresh line.  Rows name problems by id, so the
-    ids must be distinct and read back as written; a row that names no
-    problem of the dataset, or a bad ordering, raises ValueError naming
-    ``path:line``.
-    """
-    by_order: list[dict[Ordering, float]] = [{} for _ in dataset]
-    if path is None:
-        return by_order
-    index = {pr.id: p for p, pr in enumerate(dataset)}
-    # load_timing_table strips each field, so an id must not start or end with whitespace.
-    if None in index or len(index) < len(dataset) or any(i != i.strip() for i in index):
-        raise ValueError("a journal needs distinct problem ids without surrounding whitespace")
-    data = Path(path).read_bytes() if os.path.exists(path) else b""
-    if not data:
-        return by_order
-    if not data.startswith(f"{first_line}\n".encode()):
-        got = data.split(b"\n", 1)[0][:200].decode(errors="replace")
-        raise ValueError(f"{path}:1: first line {got!r} is not this run's {first_line!r}")
-    complete = data[: data.rfind(b"\n") + 1]
-    if len(complete) < len(data):
-        os.truncate(path, len(complete))
-    for rec in load_timing_table(path).records.values():
-        try:
-            p = index.get(rec.problem_id)
-            if p is None:
-                raise ValueError(f"no problem {rec.problem_id!r} in the dataset")
-            ordering = parse_ordering(rec.ordering, dataset[p])
-            if ordering in by_order[p]:
-                raise ValueError("pair already on file")
-            by_order[p][ordering] = rec.time_s
-        except ValueError as e:
-            raise ValueError(f"{path}:{rec.line}: {e}") from None
-    return by_order
 
 
 def search_triplets(
@@ -172,32 +112,18 @@ def search_triplets(
     as every pool triplet; wins against Brown are counted in the same
     pass.  Triplets are scanned in index order, and ``jobs`` oracle calls
     run at once over the pairs a triplet newly needs.  A journal file
-    makes long runs resumable: each oracle price is appended to it as it
-    arrives, and a resumed search prices only the pairs not on file and
-    recomputes every total.  The journal is a timing table whose first
-    line binds it to the oracle and the dataset, so ``load_timing_table``
-    replays it.
+    makes long runs resumable (``PriceStore``): a resumed search prices
+    only the pairs not on file and recomputes every total.
     """
     dataset = list(dataset)
     triplets = enumerate_triplets(fs)
     k = len(fs)
     brown_ids = _triplet_ids(brown_features(), fs)
-    digest = dataset_digest(dataset)
-    first_line = f"# oracle: {oracle.describe()}; dataset: {digest}"
 
-    by_order = _load_journal(journal_path, dataset, first_line)
-
-    # Line-buffered, so a killed search leaves every price written so far on file.
     # A failed oracle call cancels the calls its batch has not started.
-    with ThreadPoolExecutor(max(jobs, 1)) as pool, (
-        open(journal_path, "a", buffering=1, newline="")
-        if journal_path is not None else nullcontext()
-    ) as fh:
-        journal = None if fh is None else csv.writer(fh, lineterminator="\n")
-        if fh is not None and fh.tell() == 0:
-            fh.write(f"{first_line}\n{','.join(TIMING_COLUMNS)}\n")
+    with ThreadPoolExecutor(max(jobs, 1)) as pool, PriceStore(oracle, dataset, journal_path) as store:
         call = pool.map if jobs > 1 else map
-        costs = _pricer(fs.descriptors + brown_features(), dataset, oracle, call, by_order, journal)
+        costs = _pricer(fs.descriptors + brown_features(), dataset, store, call)
         brown = costs((k, k + 1, k + 2))
         totals, wins = [], []
         for per_problem in map(costs, triplets):
@@ -223,7 +149,7 @@ def search_triplets(
         )
 
     return SearchReport(
-        dataset_id=digest,
+        dataset_id=store.dataset_id,
         oracle_id=oracle.describe(),
         pool_size=len(fs),
         triplet_count=len(triplets),

@@ -2,8 +2,8 @@
 
 The frozen network's ordering is an argmax over permutation neurons; for
 training, the argmax relaxes to a softmax over the neuron scores and the
-loss is cross-entropy against the oracle-optimal ordering of each training
-problem (brute-forced over all n! orderings, which is cheap at n = 3).
+loss is cross-entropy against the oracle-optimal neuron of each training
+problem: the first minimum of its n! ``PriceStore`` prices, in neuron order.
 Weights are three scalars shared across variables; the permutation output
 layer stays fixed.  Gradients are analytic; the optimizer is the standard
 adaptive-moment scheme (bias-corrected first and second moment estimates).
@@ -28,16 +28,15 @@ import math
 import random
 from dataclasses import dataclass, field, asdict
 from functools import reduce
-from itertools import groupby, permutations, repeat
+from itertools import groupby, repeat
 from operator import add, mul, sub, truediv
 from pathlib import Path
 
 from .atomic import write_json
-from .costmodel import CostOracle
+from .costmodel import CostOracle, PriceStore
 from .features import FeatureDescriptor, descriptor_record, descriptors_from_records
 from .heuristics import (
     Ordering,
-    _rank,
     feature_matrix,
     layer1_columns,
     layer1_scores,
@@ -46,7 +45,6 @@ from .heuristics import (
     order_by_scores,
     radix_weights,
 )
-from .polyset import ProblemInstance
 
 # Default base weight of ``TrainableNetwork.brown_init``'s radix starting point.
 INIT_WEIGHT = 30.0
@@ -254,15 +252,9 @@ class TrainReport:
         }
 
 
-def _cost_row(oracle: CostOracle, pr: ProblemInstance) -> dict[tuple[int, ...], float]:
-    """Oracle cost of every ordering of ``pr``, in lexicographic permutation order."""
-    return {perm: oracle.cost(pr, Ordering(perm)) for perm in permutations(range(pr.n_vars))}
-
-
-def _argmin(row: dict[tuple[int, ...], float]) -> tuple[Ordering, float]:
-    """Cheapest ordering of a cost row; ties pick the smallest permutation."""
-    best = min(row, key=row.__getitem__)
-    return Ordering(best), row[best]
+def _argmin(row: list[float]) -> int:
+    """Index of the first cheapest price in a row; ties pick the smallest permutation."""
+    return row.index(min(row))
 
 
 def fit_feature_scale(matrices) -> tuple[float, float, float]:
@@ -273,17 +265,6 @@ def fit_feature_scale(matrices) -> tuple[float, float, float]:
             for i, x in enumerate(row):
                 top[i] = max(top[i], float(x))
     return tuple(t if t > 0 else 1.0 for t in top)
-
-
-def _validate(weights, rows, cost_rows, best_costs):
-    """Hard-argmax total cost and the fraction of cost-optimal picks."""
-    total = 0.0
-    hits = 0
-    for x, costs, best_cost in zip(rows, cost_rows, best_costs):
-        c = costs[order_by_scores(layer1_scores(weights, x)).perm]
-        total += c
-        hits += c == best_cost
-    return total, hits / len(rows)
 
 
 class DivergenceError(RuntimeError):
@@ -312,20 +293,23 @@ def train(
     scale = fit_feature_scale(train_matrices) if cfg.normalize else (1.0, 1.0, 1.0)
     work = TrainableNetwork(net.triplet, list(net.weights), scale)
 
-    # Each problem's n! orderings are priced once, and its feature rows
-    # scaled once: the scale stays fixed while the weights train.
-    targets = [_rank(_argmin(_cost_row(oracle, pr))[0].perm) for pr in train_set]
+    # Each problem is priced and its rows scaled once; training's prices go with their store.
+    targets = list(map(_argmin, map(PriceStore(oracle, train_set).row, range(len(train_set)))))
     samples = [(work.scaled_rows(rows), t) for rows, t in zip(train_matrices, targets)]
-    val_costs = [_cost_row(oracle, pr) for pr in val_set]
-    val_best = [_argmin(row)[1] for row in val_costs]
+    val_store = PriceStore(oracle, val_set)
+    val_best = [min(val_store.row(p)) for p in range(len(val_set))]
     val_rows = [work.scaled_rows(feature_matrix(net.triplet, pr)) for pr in val_set]
 
     temperature = cfg.softmax_temperature
     entries: list[TrainEntry] = []
 
     def record(epoch: int, step: int, train_loss: float) -> None:
-        val_cost, val_acc = _validate(work.weights, val_rows, val_costs, val_best)
-        entries.append(TrainEntry(epoch, step, train_loss, val_cost, val_acc, list(work.weights)))
+        """An entry: the hard-argmax picks' total cost and the share that are optimal."""
+        picks = (order_by_scores(layer1_scores(work.weights, x)) for x in val_rows)
+        costs = val_store.prices(enumerate(picks))
+        hits = sum(c == best for c, best in zip(costs, val_best))
+        entries.append(TrainEntry(epoch, step, train_loss, reduce(add, costs, 0.0),
+                                  hits / len(costs), list(work.weights)))
 
     record(0, 0, _loss_and_gradient(work.weights, samples, temperature)[0])
 

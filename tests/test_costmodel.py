@@ -9,6 +9,7 @@ from cadorder.costmodel import (
     CostRecord,
     ExternalSolverAdapter,
     MissingRecordError,
+    PriceStore,
     SolverError,
     SyntheticCostModel,
     TimingTable,
@@ -228,6 +229,64 @@ def test_total_cost_fixed_ordering(problem_a, problem_b):
     assert result.total == syn.cost(problem_a, fixed(problem_a)) + syn.cost(
         problem_b, fixed(problem_b)
     )
+
+
+class _CountingOracle:
+    """Synthetic costs, with the (problem id, perm) of every call made."""
+
+    def __init__(self):
+        self.inner = SyntheticCostModel(noise_seed=1, noise_scale=0.5)
+        self.pairs = []
+
+    def cost(self, pr, ordering):
+        self.pairs.append((pr.id, ordering.perm))
+        return self.inner.cost(pr, ordering)
+
+    def describe(self):
+        return self.inner.describe()
+
+
+def test_price_store_row_prices_each_ordering_once(problem_a, problem_b):
+    oracle = _CountingOracle()
+    store = PriceStore(oracle, [problem_a, problem_b])
+    row = store.row(1)
+    perms = list(permutations(range(3)))
+    # One call per ordering, in permutations order, the prices the oracle charged.
+    assert oracle.pairs == [("b", perm) for perm in perms]
+    assert row == [oracle.inner.cost(problem_b, Ordering(perm)) for perm in perms]
+    assert store.prices((1, Ordering(perm)) for perm in reversed(perms)) == row[::-1]
+    assert store.row(1) == row
+    assert len(oracle.pairs) == 6
+    # The other problem is priced on its own.
+    ordering = Ordering((2, 0, 1))
+    assert store.prices([(0, ordering)]) == [oracle.inner.cost(problem_a, ordering)]
+    assert oracle.pairs[6:] == [("a", (2, 0, 1))]
+
+
+def test_price_store_asks_a_repeated_pair_once(problem_a, problem_b, tmp_path):
+    journal = tmp_path / "journal.txt"
+    pairs = [(1, Ordering((0, 2, 1))), (0, Ordering((1, 0, 2))), (1, Ordering((0, 2, 1)))]
+    oracle = _CountingOracle()
+    with PriceStore(oracle, [problem_a, problem_b], journal) as store:
+        prices = store.prices(pairs, call=lambda f, xs: list(map(f, xs)))
+    assert prices[0] == prices[2]
+    # In the order of first appearance, one call and one journal row each.
+    assert oracle.pairs == [("b", (0, 2, 1)), ("a", (1, 0, 2))]
+    rows = journal.read_text().splitlines()[2:]
+    assert rows == [f"b,x>z>y,{prices[0]!r},false", f"a,y>x>z,{prices[1]!r},false"]
+    # So the journal resumes: every pair on file, no call.
+    resumed_oracle = _CountingOracle()
+    with PriceStore(resumed_oracle, [problem_a, problem_b], journal) as store:
+        assert store.prices(pairs) == prices
+    assert resumed_oracle.pairs == []
+
+
+def test_price_store_without_a_journal_writes_nothing(problem_a, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with PriceStore(SyntheticCostModel(), [problem_a]) as store:
+        assert store.row(0) == [SyntheticCostModel().cost(problem_a, Ordering(perm))
+                                for perm in permutations(range(3))]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_timeout_accounting(problem_a):

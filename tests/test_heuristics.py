@@ -33,7 +33,6 @@ from cadorder.heuristics import (
     _order_scores,
     _packed_columns,
     _packed_scores,
-    _rank,
     _unrank,
 )
 from cadorder.polyset import (
@@ -257,7 +256,6 @@ def test_order_scores_past_64_bits_equals_sort_at_n8(seed):
 def test_unrank_is_lexicographic_permutation_order():
     for n in range(7):
         assert [_unrank(n, k) for k in range(math.factorial(n))] == list(permutations(range(n)))
-        assert [_rank(_unrank(n, k)) for k in range(math.factorial(n))] == list(range(math.factorial(n)))
 
 
 def _backward_per_neuron(n, dscores, zero):

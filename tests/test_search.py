@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import signal
@@ -432,6 +433,19 @@ def test_search_journal_bytes_equal_for_any_jobs(tmp_path):
         journals.append(path.read_bytes())
     assert journals[0] == journals[1]
     assert len(_rows(journals[0].decode())) == len(_distinct_pairs(fs, dataset))
+
+
+# sha256 of the journal a fresh seed-5 search writes; recorded while search
+# still wrote its journal itself, before the price store took it over.
+PINNED_JOURNAL = "ba6974964b6f865c33657175cca8423666dd7011d14c84bbbb6eae39f6688ddb"
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_search_journal_bytes_are_pinned(tmp_path, jobs):
+    journal = tmp_path / "journal.txt"
+    search_triplets(_named_pool(), random_dataset(GenConfig(seed=5), 40), SyntheticCostModel(),
+                    journal_path=journal, jobs=jobs)
+    assert hashlib.sha256(journal.read_bytes()).hexdigest() == PINNED_JOURNAL
 
 
 def test_search_journal_of_smaller_pool_prices_only_new_pairs(tmp_path):

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cadorder.costmodel import SyntheticCostModel
+from cadorder.costmodel import PriceStore, SyntheticCostModel
 from cadorder.datagen import GenConfig, random_dataset, random_problem
 from cadorder.features import brown_features, selected_triplet
 from cadorder.heuristics import (
-    _rank,
     base_weight,
     feature_matrix,
     layer2_scores,
@@ -30,7 +29,6 @@ from cadorder.training import (
     TrainReport,
     _argmin,
     _columns,
-    _cost_row,
     _loss_and_gradient,
     _probabilities,
     fit_feature_scale,
@@ -40,6 +38,11 @@ from cadorder.training import (
 )
 
 TRIPLET = selected_triplet()
+
+
+def _neuron(perm) -> int:
+    """The output neuron of an ordering: its index in ``permutations`` order."""
+    return list(permutations(range(len(perm)))).index(tuple(perm))
 
 
 def _net(weights, scale=(1.0, 1.0, 1.0)):
@@ -106,7 +109,7 @@ def test_brown_frozen_weights_prefer_lexicographic_ordering(problem_b):
 def test_loss_uniform_is_log_six(problem_a, problem_b):
     net = _net([0.0, 0.0, 0.0])
     batch = [
-        (net.scaled_rows(feature_matrix(TRIPLET, pr)), _rank((0, 1, 2)))
+        (net.scaled_rows(feature_matrix(TRIPLET, pr)), _neuron((0, 1, 2)))
         for pr in (problem_a, problem_b)
     ]
     assert _loss_and_gradient(net.weights, batch, 1.0)[0] == pytest.approx(math.log(6))
@@ -115,7 +118,7 @@ def test_loss_uniform_is_log_six(problem_a, problem_b):
 def test_loss_below_uniform_for_correct_target(problem_b):
     fm = feature_matrix(brown_features(), problem_b)
     net = TrainableNetwork.brown_init(brown_features())
-    batch = [(net.scaled_rows(fm), _rank((0, 1, 2)))]
+    batch = [(net.scaled_rows(fm), _neuron((0, 1, 2)))]
     assert _loss_and_gradient(net.weights, batch, 1.0)[0] < math.log(6)
 
 
@@ -123,7 +126,7 @@ def test_loss_near_zero_when_confident(problem_b):
     fm = feature_matrix(TRIPLET, problem_b)
     strong = _net([500.0, 0.0, 0.0])
     target = strong.hard_order(fm)
-    batch = [(strong.scaled_rows(fm), _rank(target.perm))]
+    batch = [(strong.scaled_rows(fm), _neuron(target.perm))]
     assert _loss_and_gradient(strong.weights, batch, 1.0)[0] == pytest.approx(0.0, abs=1e-6)
 
 
@@ -156,13 +159,12 @@ def test_gradient_matches_finite_differences():
     problems = random_dataset(GenConfig(seed=17), 40)
     matrices = [feature_matrix(TRIPLET, pr) for pr in problems]
     scale = fit_feature_scale(matrices)
-    perms = list(permutations(range(3)))
     for _ in range(30):
         net = TrainableNetwork(TRIPLET, [rng.uniform(-3, 3) for _ in range(3)], scale)
         batch = [
             (
                 net.scaled_rows(matrices[rng.randrange(len(matrices))]),
-                _rank(perms[rng.randrange(6)]),
+                rng.randrange(6),
             )
             for _ in range(rng.randint(1, 6))
         ]
@@ -175,7 +177,7 @@ def test_gradient_matches_finite_differences():
 def test_gradient_norm_shrinks_as_confidence_grows(problem_b):
     fm = feature_matrix(TRIPLET, problem_b)
     net = _net([1.0, 0.0, 0.0])
-    batch = [(net.scaled_rows(fm), _rank(net.hard_order(fm).perm))]
+    batch = [(net.scaled_rows(fm), _neuron(net.hard_order(fm).perm))]
     norms = []
     for factor in (1.0, 2.0, 4.0, 8.0):
         g = _loss_and_gradient([factor, 0.0, 0.0], batch, 1.0)[1]
@@ -188,7 +190,7 @@ def test_gradient_zero_on_fully_tied_batch():
     # All feature rows equal: every neuron scores the same, so each target
     # contributes a gradient that cancels exactly.
     rows = _net([0.7, -1.2, 0.4]).scaled_rows(((2, 3, 1), (2, 3, 1), (2, 3, 1)))
-    batch = [(rows, _rank(p)) for p in permutations(range(3))]
+    batch = [(rows, _neuron(p)) for p in permutations(range(3))]
     g = _loss_and_gradient([0.7, -1.2, 0.4], batch, 1.0)[1]
     assert all(abs(x) <= 1e-8 for x in g)
 
@@ -265,13 +267,13 @@ def test_batch_longer_than_a_chunk_equals_per_sample_loop():
 
 def test_adam_single_step_hand_computed(problem_b):
     fm = feature_matrix(TRIPLET, problem_b)
-    target = _argmin(_cost_row(SyntheticCostModel(), problem_b))[0]
+    target = _argmin(PriceStore(SyntheticCostModel(), [problem_b]).row(0))
     init = [2.0, -1.0, 0.5]
     lr = 0.1
 
     cfg = TrainConfig()
     net = TrainableNetwork(TRIPLET, list(init), (1.0, 1.0, 1.0))
-    g = _loss_and_gradient(net.weights, [(net.scaled_rows(fm), _rank(target.perm))], 1.0)[1]
+    g = _loss_and_gradient(net.weights, [(net.scaled_rows(fm), target)], 1.0)[1]
     expected = [w - lr * gi / (abs(gi) + cfg.epsilon) for w, gi in zip(init, g)]
 
     opt = AdamOptimizer(lr, cfg.beta1, cfg.beta2, cfg.epsilon)
@@ -287,8 +289,8 @@ def test_train_single_sample_single_epoch_matches_hand_step(problem_b):
     report = train(net, [problem_b], [problem_b], oracle, cfg)
 
     fm = feature_matrix(TRIPLET, problem_b)
-    target = _argmin(_cost_row(oracle, problem_b))[0]
-    g = _loss_and_gradient(net.weights, [(net.scaled_rows(fm), _rank(target.perm))], 1.0)[1]
+    target = _argmin(PriceStore(oracle, [problem_b]).row(0))
+    g = _loss_and_gradient(net.weights, [(net.scaled_rows(fm), target)], 1.0)[1]
     expected = [w - 0.1 * gi / (abs(gi) + 1e-8) for w, gi in zip(net.weights, g)]
     assert report.entries[1].weights == pytest.approx(expected, rel=1e-12)
 
@@ -301,10 +303,10 @@ def test_optimal_ordering_breaks_ties_lexicographically():
         def describe(self):
             return "flat"
 
-    pr = random_problem(GenConfig(), 0)
-    ordering, cost = _argmin(_cost_row(FlatOracle(), pr))
-    assert ordering.perm == (0, 1, 2)
-    assert cost == 1.0
+    row = PriceStore(FlatOracle(), [random_problem(GenConfig(), 0)]).row(0)
+    assert row == [1.0] * 6
+    assert _argmin(row) == 0  # the neuron of (0, 1, 2)
+    assert _argmin([3.0, 2.0, 5.0, 2.0, 4.0, 6.0]) == 1
 
 
 def test_zero_learning_rate_is_flat():

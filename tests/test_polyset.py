@@ -2,6 +2,7 @@ import ast
 import re
 import sys
 from contextlib import contextmanager
+from dataclasses import FrozenInstanceError
 from itertools import islice
 
 import pytest
@@ -190,7 +191,8 @@ def test_fuzz_error_columns_point_at_their_token(text):
 
 # The parser as it was before valid lines were read by _POLY_RE and two
 # findall passes: every line through the token walker, which builds the
-# terms.  parse_problem must give the same instance or the same error.
+# terms, and like terms merged here, each kept one built by Monomial(c, d).
+# parse_problem must give the same instance or the same error.
 _REF_TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^,])|(?P<bad>\S))"
 )
@@ -319,17 +321,18 @@ def _ref_parse_problem(text):
     n = len(index)
     polynomials = []
     for lineno, code, terms in parsed:
-        pairs = []
+        merged = {}
         for coeff, powers in terms:
             degrees = [0] * n
             for v, exp in powers:
                 degrees[v] += exp
-            pairs.append((coeff, tuple(degrees)))
-        try:
-            polynomials.append(Polynomial.from_terms(pairs))
-        except ValueError:
+            key = tuple(degrees)
+            merged[key] = merged.get(key, 0) + coeff
+        monomials = tuple(Monomial(c, d) for d, c in sorted(merged.items(), reverse=True) if c)
+        if not monomials:
             col = len(code) - len(code.lstrip()) + 1
-            raise ParseError("zero polynomial", lineno, col) from None
+            raise ParseError("zero polynomial", lineno, col)
+        polynomials.append(Polynomial(monomials))
     variables = tuple(VariableId(i, name) for name, i in index.items())
     return ProblemInstance(variables, tuple(polynomials))
 
@@ -399,6 +402,42 @@ def test_parse_matches_the_reference_parser(text):
         assert _outcome(parse_problem, text) == _outcome(_ref_parse_problem, text)
 
 
+def _terms(pr):
+    return [[(m.coeff, m.degrees) for m in p.monomials] for p in pr.polynomials]
+
+
+def test_factor_table_is_keyed_by_the_variable_names():
+    """One factor text read under different variable lists in one process."""
+    assert _terms(parse_problem("vars: x,y\nx^2*y")) == [[(1, (2, 1))]]
+    assert _terms(parse_problem("vars: y,x\nx^2*y")) == [[(1, (1, 2))]]
+    first, second = parse_problem("x^2*y + y"), parse_problem("y + x^2*y")
+    assert (first.var_names, _terms(first)) == (("x", "y"), [[(1, (2, 1)), (1, (0, 1))]])
+    assert (second.var_names, _terms(second)) == (("y", "x"), [[(1, (1, 2)), (1, (1, 0))]])
+    # x^2*y is now known under (x, y) and (y, x), but not under (x,).
+    text = "vars: x\nx^2*y"
+    assert _outcome(parse_problem, text) == ("error", "unknown variable 'y'", 2, 5)
+    assert _outcome(parse_problem, text) == _outcome(_ref_parse_problem, text)
+
+
+def test_long_exponent_raises_after_shorter_ones_are_read():
+    long_text = "vars: x\nx^" + "1" * 4301
+    error = ("error", "integer literal too long (4301 digits)", 2, 3)
+    with _default_digit_limit():
+        for digits in ("1", "12", "1" * 4300):
+            parse_problem("vars: x\nx^" + digits)
+        assert _outcome(parse_problem, long_text) == error
+        assert _outcome(parse_problem, long_text) == _outcome(_ref_parse_problem, long_text)
+    # Read under no limit, then under the default one, the same text raises again.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert _terms(parse_problem(long_text)) == [[(1, (int("1" * 4301),))]]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    with _default_digit_limit():
+        assert _outcome(parse_problem, long_text) == error
+
+
 def _ref_reads(line):
     try:
         _ref_parse_terms(line, 1, {}, False)
@@ -425,6 +464,28 @@ def test_serialize_examples(problem_a):
 def test_zero_coefficient_monomial_rejected():
     with pytest.raises(ValueError):
         Monomial(0, (1,))
+
+
+def test_canonical_monomials_are_plain_monomials():
+    canon = canonicalize_monomials([(2, (1, 0)), (4, (1, 1)), (3, (0, 2)), (-1, (1, 0)), (-4, (1, 1))])
+    built = (Monomial(1, (1, 0)), Monomial(3, (0, 2)))
+    assert canon == built
+    assert [hash(m) for m in canon] == [hash(m) for m in built]
+    for m in canon:
+        with pytest.raises(FrozenInstanceError):
+            m.coeff = 5
+        with pytest.raises(FrozenInstanceError):
+            m.degrees = (0, 0)
+    assert canonicalize_monomials([(2, ()), (1, ())]) == (Monomial(3, ()),)
+
+
+def test_negative_exponent_rejected():
+    """Built directly, or through from_terms whether or not the term cancels."""
+    with pytest.raises(ValueError, match="negative exponent"):
+        Monomial(1, (0, -1))
+    for terms in ([(1, (0, -1))], [(2, (1, 0)), (1, (0, -1)), (-1, (0, -1))]):
+        with pytest.raises(ValueError, match="negative exponent"):
+            Polynomial.from_terms(terms)
 
 
 def test_polynomial_must_be_nonempty():

@@ -28,11 +28,12 @@ header's, or else every name in the file in first-occurrence order.  A
 valid line is read by regular expressions alone: one fullmatch of the
 grammar (``_POLY_RE``) and one findall of its terms.  A term's coefficient
 is its digits; its degree vector comes from its factor text (``x0^2*x1``)
-through :func:`_degrees`, a table keyed by that text and the file's variable
-names and bounded at ``_DEGREES_CACHE_SIZE`` entries, so each distinct
-factor text is read by one findall of its factors, once per variable list.
-A line that fails them goes to a token walker, which runs only to locate
-and word the line's first error.
+through :func:`_degrees`, a table keyed by that text, the file's variable
+names and ``int()``'s digit limit, and bounded at ``_DEGREES_CACHE_SIZE``
+entries, so each distinct factor text is read by one findall of its
+factors, once per variable list and limit.  A line that fails them goes
+to a walker over its ``_TOKEN_RE`` matches, which runs only to locate and
+word the line's first error.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import islice
+from functools import lru_cache, partial
 from typing import NoReturn
 
 
@@ -180,9 +180,6 @@ _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 
 _TOKEN_RE = re.compile(rf"\s*(?:(?P<int>\d+)|(?P<ident>{_NAME})|(?P<op>[-+*^,])|(?P<bad>\S))")
 
-# The characters that no token can start with: the ``bad`` group's.
-_BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z_,*^+-]")
-
 _NAME_RE = re.compile(_NAME)
 
 # The polynomial grammar over _TOKEN_RE's classes, with whitespace allowed
@@ -200,91 +197,88 @@ _POLY_RE = re.compile(rf"\s*-?\s*{_TERM}(?:\s*[-+]\s*{_TERM})*\s*")
 _TERM_RE = re.compile(r"(?=\S)([-+]?)\s*(\d*)\s*\*?\s*([^-+]*)")
 _FACTOR_RE = re.compile(rf"({_NAME})(?:\s*\^\s*(\d+))?")
 
-# Every token from findall sets exactly one of its four fields; the end
-# marker sets none and is recognised by identity.
-_END = ("", "", "", "")
+
+def _group(token: re.Match | None, name: str) -> str | None:
+    """The text of group ``name`` of a ``_TOKEN_RE`` match; None past the line's end."""
+    return token and token[name]
 
 
-def _tokens(text: str, lineno: int) -> list[tuple[str, str, str, str]]:
-    """Split one line into (int, ident, op, bad) string tuples, ending in ``_END``.
-
-    A character that no token can start with is an error before any other
-    in its line, so no ``bad`` field is ever set.
-    """
-    bad = _BAD_CHAR_RE.search(text)
-    if bad:
-        raise ParseError(f"unexpected character {bad.group()!r}", lineno, bad.start() + 1)
-    tokens = _TOKEN_RE.findall(text)
-    tokens.append(_END)
-    return tokens
-
-
-def _error(message: str, text: str, i: int, lineno: int) -> ParseError:
-    """An error at token ``i`` of ``text``, whose column is found only now."""
-    match = next(islice(_TOKEN_RE.finditer(text), i, None), None)
-    col = len(text) + 1 if match is None else match.start(match.lastgroup) + 1
+def _error(message: str, token: re.Match | None, text: str, lineno: int) -> ParseError:
+    """An error at ``token``'s start, or at the end of ``text`` if ``token`` is None."""
+    col = len(text) + 1 if token is None else token.start(token.lastgroup) + 1
     return ParseError(message, lineno, col)
 
 
-def _expected(what: str, text: str, tokens: list, i: int, lineno: int) -> ParseError:
-    if tokens[i] is _END:
-        return _error(f"syntax error at end of input: expected {what}", text, i, lineno)
-    return _error(f"syntax error: expected {what}, got {''.join(tokens[i])!r}", text, i, lineno)
+def _expected(what: str, token: re.Match | None, text: str, lineno: int) -> ParseError:
+    if token is None:
+        return _error(f"syntax error at end of input: expected {what}", token, text, lineno)
+    got = token[token.lastgroup]
+    return _error(f"syntax error: expected {what}, got {got!r}", token, text, lineno)
 
 
-def _check_int(text: str, tokens: list, i: int, lineno: int) -> None:
-    """Raise if integer token ``i`` is past ``int()``'s digit limit (sys.set_int_max_str_digits)."""
-    digits = tokens[i][0]
+def _check_int(token: re.Match, text: str, lineno: int) -> None:
+    """Raise if integer ``token`` is past ``int()``'s digit limit (sys.set_int_max_str_digits)."""
+    digits = token["int"]
     try:
         int(digits)
     except ValueError:
-        raise _error(f"integer literal too long ({len(digits)} digits)", text, i, lineno) from None
+        message = f"integer literal too long ({len(digits)} digits)"
+        raise _error(message, token, text, lineno) from None
 
 
 def _raise_line_error(text: str, lineno: int, names: tuple[str, ...]) -> NoReturn:
     """Raise the first error in a polynomial line that :func:`_read_line` could not read.
 
-    Walks the line's tokens in grammar order, so the error is the first in
-    the line and its column is its token's; a name not in ``names`` is an
-    unknown variable.
+    Tokenizes the line once.  A character that no token can start with is
+    reported before any other error; otherwise the walk follows the grammar
+    over the tokens, so the error is the first in the line and its column
+    is its token's.  A name not in ``names`` is an unknown variable.
     """
-    tokens = _tokens(text, lineno)
-    i = int(tokens[0][2] == "-")
+    tokens = list(_TOKEN_RE.finditer(text))
+    for token in tokens:
+        if token["bad"]:
+            raise _error(f"unexpected character {token['bad']!r}", token, text, lineno)
+    step = partial(next, iter(tokens), None)
+    token = step()
+    if _group(token, "op") == "-":
+        token = step()
     while True:
-        digits, name, _, _ = tokens[i]
-        if digits:
-            _check_int(text, tokens, i, lineno)
-            i += 1
-            has_factors = tokens[i][2] == "*"
-            i += has_factors
-        elif name:
+        if _group(token, "int"):
+            _check_int(token, text, lineno)
+            token = step()
+            has_factors = _group(token, "op") == "*"
+            if has_factors:
+                token = step()
+        elif _group(token, "ident"):
             has_factors = True
         else:
-            raise _expected("term", text, tokens, i, lineno)
+            raise _expected("term", token, text, lineno)
         while has_factors:
-            name = tokens[i][1]
+            name = _group(token, "ident")
             if not name:
-                raise _expected("identifier", text, tokens, i, lineno)
+                raise _expected("identifier", token, text, lineno)
             if name not in names:
-                raise _error(f"unknown variable {name!r}", text, i, lineno)
-            i += 1
-            if tokens[i][2] == "^":
-                i += 1
-                negative = tokens[i][2] == "-"
-                i += negative
-                if not tokens[i][0]:
-                    raise _expected("integer exponent", text, tokens, i, lineno)
+                raise _error(f"unknown variable {name!r}", token, text, lineno)
+            token = step()
+            if _group(token, "op") == "^":
+                token = step()
+                negative = _group(token, "op") == "-"
                 if negative:
-                    raise _error("negative exponent", text, i, lineno)
-                _check_int(text, tokens, i, lineno)
-                i += 1
-            has_factors = tokens[i][2] == "*"
-            i += has_factors
-        if tokens[i] is _END:
+                    token = step()
+                if not _group(token, "int"):
+                    raise _expected("integer exponent", token, text, lineno)
+                if negative:
+                    raise _error("negative exponent", token, text, lineno)
+                _check_int(token, text, lineno)
+                token = step()
+            has_factors = _group(token, "op") == "*"
+            if has_factors:
+                token = step()
+        if token is None:
             raise AssertionError(f"line {lineno} is valid but _read_line rejected it: {text!r}")
-        if tokens[i][2] not in ("+", "-"):
-            raise _expected("'+' or '-'", text, tokens, i, lineno)
-        i += 1
+        if token["op"] not in ("+", "-"):
+            raise _expected("'+' or '-'", token, text, lineno)
+        token = step()
 
 
 # Distinct factor texts kept by _degrees.  3,000 generated n=3 problems hold
@@ -293,12 +287,14 @@ _DEGREES_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_DEGREES_CACHE_SIZE)
-def _degrees(factors: str, names: tuple[str, ...]) -> tuple[int, ...]:
+def _degrees(factors: str, names: tuple[str, ...], digit_limit: int) -> tuple[int, ...]:
     """The degree vector of a term's factor text over ``names``, in index order.
 
-    Raises ``ValueError`` for a name not in ``names`` or an exponent past
-    ``int()``'s digit limit; ``lru_cache`` keeps no exception, so such a
-    text is read again, and raises again, every time.
+    ``digit_limit`` is ``int()``'s digit limit when the text is read.  It is
+    part of the key and nothing more, so an entry read under a looser limit
+    is never served under a tighter one.  Raises ``ValueError`` for a name
+    not in ``names`` or an exponent past the limit; ``lru_cache`` keeps no
+    exception, so such a text is read again, and raises again, every time.
     """
     degrees = [0] * len(names)
     for name, exp in _FACTOR_RE.findall(factors):
@@ -308,34 +304,26 @@ def _degrees(factors: str, names: tuple[str, ...]) -> tuple[int, ...]:
 
 # int()'s digit limit (sys.set_int_max_str_digits); Python before 3.10.7 has none.
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
-_degrees_read_under = _digit_limit()
 
 
-def _drop_stale_degrees() -> None:
-    """Empty :func:`_degrees` if int()'s digit limit changed since its entries were read.
-
-    An entry read under a looser limit may hold an exponent past the new one.
-    """
-    global _degrees_read_under
-    if _digit_limit() != _degrees_read_under:
-        _degrees.cache_clear()
-        _degrees_read_under = _digit_limit()
-
-
-def _read_line(text: str, lineno: int, names: tuple[str, ...]) -> list[tuple[int, tuple[int, ...]]]:
+def _read_line(
+    text: str, lineno: int, names: tuple[str, ...], digit_limit: int
+) -> list[tuple[int, tuple[int, ...]]]:
     """The ``(coeff, degrees)`` terms of one polynomial line, over the variables ``names``.
 
     A line that ``_POLY_RE`` accepts, whose names are all in ``names`` and
     whose integers ``int()`` reads, is read with one findall for its terms;
-    each term's degree vector is :func:`_degrees` of its factor text.  Any
-    other line goes to the token walker, which raises its first error.
+    each term's degree vector is :func:`_degrees` of its factor text under
+    ``digit_limit``, ``int()``'s current one.  Any other line goes to the
+    walker over its tokens, which raises its first error.
     """
     if _POLY_RE.fullmatch(text):
         terms = []
         try:
             for sign, digits, factors in _TERM_RE.findall(text):
                 coeff = int(digits) if digits else 1
-                terms.append((-coeff if sign == "-" else coeff, _degrees(factors, names)))
+                degrees = _degrees(factors, names, digit_limit)
+                terms.append((-coeff if sign == "-" else coeff, degrees))
         except ValueError:
             pass
         else:
@@ -365,9 +353,10 @@ def parse_problem(text: str, problem_id: str | None = None) -> ProblemInstance:
     The variable index is the header's, or else every name in the file in
     first-occurrence order, one findall per line.  A valid polynomial line
     is then read by one ``_POLY_RE`` fullmatch and one findall of its terms,
-    with each term's degree vector looked up by its factor text
-    (:func:`_read_line`); the token walker runs only on a line that fails
-    them, to locate and word its error.
+    with each term's degree vector looked up by its factor text under
+    ``int()``'s digit limit, read once per file (:func:`_read_line`); the
+    walker over a line's tokens runs only on a line that fails them, to
+    locate and word its error.
 
     Deterministic: the same input bytes always produce the same instance,
     including variable index assignment.
@@ -386,8 +375,8 @@ def parse_problem(text: str, problem_id: str | None = None) -> ProblemInstance:
     if not has_header:
         names = tuple(dict.fromkeys(name for _, code in lines for name in _NAME_RE.findall(code)))
 
-    _drop_stale_degrees()
-    parsed = [(lineno, code, _read_line(code, lineno, names)) for lineno, code in lines]
+    digit_limit = _digit_limit()
+    parsed = [(lineno, code, _read_line(code, lineno, names, digit_limit)) for lineno, code in lines]
     if not names:
         raise ParseError("problem has no variables")
 

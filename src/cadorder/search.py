@@ -20,7 +20,7 @@ from pathlib import Path
 from .atomic import write_json, write_text
 from .costmodel import CostOracle, PriceStore, dataset_digest  # dataset_digest: re-exported
 from .features import FeatureSet, brown_features, eval_descriptors
-from .heuristics import order_by_scores
+from .heuristics import lex_order
 
 
 @dataclass
@@ -88,7 +88,7 @@ def _pricer(descriptors, dataset, store: PriceStore, call):
     def costs(ids) -> list[float]:
         keys = list(zip(*(ranks[i] for i in ids)))
         found = [table.get(key) for table, key in zip(by_ranks, keys)]
-        missing = [(p, order_by_scores(tuple(zip(*keys[p]))))
+        missing = [(p, lex_order(tuple(zip(*keys[p]))))
                    for p, c in enumerate(found) if c is None]
         for (p, _), c in zip(missing, store.prices(missing, call)):
             found[p] = by_ranks[p][keys[p]] = c

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import problem_instances
 from cadorder.polyset import (
-    _BAD_CHAR_RE,
     _POLY_RE,
-    _TOKEN_RE,
     Monomial,
     ParseError,
     Polynomial,
@@ -54,12 +52,6 @@ def test_cancelled_terms_are_dropped():
     kept = (Monomial(3, (0, 1)),)
     assert Polynomial.from_terms([(2, (1, 0)), (3, (0, 1)), (-2, (1, 0))]).monomials == kept
     assert parse_problem("vars: x,y\n2*x + 3*y - 2*x").polynomials[0].monomials == kept
-
-
-def test_bad_character_class_matches_bad_tokens():
-    for c in map(chr, range(0x3100)):
-        token = _TOKEN_RE.match(c)
-        assert bool(_BAD_CHAR_RE.match(c)) == (token is not None and token.lastgroup == "bad"), c
 
 
 def test_repeated_factor_multiplies():
@@ -400,6 +392,13 @@ def _grammar_texts(draw):
 def test_parse_matches_the_reference_parser(text):
     with _default_digit_limit():
         assert _outcome(parse_problem, text) == _outcome(_ref_parse_problem, text)
+
+
+def test_bad_character_is_reported_before_any_other_error():
+    """Every code point below U+3100, alone on a line and after a syntax error."""
+    for c in map(chr, range(0x3100)):
+        for text in ("vars: x\n" + c, "vars: x\nx x " + c):
+            assert _outcome(parse_problem, text) == _outcome(_ref_parse_problem, text), ascii(text)
 
 
 def _terms(pr):

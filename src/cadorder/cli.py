@@ -37,6 +37,7 @@ from .features import (
     dedup_features,
     default_probe,
     enumerate_descriptors,
+    feature_matrix,
     load_descriptors,
     load_feature_set,
     selected_triplet,
@@ -44,7 +45,6 @@ from .features import (
 from .heuristics import (
     base_weight,
     check_equivalence,
-    feature_matrix,
     lex_order,
     order_by_scores,
     radix_scores,
@@ -168,34 +168,43 @@ def _add_oracle_flags(sub) -> None:
                      help="timeout penalty factor")
 
 
+def _split_oracle(spec: str) -> tuple[str, str]:
+    """An ``--oracle`` value cut after its first colon, e.g. ``("table:", "t.csv")``."""
+    kind, colon, arg = spec.partition(":")
+    return kind + colon, arg
+
+
 def _build_oracle(args):
-    spec = args.oracle
-    if spec == "synthetic":
+    kind, arg = _split_oracle(args.oracle)
+    if kind == "synthetic":
         return SyntheticCostModel(args.step_base, args.noise_seed, args.noise_scale)
-    if spec.startswith("table:"):
-        return load_timing_table(spec[len("table:"):], args.timeout, args.penalty)
-    if spec.startswith("cmd:"):
+    if kind == "table:":
+        return load_timing_table(arg, args.timeout, args.penalty)
+    if kind == "cmd:":
         if args.timeout is None:
             raise ValueError("cmd oracle requires --timeout")
-        return ExternalSolverAdapter(spec[len("cmd:"):], args.timeout, args.penalty)
-    raise ValueError(f"unknown oracle {spec!r}")
+        return ExternalSolverAdapter(arg, args.timeout, args.penalty)
+    raise ValueError(f"unknown oracle {args.oracle!r}")
 
 
 def _oracle_inputs(args) -> list[str]:
     """The timing table that a ``table:`` oracle reads, if any."""
-    return [args.oracle[len("table:"):]] if args.oracle.startswith("table:") else []
+    kind, arg = _split_oracle(args.oracle)
+    return [arg] if kind == "table:" else []
+
+
+# The built-in triplets; any other triplet name is a descriptor file.
+_TRIPLETS = {"brown": brown_features, "nn": brown_features, "selected": selected_triplet}
 
 
 def _triplet_inputs(spec: str) -> list[str]:
     """The triplet file that ``_load_triplet(spec)`` reads, if any."""
-    return [] if spec in ("brown", "nn", "selected") else [spec]
+    return [] if spec in _TRIPLETS else [spec]
 
 
 def _load_triplet(spec: str):
-    if spec == "brown" or spec == "nn":
-        return brown_features()
-    if spec == "selected":
-        return selected_triplet()
+    if spec in _TRIPLETS:
+        return _TRIPLETS[spec]()
     descriptors = load_descriptors(spec)
     if len(descriptors) != 3:
         raise ValueError(
@@ -253,8 +262,8 @@ def cmd_order(args) -> int:
     if args.reverse:
         ordering = ordering.reversed()
     if args.explain:
-        for v, row in enumerate(rows):
-            print(f"{pr.variables[v].name}: features = {tuple(str(x) for x in row)}")
+        for name, row in zip(pr.var_names, rows):
+            print(f"{name}: features = {tuple(str(x) for x in row)}")
         if args.heuristic == "nn":
             for name, yv in zip(pr.var_names, y):
                 print(f"{name}: y = {yv}")

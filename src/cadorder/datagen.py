@@ -29,7 +29,6 @@ from .polyset import (
     ParseError,
     Polynomial,
     ProblemInstance,
-    VariableId,
     parse_problem,
     serialize_problem,
 )
@@ -117,10 +116,6 @@ class SplitMix64:
 
     def __init__(self, seed: int):
         self.next_u64 = _stream(seed & _MASK).__next__
-
-    def next_float(self) -> float:
-        """Uniform in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
 
     def next_int(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], by rejection to avoid modulo bias."""
@@ -224,8 +219,8 @@ def random_problem(cfg: GenConfig, index: int) -> ProblemInstance:
     monomial = _monomial_draw(rng.next_u64, cfg)
     size = _int_draw(rng.next_u64, cfg.min_monomials, cfg.max_monomials)
     polys = tuple(_sample_polynomial(monomial, size) for _ in range(n_polys))
-    variables = tuple(VariableId(i, f"x{i}") for i in range(cfg.n_vars))
-    return ProblemInstance(variables, polys, f"rnd-{cfg.seed}-{index}")
+    names = tuple(f"x{i}" for i in range(cfg.n_vars))
+    return ProblemInstance(names, polys, f"rnd-{cfg.seed}-{index}")
 
 
 def random_dataset(cfg: GenConfig, count: int) -> list[ProblemInstance]:

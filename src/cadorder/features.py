@@ -23,13 +23,13 @@ table by D; then every value a stage produces is an integer:
   of |P|;
 * so av_p, or av_mp's outer mean, divides exactly by |P|.
 
-Stages use exact integer ``//``, and a ``Fraction`` is built only by
-``eval_feature`` and ``heuristics.feature_matrix``, from the final value.
-Those two scale by D only when a descriptor averages, and by 1
-otherwise.  ``eval_descriptors`` yields the scaled ints: D is the same
-for every variable of a problem, so grouping equal value vectors (dedup)
-and ranking within a problem (search) see the true values' classes and
-ranks.
+Stages use exact integer ``//``.  Exact values come from one function,
+``feature_matrix``: it scales by D only when a descriptor averages, and by
+1 otherwise, and builds a ``Fraction`` only from a final value scaled by
+D > 1.  ``eval_feature`` is one entry of its rows.  ``eval_descriptors``
+yields the scaled ints: D is the same for every variable of a problem, so
+grouping equal value vectors (dedup) and ranking within a problem
+(search) see the true values' classes and ranks.
 
 The monomial axis must be reduced before or together with the polynomial
 axis: the kernel table is ragged (polynomials have different monomial
@@ -218,23 +218,34 @@ def eval_kernel(kernel: Kernel, pr: ProblemInstance, v: int, d: int = 1) -> list
     return [[x * d for x in row] for row in table]
 
 
-def apply_stages(fd: FeatureDescriptor, table, d: int = 1) -> int:
-    """Run a descriptor's stages over a kernel table scaled by ``d``, down to a scaled int."""
-    value = table
-    for function in fd.stages:
-        value = function(value, d)
-    return value
+def feature_matrix(descriptors, pr: ProblemInstance) -> tuple[tuple, ...]:
+    """Feature rows of ``pr``: per variable, a tuple of each descriptor's exact value.
+
+    Each kernel table is built once per variable and shared by the
+    descriptors that read it.  The tables are scaled by D =
+    ``problem_scale(pr)`` only when a descriptor averages, and by 1
+    otherwise; each value is a Fraction of its scaled int when D > 1, else
+    that int.
+    """
+    d = problem_scale(pr) if any(fd.averages for fd in descriptors) else 1
+    kernels = list(dict.fromkeys(fd.kernel for fd in descriptors))
+    slots = [(kernels.index(fd.kernel), fd.stages) for fd in descriptors]
+    rows = []
+    for v in range(pr.n_vars):
+        tables = [eval_kernel(kernel, pr, v, d) for kernel in kernels]
+        row = []
+        for i, stages in slots:
+            value = tables[i]
+            for function in stages:
+                value = function(value, d)
+            row.append(value)
+        rows.append(tuple(row) if d == 1 else tuple(Fraction(n, d) for n in row))
+    return tuple(rows)
 
 
 def eval_feature(fd: FeatureDescriptor, pr: ProblemInstance, v: int):
-    """Exact rational value of the feature for variable index ``v``.
-
-    An int when ``fd`` does not average; otherwise a Fraction, built once
-    from the value scaled by ``problem_scale(pr)``.
-    """
-    d = problem_scale(pr) if fd.averages else 1
-    n = apply_stages(fd, eval_kernel(fd.kernel, pr, v, d), d)
-    return n if d == 1 else Fraction(n, d)
+    """Exact value of the feature for variable index ``v``: one entry of :func:`feature_matrix`."""
+    return feature_matrix((fd,), pr)[v][0]
 
 
 def eval_descriptors(descriptors, problems):

@@ -1,9 +1,10 @@
 """The constrained network and the variable orderings it encodes.
 
-The direct way sorts variables by their (f1, f2, f3) feature rows compared
-lexicographically.  The network way encodes the same comparison as a
-two-layer summation network: with a base weight w chosen so that every
-feature value is below w - 1 (``base_weight``), the first-layer score
+The direct way sorts variables by their (f1, f2, f3) feature rows
+(``features.feature_matrix``) compared lexicographically.  The network
+way encodes the same comparison as a two-layer summation network: with a
+base weight w chosen so that every feature value is below w - 1
+(``base_weight``), the first-layer score
 
     y_v = f1(v) * w**2 + f2(v) * w + f3(v)
 
@@ -62,12 +63,11 @@ import math
 import sys
 from array import array
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations, repeat
 from operator import add, getitem, mul
 
-from .features import apply_stages, brown_features, eval_kernel, problem_scale
+from .features import brown_features, feature_matrix
 from .polyset import ProblemInstance
 
 # The factorial output layer is only materialized up to this many variables;
@@ -105,7 +105,7 @@ class Ordering:
             raise ValueError(f"{self.perm} is not a permutation of 0..n-1")
 
     def names(self, pr: ProblemInstance) -> str:
-        return ">".join(pr.variables[i].name for i in self.perm)
+        return ">".join(pr.var_names[i] for i in self.perm)
 
     def reversed(self) -> Ordering:
         return Ordering(self.perm[::-1])
@@ -113,7 +113,7 @@ class Ordering:
 
 def parse_ordering(text: str, pr: ProblemInstance) -> Ordering:
     """Parse the ``x>y>z`` form, which names each of a problem's variables once."""
-    index = {v.name: v.index for v in pr.variables}
+    index = {name: i for i, name in enumerate(pr.var_names)}
     try:
         perm = tuple(index[name.strip()] for name in text.split(">"))
     except KeyError as e:
@@ -121,26 +121,6 @@ def parse_ordering(text: str, pr: ProblemInstance) -> Ordering:
     if sorted(perm) != list(range(pr.n_vars)):
         raise ValueError(f"ordering {text!r} must name each of {pr.var_names} exactly once")
     return Ordering(perm)
-
-
-def feature_matrix(triplet, pr: ProblemInstance) -> tuple[tuple, ...]:
-    """Feature rows, one (f1, f2, f3) tuple per variable, sharing kernel tables.
-
-    The tables are scaled by ``problem_scale(pr)`` only when a descriptor
-    averages; each value is then a Fraction of its scaled int, else the int.
-    """
-    d = problem_scale(pr) if any(fd.averages for fd in triplet) else 1
-    kernels = []
-    for fd in triplet:
-        if fd.kernel not in kernels:
-            kernels.append(fd.kernel)
-    slots = [kernels.index(fd.kernel) for fd in triplet]
-    rows = []
-    for v in range(pr.n_vars):
-        tables = [eval_kernel(kernel, pr, v, d) for kernel in kernels]
-        row = [apply_stages(fd, tables[i], d) for fd, i in zip(triplet, slots)]
-        rows.append(tuple(row) if d == 1 else tuple(Fraction(n, d) for n in row))
-    return tuple(rows)
 
 
 def radix_weights(w):

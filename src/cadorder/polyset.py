@@ -59,14 +59,6 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class VariableId:
-    """A variable, identified by its 0-based index and unique name."""
-
-    index: int
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
 class Monomial:
     """One term: an exact integer coefficient times a product of variable powers.
 
@@ -140,23 +132,22 @@ class Polynomial:
 class ProblemInstance:
     """An ordered-variable set of polynomials.
 
-    The optional ``id`` label is bookkeeping only and excluded from
-    equality, so parse/serialize round-trips compare structurally.
+    Variable ``i`` is ``var_names[i]``, and entry ``i`` of every degree
+    vector is its degree.  The optional ``id`` label is bookkeeping only
+    and excluded from equality, so parse/serialize round-trips compare
+    structurally.
     """
 
-    variables: tuple[VariableId, ...]
+    var_names: tuple[str, ...]
     polynomials: tuple[Polynomial, ...]
     id: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.polynomials:
             raise ValueError("a problem needs at least one polynomial")
-        names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
+        n = len(self.var_names)
+        if len(set(self.var_names)) != n:
             raise ValueError("duplicate variable names")
-        if [v.index for v in self.variables] != list(range(len(self.variables))):
-            raise ValueError("variable indices must be contiguous from 0")
-        n = len(self.variables)
         for p in self.polynomials:
             for m in p.monomials:
                 if len(m.degrees) != n:
@@ -166,14 +157,10 @@ class ProblemInstance:
 
     @property
     def n_vars(self) -> int:
-        return len(self.variables)
-
-    @property
-    def var_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
+        return len(self.var_names)
 
     def with_id(self, problem_id: str) -> ProblemInstance:
-        return ProblemInstance(self.variables, self.polynomials, problem_id)
+        return ProblemInstance(self.var_names, self.polynomials, problem_id)
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -387,8 +374,7 @@ def parse_problem(text: str, problem_id: str | None = None) -> ProblemInstance:
         except ValueError:
             col = len(code) - len(code.lstrip()) + 1  # the line's first token
             raise ParseError("zero polynomial", lineno, col) from None
-    variables = tuple(VariableId(i, name) for i, name in enumerate(names))
-    return ProblemInstance(variables, tuple(polynomials), problem_id)
+    return ProblemInstance(names, tuple(polynomials), problem_id)
 
 
 def _format_monomial(m: Monomial, names: tuple[str, ...]) -> tuple[int, str]:

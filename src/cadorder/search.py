@@ -18,7 +18,7 @@ from itertools import permutations
 from pathlib import Path
 
 from .atomic import write_json, write_text
-from .costmodel import CostOracle, PriceStore, dataset_digest  # dataset_digest: re-exported
+from .costmodel import CostOracle, PriceStore
 from .features import FeatureSet, brown_features, eval_descriptors
 from .heuristics import lex_order
 

@@ -34,10 +34,14 @@ from pathlib import Path
 
 from .atomic import write_json
 from .costmodel import CostOracle, PriceStore
-from .features import FeatureDescriptor, descriptor_record, descriptors_from_records
+from .features import (
+    FeatureDescriptor,
+    descriptor_record,
+    descriptors_from_records,
+    feature_matrix,
+)
 from .heuristics import (
     Ordering,
-    feature_matrix,
     layer1_columns,
     layer1_scores,
     layer2_backward,

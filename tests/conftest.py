@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 from cadorder.polyset import (
     Polynomial,
     ProblemInstance,
-    VariableId,
     parse_problem,
 )
 
@@ -46,5 +45,4 @@ def problem_instances(draw, min_vars=1, max_vars=4, max_polys=3, max_monomials=5
             st.dictionaries(degree_vectors, nonzero_ints(), min_size=1, max_size=max_monomials)
         )
         polys.append(Polynomial.from_terms((c, d) for d, c in terms.items()))
-    variables = tuple(VariableId(i, f"x{i}") for i in range(n))
-    return ProblemInstance(variables, tuple(polys))
+    return ProblemInstance(tuple(f"x{i}" for i in range(n)), tuple(polys))

@@ -22,13 +22,13 @@ from cadorder.features import (
     default_probe,
     enumerate_descriptors,
     eval_feature,
+    feature_matrix,
     selected_triplet,
 )
 from cadorder.heuristics import (
     BaseWeightError,
     base_weight,
     check_equivalence,
-    feature_matrix,
     layer2_scores,
     lex_order,
     order_by_scores,

@@ -16,9 +16,8 @@ from cadorder.costmodel import (
     load_timing_table,
     total_cost,
 )
-from cadorder.features import selected_triplet, eval_feature
-from cadorder.heuristics import Ordering, feature_matrix, lex_order
-from cadorder.features import brown_features
+from cadorder.features import brown_features, eval_feature, feature_matrix, selected_triplet
+from cadorder.heuristics import Ordering, lex_order
 from cadorder.polyset import parse_problem
 
 

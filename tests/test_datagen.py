@@ -67,10 +67,6 @@ def test_splitmix_bounded_draws_match_the_scalar_recurrence(seed):
     rng = SplitMix64(seed)
     assert [rng.next_int(0, 2**63) for _ in range(DRAWS)] == expected
 
-    rng, ref = SplitMix64(seed), reference_stream(seed)
-    floats = [rng.next_float() for _ in range(DRAWS)]
-    assert floats == [(next(ref) >> 11) / 2**53 for _ in range(DRAWS)]
-
 
 def test_splitmix_block_unpacking_in_either_byte_order(monkeypatch):
     expected = list(islice(reference_stream(7), 1, datagen._BLOCK + 1))
@@ -96,8 +92,6 @@ def test_splitmix_bounded_draws_stay_in_range():
     values = [rng.next_int(-3, 5) for _ in range(500)]
     assert set(values) <= set(range(-3, 6))
     assert min(values) == -3 and max(values) == 5
-    floats = [SplitMix64(1).next_float() for _ in range(10)]
-    assert all(0.0 <= f < 1.0 for f in floats)
 
 
 def test_random_problem_deterministic():

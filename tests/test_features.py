@@ -26,6 +26,7 @@ from cadorder.features import (
     eval_descriptors,
     eval_feature,
     eval_kernel,
+    feature_matrix,
     load_feature_set,
     problem_scale,
     selected_triplet,
@@ -411,6 +412,33 @@ def test_eval_feature_matches_fraction_reference(pr):
         for v in range(pr.n_vars):
             got, want = eval_feature(fd, pr, v), _reference_feature(fd, pr, v)
             assert got == want and str(got) == str(want)
+
+
+# Two descriptors sharing a kernel, one of them averaging, and a third on
+# the other kernel.
+_MIXED_TRIPLE = (
+    _fd(Kernel.DEGREE, Agg.AV_M, Agg.SUM_P),
+    _fd(Kernel.DEGREE, Agg.MAX_MP),
+    _fd(Kernel.SIGNED_TOTAL_DEGREE, Agg.SGN, Agg.SUM_MP),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problem_instances(min_vars=1, max_vars=5, max_polys=4, max_monomials=7),
+    st.lists(st.sampled_from(enumerate_descriptors()), min_size=3, max_size=3),
+)
+@example(_COPRIME, list(_MIXED_TRIPLE))
+@example(_COPRIME, list(brown_features()))
+def test_feature_matrix_rows_match_fraction_reference(pr, triple):
+    rows = feature_matrix(triple, pr)
+    # A problem of one monomial has scale 1, so its values stay ints.
+    exact = Fraction if any(fd.averages for fd in triple) and problem_scale(pr) > 1 else int
+    assert len(rows) == pr.n_vars
+    for v, row in enumerate(rows):
+        want = tuple(_reference_feature(fd, pr, v) for fd in triple)
+        assert row == want and list(map(str, row)) == list(map(str, want))
+        assert all(type(x) is exact for x in row)
 
 
 def test_named_features_survive_enumeration_dedup(problem_a, problem_b, problem_c):

@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from conftest import problem_instances
 from cadorder.datagen import GenConfig, random_dataset
-from cadorder.features import brown_features, selected_triplet
+from cadorder.features import brown_features, feature_matrix, selected_triplet
 from cadorder.heuristics import (
     MAX_EXPLICIT_LAYER,
     BaseWeightError,
     Ordering,
     base_weight,
     check_equivalence,
-    feature_matrix,
     layer1_columns,
     layer1_scores,
     layer2_backward,
@@ -384,7 +383,7 @@ def test_check_equivalence_scaled_degrees(problem_a, problem_b):
             Polynomial(tuple(Monomial(m.coeff, tuple(d * 5 for d in m.degrees)) for m in p.monomials))
             for p in pr.polynomials
         )
-        scaled.append(ProblemInstance(pr.variables, polys, pr.id))
+        scaled.append(ProblemInstance(pr.var_names, polys, pr.id))
     report = check_equivalence(scaled)
     assert report.ok
 

@@ -16,7 +16,6 @@ from cadorder.polyset import (
     ParseError,
     Polynomial,
     ProblemInstance,
-    VariableId,
     canonicalize_monomials,
     parse_problem,
     serialize_problem,
@@ -325,8 +324,7 @@ def _ref_parse_problem(text):
             col = len(code) - len(code.lstrip()) + 1
             raise ParseError("zero polynomial", lineno, col)
         polynomials.append(Polynomial(monomials))
-    variables = tuple(VariableId(i, name) for name, i in index.items())
-    return ProblemInstance(variables, tuple(polynomials))
+    return ProblemInstance(tuple(index), tuple(polynomials))
 
 
 def _outcome(parse, text):
@@ -495,10 +493,12 @@ def test_polynomial_must_be_nonempty():
 
 
 def test_degree_vector_length_checked():
-    two_vars = (VariableId(0, "x"), VariableId(1, "y"))
     one_var_polys = parse_problem("vars: x\nx").polynomials
+    two_var_polys = parse_problem("vars: x,y\nx*y").polynomials
     with pytest.raises(ValueError, match="degree vector"):
-        ProblemInstance(two_vars, one_var_polys)
+        ProblemInstance(("x", "y"), one_var_polys)
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        ProblemInstance(("x", "x"), two_var_polys)
 
 
 @given(problem_instances())

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cadorder
-from cadorder.costmodel import SyntheticCostModel, load_timing_table
+from cadorder.costmodel import SyntheticCostModel, dataset_digest, load_timing_table
 from cadorder.datagen import GenConfig, random_dataset
 from cadorder.features import (
     Agg,
@@ -22,12 +22,12 @@ from cadorder.features import (
     Kernel,
     brown_features,
     enumerate_descriptors,
+    feature_matrix,
     selected_triplet,
 )
-from cadorder.heuristics import feature_matrix, lex_order, parse_ordering
+from cadorder.heuristics import lex_order, parse_ordering
 from cadorder.search import (
     _dense_ranks,
-    dataset_digest,
     enumerate_triplets,
     search_triplets,
 )

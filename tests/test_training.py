@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from cadorder.costmodel import PriceStore, SyntheticCostModel
 from cadorder.datagen import GenConfig, random_dataset, random_problem
-from cadorder.features import brown_features, selected_triplet
+from cadorder.features import brown_features, feature_matrix, selected_triplet
 from cadorder.heuristics import (
     base_weight,
-    feature_matrix,
     layer2_scores,
     order_by_scores,
     permutation_weights,

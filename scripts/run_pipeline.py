@@ -20,7 +20,6 @@ from cadorder.features import (
     FeatureSet,
     brown_features,
     dedup_features,
-    default_probe,
     enumerate_descriptors,
 )
 from cadorder.search import search_triplets
@@ -51,7 +50,7 @@ def main() -> None:
     t0 = time.perf_counter()
     print("== feature grammar ==")
     candidates = enumerate_descriptors()
-    fs = dedup_features(candidates, default_probe())
+    fs = dedup_features(candidates)
     print(f"{len(candidates)} valid descriptors collapse to {len(fs)} classes")
     fs.save(out / "features.json")
 

@@ -35,7 +35,6 @@ from .datagen import GenConfig, load_dataset, parse_file, random_dataset, write_
 from .features import (
     brown_features,
     dedup_features,
-    default_probe,
     enumerate_descriptors,
     feature_matrix,
     load_descriptors,
@@ -231,17 +230,11 @@ def cmd_gen(args) -> int:
 
 def cmd_features(args) -> int:
     started = time.perf_counter()
-    inputs = [args.probe] if args.probe else []
-    _check_outputs(inputs, [args.out])
-    if args.probe is not None:
-        probe = load_dataset(args.probe)
-    else:
-        probe = default_probe()
     candidates = enumerate_descriptors()
-    fs = dedup_features(candidates, probe)
+    fs = dedup_features(candidates)
     fs.save(args.out)
-    _write_manifest("features", args, inputs, [args.out], started)
-    print(f"{len(candidates)} valid descriptors -> {len(fs)} classes over {len(probe)} probe problems")
+    _write_manifest("features", args, [], [args.out], started)
+    print(f"{len(candidates)} valid descriptors -> {len(fs)} classes")
     return EXIT_OK
 
 
@@ -380,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("features", help="enumerate and deduplicate the feature grammar")
-    p.add_argument("--probe", default=None, help="probe dataset dir (default: built-in probe)")
     p.add_argument("--out", required=True, help="feature-set JSON path")
     p.set_defaults(func=cmd_features)
 

@@ -25,11 +25,10 @@ table by D; then every value a stage produces is an integer:
 
 Stages use exact integer ``//``.  Exact values come from one function,
 ``feature_matrix``: it scales by D only when a descriptor averages, and by
-1 otherwise, and builds a ``Fraction`` only from a final value scaled by
-D > 1.  ``eval_feature`` is one entry of its rows.  ``eval_descriptors``
-yields the scaled ints: D is the same for every variable of a problem, so
-grouping equal value vectors (dedup) and ranking within a problem
-(search) see the true values' classes and ranks.
+1 otherwise, and returns ``Fraction`` values exactly when a descriptor
+averages.  ``eval_feature`` is one entry of its rows.  ``eval_descriptors``
+yields the scaled ints for the search: D is the same for every variable of
+a problem, so ranking within a problem sees the true values' ranks.
 
 The monomial axis must be reduced before or together with the polynomial
 axis: the kernel table is ragged (polynomials have different monomial
@@ -37,6 +36,25 @@ counts), so a polynomial-axis reduction of the full table has no
 meaningful cell alignment.  Descriptors that attempt it are invalid,
 as are those that reduce an axis twice or leave one unreduced.  Building
 one raises, so every descriptor is valid by construction.
+
+Both kernels are nonnegative (``d_v >= 0`` and ``sgn(d_v)*totdeg >= 0``),
+and three identities follow:
+
+1. ``sgn`` after a max, sum or av reduction equals that axis's max after
+   ``sgn``: on nonnegative values each of them is positive exactly when
+   some entry is.  So every ``sgn`` can be pushed down onto the kernel
+   table, and each reduction it passes becomes a max.
+2. ``sgn`` on the table erases the kernel: ``totdeg >= d_v``, so both
+   kernels are positive in the same cells.
+3. ``sgn`` after ``sgn`` is ``sgn``.  Also ``id`` is a no-op, and
+   ``max_mp``, ``sum_mp`` and ``av_mp`` are the m-reduction followed by
+   the p-reduction of the same kind.
+
+So a descriptor's values depend only on its ``value_key``: (indicator,
+kernel or None, m-reduction, p-reduction).  That gives 2*3*3 + 3*3 = 27
+keys, and ``dedup_features`` groups the 624 valid descriptors by them.
+The keys are distinct classes: ``default_probe()`` tells all 27 apart,
+which the tests check.
 """
 
 from __future__ import annotations
@@ -152,6 +170,24 @@ def _transition(agg: Agg, state: str) -> tuple:
     return _TRANSITIONS[state].get(agg, (None, None))
 
 
+def _value_key(kernel: Kernel, pipeline) -> tuple:
+    """(indicator, kernel or None, m-reduction, p-reduction) of a valid pipeline.
+
+    A reduction is named by its kind, "max", "sum" or "av"; an ``_mp``
+    stage counts as the m-reduction followed by the p-reduction of its kind.
+    """
+    indicator, m, p = False, None, None
+    for agg in pipeline:
+        if agg is Agg.SGN:
+            indicator, kernel = True, None
+            m, p = m and "max", p and "max"
+        elif agg is not Agg.ID:
+            kind, axes = agg.value.split("_")
+            m = kind if "m" in axes else m
+            p = kind if "p" in axes else p
+    return indicator, kernel, m, p
+
+
 class InvalidDescriptorError(ValueError):
     """The aggregation pipeline does not reduce each axis exactly once."""
 
@@ -163,7 +199,10 @@ class FeatureDescriptor:
     ``stages`` holds the functions of the stages other than ``id``, in
     order, found in the state table once, at construction; ``averages``
     says whether one of them is a mean.  ``encoding``, the (kernel code,
-    stage codes) key of the canonical order, is also fixed at construction.
+    stage codes) key of the canonical order, is also fixed at construction,
+    and so is ``value_key``, (indicator, kernel or None, m-reduction,
+    p-reduction): two descriptors have equal values on every problem
+    exactly when their keys are equal (see the module docstring).
     """
 
     kernel: Kernel
@@ -171,6 +210,7 @@ class FeatureDescriptor:
     stages: tuple = field(init=False, repr=False, compare=False)
     averages: bool = field(init=False, repr=False, compare=False)
     encoding: tuple[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    value_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.pipeline) != 4:
@@ -192,6 +232,7 @@ class FeatureDescriptor:
         object.__setattr__(self, "averages", any(f in (_av_m, _av_p, _av_mp) for f in stages))
         encoding = _KERNEL_CODE[self.kernel], tuple(_AGG_CODE[a] for a in self.pipeline)
         object.__setattr__(self, "encoding", encoding)
+        object.__setattr__(self, "value_key", _value_key(self.kernel, self.pipeline))
 
     @property
     def stage_count(self) -> int:
@@ -222,12 +263,12 @@ def feature_matrix(descriptors, pr: ProblemInstance) -> tuple[tuple, ...]:
     """Feature rows of ``pr``: per variable, a tuple of each descriptor's exact value.
 
     Each kernel table is built once per variable and shared by the
-    descriptors that read it.  The tables are scaled by D =
-    ``problem_scale(pr)`` only when a descriptor averages, and by 1
-    otherwise; each value is a Fraction of its scaled int when D > 1, else
-    that int.
+    descriptors that read it.  When a descriptor averages, the tables are
+    scaled by D = ``problem_scale(pr)`` and each value is a Fraction of its
+    scaled int over D; otherwise each value is the int itself.
     """
-    d = problem_scale(pr) if any(fd.averages for fd in descriptors) else 1
+    averages = any(fd.averages for fd in descriptors)
+    d = problem_scale(pr) if averages else 1
     kernels = list(dict.fromkeys(fd.kernel for fd in descriptors))
     slots = [(kernels.index(fd.kernel), fd.stages) for fd in descriptors]
     rows = []
@@ -239,7 +280,7 @@ def feature_matrix(descriptors, pr: ProblemInstance) -> tuple[tuple, ...]:
             for function in stages:
                 value = function(value, d)
             row.append(value)
-        rows.append(tuple(row) if d == 1 else tuple(Fraction(n, d) for n in row))
+        rows.append(tuple(Fraction(n, d) for n in row) if averages else tuple(row))
     return tuple(rows)
 
 
@@ -249,7 +290,7 @@ def eval_feature(fd: FeatureDescriptor, pr: ProblemInstance, v: int):
 
 
 def eval_descriptors(descriptors, problems):
-    """Evaluate many descriptors at once, sharing every stage prefix.
+    """Evaluate many descriptors at once, sharing every stage prefix: the search's value table.
 
     Descriptors are grouped by kernel and by their stage functions (``id``
     has none), and the groups form one prefix trie per kernel.  Each kernel
@@ -424,12 +465,34 @@ def load_feature_set(path: str | Path) -> FeatureSet:
         raise ValueError(f"{path}: {e}") from None
 
 
-def dedup_features(candidates, probe) -> FeatureSet:
-    """Partition candidates by their exact value vector over the probe set.
+def dedup_features(candidates, probe=None) -> FeatureSet:
+    """Partition candidates into classes of equal values, by their ``value_key``.
 
-    The vector runs over every (problem, variable) pair.  Each class keeps
-    one representative: fewest non-identity stages, then smallest encoding.
-    Enlarging the probe can only split classes, never merge them.
+    Each class keeps one representative: fewest non-identity stages, then
+    smallest encoding.  A ``probe``, when given, only checks that the
+    classes differ: see ``_check_classes_differ``.
+    """
+    classes: dict[tuple, list[FeatureDescriptor]] = {}
+    for fd in candidates:
+        classes.setdefault(fd.value_key, []).append(fd)
+
+    reps = {}
+    for members in classes.values():
+        rep = min(members, key=lambda fd: (fd.stage_count, fd.encoding))
+        reps[rep] = tuple(sorted(members, key=lambda fd: fd.encoding))
+    ordered = tuple(sorted(reps, key=lambda fd: fd.encoding))
+    if probe is not None:
+        _check_classes_differ(ordered, probe)
+    return FeatureSet(ordered, {fd: reps[fd] for fd in ordered})
+
+
+def _check_classes_differ(representatives, probe) -> None:
+    """Raise ValueError unless the probe tells every pair of representatives apart.
+
+    The probe must be nonempty, with one variable count.  Its problems are
+    evaluated one at a time, each on the representatives not yet told
+    apart, and the walk stops once every one is apart.  The error names
+    each group that no problem splits.
     """
     probe = list(probe)
     if not probe:
@@ -438,16 +501,22 @@ def dedup_features(candidates, probe) -> FeatureSet:
     if any(pr.n_vars != n_vars for pr in probe):
         raise ValueError("probe problems must share n_vars")
 
-    classes: dict[tuple, list[FeatureDescriptor]] = {}
-    for members, values in eval_descriptors(candidates, probe):
-        classes.setdefault(tuple(values), []).extend(members)
-
-    reps = {}
-    for members in classes.values():
-        rep = min(members, key=lambda fd: (fd.stage_count, fd.encoding))
-        reps[rep] = tuple(sorted(members, key=lambda fd: fd.encoding))
-    ordered = tuple(sorted(reps, key=lambda fd: fd.encoding))
-    return FeatureSet(ordered, {fd: reps[fd] for fd in ordered})
+    groups = [list(representatives)] if len(representatives) > 1 else []
+    for pr in probe:
+        if not groups:
+            return
+        pending = [fd for group in groups for fd in group]
+        columns = dict(zip(pending, zip(*feature_matrix(pending, pr))))
+        split = []
+        for group in groups:
+            by_values: dict[tuple, list[FeatureDescriptor]] = {}
+            for fd in group:
+                by_values.setdefault(columns[fd], []).append(fd)
+            split += [g for g in by_values.values() if len(g) > 1]
+        groups = split
+    if groups:
+        named = "; ".join(" = ".join(fd.describe() for fd in group) for group in groups)
+        raise ValueError(f"the probe does not tell apart {len(groups)} group(s) of classes: {named}")
 
 
 def separation_probes() -> list[ProblemInstance]:
@@ -466,7 +535,7 @@ def separation_probes() -> list[ProblemInstance]:
 
 
 def default_probe(count: int = 200, seed: int = 0) -> list[ProblemInstance]:
-    """Probe used for deduplication: seeded random problems plus hand instances."""
+    """Probe that tells the feature classes apart: seeded random problems plus hand instances."""
     from .datagen import GenConfig, random_dataset
 
     return random_dataset(GenConfig(seed=seed), count) + separation_probes()

@@ -142,21 +142,24 @@ def test_order_triplet_file(tmp_path, problem_file, capsys):
     assert code == 0 and stdout.strip() == "x>z>y"
 
 
-def test_features_command(tmp_path, dataset_dir, capsys):
+def test_features_command(tmp_path, capsys):
     out = tmp_path / "features.json"
-    code, stdout, _ = run(capsys, "features", "--probe", str(dataset_dir), "--out", str(out))
+    code, stdout, _ = run(capsys, "features", "--out", str(out))
     assert code == 0
-    assert "classes" in stdout
+    assert stdout == "624 valid descriptors -> 27 classes\n"
     records = json.loads(out.read_text())
-    assert len(records) >= 6
-    assert (tmp_path / "features.json.manifest.json").exists()
+    assert len(records) == 27
+    assert sum(r["class_size"] for r in records) == 624
+    manifest = json.loads((tmp_path / "features.json.manifest.json").read_text())
+    assert manifest["inputs"] == {}
 
 
-def test_features_missing_probe_dir(tmp_path, capsys):
-    code, _, stderr = run(
-        capsys, "features", "--probe", str(tmp_path / "nope"), "--out", str(tmp_path / "f.json")
-    )
-    assert code == 2
+def test_features_has_no_probe_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["features", "--probe", str(tmp_path), "--out", str(tmp_path / "f.json")])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --probe" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
 
 
 def test_search_command(tmp_path, dataset_dir, pool_file, capsys):
@@ -285,8 +288,6 @@ def test_search_pool_with_a_repeated_descriptor_is_data_error(tmp_path, dataset_
                      "output {t}/t.json.manifest.json is an input", id="check-manifest-over-triplet"),
         pytest.param("train --train {t}/data --val {t}/data --triplet {t}/t.json --out {t}/t",
                      "output {t}/t.json is an input", id="train-over-triplet"),
-        pytest.param("features --probe {t}/data --out {t}/data/manifest.json",
-                     "output {t}/data/manifest.json is an input", id="features-into-dataset"),
     ],
 )
 def test_output_over_an_input_is_usage_error(tmp_path, dataset_dir, pool_file, problem_file,

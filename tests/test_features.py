@@ -232,34 +232,51 @@ def test_axis_bookkeeping_invariant():
         assert sum(1 for a in fd.pipeline if a in reduces_p) == 1
 
 
-def test_id_padding_collapses(problem_a, problem_b):
-    probe = [problem_a, problem_b]
+def test_id_padding_collapses():
     early = FeatureDescriptor(Kernel.DEGREE, (Agg.MAX_MP, Agg.ID, Agg.ID, Agg.ID))
     late = FeatureDescriptor(Kernel.DEGREE, (Agg.ID, Agg.MAX_MP, Agg.ID, Agg.ID))
-    fs = dedup_features([early, late], probe)
+    fs = dedup_features([early, late])
     assert fs.descriptors == (early,)
     assert fs.provenance[early] == (early, late)
 
 
-def test_sgn_idempotence_collapses(problem_a, problem_b, problem_c):
-    probe = [problem_a, problem_b, problem_c]
+def test_sgn_idempotence_collapses():
     double = FeatureDescriptor(Kernel.DEGREE, (Agg.SGN, Agg.SGN, Agg.SUM_MP, Agg.ID))
     single = FeatureDescriptor(Kernel.DEGREE, (Agg.SGN, Agg.SUM_MP, Agg.ID, Agg.ID))
-    fs = dedup_features([double, single], probe)
+    fs = dedup_features([double, single])
     assert fs.descriptors == (single,)
 
 
-def test_monomial_vs_polynomial_containment_separate(problem_c):
+def test_monomial_vs_polynomial_containment_separate(problem_a, problem_c):
     brown_count = brown_features()[2]
     poly_count = selected_triplet()[2]
     assert eval_feature(brown_count, problem_c, 0) == 2
     assert eval_feature(poly_count, problem_c, 0) == 1
-    fs = dedup_features([brown_count, poly_count], [problem_c])
-    assert len(fs) == 2
+    fs = dedup_features([brown_count, poly_count])
+    assert fs.descriptors == (poly_count, brown_count)
+    assert dedup_features([brown_count, poly_count], [problem_c]) == fs
+    # In problem_a no polynomial holds a variable in two monomials, so the
+    # two counts agree there: that probe cannot tell the classes apart.
+    with pytest.raises(ValueError) as err:
+        dedup_features([brown_count, poly_count], [problem_a])
+    assert str(err.value) == (
+        "the probe does not tell apart 1 group(s) of classes: sum_p max_m sgn d_v = sum_mp sgn d_v"
+    )
+
+
+def test_a_probe_that_cannot_tell_classes_apart_names_them(problem_c):
+    # problem_c is one polynomial, so the three p-reductions agree on it, and
+    # x's monomials have no other variable, so the two kernels agree too.
+    with pytest.raises(ValueError, match=r"does not tell apart 4 group\(s\) of classes: ") as err:
+        dedup_features(enumerate_descriptors(), [problem_c])
+    groups = str(err.value).split(": ", 1)[1].split("; ")
+    assert len(groups) == 4
+    assert ("max_p av_m d_v = sum_p av_m d_v = av_mp d_v = max_p av_m sgn(d_v)*totdeg"
+            " = sum_p av_m sgn(d_v)*totdeg = av_mp sgn(d_v)*totdeg") in groups
 
 
 def test_dedup_requires_probe():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="probe set must be nonempty"):
         dedup_features(enumerate_descriptors()[:5], [])
 
 
@@ -269,29 +286,74 @@ def test_dedup_requires_shared_nvars(problem_a):
         dedup_features(enumerate_descriptors()[:5], [problem_a, one_var])
 
 
-def test_dedup_idempotent(problem_a, problem_b, problem_c):
-    probe = [problem_a, problem_b, problem_c]
+def test_dedup_idempotent():
     candidates = enumerate_descriptors()[:120]
-    once = dedup_features(candidates, probe)
-    twice = dedup_features(once.descriptors, probe)
+    once = dedup_features(candidates)
+    twice = dedup_features(once.descriptors)
     assert twice.descriptors == once.descriptors
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.lists(problem_instances(min_vars=3, max_vars=3), min_size=1, max_size=3))
-def test_dedup_monotone_refinement(extra):
-    base = separation_probes()
-    candidates = enumerate_descriptors()[:80]
-    small = dedup_features(candidates, base)
-    large = dedup_features(candidates, base + extra)
-    # Each large class sits inside exactly one small class.
-    membership = {}
-    for rep, members in small.provenance.items():
-        for fd in members:
-            membership[fd] = rep
-    for members in large.provenance.values():
-        assert len({membership[fd] for fd in members}) == 1
-    assert len(large) >= len(small)
+def test_grammar_has_27_classes():
+    candidates = enumerate_descriptors()
+    fs = dedup_features(candidates)
+    assert len(candidates) == 624
+    assert len(fs) == 27 == 2 * 3 * 3 + 3 * 3
+    assert sum(len(fs.provenance[rep]) for rep in fs.descriptors) == 624
+    assert {rep.value_key for rep in fs.descriptors} == {fd.value_key for fd in candidates}
+    assert Counter(rep.value_key[0] for rep in fs.descriptors) == {False: 18, True: 9}
+
+
+def test_value_key_is_fixed_at_construction():
+    field = {f.name: f for f in fields(FeatureDescriptor)}["value_key"]
+    assert not (field.init or field.repr or field.compare)
+    brown_degree, brown_total, brown_count = brown_features()
+    assert brown_degree.value_key == (False, Kernel.DEGREE, "max", "max")
+    assert brown_total.value_key == (False, Kernel.SIGNED_TOTAL_DEGREE, "max", "max")
+    assert brown_count.value_key == (True, None, "sum", "sum")
+    # sgn after both reductions turns each into max.
+    late_sgn = _fd(Kernel.SIGNED_TOTAL_DEGREE, Agg.AV_M, Agg.SUM_P, Agg.SGN)
+    assert late_sgn.value_key == (True, None, "max", "max")
+    # sgn between them turns only the m-reduction into max.
+    assert selected_triplet()[2].value_key == (True, None, "max", "sum")
+    assert _fd(Kernel.DEGREE, Agg.SUM_M, Agg.SGN, Agg.AV_P).value_key == (True, None, "max", "av")
+
+
+# Every key class of the grammar, members in canonical order.
+_KEY_CLASSES = list(dedup_features(enumerate_descriptors()).provenance.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem_instances(min_vars=1, max_vars=4, max_polys=4, max_monomials=7))
+@example(_COPRIME)
+def test_equal_value_keys_give_equal_values(pr):
+    for members in _KEY_CLASSES:
+        for row in feature_matrix(members, pr):
+            assert len(set(row)) == 1, (members[0].describe(), row)
+
+
+def _probe_dedup(candidates, probe):
+    """Reference: group candidates by their scaled value vectors over the probe.
+
+    This is how classes were found before they were derived from keys:
+    every descriptor is evaluated on every probe problem.
+    """
+    classes = {}
+    for members, values in eval_descriptors(candidates, probe):
+        classes.setdefault(tuple(values), []).extend(members)
+    reps = {}
+    for members in classes.values():
+        rep = min(members, key=lambda fd: (fd.stage_count, fd.encoding))
+        reps[rep] = tuple(sorted(members, key=lambda fd: fd.encoding))
+    ordered = tuple(sorted(reps, key=lambda fd: fd.encoding))
+    return FeatureSet(ordered, {fd: reps[fd] for fd in ordered})
+
+
+def test_key_classes_equal_probe_grouping_on_default_probe():
+    candidates = enumerate_descriptors()
+    probe = default_probe()
+    fs = dedup_features(candidates)
+    assert _probe_dedup(candidates, probe) == fs
+    assert dedup_features(candidates, probe) == fs
 
 
 def _stripped(fd):
@@ -338,7 +400,32 @@ def _naive_dedup(candidates, probe):
     _padded_candidates(),
 )
 def test_dedup_matches_naive_grouping(probe, candidates):
-    assert dedup_features(candidates, probe) == _naive_dedup(candidates, probe)
+    classes = dedup_features(candidates)
+    naive = _naive_dedup(candidates, probe)
+    if len(naive) == len(classes):
+        assert naive == classes == dedup_features(candidates, probe)
+    else:
+        # The probe merges classes, and the check names the ones it merges.
+        with pytest.raises(ValueError, match="does not tell apart") as err:
+            dedup_features(candidates, probe)
+        merged = [group for group in naive.provenance.values()
+                  if sum(rep in group for rep in classes.descriptors) > 1]
+        assert f"tell apart {len(merged)} group(s)" in str(err.value)
+
+
+# The first problems of the default probe, which tell all 27 classes apart.
+_SEPARATING = default_probe()[:4]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(problem_instances(min_vars=3, max_vars=3), min_size=1, max_size=3),
+       _padded_candidates())
+def test_a_probe_never_changes_the_classes(extra, candidates):
+    # Any subset of the grammar keeps the classes it takes from the whole,
+    # and a probe that tells those apart only confirms them.
+    classes = dedup_features(candidates)
+    assert dedup_features(candidates, _SEPARATING + extra) == classes
+    assert dedup_features(candidates, extra + _SEPARATING) == classes
 
 
 @settings(max_examples=40, deadline=None)
@@ -430,10 +517,11 @@ _MIXED_TRIPLE = (
 )
 @example(_COPRIME, list(_MIXED_TRIPLE))
 @example(_COPRIME, list(brown_features()))
+# One monomial: the scale is 1, and the averaging descriptor still gives Fractions.
+@example(parse_problem("vars: x,y\nx^2*y"), list(_MIXED_TRIPLE))
 def test_feature_matrix_rows_match_fraction_reference(pr, triple):
     rows = feature_matrix(triple, pr)
-    # A problem of one monomial has scale 1, so its values stay ints.
-    exact = Fraction if any(fd.averages for fd in triple) and problem_scale(pr) > 1 else int
+    exact = Fraction if any(fd.averages for fd in triple) else int
     assert len(rows) == pr.n_vars
     for v, row in enumerate(rows):
         want = tuple(_reference_feature(fd, pr, v) for fd in triple)
@@ -441,9 +529,8 @@ def test_feature_matrix_rows_match_fraction_reference(pr, triple):
         assert all(type(x) is exact for x in row)
 
 
-def test_named_features_survive_enumeration_dedup(problem_a, problem_b, problem_c):
-    probe = [problem_a, problem_b, problem_c]
-    fs = dedup_features(enumerate_descriptors(), probe)
+def test_named_features_survive_enumeration_dedup():
+    fs = dedup_features(enumerate_descriptors())
     members = [fd for group in fs.provenance.values() for fd in group]
     for fd in brown_features() + selected_triplet():
         assert fd in members
@@ -457,8 +544,8 @@ def test_describe_strings():
     assert brown_features()[0].describe() == "max_mp d_v"
 
 
-def test_feature_set_json_round_trip(tmp_path, problem_a, problem_b, problem_c):
-    fs = dedup_features(enumerate_descriptors()[:60], [problem_a, problem_b, problem_c])
+def test_feature_set_json_round_trip(tmp_path):
+    fs = dedup_features(enumerate_descriptors()[:60])
     path = tmp_path / "features.json"
     fs.save(path)
     loaded = load_feature_set(path)

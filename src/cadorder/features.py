@@ -23,11 +23,12 @@ table by D; then every value a stage produces is an integer:
   of |P|;
 * so av_p, or av_mp's outer mean, divides exactly by |P|.
 
-Stages use exact integer ``//``.  Exact values come from one function,
-``feature_matrix``: it scales by D only when a descriptor averages, and by
-1 otherwise, and returns ``Fraction`` values exactly when a descriptor
-averages.  ``eval_feature`` is one entry of its rows.  ``eval_descriptors``
-yields the scaled ints for the search: D is the same for every variable of
+Stages use exact integer ``//``.  All values come from one evaluator,
+``scaled_matrix``: it scales by D only when a descriptor averages, and by
+1 otherwise, and returns the scaled ints with their scale.
+``feature_matrix`` turns them into exact values, ``Fraction`` exactly when
+a descriptor averages; ``eval_feature`` is one entry of its rows.  The
+search ranks the scaled ints: the scale is the same for every variable of
 a problem, so ranking within a problem sees the true values' ranks.
 
 The monomial axis must be reduced before or together with the polynomial
@@ -259,16 +260,14 @@ def eval_kernel(kernel: Kernel, pr: ProblemInstance, v: int, d: int = 1) -> list
     return [[x * d for x in row] for row in table]
 
 
-def feature_matrix(descriptors, pr: ProblemInstance) -> tuple[tuple, ...]:
-    """Feature rows of ``pr``: per variable, a tuple of each descriptor's exact value.
+def scaled_matrix(descriptors, pr: ProblemInstance) -> tuple[int, list[list[int]]]:
+    """``(d, rows)``: per variable, each descriptor's exact value times ``d``, an int.
 
-    Each kernel table is built once per variable and shared by the
-    descriptors that read it.  When a descriptor averages, the tables are
-    scaled by D = ``problem_scale(pr)`` and each value is a Fraction of its
-    scaled int over D; otherwise each value is the int itself.
+    ``d`` is D = ``problem_scale(pr)`` when a descriptor averages, else 1.
+    Each kernel table is built once per variable, scaled by ``d``, and
+    shared by the descriptors that read it.
     """
-    averages = any(fd.averages for fd in descriptors)
-    d = problem_scale(pr) if averages else 1
+    d = problem_scale(pr) if any(fd.averages for fd in descriptors) else 1
     kernels = list(dict.fromkeys(fd.kernel for fd in descriptors))
     slots = [(kernels.index(fd.kernel), fd.stages) for fd in descriptors]
     rows = []
@@ -280,53 +279,26 @@ def feature_matrix(descriptors, pr: ProblemInstance) -> tuple[tuple, ...]:
             for function in stages:
                 value = function(value, d)
             row.append(value)
-        rows.append(tuple(Fraction(n, d) for n in row) if averages else tuple(row))
-    return tuple(rows)
+        rows.append(row)
+    return d, rows
+
+
+def feature_matrix(descriptors, pr: ProblemInstance) -> tuple[tuple, ...]:
+    """Feature rows of ``pr``: per variable, a tuple of each descriptor's exact value.
+
+    The rows of :func:`scaled_matrix`: when a descriptor averages, each
+    value is a Fraction of its scaled int over D; otherwise it is the int
+    itself.
+    """
+    d, rows = scaled_matrix(descriptors, pr)
+    if any(fd.averages for fd in descriptors):
+        return tuple(tuple(Fraction(n, d) for n in row) for row in rows)
+    return tuple(map(tuple, rows))
 
 
 def eval_feature(fd: FeatureDescriptor, pr: ProblemInstance, v: int):
     """Exact value of the feature for variable index ``v``: one entry of :func:`feature_matrix`."""
     return feature_matrix((fd,), pr)[v][0]
-
-
-def eval_descriptors(descriptors, problems):
-    """Evaluate many descriptors at once, sharing every stage prefix: the search's value table.
-
-    Descriptors are grouped by kernel and by their stage functions (``id``
-    has none), and the groups form one prefix trie per kernel.  Each kernel
-    table is built once per (problem, variable), scaled by
-    ``problem_scale``; each trie node applies its stage once to its
-    parent's values.  Yields ``(members, values)`` per group, where
-    ``members`` are the group's descriptors in input order and ``values``
-    runs over every (problem, variable) pair, problem-major: ints equal to
-    ``eval_feature`` times ``problem_scale`` of the pair's problem.
-    """
-    problems = list(problems)
-    scales = [problem_scale(pr) for pr in problems]
-    per_pair = [d for pr, d in zip(problems, scales) for _ in range(pr.n_vars)]
-    tries: dict[Kernel, dict] = {}
-    for fd in descriptors:
-        node = tries.setdefault(fd.kernel, {})
-        for function in fd.stages:
-            node = node.setdefault(function, {})
-        node.setdefault(None, []).append(fd)
-    for kernel, root in tries.items():
-        tables = [
-            eval_kernel(kernel, pr, v, d)
-            for pr, d in zip(problems, scales)
-            for v in range(pr.n_vars)
-        ]
-        yield from _walk_prefixes(root, tables, per_pair)
-
-
-def _walk_prefixes(node: dict, values: list, scales: list):
-    """Depth-first over a prefix trie; a node's values die with its subtree."""
-    members = node.get(None)
-    if members:
-        yield tuple(members), values
-    for function, child in node.items():
-        if function is not None:
-            yield from _walk_prefixes(child, list(map(function, values, scales)), scales)
 
 
 def _fd(kernel: Kernel, *stages: Agg) -> FeatureDescriptor:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .atomic import write_json, write_text
 from .costmodel import CostOracle, PriceStore
-from .features import FeatureSet, brown_features, eval_descriptors
+from .features import FeatureSet, brown_features, scaled_matrix
 from .heuristics import lex_order
 
 
@@ -69,20 +69,17 @@ def _dense_ranks(values) -> tuple[int, ...]:
 def _pricer(descriptors, dataset, store: PriceStore, call):
     """``costs(ids)``: per-problem prices of a triplet of indices into ``descriptors``.
 
-    Each descriptor is evaluated once over the dataset and kept as dense
-    ranks per problem.  Per problem, a rank triple maps to its price; only
-    a new one asks the ``store``, through ``call``, for its ordering's price.
+    Each problem's ``scaled_matrix`` is computed once and kept as dense
+    ranks per descriptor: its one scale is shared by every descriptor, so
+    the ranks are those of the true values.  Per problem, a rank triple
+    maps to its price; only a new one asks the ``store``, through ``call``,
+    for its ordering's price.
     """
-    spans, start = [], 0
+    ranks = [[] for _ in descriptors]  # ranks[d][p] = tuple over variables
     for pr in dataset:
-        spans.append((start, start + pr.n_vars))
-        start += pr.n_vars
-    by_descriptor = {}
-    for members, flat in eval_descriptors(descriptors, dataset):
-        per_problem = [_dense_ranks(flat[a:b]) for a, b in spans]
-        by_descriptor.update(dict.fromkeys(members, per_problem))
-    # ranks[d][p] = tuple over variables
-    ranks = [by_descriptor[fd] for fd in descriptors]
+        rows = scaled_matrix(descriptors, pr)[1]
+        for j, per_problem in enumerate(ranks):
+            per_problem.append(_dense_ranks([row[j] for row in rows]))
     by_ranks = [{} for _ in dataset]  # (rank_a, rank_b, rank_c) -> cost
 
     def costs(ids) -> list[float]:

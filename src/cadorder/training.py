@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, field, asdict
 from functools import reduce
 from itertools import groupby, repeat
@@ -72,8 +73,9 @@ class TrainableNetwork:
             raise ValueError("three feature descriptors required")
         if len(self.weights) != 3 or len(self.feature_scale) != 3:
             raise ValueError("three weights and three scale divisors required")
-        if any(s <= 0 for s in self.feature_scale):
-            raise ValueError("feature scales must be positive")
+        # Written so that NaN fails the comparison.
+        if not all(0 < s < math.inf for s in self.feature_scale):
+            raise ValueError(f"feature scales must be finite and positive, got {self.feature_scale}")
 
     @classmethod
     def brown_init(cls, triplet, base_weight: float = INIT_WEIGHT):
@@ -368,8 +370,12 @@ def load_checkpoint(path: str | Path) -> TrainableNetwork:
                 raise ValueError(f"checkpoint has no {key!r}")
         for key in ("weights", "feature_scale"):
             value = payload[key]
-            if not isinstance(value, list) or not all(isinstance(x, (int, float)) for x in value):
-                raise ValueError(f"{key!r} must be a list of numbers")
+            # A bool is no number here; NaN, infinities and ints past a float's range
+            # fail the bound.
+            if not isinstance(value, list) or not all(
+                type(x) in (int, float) and abs(x) <= sys.float_info.max for x in value
+            ):
+                raise ValueError(f"{key!r} must be a list of finite numbers")
         triplet = tuple(descriptors_from_records(payload["triplet"]))
         return TrainableNetwork(triplet, list(payload["weights"]), tuple(payload["feature_scale"]))
     except ValueError as e:

@@ -23,14 +23,13 @@ from cadorder.features import (
     descriptor_from_record,
     descriptor_record,
     enumerate_descriptors,
-    eval_descriptors,
     eval_feature,
     eval_kernel,
     feature_matrix,
     load_feature_set,
     problem_scale,
+    scaled_matrix,
     selected_triplet,
-    separation_probes,
 )
 from cadorder.polyset import parse_problem
 
@@ -332,14 +331,18 @@ def test_equal_value_keys_give_equal_values(pr):
 
 
 def _probe_dedup(candidates, probe):
-    """Reference: group candidates by their scaled value vectors over the probe.
+    """Reference: group candidates by their scaled value columns over the probe.
 
     This is how classes were found before they were derived from keys:
     every descriptor is evaluated on every probe problem.
     """
+    vectors = [[] for _ in candidates]
+    for pr in probe:
+        for vector, column in zip(vectors, zip(*scaled_matrix(candidates, pr)[1])):
+            vector += column
     classes = {}
-    for members, values in eval_descriptors(candidates, probe):
-        classes.setdefault(tuple(values), []).extend(members)
+    for fd, vector in zip(candidates, vectors):
+        classes.setdefault(tuple(vector), []).append(fd)
     reps = {}
     for members in classes.values():
         rep = min(members, key=lambda fd: (fd.stage_count, fd.encoding))
@@ -430,26 +433,12 @@ def test_a_probe_never_changes_the_classes(extra, candidates):
 
 @settings(max_examples=40, deadline=None)
 @given(problem_instances(min_vars=1, max_vars=3), _padded_candidates())
-def test_shared_prefix_values_match_per_problem_path(pr, candidates):
-    yielded = []
-    d = problem_scale(pr)
-    for members, values in eval_descriptors(candidates, [pr, pr]):
-        assert len({(fd.kernel, _stripped(fd)) for fd in members}) == 1
-        assert len({fd.stages for fd in members}) == 1
-        assert all(type(x) is int for x in values)
-        yielded += members
-        for fd in members:
-            assert values == [eval_feature(fd, pr, v) * d for v in range(pr.n_vars)] * 2
-    assert Counter(yielded) == Counter(candidates)
-
-
-def test_every_yielded_value_is_an_int():
-    probe = separation_probes() + [_COPRIME]
-    groups = list(eval_descriptors(enumerate_descriptors(), probe))
-    assert sum(len(members) for members, _ in groups) == 624
-    for _, values in groups:
-        assert len(values) == 3 * len(probe)
-        assert all(type(x) is int for x in values)
+@example(_COPRIME, enumerate_descriptors())
+def test_scaled_matrix_is_feature_matrix_times_its_scale(pr, candidates):
+    d, rows = scaled_matrix(candidates, pr)
+    assert d == (problem_scale(pr) if any(fd.averages for fd in candidates) else 1)
+    assert all(type(x) is int for row in rows for x in row)
+    assert rows == [[x * d for x in row] for row in feature_matrix(candidates, pr)]
 
 
 def _reference_sgn(x):

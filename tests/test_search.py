@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cadorder
+from conftest import problem_instances
 from cadorder.costmodel import SyntheticCostModel, dataset_digest, load_timing_table
 from cadorder.datagen import GenConfig, random_dataset
 from cadorder.features import (
@@ -21,6 +22,7 @@ from cadorder.features import (
     FeatureSet,
     Kernel,
     brown_features,
+    dedup_features,
     enumerate_descriptors,
     feature_matrix,
     selected_triplet,
@@ -135,6 +137,25 @@ def test_search_noisy_oracle_average_pool_matches_brute_force():
     assert tuple(report.ranked[0]["features"]) == best_ids
     for row in report.ranked:
         triplet = tuple(_average_pool().descriptors[i] for i in row["features"])
+        assert row["total_cost"] == sum(
+            oracle.cost(pr, lex_order(feature_matrix(triplet, pr))) for pr in dataset
+        )
+
+
+# One representative of each of the grammar's value classes.
+_CLASS_REPS = dedup_features(enumerate_descriptors()).descriptors
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(_CLASS_REPS), min_size=3, max_size=5, unique=True),
+       st.lists(problem_instances(min_vars=1, max_vars=4), min_size=1, max_size=6))
+def test_search_totals_match_brute_force_on_mixed_variable_counts(pool, dataset):
+    # One dataset mixes variable counts, so each problem has its own scale.
+    fs = FeatureSet.from_descriptors(pool)
+    oracle = SyntheticCostModel(noise_seed=3, noise_scale=0.3)
+    report = search_triplets(fs, dataset, oracle)
+    for row in report.ranked:
+        triplet = tuple(fs.descriptors[i] for i in row["features"])
         assert row["total_cost"] == sum(
             oracle.cost(pr, lex_order(feature_matrix(triplet, pr))) for pr in dataset
         )

@@ -444,11 +444,26 @@ def test_checkpoint_round_trip(tmp_path):
                      '"triplet": [{"kernel": "FOO", "pipeline": []}]}',
                      "record 0: kernel: unknown kernel 'FOO'", id="bad-descriptor"),
         pytest.param('{"weights": 5, "feature_scale": [1, 1, 1], "triplet": []}',
-                     "'weights' must be a list of numbers", id="weights-not-a-list"),
+                     "'weights' must be a list of finite numbers", id="weights-not-a-list"),
         pytest.param('{"weights": [1, 2, 3], "feature_scale": "1", "triplet": []}',
-                     "'feature_scale' must be a list of numbers", id="scale-not-a-list"),
+                     "'feature_scale' must be a list of finite numbers", id="scale-not-a-list"),
         pytest.param('{"weights": [1, 2, 3], "feature_scale": [1, 1, 1], "triplet": []}',
                      "three feature descriptors required", id="empty-triplet"),
+        pytest.param('{"weights": [1, NaN, 3], "feature_scale": [1, 1, 1], "triplet": []}',
+                     "'weights' must be a list of finite numbers", id="nan-weight"),
+        pytest.param('{"weights": [1, 2, 3], "feature_scale": [1, Infinity, 1], "triplet": []}',
+                     "'feature_scale' must be a list of finite numbers", id="infinite-scale"),
+        pytest.param('{"weights": [1, 2, -Infinity], "feature_scale": [1, 1, 1], "triplet": []}',
+                     "'weights' must be a list of finite numbers", id="infinite-weight"),
+        pytest.param('{"weights": [1, 2, 3], "feature_scale": [NaN, 1, 1], "triplet": []}',
+                     "'feature_scale' must be a list of finite numbers", id="nan-scale"),
+        pytest.param('{"weights": [true, 2, 3], "feature_scale": [1, 1, 1], "triplet": []}',
+                     "'weights' must be a list of finite numbers", id="bool-weight"),
+        pytest.param('{"weights": [1, 2, 3], "feature_scale": [1, 1, true], "triplet": []}',
+                     "'feature_scale' must be a list of finite numbers", id="bool-scale"),
+        pytest.param('{"weights": [1, 2, 1%s], "feature_scale": [1, 1, 1], "triplet": []}'
+                     % ("0" * 400),
+                     "'weights' must be a list of finite numbers", id="int-past-float-range"),
     ],
 )
 def test_bad_checkpoint_names_its_file(tmp_path, text, fragment):
@@ -458,6 +473,12 @@ def test_bad_checkpoint_names_its_file(tmp_path, text, fragment):
         load_checkpoint(path)
     assert str(err.value).startswith(f"{path}: ")
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_network_rejects_a_bad_feature_scale(bad):
+    with pytest.raises(ValueError, match="feature scales must be finite and positive"):
+        TrainableNetwork(TRIPLET, [1.0, 2.0, 3.0], (1.0, bad, 1.0))
 
 
 def test_config_validation():

@@ -30,6 +30,7 @@ from cadorder.features import (
     problem_scale,
     scaled_matrix,
     selected_triplet,
+    separation_probes,
 )
 from cadorder.polyset import parse_problem
 
@@ -433,12 +434,26 @@ def test_a_probe_never_changes_the_classes(extra, candidates):
 
 @settings(max_examples=40, deadline=None)
 @given(problem_instances(min_vars=1, max_vars=3), _padded_candidates())
-@example(_COPRIME, enumerate_descriptors())
-def test_scaled_matrix_is_feature_matrix_times_its_scale(pr, candidates):
+def test_shared_prefix_values_match_per_problem_path(pr, candidates):
+    # scaled_matrix shares each kernel table among the candidates that read
+    # it; each value is still the one descriptor's exact value times d.
     d, rows = scaled_matrix(candidates, pr)
     assert d == (problem_scale(pr) if any(fd.averages for fd in candidates) else 1)
     assert all(type(x) is int for row in rows for x in row)
     assert rows == [[x * d for x in row] for row in feature_matrix(candidates, pr)]
+    assert rows == [[eval_feature(fd, pr, v) * d for fd in candidates]
+                    for v in range(pr.n_vars)]
+
+
+def test_every_yielded_value_is_an_int():
+    descriptors = enumerate_descriptors()
+    assert len(descriptors) == 624
+    for pr in separation_probes() + [_COPRIME]:
+        d, rows = scaled_matrix(descriptors, pr)
+        assert d == problem_scale(pr)
+        assert len(rows) == pr.n_vars and all(len(row) == 624 for row in rows)
+        assert all(type(x) is int for row in rows for x in row)
+        assert rows == [[x * d for x in row] for row in feature_matrix(descriptors, pr)]
 
 
 def _reference_sgn(x):

@@ -9,6 +9,7 @@ set of seeds; reports land in --out as JSON/CSV.
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from cadorder.features import (
     enumerate_descriptors,
 )
 from cadorder.search import search_triplets
-from cadorder.training import TrainConfig, TrainableNetwork, train
+from cadorder.training import DivergenceError, TrainConfig, TrainableNetwork, train
 
 
 def main() -> None:
@@ -42,6 +43,10 @@ def main() -> None:
     args = parser.parse_args()
     if args.pool_size < 0:
         parser.error(f"argument --pool-size: must be >= 0, got {args.pool_size}")
+    try:
+        cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, batch_size=64)
+    except ValueError as e:
+        parser.error(f"argument --lr: {e}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -74,9 +79,11 @@ def main() -> None:
     winner = tuple(pool.descriptors[i] for i in report.ranked[0]["features"])
     train_set = random_dataset(GenConfig(seed=11), args.train_count)
     val_set = random_dataset(GenConfig(seed=12), args.val_count)
-    cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, batch_size=64)
     start = TrainableNetwork.brown_init(winner, base_weight=args.init_weight)
-    result = train(start, train_set, val_set, oracle, cfg)
+    try:
+        result = train(start, train_set, val_set, oracle, cfg)
+    except DivergenceError as e:
+        sys.exit(f"error: {e}")
     write_text(out / "train.json", json.dumps(result.to_json(), indent=2) + "\n")
     print(f"validation cost: epoch 0 = {result.epoch0_val_cost:.1f}, "
           f"best (epoch {result.best_epoch}) = {result.best_val_cost:.1f}")

@@ -11,26 +11,6 @@ Averages are per the usual per-polynomial definitions: av_m divides each
 polynomial's sum by its own monomial count, and av_mp is the mean of the
 per-polynomial means (not the grand mean over all cells).
 
-All evaluation is exact and on plain ints.  Every stage runs on values
-scaled by one positive integer per problem, ``problem_scale(pr)`` =
-D = lcm(monomial counts) * |P|, with |P| the polynomial count, so a
-feature's true value is its scaled value over D.  Multiply the kernel
-table by D; then every value a stage produces is an integer:
-
-* sgn maps to {-D, 0, D}; max and sum keep the scale;
-* av_m divides a row sum of multiples of D by the row's monomial count
-  |p|, which divides D, leaving multiples of D / |p|, still multiples
-  of |P|;
-* so av_p, or av_mp's outer mean, divides exactly by |P|.
-
-Stages use exact integer ``//``.  All values come from one evaluator,
-``scaled_matrix``: it scales by D only when a descriptor averages, and by
-1 otherwise, and returns the scaled ints with their scale.
-``feature_matrix`` turns them into exact values, ``Fraction`` exactly when
-a descriptor averages; ``eval_feature`` is one entry of its rows.  The
-search ranks the scaled ints: the scale is the same for every variable of
-a problem, so ranking within a problem sees the true values' ranks.
-
 The monomial axis must be reduced before or together with the polynomial
 axis: the kernel table is ragged (polynomials have different monomial
 counts), so a polynomial-axis reduction of the full table has no
@@ -56,6 +36,30 @@ kernel or None, m-reduction, p-reduction).  That gives 2*3*3 + 3*3 = 27
 keys, and ``dedup_features`` groups the 624 valid descriptors by them.
 The keys are distinct classes: ``default_probe()`` tells all 27 apart,
 which the tests check.
+
+Values are computed from the key, so the evaluator relies on these
+identities; the tests check it against the stages' literal rules.  A
+key's value is one table, the kernel's or, for an indicator key, the
+table of the variable's containment sign, reduced per polynomial by the
+m-reduction and then by the p-reduction.  All evaluation is exact and on
+plain ints: the table is scaled by one positive integer per problem,
+``problem_scale(pr)`` = D = lcm(monomial counts) * |P|, with |P| the
+polynomial count, so a feature's true value is its scaled value over D.
+Every reduction then yields an integer:
+
+* max and sum keep the scale;
+* av_m divides a row sum of multiples of D by the row's monomial count
+  |p|, which divides D, leaving multiples of D / |p|, still multiples
+  of |P|;
+* so av_p divides exactly by |P|.
+
+Means use exact integer ``//``.  All values come from one evaluator,
+``scaled_matrix``: it scales by D only when a key holds a mean, and by
+1 otherwise, and returns the scaled ints with their scale.
+``feature_matrix`` turns them into exact values, ``Fraction`` exactly when
+a descriptor averages; ``eval_feature`` is one entry of its rows.  The
+search ranks the scaled ints: the scale is the same for every variable of
+a problem, so ranking within a problem sees the true values' ranks.
 """
 
 from __future__ import annotations
@@ -98,95 +102,25 @@ _KERNEL_CODE = {k: i for i, k in enumerate(Kernel)}
 _AGG_CODE = {a: i for i, a in enumerate(Agg)}
 
 
-# Stage functions take (value, d): a value scaled by the problem's scale d.
-def _sgn(x, d):
-    return d if x > 0 else -d if x < 0 else 0
-
-
-def _sgn_p(values, d):
-    return [d if x > 0 else -d if x < 0 else 0 for x in values]
-
-
-def _sgn_mp(table, d):
-    return [[d if x > 0 else -d if x < 0 else 0 for x in row] for row in table]
-
-
-def _max_p(values, d):
-    return max(values)
-
-
-def _sum_p(values, d):
-    return sum(values)
-
-
-def _av_p(values, d):
-    return sum(values) // len(values)
-
-
-def _max_m(table, d):
-    return list(map(max, table))
-
-
-def _sum_m(table, d):
-    return list(map(sum, table))
-
-
-def _av_m(table, d):
-    return [sum(row) // len(row) for row in table]
-
-
-def _max_mp(table, d):
-    return max(map(max, table))
-
-
-def _sum_mp(table, d):
-    return sum(map(sum, table))
-
-
-def _av_mp(table, d):
-    return _av_p(_av_m(table, d), d)
+# Each reduction kind on a row or vector of scaled values: the scale makes
+# every mean an exact integer division.
+_REDUCTIONS = {"max": max, "sum": sum, "av": lambda values: sum(values) // len(values)}
 
 
 # Axis states: "mp" = full table, "p" = per-polynomial vector, "" = scalar.
-# Each entry is (next state, the stage's function on a value in this state);
-# ``id`` has no function.  A stage absent from a state's row cannot apply in
-# that state.
+# Each entry maps a stage to the axis state after it.  A stage absent from a
+# state's row cannot apply in that state.
 _TRANSITIONS = {
-    "mp": {Agg.MAX_M: ("p", _max_m), Agg.MAX_MP: ("", _max_mp), Agg.SUM_M: ("p", _sum_m),
-           Agg.SUM_MP: ("", _sum_mp), Agg.AV_M: ("p", _av_m), Agg.AV_MP: ("", _av_mp),
-           Agg.SGN: ("mp", _sgn_mp), Agg.ID: ("mp", None)},
-    "p": {Agg.MAX_P: ("", _max_p), Agg.SUM_P: ("", _sum_p), Agg.AV_P: ("", _av_p),
-          Agg.SGN: ("p", _sgn_p), Agg.ID: ("p", None)},
-    "": {Agg.SGN: ("", _sgn), Agg.ID: ("", None)},
+    "mp": {Agg.MAX_M: "p", Agg.MAX_MP: "", Agg.SUM_M: "p", Agg.SUM_MP: "",
+           Agg.AV_M: "p", Agg.AV_MP: "", Agg.SGN: "mp", Agg.ID: "mp"},
+    "p": {Agg.MAX_P: "", Agg.SUM_P: "", Agg.AV_P: "", Agg.SGN: "p", Agg.ID: "p"},
+    "": {Agg.SGN: "", Agg.ID: ""},
 }
 
 
 def problem_scale(pr: ProblemInstance) -> int:
-    """D = lcm(monomial counts) * polynomial count: every scaled stage value is an int."""
+    """D = lcm(monomial counts) * polynomial count: every scaled value is an int."""
     return math.lcm(*[len(p.monomials) for p in pr.polynomials]) * len(pr.polynomials)
-
-
-def _transition(agg: Agg, state: str) -> tuple:
-    """(axis state after ``agg``, its function), or (None, None) when ``agg`` cannot apply."""
-    return _TRANSITIONS[state].get(agg, (None, None))
-
-
-def _value_key(kernel: Kernel, pipeline) -> tuple:
-    """(indicator, kernel or None, m-reduction, p-reduction) of a valid pipeline.
-
-    A reduction is named by its kind, "max", "sum" or "av"; an ``_mp``
-    stage counts as the m-reduction followed by the p-reduction of its kind.
-    """
-    indicator, m, p = False, None, None
-    for agg in pipeline:
-        if agg is Agg.SGN:
-            indicator, kernel = True, None
-            m, p = m and "max", p and "max"
-        elif agg is not Agg.ID:
-            kind, axes = agg.value.split("_")
-            m = kind if "m" in axes else m
-            p = kind if "p" in axes else p
-    return indicator, kernel, m, p
 
 
 class InvalidDescriptorError(ValueError):
@@ -197,48 +131,52 @@ class InvalidDescriptorError(ValueError):
 class FeatureDescriptor:
     """A kernel plus four aggregation stages that reduce each axis exactly once.
 
-    ``stages`` holds the functions of the stages other than ``id``, in
-    order, found in the state table once, at construction; ``averages``
-    says whether one of them is a mean.  ``encoding``, the (kernel code,
-    stage codes) key of the canonical order, is also fixed at construction,
-    and so is ``value_key``, (indicator, kernel or None, m-reduction,
-    p-reduction): two descriptors have equal values on every problem
-    exactly when their keys are equal (see the module docstring).
+    One walk of the state table at construction checks the stages and
+    fixes ``encoding``, the (kernel code, stage codes) key of the canonical
+    order, and ``value_key``, (indicator, kernel or None, m-reduction,
+    p-reduction), each reduction named by its kind, "max", "sum" or "av".
+    Values are computed from the key alone, so two descriptors with equal
+    keys have equal values on every problem (see the module docstring).
+    ``averages`` says whether a mean is one of the key's reductions.
     """
 
     kernel: Kernel
     pipeline: tuple[Agg, Agg, Agg, Agg]
-    stages: tuple = field(init=False, repr=False, compare=False)
-    averages: bool = field(init=False, repr=False, compare=False)
     encoding: tuple[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
     value_key: tuple = field(init=False, repr=False, compare=False)
+    averages: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.pipeline) != 4:
             raise ValueError("pipeline must have exactly 4 stages")
-        state = "mp"
-        stages = []
+        state, indicator, kernel, m, p = "mp", False, self.kernel, None, None
         for agg in self.pipeline:
-            nxt, function = _transition(agg, state)
+            nxt = _TRANSITIONS[state].get(agg)
             if nxt is None:
                 raise InvalidDescriptorError(
                     f"{agg.value} cannot apply when state is {state or 'scalar'!r}"
                 )
-            if function is not None:
-                stages.append(function)
+            if agg is Agg.SGN:
+                # sgn erases the kernel and turns each reduction so far into max.
+                indicator, kernel = True, None
+                m, p = m and "max", p and "max"
+            elif agg is not Agg.ID:
+                # An _mp stage is the m-reduction then the p-reduction of its kind.
+                kind, axes = agg.value.split("_")
+                m = kind if "m" in axes else m
+                p = kind if "p" in axes else p
             state = nxt
         if state:
             raise InvalidDescriptorError(f"pipeline left axis state {state!r} unreduced")
-        object.__setattr__(self, "stages", tuple(stages))
-        object.__setattr__(self, "averages", any(f in (_av_m, _av_p, _av_mp) for f in stages))
         encoding = _KERNEL_CODE[self.kernel], tuple(_AGG_CODE[a] for a in self.pipeline)
         object.__setattr__(self, "encoding", encoding)
-        object.__setattr__(self, "value_key", _value_key(self.kernel, self.pipeline))
+        object.__setattr__(self, "value_key", (indicator, kernel, m, p))
+        object.__setattr__(self, "averages", "av" in (m, p))
 
     @property
     def stage_count(self) -> int:
         """Number of non-identity stages; ties in dedup prefer fewer."""
-        return len(self.stages)
+        return sum(a is not Agg.ID for a in self.pipeline)
 
     def describe(self) -> str:
         """Math-style reading, outermost stage first, e.g. ``sum_p max_m d_v``."""
@@ -246,8 +184,13 @@ class FeatureDescriptor:
         return " ".join(list(reversed(stages)) + [self.kernel.value])
 
 
-def eval_kernel(kernel: Kernel, pr: ProblemInstance, v: int, d: int = 1) -> list[list[int]]:
-    """Kernel table for variable index ``v``, scaled by ``d``: one row per polynomial."""
+def eval_kernel(kernel: Kernel | None, pr: ProblemInstance, v: int, d: int = 1) -> list[list[int]]:
+    """Kernel table for variable index ``v``, scaled by ``d``: one row per polynomial.
+
+    Kernel ``None`` is the indicator table: ``d`` where the variable occurs, else 0.
+    """
+    if kernel is None:
+        return [[d if m.degrees[v] else 0 for m in p.monomials] for p in pr.polynomials]
     if kernel is Kernel.DEGREE:
         table = [[m.degrees[v] for m in p.monomials] for p in pr.polynomials]
     else:
@@ -263,23 +206,24 @@ def eval_kernel(kernel: Kernel, pr: ProblemInstance, v: int, d: int = 1) -> list
 def scaled_matrix(descriptors, pr: ProblemInstance) -> tuple[int, list[list[int]]]:
     """``(d, rows)``: per variable, each descriptor's exact value times ``d``, an int.
 
-    ``d`` is D = ``problem_scale(pr)`` when a descriptor averages, else 1.
-    Each kernel table is built once per variable, scaled by ``d``, and
-    shared by the descriptors that read it.
+    Values come from the descriptors' ``value_key``s alone.  ``d`` is D =
+    ``problem_scale(pr)`` when a key holds a mean, else 1.  A key's value
+    is its table, scaled by ``d``, reduced per polynomial by the key's
+    m-reduction, then by its p-reduction.  The shared work is planned once
+    per call: each distinct table and each distinct (table, m-reduction)
+    vector is built once per variable and read by every key that needs it.
     """
+    keys = [fd.value_key for fd in descriptors]
     d = problem_scale(pr) if any(fd.averages for fd in descriptors) else 1
-    kernels = list(dict.fromkeys(fd.kernel for fd in descriptors))
-    slots = [(kernels.index(fd.kernel), fd.stages) for fd in descriptors]
+    vectors = list(dict.fromkeys((kernel, m) for _, kernel, m, _ in keys))
+    tables = list(dict.fromkeys(kernel for kernel, _ in vectors))
+    vector_plan = [(tables.index(kernel), _REDUCTIONS[m]) for kernel, m in vectors]
+    slots = [(vectors.index((kernel, m)), _REDUCTIONS[p]) for _, kernel, m, p in keys]
     rows = []
     for v in range(pr.n_vars):
-        tables = [eval_kernel(kernel, pr, v, d) for kernel in kernels]
-        row = []
-        for i, stages in slots:
-            value = tables[i]
-            for function in stages:
-                value = function(value, d)
-            row.append(value)
-        rows.append(row)
+        built = [eval_kernel(kernel, pr, v, d) for kernel in tables]
+        reduced = [list(map(reduce_m, built[t])) for t, reduce_m in vector_plan]
+        rows.append([reduce_p(reduced[i]) for i, reduce_p in slots])
     return d, rows
 
 
@@ -344,7 +288,7 @@ def enumerate_descriptors() -> list[FeatureDescriptor]:
             (pipeline + (agg,), nxt)
             for pipeline, state in prefixes
             for agg in Agg
-            if (nxt := _transition(agg, state)[0]) is not None
+            if (nxt := _TRANSITIONS[state].get(agg)) is not None
         ]
     return [FeatureDescriptor(k, p) for k in Kernel for p, state in prefixes if not state]
 

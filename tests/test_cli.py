@@ -743,6 +743,10 @@ def test_help_lists_subcommands(capsys):
     + [
         pytest.param("--val-count", "x", "must be an integer >= 1, got 'x'", id="--val-count=x"),
         pytest.param("--pool-size", "-1", "must be >= 0, got -1", id="--pool-size=-1"),
+        pytest.param("--lr", "nan", "learning_rate must be finite and >= 0, got nan",
+                     id="--lr=nan"),
+        pytest.param("--lr", "-1", "learning_rate must be finite and >= 0, got -1.0",
+                     id="--lr=-1"),
     ],
 )
 def test_pipeline_script_counts_below_one_are_rejected(tmp_path, flag, value, message):
@@ -758,3 +762,18 @@ def test_pipeline_script_counts_below_one_are_rejected(tmp_path, flag, value, me
     assert f"{flag}: {message}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_script_divergence_is_one_error_line(tmp_path):
+    root = Path(__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_pipeline.py"), "--init-weight", "nan",
+         "--search-count", "3", "--train-count", "3", "--val-count", "2", "--epochs", "1",
+         "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: non-finite loss at epoch 1\n"
+    assert not (tmp_path / "out" / "train.json").exists()

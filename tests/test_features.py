@@ -52,6 +52,12 @@ def test_degree_kernel(problem_a):
     assert eval_kernel(Kernel.DEGREE, problem_a, 0, 3) == [[6, 0], [3, 0]]
 
 
+def test_indicator_table(problem_a):
+    # Kernel None: the scale where the variable occurs, else 0.
+    assert eval_kernel(None, problem_a, 0) == [[1, 0], [1, 0]]
+    assert eval_kernel(None, problem_a, 0, 3) == [[3, 0], [3, 0]]
+
+
 def test_signed_total_degree_kernel(problem_a):
     assert eval_kernel(Kernel.SIGNED_TOTAL_DEGREE, problem_a, 0) == [[3, 0], [3, 0]]
 
@@ -60,6 +66,7 @@ def test_kernel_absent_variable():
     pr = parse_problem("vars: x,y\nx^2 + 1")
     assert eval_kernel(Kernel.DEGREE, pr, 1) == [[0, 0]]
     assert eval_kernel(Kernel.SIGNED_TOTAL_DEGREE, pr, 1) == [[0, 0]]
+    assert eval_kernel(None, pr, 1, 5) == [[0, 0]]
 
 
 def test_eval_feature_examples(problem_a):
@@ -83,13 +90,52 @@ def test_av_mp_is_mean_of_per_polynomial_means():
     assert eval_feature(av_mp, pr, 0) == Fraction(Fraction(2) + Fraction(1, 2), 2)
 
 
+def _reference_sgn(x):
+    return (x > 0) - (x < 0)
+
+
+def _reference_av_p(values):
+    return Fraction(sum(values), len(values))
+
+
+def _reference_av_m(table):
+    return [Fraction(sum(row), len(row)) for row in table]
+
+
+# The grammar's stages on true values, with a Fraction wherever a mean
+# divides: the literal rules that each descriptor's value, computed from its
+# key, must reproduce.
+_REFERENCE_STAGES = {
+    "mp": {Agg.MAX_M: ("p", lambda t: list(map(max, t))),
+           Agg.MAX_MP: ("", lambda t: max(map(max, t))),
+           Agg.SUM_M: ("p", lambda t: list(map(sum, t))),
+           Agg.SUM_MP: ("", lambda t: sum(map(sum, t))),
+           Agg.AV_M: ("p", _reference_av_m),
+           Agg.AV_MP: ("", lambda t: _reference_av_p(_reference_av_m(t))),
+           Agg.SGN: ("mp", lambda t: [[_reference_sgn(x) for x in row] for row in t]),
+           Agg.ID: ("mp", None)},
+    "p": {Agg.MAX_P: ("", max), Agg.SUM_P: ("", sum), Agg.AV_P: ("", _reference_av_p),
+          Agg.SGN: ("p", lambda values: [_reference_sgn(x) for x in values]),
+          Agg.ID: ("p", None)},
+    "": {Agg.SGN: ("", _reference_sgn), Agg.ID: ("", None)},
+}
+
+
+def _reference_feature(fd, pr, v):
+    value, state = eval_kernel(fd.kernel, pr, v), "mp"
+    for agg in fd.pipeline:
+        state, function = _REFERENCE_STAGES[state][agg]
+        if function is not None:
+            value = function(value)
+    return value
+
+
 # A ragged kernel table (rows of 3, 1 and 2 monomials), a per-polynomial
-# vector holding a Fraction, and a scalar.  Each stage function takes the
-# value scaled by d; d = 18, the scale of a problem with these rows, makes
-# every case integral.
+# vector holding a Fraction, and a scalar: hand values of each reference
+# stage on true values, which pin the reference every descriptor is checked
+# against.
 _RAGGED = [[2, 0, 1], [3], [0, 5]]
 _VECTOR = [1, Fraction(5, 2), 0]
-_SCALE = 18
 _STAGE_CASES = [
     ("mp", Agg.MAX_M, _RAGGED, "p", [2, 3, 5]),
     ("mp", Agg.SUM_M, _RAGGED, "p", [3, 3, 5]),
@@ -107,24 +153,14 @@ _STAGE_CASES = [
 ]
 
 
-def _scaled(value, d):
-    """``value`` times ``d``, with every number an int; raises unless integral."""
-    if isinstance(value, list):
-        return [_scaled(x, d) for x in value]
-    scaled = value * d
-    assert scaled == int(scaled), f"{value} * {d} is not an integer"
-    return int(scaled)
-
-
 @pytest.mark.parametrize("state, agg, value, next_state, expected", _STAGE_CASES,
                          ids=[f"{state or 'scalar'}-{agg.value}" for state, agg, *_ in _STAGE_CASES])
 def test_stage_table_entry(state, agg, value, next_state, expected):
-    got_state, function = _TRANSITIONS[state][agg]
-    got = function(_scaled(value, _SCALE), _SCALE)
-    want = _scaled(expected, _SCALE)
-    assert got_state == next_state
-    assert got == want
-    assert _types(got) == _types(want)
+    got_state, function = _REFERENCE_STAGES[state][agg]
+    got = function(value)
+    assert got_state == _TRANSITIONS[state][agg] == next_state
+    assert got == expected
+    assert _types(got) == _types(expected)
 
 
 def _types(value):
@@ -136,7 +172,11 @@ def test_stage_cases_cover_the_table():
     stages = {(state, agg) for state, agg, *_ in _STAGE_CASES}
     assert entries - stages == {("mp", Agg.ID), ("p", Agg.ID), ("", Agg.ID)}
     assert len(stages) == len(_STAGE_CASES) == 12
-    assert all(_TRANSITIONS[state][Agg.ID] == (state, None) for state in _TRANSITIONS)
+    assert all(_TRANSITIONS[state][Agg.ID] == state for state in _TRANSITIONS)
+    # The reference walks the same state table.
+    reference_states = {state: {agg: nxt for agg, (nxt, _) in row.items()}
+                        for state, row in _REFERENCE_STAGES.items()}
+    assert reference_states == _TRANSITIONS
 
 
 def test_invalid_pipelines_raise():
@@ -154,22 +194,44 @@ def test_invalid_pipelines_raise():
 
 def test_problem_scale_hand_cases():
     # Rows of 3, 1 and 2 monomials, as in the stage cases: lcm 6 times 3 polynomials.
-    assert problem_scale(parse_problem("vars: x,y\nx^2 + x*y + y\nx^3\ny^5 + 1")) == _SCALE == 18
+    assert problem_scale(parse_problem("vars: x,y\nx^2 + x*y + y\nx^3\ny^5 + 1")) == 18
     assert problem_scale(parse_problem("vars: x\nx^2")) == 1
     # Coprime monomial counts 2, 3, 5 and 7: lcm 210 times 4 polynomials.
     assert problem_scale(_COPRIME) == 210 * 4
 
 
+_MEANS = (Agg.AV_M, Agg.AV_P, Agg.AV_MP)
+
+
+def _mean_survives(pipeline):
+    """Whether some mean stage has no ``sgn`` after it."""
+    return any(a in _MEANS and Agg.SGN not in pipeline[i + 1:] for i, a in enumerate(pipeline))
+
+
 def test_descriptors_hold_their_stage_functions():
     for fd in enumerate_descriptors():
-        state, functions = "mp", []
+        state = "mp"
         for agg in fd.pipeline:
-            state, function = _TRANSITIONS[state][agg]
-            if function is not None:
-                functions.append(function)
-        assert fd.stages == tuple(functions)
+            state = _TRANSITIONS[state][agg]
+        assert state == ""
         assert fd.stage_count == len(_stripped(fd))
-        assert fd.averages == any(a in (Agg.AV_M, Agg.AV_P, Agg.AV_MP) for a in fd.pipeline)
+        assert fd.averages == _mean_survives(fd.pipeline)
+    counts = Counter((any(a in _MEANS for a in fd.pipeline), fd.averages)
+                     for fd in enumerate_descriptors())
+    # 128 descriptors have a mean that a later sgn erases.
+    assert counts == {(True, True): 176, (True, False): 128, (False, False): 320}
+
+
+def test_a_mean_erased_by_sgn_gives_its_representatives_values_and_types():
+    erased = _fd(Kernel.DEGREE, Agg.AV_M, Agg.SGN, Agg.MAX_P)
+    assert erased.describe() == "max_p sgn av_m d_v"
+    rep = next(rep for rep, members in _CLASSES.provenance.items() if erased in members)
+    assert rep != erased and rep.value_key == erased.value_key
+    assert not erased.averages and not rep.averages
+    for pr in separation_probes() + [_COPRIME]:
+        got, want = feature_matrix((erased,), pr), feature_matrix((rep,), pr)
+        assert got == want
+        assert all(type(x) is int for row in got for x in row)
 
 
 def test_encoding_is_fixed_at_construction():
@@ -319,7 +381,8 @@ def test_value_key_is_fixed_at_construction():
 
 
 # Every key class of the grammar, members in canonical order.
-_KEY_CLASSES = list(dedup_features(enumerate_descriptors()).provenance.values())
+_CLASSES = dedup_features(enumerate_descriptors())
+_KEY_CLASSES = list(_CLASSES.provenance.values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -327,23 +390,21 @@ _KEY_CLASSES = list(dedup_features(enumerate_descriptors()).provenance.values())
 @example(_COPRIME)
 def test_equal_value_keys_give_equal_values(pr):
     for members in _KEY_CLASSES:
-        for row in feature_matrix(members, pr):
-            assert len(set(row)) == 1, (members[0].describe(), row)
+        for v in range(pr.n_vars):
+            values = {_reference_feature(fd, pr, v) for fd in members}
+            assert len(values) == 1, (members[0].describe(), values)
 
 
 def _probe_dedup(candidates, probe):
-    """Reference: group candidates by their scaled value columns over the probe.
+    """Reference: group candidates by their values over the probe.
 
-    This is how classes were found before they were derived from keys:
-    every descriptor is evaluated on every probe problem.
+    Every descriptor is evaluated on every probe problem by the stages'
+    literal rules, which know nothing of value keys.
     """
-    vectors = [[] for _ in candidates]
-    for pr in probe:
-        for vector, column in zip(vectors, zip(*scaled_matrix(candidates, pr)[1])):
-            vector += column
     classes = {}
-    for fd, vector in zip(candidates, vectors):
-        classes.setdefault(tuple(vector), []).append(fd)
+    for fd in candidates:
+        vector = tuple(_reference_feature(fd, pr, v) for pr in probe for v in range(pr.n_vars))
+        classes.setdefault(vector, []).append(fd)
     reps = {}
     for members in classes.values():
         rep = min(members, key=lambda fd: (fd.stage_count, fd.encoding))
@@ -383,21 +444,6 @@ def _padded_candidates(draw):
     return draw(st.permutations(out))
 
 
-def _naive_dedup(candidates, probe):
-    """Reference: group by the value vector of each candidate, one by one."""
-    classes = {}
-    for fd in candidates:
-        vector = tuple(eval_feature(fd, pr, v) for pr in probe for v in range(pr.n_vars))
-        classes.setdefault(vector, []).append(fd)
-    reps = {
-        min(members, key=lambda fd: (fd.stage_count, fd.encoding)):
-            tuple(sorted(members, key=lambda fd: fd.encoding))
-        for members in classes.values()
-    }
-    ordered = tuple(sorted(reps, key=lambda fd: fd.encoding))
-    return FeatureSet(ordered, {fd: reps[fd] for fd in ordered})
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.sampled_from(_PROBE_POOL), min_size=1, max_size=6, unique=True),
@@ -405,7 +451,7 @@ def _naive_dedup(candidates, probe):
 )
 def test_dedup_matches_naive_grouping(probe, candidates):
     classes = dedup_features(candidates)
-    naive = _naive_dedup(candidates, probe)
+    naive = _probe_dedup(candidates, probe)
     if len(naive) == len(classes):
         assert naive == classes == dedup_features(candidates, probe)
     else:
@@ -435,8 +481,9 @@ def test_a_probe_never_changes_the_classes(extra, candidates):
 @settings(max_examples=40, deadline=None)
 @given(problem_instances(min_vars=1, max_vars=3), _padded_candidates())
 def test_shared_prefix_values_match_per_problem_path(pr, candidates):
-    # scaled_matrix shares each kernel table among the candidates that read
-    # it; each value is still the one descriptor's exact value times d.
+    # scaled_matrix shares each table and each m-reduced vector among the
+    # candidates that read it; each value is still the one descriptor's
+    # exact value times d.
     d, rows = scaled_matrix(candidates, pr)
     assert d == (problem_scale(pr) if any(fd.averages for fd in candidates) else 1)
     assert all(type(x) is int for row in rows for x in row)
@@ -454,45 +501,6 @@ def test_every_yielded_value_is_an_int():
         assert len(rows) == pr.n_vars and all(len(row) == 624 for row in rows)
         assert all(type(x) is int for row in rows for x in row)
         assert rows == [[x * d for x in row] for row in feature_matrix(descriptors, pr)]
-
-
-def _reference_sgn(x):
-    return (x > 0) - (x < 0)
-
-
-def _reference_av_p(values):
-    return Fraction(sum(values), len(values))
-
-
-def _reference_av_m(table):
-    return [Fraction(sum(row), len(row)) for row in table]
-
-
-# The grammar's stages on true values, with a Fraction wherever a mean
-# divides: the reference that the scaled-integer stages must reproduce.
-_REFERENCE_STAGES = {
-    "mp": {Agg.MAX_M: ("p", lambda t: list(map(max, t))),
-           Agg.MAX_MP: ("", lambda t: max(map(max, t))),
-           Agg.SUM_M: ("p", lambda t: list(map(sum, t))),
-           Agg.SUM_MP: ("", lambda t: sum(map(sum, t))),
-           Agg.AV_M: ("p", _reference_av_m),
-           Agg.AV_MP: ("", lambda t: _reference_av_p(_reference_av_m(t))),
-           Agg.SGN: ("mp", lambda t: [[_reference_sgn(x) for x in row] for row in t]),
-           Agg.ID: ("mp", None)},
-    "p": {Agg.MAX_P: ("", max), Agg.SUM_P: ("", sum), Agg.AV_P: ("", _reference_av_p),
-          Agg.SGN: ("p", lambda values: [_reference_sgn(x) for x in values]),
-          Agg.ID: ("p", None)},
-    "": {Agg.SGN: ("", _reference_sgn), Agg.ID: ("", None)},
-}
-
-
-def _reference_feature(fd, pr, v):
-    value, state = eval_kernel(fd.kernel, pr, v), "mp"
-    for agg in fd.pipeline:
-        state, function = _REFERENCE_STAGES[state][agg]
-        if function is not None:
-            value = function(value)
-    return value
 
 
 @settings(max_examples=25, deadline=None)

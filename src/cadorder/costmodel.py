@@ -2,9 +2,9 @@
 
 Three implementations share the same contract: a table of recorded
 timings (a search journal is one), a deterministic synthetic model for
-desk-scale experiments, and an adapter that shells out to an external
-solver and measures wall time.  Timed-out runs cost timeout_s *
-penalty_factor.
+desk-scale experiments, and an adapter whose ``cost`` runs an external
+solver and measures wall time; each placeholder of its command template
+fills one argument.  Timed-out runs cost timeout_s * penalty_factor.
 
 Search and training price orderings through a ``PriceStore``, which asks
 the oracle once per pair and journals the prices of a resumable run.
@@ -70,18 +70,13 @@ class TimingTable:
         rec = self.records.get(key)
         if rec is None:
             raise MissingRecordError(f"no timing record for {key}")
-        return _price(rec, self.timeout_s, self.penalty_factor)
+        return self.timeout_s * self.penalty_factor if rec.timed_out else rec.time_s
 
     def describe(self) -> str:
         rows = sorted((key, rec.time_s, rec.timed_out) for key, rec in self.records.items())
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
         return (f"table(n={len(self.records)},sha256={digest},"
                 f"timeout={self.timeout_s},penalty={self.penalty_factor})")
-
-
-def _price(rec: CostRecord, timeout_s: float | None, penalty_factor: float) -> float:
-    """A record's cost: its time, or timeout_s * penalty_factor if it timed out."""
-    return timeout_s * penalty_factor if rec.timed_out else rec.time_s
 
 
 def _check_pricing(timeout_s: float | None, penalty_factor: float) -> None:
@@ -207,7 +202,9 @@ class ExternalSolverAdapter:
     """Runs a command template and prices the pair by wall-clock seconds.
 
     The template must contain {problem_file} and {ordering}; the problem is
-    written to a temporary file in the .poly grammar.
+    written to a temporary file in the .poly grammar.  The template is split
+    into arguments first, so each placeholder is replaced inside one
+    argument, whatever the temporary file's path holds.
     """
 
     template: str
@@ -220,14 +217,13 @@ class ExternalSolverAdapter:
             if placeholder not in self.template:
                 raise ValueError(f"command template is missing {placeholder}")
 
-    def run(self, pr: ProblemInstance, ordering: Ordering) -> CostRecord:
-        names = ordering.names(pr)
+    def cost(self, pr: ProblemInstance, ordering: Ordering) -> float:
+        """The solver's wall-clock seconds, or timeout_s * penalty_factor if it timed out."""
+        names, args = ordering.names(pr), shlex.split(self.template)
         with tempfile.NamedTemporaryFile("w", suffix=".poly", delete=False) as fh:
             fh.write(serialize_problem(pr))
             problem_file = fh.name
-        cmd = shlex.split(
-            self.template.replace("{problem_file}", problem_file).replace("{ordering}", names)
-        )
+        cmd = [a.replace("{problem_file}", problem_file).replace("{ordering}", names) for a in args]
         try:
             start = time.perf_counter()
             try:
@@ -243,7 +239,7 @@ class ExternalSolverAdapter:
                 _, stderr = proc.communicate(timeout=self.timeout_s)
             except subprocess.TimeoutExpired:
                 _kill_group(proc)
-                return CostRecord(pr.id or "?", names, self.timeout_s, True)
+                return self.timeout_s * self.penalty_factor
             except BaseException:  # interrupted: leave no solver running
                 _kill_group(proc)
                 raise
@@ -252,13 +248,9 @@ class ExternalSolverAdapter:
                 raise SolverError(
                     f"solver exited {proc.returncode}: {stderr.decode(errors='replace').strip()}"
                 )
-            return CostRecord(pr.id or "?", names, elapsed, False)
+            return elapsed
         finally:
             Path(problem_file).unlink(missing_ok=True)
-
-    def cost(self, pr: ProblemInstance, ordering: Ordering) -> float:
-        rec = self.run(pr, ordering)
-        return _price(rec, self.timeout_s, self.penalty_factor)
 
     def describe(self) -> str:
         return f"cmd({self.template!r},timeout={self.timeout_s},penalty={self.penalty_factor})"

@@ -8,10 +8,11 @@ arithmetic so identical datasets arise byte-for-byte on any platform.
 The per-problem stream seed is ``mix64(mix64(seed) ^ (index + GAMMA))``.
 
 The generator is counter-based: output k (from 1) of a stream seeded s is
-``mix64(s + k * GAMMA mod 2**64)``.  So ``SplitMix64`` computes its draws
+``mix64(s + k * GAMMA mod 2**64)``.  So ``_stream`` computes its draws
 ``_BLOCK`` at a time, as one packed integer with a 128-bit lane per draw
-(``_mix64_block``), and serves them one by one; the outputs, and so every
-dataset, are those of the one-at-a-time recurrence.
+(``_mix64_block``), and yields them one by one; the outputs, and so every
+dataset, are those of the one-at-a-time recurrence.  A problem's draws
+all come from one ``next_u64``, the ``__next__`` of its stream.
 """
 
 from __future__ import annotations
@@ -108,24 +109,6 @@ def _float_limit(p: float) -> int:
     return math.ceil(p * 2.0**53) << 11
 
 
-class SplitMix64:
-    """Tiny deterministic PRNG stream; state advances by the golden gamma.
-
-    ``next_u64()`` returns the next 64-bit output.
-    """
-
-    def __init__(self, seed: int):
-        self.next_u64 = _stream(seed & _MASK).__next__
-
-    def next_int(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], by rejection to avoid modulo bias."""
-        return _int_draw(self.next_u64, lo, hi)()
-
-
-def _problem_stream(seed: int, index: int) -> SplitMix64:
-    return SplitMix64(_mix64(_mix64(seed) ^ ((index + _GAMMA) & _MASK)))
-
-
 @dataclass(frozen=True)
 class GenConfig:
     """Generation parameters; every value is explicit configuration.
@@ -214,10 +197,10 @@ def _sample_polynomial(monomial, size) -> Polynomial:
 
 def random_problem(cfg: GenConfig, index: int) -> ProblemInstance:
     """Deterministic problem number ``index`` of the stream defined by ``cfg``."""
-    rng = _problem_stream(cfg.seed, index)
-    n_polys = rng.next_int(cfg.min_polys, cfg.max_polys)
-    monomial = _monomial_draw(rng.next_u64, cfg)
-    size = _int_draw(rng.next_u64, cfg.min_monomials, cfg.max_monomials)
+    next_u64 = _stream(_mix64(_mix64(cfg.seed) ^ ((index + _GAMMA) & _MASK))).__next__
+    n_polys = _int_draw(next_u64, cfg.min_polys, cfg.max_polys)()
+    monomial = _monomial_draw(next_u64, cfg)
+    size = _int_draw(next_u64, cfg.min_monomials, cfg.max_monomials)
     polys = tuple(_sample_polynomial(monomial, size) for _ in range(n_polys))
     names = tuple(f"x{i}" for i in range(cfg.n_vars))
     return ProblemInstance(names, polys, f"rnd-{cfg.seed}-{index}")
@@ -252,10 +235,10 @@ def write_dataset(problems, out_dir: str | Path, cfg: GenConfig | None = None) -
 def load_dataset(path: str | Path) -> list[ProblemInstance]:
     """Load a dataset directory; manifest order if present, else sorted names.
 
-    Files listed in a manifest must exist and match its sha256 values; a
-    missing file or a mismatch raises ValueError naming the file, as does a
-    malformed manifest.  A file that is not UTF-8 or does not parse is an
-    error naming it too.
+    Files listed in a manifest must lie in its directory, exist and match
+    its sha256 values; a missing file or a mismatch raises ValueError naming
+    the file, as does a malformed manifest.  A file that is not UTF-8 or
+    does not parse is an error naming it too.
     """
     root = Path(path)
     manifest = root / "manifest.json"
@@ -279,7 +262,11 @@ def load_dataset(path: str | Path) -> list[ProblemInstance]:
 
 
 def _manifest_files(manifest: Path) -> list[dict]:
-    """The manifest's file entries, each with string name, id and sha256."""
+    """The manifest's file entries, each with string name, id and sha256.
+
+    A name must be a plain file name in the manifest's directory: no
+    separator, not absolute, and not ``.`` or ``..``.
+    """
     try:
         meta = json.loads(manifest.read_text())
     except ValueError as e:
@@ -290,6 +277,9 @@ def _manifest_files(manifest: Path) -> list[dict]:
         for key in ("name", "id", "sha256"):
             if not isinstance(entry, dict) or not isinstance(entry.get(key), str):
                 raise ValueError(f"{manifest}: files[{i}] has no {key!r} string")
+        name = entry["name"]
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise ValueError(f"{manifest}: files[{i}] name {name!r} is not a plain file name")
     return meta["files"]
 
 

@@ -31,11 +31,12 @@ and three identities follow:
    ``max_mp``, ``sum_mp`` and ``av_mp`` are the m-reduction followed by
    the p-reduction of the same kind.
 
-So a descriptor's values depend only on its ``value_key``: (indicator,
-kernel or None, m-reduction, p-reduction).  That gives 2*3*3 + 3*3 = 27
-keys, and ``dedup_features`` groups the 624 valid descriptors by them.
-The keys are distinct classes: ``default_probe()`` tells all 27 apart,
-which the tests check.
+So a descriptor's values depend only on its ``value_key``: (kernel,
+m-reduction, p-reduction), with kernel None for an indicator, a key
+whose ``sgn`` erased the kernel.  That gives 2*3*3 + 3*3 = 27 keys, and
+``dedup_features`` groups the 624 valid descriptors by them.  The keys
+are distinct classes: ``default_probe()`` tells all 27 apart, which the
+tests check.
 
 Values are computed from the key, so the evaluator relies on these
 identities; the tests check it against the stages' literal rules.  A
@@ -133,8 +134,9 @@ class FeatureDescriptor:
 
     One walk of the state table at construction checks the stages and
     fixes ``encoding``, the (kernel code, stage codes) key of the canonical
-    order, and ``value_key``, (indicator, kernel or None, m-reduction,
-    p-reduction), each reduction named by its kind, "max", "sum" or "av".
+    order, and ``value_key``, (kernel, or None once ``sgn`` erased it,
+    m-reduction, p-reduction), each reduction named by its kind, "max",
+    "sum" or "av".
     Values are computed from the key alone, so two descriptors with equal
     keys have equal values on every problem (see the module docstring).
     ``averages`` says whether a mean is one of the key's reductions.
@@ -149,7 +151,7 @@ class FeatureDescriptor:
     def __post_init__(self):
         if len(self.pipeline) != 4:
             raise ValueError("pipeline must have exactly 4 stages")
-        state, indicator, kernel, m, p = "mp", False, self.kernel, None, None
+        state, kernel, m, p = "mp", self.kernel, None, None
         for agg in self.pipeline:
             nxt = _TRANSITIONS[state].get(agg)
             if nxt is None:
@@ -158,8 +160,7 @@ class FeatureDescriptor:
                 )
             if agg is Agg.SGN:
                 # sgn erases the kernel and turns each reduction so far into max.
-                indicator, kernel = True, None
-                m, p = m and "max", p and "max"
+                kernel, m, p = None, m and "max", p and "max"
             elif agg is not Agg.ID:
                 # An _mp stage is the m-reduction then the p-reduction of its kind.
                 kind, axes = agg.value.split("_")
@@ -170,7 +171,7 @@ class FeatureDescriptor:
             raise InvalidDescriptorError(f"pipeline left axis state {state!r} unreduced")
         encoding = _KERNEL_CODE[self.kernel], tuple(_AGG_CODE[a] for a in self.pipeline)
         object.__setattr__(self, "encoding", encoding)
-        object.__setattr__(self, "value_key", (indicator, kernel, m, p))
+        object.__setattr__(self, "value_key", (kernel, m, p))
         object.__setattr__(self, "averages", "av" in (m, p))
 
     @property
@@ -215,10 +216,10 @@ def scaled_matrix(descriptors, pr: ProblemInstance) -> tuple[int, list[list[int]
     """
     keys = [fd.value_key for fd in descriptors]
     d = problem_scale(pr) if any(fd.averages for fd in descriptors) else 1
-    vectors = list(dict.fromkeys((kernel, m) for _, kernel, m, _ in keys))
+    vectors = list(dict.fromkeys((kernel, m) for kernel, m, _ in keys))
     tables = list(dict.fromkeys(kernel for kernel, _ in vectors))
     vector_plan = [(tables.index(kernel), _REDUCTIONS[m]) for kernel, m in vectors]
-    slots = [(vectors.index((kernel, m)), _REDUCTIONS[p]) for _, kernel, m, p in keys]
+    slots = [(vectors.index((kernel, m)), _REDUCTIONS[p]) for kernel, m, p in keys]
     rows = []
     for v in range(pr.n_vars):
         built = [eval_kernel(kernel, pr, v, d) for kernel in tables]
@@ -319,7 +320,7 @@ class FeatureSet:
                 "id": i,
                 **descriptor_record(fd),
                 "description": fd.describe(),
-                "class_size": len(self.provenance.get(fd, (fd,))),
+                "class_size": len(self.provenance[fd]),
             }
             for i, fd in enumerate(self.descriptors)
         ]
@@ -405,10 +406,10 @@ def dedup_features(candidates, probe=None) -> FeatureSet:
 def _check_classes_differ(representatives, probe) -> None:
     """Raise ValueError unless the probe tells every pair of representatives apart.
 
-    The probe must be nonempty, with one variable count.  Its problems are
-    evaluated one at a time, each on the representatives not yet told
-    apart, and the walk stops once every one is apart.  The error names
-    each group that no problem splits.
+    The probe must be nonempty, with one variable count.  Each
+    representative's values on the problems so far form a tuple, extended
+    by one ``feature_matrix`` call per problem; the walk stops once every
+    tuple differs.  The error names each group of equal tuples.
     """
     probe = list(probe)
     if not probe:
@@ -417,22 +418,20 @@ def _check_classes_differ(representatives, probe) -> None:
     if any(pr.n_vars != n_vars for pr in probe):
         raise ValueError("probe problems must share n_vars")
 
-    groups = [list(representatives)] if len(representatives) > 1 else []
+    values = [()] * len(representatives)
     for pr in probe:
-        if not groups:
+        if len(set(values)) == len(values):
             return
-        pending = [fd for group in groups for fd in group]
-        columns = dict(zip(pending, zip(*feature_matrix(pending, pr))))
-        split = []
-        for group in groups:
-            by_values: dict[tuple, list[FeatureDescriptor]] = {}
-            for fd in group:
-                by_values.setdefault(columns[fd], []).append(fd)
-            split += [g for g in by_values.values() if len(g) > 1]
-        groups = split
-    if groups:
-        named = "; ".join(" = ".join(fd.describe() for fd in group) for group in groups)
-        raise ValueError(f"the probe does not tell apart {len(groups)} group(s) of classes: {named}")
+        rows = feature_matrix(representatives, pr)
+        values = [v + tuple(row[i] for row in rows) for i, v in enumerate(values)]
+    groups: dict[tuple, list[FeatureDescriptor]] = {}
+    for fd, key in zip(representatives, values):
+        groups.setdefault(key, []).append(fd)
+    named = [" = ".join(fd.describe() for fd in g) for g in groups.values() if len(g) > 1]
+    if named:
+        raise ValueError(
+            f"the probe does not tell apart {len(named)} group(s) of classes: {'; '.join(named)}"
+        )
 
 
 def separation_probes() -> list[ProblemInstance]:

@@ -38,7 +38,8 @@ multiplications per problem.  The fields are 32 bits wide, and the
 n = 8 columns take about 1.3 MB.  Scores of 2**32 or more go through
 ``layer2_scores`` instead, which no benchmark workload reaches at the
 minimal base weight: at n = 8 it builds ``permutation_weights(8)``
-(40,320 weight vectors, 10.5 MB) and takes 322,560 multiplications and
+(40,320 weight vectors, 4.5 MB; neuron k's ordering is not stored but
+unranked, ``_unrank(n, k)``) and takes 322,560 multiplications and
 about as many additions, some 55 ms per problem on one core of a Xeon
 with Python 3.11.
 
@@ -173,21 +174,22 @@ def _check_layer_size(n: int) -> None:
         raise ValueError(f"explicit output layer limited to {MAX_EXPLICIT_LAYER} variables")
 
 
-def _neuron(perm: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """An ordering and the weight of each variable in its neuron, n for the first."""
+def _neuron(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The weight of each variable in the neuron of ordering ``perm``, n for the first."""
     n = len(perm)
     weights = [0] * n
     for pos, v in enumerate(perm):
         weights[v] = n - pos
-    return perm, tuple(weights)
+    return tuple(weights)
 
 
 @lru_cache(maxsize=None)
-def permutation_weights(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """All (ordering, weight-vector) pairs of the output layer, lexicographic.
+def permutation_weights(n: int) -> tuple[tuple[int, ...], ...]:
+    """The weight vector of every output neuron; neuron k's ordering is ``_unrank(n, k)``.
 
     The weight vector lists, per variable index, the weight that neuron
     applies: n for the ordering's first variable down to 1 for its last.
+    Neurons follow the orderings' lexicographic order, ``permutations``'.
     Built once per n; every caller shares the same immutable tuple.
     """
     _check_layer_size(n)
@@ -200,7 +202,7 @@ def layer2_scores(y) -> tuple:
     Each score is sum_v W[v] * y[v], added left to right over v from the
     first product (not from 0, which would turn a sum of -0.0 into 0.0).
     """
-    return tuple(reduce(add, map(mul, weights, y)) for _, weights in permutation_weights(len(y)))
+    return tuple(reduce(add, map(mul, weights, y)) for weights in permutation_weights(len(y)))
 
 
 def layer2_columns(y) -> tuple:
@@ -215,14 +217,14 @@ def layer2_columns(y) -> tuple:
     products = [{w: list(map(mul, repeat(w), yv)) for w in range(1, n + 1)} for yv in y]
     return tuple(
         reduce(lambda a, b: list(map(add, a, b)), map(getitem, products, weights))
-        for _, weights in permutation_weights(n)
+        for weights in permutation_weights(n)
     )
 
 
 @lru_cache(maxsize=None)
 def _weight_columns(n: int) -> tuple[tuple[int, ...], ...]:
     """Per variable, the weight each output neuron gives it, in neuron order."""
-    return tuple(zip(*(weights for _, weights in permutation_weights(n))))
+    return tuple(zip(*permutation_weights(n)))
 
 
 def layer2_backward(n: int, dscores) -> list:

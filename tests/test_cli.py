@@ -417,13 +417,23 @@ def test_non_utf8_problem_file_is_data_error(tmp_path, capsys, source):
         pytest.param('{"files": [{"name": "a.poly", "id": "a"}]}', "files[0] has no 'sha256' string",
                      id="no-sha256"),
         pytest.param('{"files": [', "Expecting value", id="truncated"),
+        # Names outside the directory; the relative two reach a file with this sha256.
+        pytest.param('{"files": [{"name": "../x.poly", "id": "x", "sha256": "SHA"}]}',
+                     "files[0] name '../x.poly' is not a plain file name", id="parent-dir"),
+        pytest.param('{"files": [{"name": "/tmp/x.poly", "id": "x", "sha256": "SHA"}]}',
+                     "files[0] name '/tmp/x.poly' is not a plain file name", id="absolute"),
+        pytest.param('{"files": [{"name": "sub/x.poly", "id": "x", "sha256": "SHA"}]}',
+                     "files[0] name 'sub/x.poly' is not a plain file name", id="subdir"),
     ],
 )
 def test_malformed_manifest_is_data_error(tmp_path, capsys, manifest, message):
     data = tmp_path / "data"
-    data.mkdir()
-    (data / "a.poly").write_text(PROBLEM_A_TEXT + "\n")
-    (data / "manifest.json").write_text(manifest)
+    (data / "sub").mkdir(parents=True)
+    text = PROBLEM_A_TEXT + "\n"
+    for file in (data / "a.poly", data / "sub" / "x.poly", tmp_path / "x.poly"):
+        file.write_text(text)
+    sha = hashlib.sha256(text.encode()).hexdigest()
+    (data / "manifest.json").write_text(manifest.replace("SHA", sha))
     code, _, stderr = run(capsys, "check", "--data", str(data))
     assert code == 2
     assert f"{data / 'manifest.json'}: " in stderr and message in stderr

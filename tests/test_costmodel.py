@@ -299,21 +299,44 @@ def test_timeout_accounting(problem_a):
 
 
 def test_external_adapter_instant_command(problem_a):
-    adapter = ExternalSolverAdapter("true {problem_file} {ordering}", timeout_s=5.0)
-    rec = adapter.run(problem_a, Ordering((0, 1, 2)))
-    assert not rec.timed_out
-    assert rec.time_s < 5.0
-    assert rec.ordering == "x>y>z"
+    # A timed-out run would cost timeout_s * penalty_factor = 15.
+    adapter = ExternalSolverAdapter("true {problem_file} {ordering}", timeout_s=5.0,
+                                    penalty_factor=3.0)
+    assert 0.0 < adapter.cost(problem_a, Ordering((0, 1, 2))) < 5.0
+
+
+# Exits 0 only when given exactly an existing problem file and the ordering x>y>z.
+_ARGV_CHECK = (
+    "import os, sys; "
+    "sys.exit(0 if len(sys.argv) == 3 and os.path.isfile(sys.argv[1]) "
+    "and sys.argv[2] == 'x>y>z' else 1)"
+)
+
+
+def test_external_adapter_placeholders_stay_one_argument(problem_a, tmp_path, monkeypatch):
+    import shlex
+    import sys
+    import tempfile
+
+    # The temporary problem file's path holds a space and a quote.
+    tmp = tmp_path / "tmp dir's"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    template = f"{shlex.quote(sys.executable)} -c {shlex.quote(_ARGV_CHECK)} {{problem_file}} {{ordering}}"
+    adapter = ExternalSolverAdapter(template, timeout_s=30.0)
+    assert 0.0 < adapter.cost(problem_a, Ordering((0, 1, 2))) < 30.0
+    with pytest.raises(SolverError, match="exited 1"):
+        adapter.cost(problem_a, Ordering((1, 0, 2)))
+    assert list(tmp.iterdir()) == []  # each run removes its problem file
 
 
 def test_external_adapter_timeout(problem_a):
     import sys
 
     sleeper = f"{sys.executable} -c 'import time; time.sleep(10)' {{problem_file}} {{ordering}}"
-    adapter = ExternalSolverAdapter(sleeper, timeout_s=0.1)
-    rec = adapter.run(problem_a, Ordering((0, 1, 2)))
-    assert rec.timed_out
-    assert adapter.cost(problem_a, Ordering((0, 1, 2))) == pytest.approx(0.1)
+    adapter = ExternalSolverAdapter(sleeper, timeout_s=0.1, penalty_factor=3.0)
+    # Timed out: the price is timeout_s * penalty_factor, not the wall time.
+    assert adapter.cost(problem_a, Ordering((0, 1, 2))) == pytest.approx(0.3)
 
 
 def test_external_adapter_timeout_kills_grandchildren(problem_a, tmp_path):
@@ -329,8 +352,7 @@ def test_external_adapter_timeout_kills_grandchildren(problem_a, tmp_path):
         f"{args} {{problem_file}} {{ordering}} {shlex.quote(str(marker))}", timeout_s=0.5
     )
     start = time.perf_counter()
-    rec = adapter.run(problem_a, Ordering((0, 1, 2)))
-    assert rec.timed_out
+    assert adapter.cost(problem_a, Ordering((0, 1, 2))) == 0.5  # timed out
     assert time.perf_counter() - start < 10  # the solver itself sleeps 30 s
     # A surviving grandchild creates the marker 1.5 s after it starts.
     time.sleep(max(0.0, start + 3.0 - time.perf_counter()))

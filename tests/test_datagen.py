@@ -7,7 +7,8 @@ import pytest
 from cadorder import datagen
 from cadorder.datagen import (
     GenConfig,
-    SplitMix64,
+    _int_draw,
+    _stream,
     load_dataset,
     random_dataset,
     random_problem,
@@ -18,9 +19,9 @@ from cadorder.polyset import parse_problem, serialize_problem
 
 def test_splitmix_reference_values():
     # First outputs for seed 0 of the standard SplitMix64 stream.
-    rng = SplitMix64(0)
-    assert rng.next_u64() == 0xE220A8397B1DCDAF
-    assert rng.next_u64() == 0x6E789E6AA1B965F4
+    next_u64 = _stream(0).__next__
+    assert next_u64() == 0xE220A8397B1DCDAF
+    assert next_u64() == 0x6E789E6AA1B965F4
 
 
 GAMMA = 0x9E3779B97F4A7C15
@@ -47,13 +48,13 @@ SEEDS = [0, 1, 2**64 - 1, (2**64 - 1 - 33 * GAMMA) % 2**64]
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_splitmix_blocks_match_the_scalar_recurrence(seed):
-    rng = SplitMix64(seed)
-    assert [rng.next_u64() for _ in range(DRAWS)] == list(islice(reference_stream(seed), DRAWS))
+    next_u64 = _stream(seed).__next__
+    assert [next_u64() for _ in range(DRAWS)] == list(islice(reference_stream(seed), DRAWS))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_splitmix_bounded_draws_match_the_scalar_recurrence(seed):
-    # Half the 64-bit range lies above next_int(0, 2**63)'s rejection limit.
+    # Half the 64-bit range lies above _int_draw(_, 0, 2**63)'s rejection limit.
     ref = reference_stream(seed)
     expected, consumed = [], 0
     for _ in range(DRAWS):
@@ -64,8 +65,8 @@ def test_splitmix_bounded_draws_match_the_scalar_recurrence(seed):
             consumed += 1
         expected.append(r)
     assert consumed > DRAWS + DRAWS // 4
-    rng = SplitMix64(seed)
-    assert [rng.next_int(0, 2**63) for _ in range(DRAWS)] == expected
+    draw = _int_draw(_stream(seed).__next__, 0, 2**63)
+    assert [draw() for _ in range(DRAWS)] == expected
 
 
 def test_splitmix_block_unpacking_in_either_byte_order(monkeypatch):
@@ -88,8 +89,8 @@ def test_float_limit_is_the_exact_next_float_threshold(p):
 
 
 def test_splitmix_bounded_draws_stay_in_range():
-    rng = SplitMix64(42)
-    values = [rng.next_int(-3, 5) for _ in range(500)]
+    draw = _int_draw(_stream(42).__next__, -3, 5)
+    values = [draw() for _ in range(500)]
     assert set(values) <= set(range(-3, 6))
     assert min(values) == -3 and max(values) == 5
 

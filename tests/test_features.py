@@ -208,7 +208,7 @@ def _mean_survives(pipeline):
     return any(a in _MEANS and Agg.SGN not in pipeline[i + 1:] for i, a in enumerate(pipeline))
 
 
-def test_descriptors_hold_their_stage_functions():
+def test_descriptors_walk_the_state_table():
     for fd in enumerate_descriptors():
         state = "mp"
         for agg in fd.pipeline:
@@ -362,22 +362,22 @@ def test_grammar_has_27_classes():
     assert len(fs) == 27 == 2 * 3 * 3 + 3 * 3
     assert sum(len(fs.provenance[rep]) for rep in fs.descriptors) == 624
     assert {rep.value_key for rep in fs.descriptors} == {fd.value_key for fd in candidates}
-    assert Counter(rep.value_key[0] for rep in fs.descriptors) == {False: 18, True: 9}
+    assert Counter(rep.value_key[0] is None for rep in fs.descriptors) == {False: 18, True: 9}
 
 
 def test_value_key_is_fixed_at_construction():
     field = {f.name: f for f in fields(FeatureDescriptor)}["value_key"]
     assert not (field.init or field.repr or field.compare)
     brown_degree, brown_total, brown_count = brown_features()
-    assert brown_degree.value_key == (False, Kernel.DEGREE, "max", "max")
-    assert brown_total.value_key == (False, Kernel.SIGNED_TOTAL_DEGREE, "max", "max")
-    assert brown_count.value_key == (True, None, "sum", "sum")
+    assert brown_degree.value_key == (Kernel.DEGREE, "max", "max")
+    assert brown_total.value_key == (Kernel.SIGNED_TOTAL_DEGREE, "max", "max")
+    assert brown_count.value_key == (None, "sum", "sum")
     # sgn after both reductions turns each into max.
     late_sgn = _fd(Kernel.SIGNED_TOTAL_DEGREE, Agg.AV_M, Agg.SUM_P, Agg.SGN)
-    assert late_sgn.value_key == (True, None, "max", "max")
+    assert late_sgn.value_key == (None, "max", "max")
     # sgn between them turns only the m-reduction into max.
-    assert selected_triplet()[2].value_key == (True, None, "max", "sum")
-    assert _fd(Kernel.DEGREE, Agg.SUM_M, Agg.SGN, Agg.AV_P).value_key == (True, None, "max", "av")
+    assert selected_triplet()[2].value_key == (None, "max", "sum")
+    assert _fd(Kernel.DEGREE, Agg.SUM_M, Agg.SGN, Agg.AV_P).value_key == (None, "max", "av")
 
 
 # Every key class of the grammar, members in canonical order.

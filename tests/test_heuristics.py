@@ -101,7 +101,7 @@ def test_layer2_scores_examples():
     # Each score adds from its first product, so a sum of -0.0 keeps its sign.
     assert _bits(layer2_scores((-0.0, -0.0))) == _bits((-0.0, -0.0))
     best = max(range(6), key=lambda i: layer2_scores((1, 2, 3))[i])
-    assert list(permutation_weights(3))[best][0] == (2, 1, 0)
+    assert _unrank(3, best) == (2, 1, 0)
     # Built once per n and shared: the same immutable object every call.
     assert permutation_weights(3) is permutation_weights(3)
     assert isinstance(permutation_weights(3), tuple)
@@ -131,7 +131,7 @@ def _dot_per_neuron(y):
     """
     return tuple(
         functools.reduce(operator.add, map(operator.mul, weights, y), 0)
-        for _, weights in permutation_weights(len(y))
+        for weights in permutation_weights(len(y))
     )
 
 
@@ -257,10 +257,20 @@ def test_unrank_is_lexicographic_permutation_order():
         assert [_unrank(n, k) for k in range(math.factorial(n))] == list(permutations(range(n)))
 
 
+def test_neuron_k_weights_the_ordering_unrank_k():
+    # Neuron k gives the first variable of ordering _unrank(n, k) weight n, the last 1.
+    for n in range(1, 6):
+        weights = permutation_weights(n)
+        assert len(weights) == math.factorial(n)
+        for k, w in enumerate(weights):
+            perm = _unrank(n, k)
+            assert [w[v] for v in perm] == list(range(n, 0, -1))
+
+
 def _backward_per_neuron(n, dscores, zero):
     """d y_v accumulated neuron by neuron over ``permutation_weights``, from ``zero``."""
     dy = [zero] * n
-    for k, (_, weights) in enumerate(permutation_weights(n)):
+    for k, weights in enumerate(permutation_weights(n)):
         for v in range(n):
             dy[v] += dscores[k] * weights[v]
     return dy
@@ -425,7 +435,7 @@ def _rational_vectors(max_n=4):
 def test_rearrangement_argmax_equals_sort(y):
     scores = layer2_scores(y)
     best = max(range(len(scores)), key=lambda i: (scores[i], -i))
-    perms = [perm for perm, _ in permutation_weights(len(y))]
+    perms = list(permutations(range(len(y))))
     assert perms[best] == order_by_scores(y).perm
 
 
@@ -436,7 +446,7 @@ def test_rearrangement_with_forced_ties(y, i, j):
     y[i % len(y)] = y[j % len(y)]  # force at least one tie
     scores = layer2_scores(y)
     best = max(range(len(scores)), key=lambda i: (scores[i], -i))
-    perms = [perm for perm, _ in permutation_weights(len(y))]
+    perms = list(permutations(range(len(y))))
     assert perms[best] == order_by_scores(y).perm
 
 
@@ -452,7 +462,7 @@ def test_argmax_scale_invariance(pr, scale):
     assert order_by_scores(y).perm == order_by_scores(scaled).perm
     scores = layer2_scores(scaled)
     best = max(range(len(scores)), key=lambda i: (scores[i], -i))
-    assert [p for p, _ in permutation_weights(pr.n_vars)][best] == order_by_scores(y).perm
+    assert list(permutations(range(pr.n_vars)))[best] == order_by_scores(y).perm
 
 
 @settings(max_examples=150, deadline=None)

@@ -214,7 +214,7 @@ def _per_sample_loss_and_gradient(weights, batch, temperature):
         total += -math.log(max(probs[target], 1e-300))
         dscores = [p / temperature for p in probs]
         dscores[target] = (probs[target] - 1.0) / temperature
-        columns = zip(*(w for _, w in permutation_weights(n)))
+        columns = zip(*permutation_weights(n))
         dy = [_sum(map(mul, column, dscores)) for column in columns]
         for i in range(3):
             grad[i] += _sum(dy[v] * x[v][i] for v in range(n))

@@ -4,7 +4,8 @@
 Generates seeded datasets, enumerates and deduplicates the feature
 grammar, exhaustively searches feature triplets, then tunes the weights
 of the best triplet's network.  Everything is deterministic for a given
-set of seeds; reports land in --out as JSON/CSV.
+set of seeds; reports land in --out as JSON/CSV, beside the tuned
+network's checkpoint, train.ckpt.json.
 """
 
 import argparse
@@ -23,8 +24,9 @@ from cadorder.features import (
     dedup_features,
     enumerate_descriptors,
 )
+from cadorder.heuristics import Rule
 from cadorder.search import search_triplets
-from cadorder.training import DivergenceError, TrainConfig, TrainableNetwork, train
+from cadorder.training import DivergenceError, TrainConfig, save_checkpoint, train
 
 
 def main() -> None:
@@ -79,12 +81,14 @@ def main() -> None:
     winner = tuple(pool.descriptors[i] for i in report.ranked[0]["features"])
     train_set = random_dataset(GenConfig(seed=11), args.train_count)
     val_set = random_dataset(GenConfig(seed=12), args.val_count)
-    start = TrainableNetwork.brown_init(winner, base_weight=args.init_weight)
+    start = Rule.brown_init(winner, base_weight=args.init_weight)
     try:
         result = train(start, train_set, val_set, oracle, cfg)
     except DivergenceError as e:
         sys.exit(f"error: {e}")
     write_text(out / "train.json", json.dumps(result.to_json(), indent=2) + "\n")
+    # The tuned network, a heuristic that `cadorder order --heuristic` and `check --triplet` read.
+    save_checkpoint(out / "train.ckpt.json", result, winner)
     print(f"validation cost: epoch 0 = {result.epoch0_val_cost:.1f}, "
           f"best (epoch {result.best_epoch}) = {result.best_val_cost:.1f}")
     print(f"final weights: {[round(w, 4) for w in result.final_weights]}")

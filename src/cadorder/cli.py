@@ -32,31 +32,10 @@ from .costmodel import (
     load_timing_table,
 )
 from .datagen import GenConfig, load_dataset, parse_file, random_dataset, write_dataset
-from .features import (
-    brown_features,
-    dedup_features,
-    enumerate_descriptors,
-    feature_matrix,
-    load_descriptors,
-    load_feature_set,
-    selected_triplet,
-)
-from .heuristics import (
-    base_weight,
-    check_equivalence,
-    lex_order,
-    order_by_scores,
-    radix_scores,
-)
+from .features import dedup_features, enumerate_descriptors, feature_matrix, load_feature_set
+from .heuristics import INIT_WEIGHT, Rule, check_equivalence
 from .search import search_triplets
-from .training import (
-    INIT_WEIGHT,
-    DivergenceError,
-    TrainableNetwork,
-    TrainConfig,
-    save_checkpoint,
-    train,
-)
+from .training import NAMED_RULES, DivergenceError, TrainConfig, load_rule, save_checkpoint, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -179,11 +158,14 @@ def _build_oracle(args):
         return SyntheticCostModel(args.step_base, args.noise_seed, args.noise_scale)
     if kind == "table:":
         return load_timing_table(arg, args.timeout, args.penalty)
-    if kind == "cmd:":
-        if args.timeout is None:
-            raise ValueError("cmd oracle requires --timeout")
+    if kind != "cmd:":
+        raise ValueError(f"--oracle {args.oracle!r}: unknown oracle")
+    if args.timeout is None:
+        raise ValueError("cmd oracle requires --timeout")
+    try:
         return ExternalSolverAdapter(arg, args.timeout, args.penalty)
-    raise ValueError(f"unknown oracle {args.oracle!r}")
+    except ValueError as e:
+        raise ValueError(f"--oracle {args.oracle!r}: {e}") from None
 
 
 def _oracle_inputs(args) -> list[str]:
@@ -192,24 +174,9 @@ def _oracle_inputs(args) -> list[str]:
     return [arg] if kind == "table:" else []
 
 
-# The built-in triplets; any other triplet name is a descriptor file.
-_TRIPLETS = {"brown": brown_features, "nn": brown_features, "selected": selected_triplet}
-
-
-def _triplet_inputs(spec: str) -> list[str]:
-    """The triplet file that ``_load_triplet(spec)`` reads, if any."""
-    return [] if spec in _TRIPLETS else [spec]
-
-
-def _load_triplet(spec: str):
-    if spec in _TRIPLETS:
-        return _TRIPLETS[spec]()
-    descriptors = load_descriptors(spec)
-    if len(descriptors) != 3:
-        raise ValueError(
-            f"{spec}: triplet file must hold exactly 3 descriptors, got {len(descriptors)}"
-        )
-    return tuple(descriptors)
+def _rule_inputs(spec: str) -> list[str]:
+    """The triplet file or checkpoint that ``load_rule(spec)`` reads, if any."""
+    return [] if spec in NAMED_RULES else [spec]
 
 
 def cmd_gen(args) -> int:
@@ -240,26 +207,21 @@ def cmd_features(args) -> int:
 
 def cmd_order(args) -> int:
     started = time.perf_counter()
-    inputs = [args.problem, *_triplet_inputs(args.heuristic)]
+    inputs = [args.problem, *_rule_inputs(args.heuristic)]
     if args.out:
         _check_outputs(inputs, [args.out])
     problem = Path(args.problem)
     pr = parse_file(problem, problem.read_bytes(), problem.stem)
-    triplet = _load_triplet(args.heuristic)
-    rows = feature_matrix(triplet, pr)
-    if args.heuristic == "nn":
-        y = radix_scores(rows, base_weight(rows), pr.id)
-        ordering = order_by_scores(y)
-    else:
-        ordering = lex_order(rows)
+    rule = load_rule(args.heuristic)
+    rows = feature_matrix(rule.triplet, pr)
+    ordering = rule.order(rows)
     if args.reverse:
         ordering = ordering.reversed()
     if args.explain:
         for name, row in zip(pr.var_names, rows):
             print(f"{name}: features = {tuple(str(x) for x in row)}")
-        if args.heuristic == "nn":
-            for name, yv in zip(pr.var_names, y):
-                print(f"{name}: y = {yv}")
+        for name, yv in zip(pr.var_names, rule.scores(rows)):
+            print(f"{name}: y = {yv}")
     print(ordering.names(pr))
     if args.out:
         write_text(args.out, ordering.names(pr) + "\n")
@@ -311,14 +273,16 @@ def cmd_train(args) -> int:
         )
     except ValueError as e:
         raise UsageError(str(e)) from None
-    inputs = [args.train, args.val, *_triplet_inputs(args.triplet), *_oracle_inputs(args)]
+    inputs = [args.train, args.val, *_rule_inputs(args.triplet), *_oracle_inputs(args)]
     outputs = [Path(args.out + ".json"), Path(args.out + ".ckpt.json")]
     _check_outputs(inputs, outputs)
-    triplet = _load_triplet(args.triplet)
+    rule = load_rule(args.triplet)
+    if rule.weights is not None:
+        raise UsageError(f"--triplet {args.triplet}: training starts from a triplet, not a network")
     train_set = load_dataset(args.train)
     val_set = load_dataset(args.val)
     oracle = _build_oracle(args)
-    net = TrainableNetwork.brown_init(triplet, base_weight=args.init_weight)
+    net = Rule.brown_init(rule.triplet, base_weight=args.init_weight)
     loaded = time.perf_counter()
     try:
         report = train(net, train_set, val_set, oracle, cfg)
@@ -326,7 +290,7 @@ def cmd_train(args) -> int:
         raise UsageError(str(e)) from None
     trained = time.perf_counter()
     write_json(outputs[0], report.to_json())
-    save_checkpoint(outputs[1], report, triplet)
+    save_checkpoint(outputs[1], report, rule.triplet)
     _write_manifest("train", args, inputs, outputs, started,
                     load_s=loaded - started, train_s=trained - loaded)
     print(
@@ -338,13 +302,15 @@ def cmd_train(args) -> int:
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
-    inputs = [args.data, *_triplet_inputs(args.triplet)]
+    inputs = [args.data, *_rule_inputs(args.triplet)]
     if args.out:
         _check_outputs(inputs, [args.out])
     dataset = load_dataset(args.data)
-    triplet = _load_triplet(args.triplet)
+    rule = load_rule(args.triplet)
+    if rule.weights is not None and args.force_w is not None:
+        raise UsageError(f"--force-w applies to a lexicographic rule, not to {args.triplet}")
     loaded = time.perf_counter()
-    report = check_equivalence(dataset, triplet, force_w=args.force_w)
+    report = check_equivalence(dataset, rule, force_w=args.force_w)
     checked = time.perf_counter()
     payload = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -377,10 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("order", help="print a heuristic's variable ordering")
-    p.add_argument("--heuristic", default="brown", help="brown | nn | selected | <triplet.json>")
+    p.add_argument("--heuristic", default="brown",
+                   help="brown | nn (Brown's) | selected | <triplet.json> | <run.ckpt.json>")
     p.add_argument("--problem", required=True)
     p.add_argument("--reverse", action="store_true", help="flip the printed order")
-    p.add_argument("--explain", action="store_true", help="print feature rows (and y for nn)")
+    p.add_argument("--explain", action="store_true", help="print feature rows and layer-1 y")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_order)
 
@@ -413,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify lexicographic/network ordering agreement")
     p.add_argument("--data", required=True, help="dataset dir")
-    p.add_argument("--triplet", default="brown", help="brown | selected | <triplet.json>")
+    p.add_argument("--triplet", default="brown",
+                   help="brown | selected | <triplet.json> | <run.ckpt.json>")
     p.add_argument("--force-w", type=int, default=None, help="override the base weight")
     p.add_argument("--out", default=None, help="report JSON path")
     p.set_defaults(func=cmd_check)

@@ -203,27 +203,33 @@ class ExternalSolverAdapter:
 
     The template must contain {problem_file} and {ordering}; the problem is
     written to a temporary file in the .poly grammar.  The template is split
-    into arguments first, so each placeholder is replaced inside one
-    argument, whatever the temporary file's path holds.
+    into ``argv`` once, at construction, so each placeholder is replaced
+    inside one argument, whatever the temporary file's path holds.
     """
 
     template: str
     timeout_s: float
     penalty_factor: float = 1.0
+    argv: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_pricing(self.timeout_s, self.penalty_factor)
         for placeholder in ("{problem_file}", "{ordering}"):
             if placeholder not in self.template:
                 raise ValueError(f"command template is missing {placeholder}")
+        try:
+            object.__setattr__(self, "argv", tuple(shlex.split(self.template)))
+        except ValueError as e:
+            raise ValueError(f"command template does not split into arguments: {e}") from None
 
     def cost(self, pr: ProblemInstance, ordering: Ordering) -> float:
         """The solver's wall-clock seconds, or timeout_s * penalty_factor if it timed out."""
-        names, args = ordering.names(pr), shlex.split(self.template)
+        names = ordering.names(pr)
         with tempfile.NamedTemporaryFile("w", suffix=".poly", delete=False) as fh:
             fh.write(serialize_problem(pr))
             problem_file = fh.name
-        cmd = [a.replace("{problem_file}", problem_file).replace("{ordering}", names) for a in args]
+        cmd = [a.replace("{problem_file}", problem_file).replace("{ordering}", names)
+               for a in self.argv]
         try:
             start = time.perf_counter()
             try:

@@ -374,12 +374,33 @@ def load_descriptors(path: str | Path) -> list[FeatureDescriptor]:
 
 
 def load_feature_set(path: str | Path) -> FeatureSet:
-    """The pool of a descriptor file; a ValueError names the file."""
+    """The pool of a descriptor file, each class's members taken from the grammar.
+
+    Two records of one ``value_key`` are a ValueError naming both; every
+    ValueError names the file.
+    """
     descriptors = load_descriptors(path)
     try:
-        return FeatureSet.from_descriptors(descriptors)
+        fs = FeatureSet.from_descriptors(descriptors)
+        first = {}
+        for i, fd in enumerate(descriptors):
+            j = first.setdefault(fd.value_key, i)
+            if j != i:
+                raise ValueError(f"records {j} and {i}, {descriptors[j].describe()!r} and "
+                                 f"{fd.describe()!r}, are one feature class")
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
+    grammar = _classes(enumerate_descriptors())
+    return FeatureSet(fs.descriptors, {fd: grammar[fd.value_key] for fd in fs.descriptors})
+
+
+def _classes(candidates) -> dict[tuple, tuple[FeatureDescriptor, ...]]:
+    """The candidates grouped by ``value_key``, each class in canonical order."""
+    classes: dict[tuple, list[FeatureDescriptor]] = {}
+    for fd in candidates:
+        classes.setdefault(fd.value_key, []).append(fd)
+    return {key: tuple(sorted(members, key=lambda fd: fd.encoding))
+            for key, members in classes.items()}
 
 
 def dedup_features(candidates, probe=None) -> FeatureSet:
@@ -389,14 +410,10 @@ def dedup_features(candidates, probe=None) -> FeatureSet:
     smallest encoding.  A ``probe``, when given, only checks that the
     classes differ: see ``_check_classes_differ``.
     """
-    classes: dict[tuple, list[FeatureDescriptor]] = {}
-    for fd in candidates:
-        classes.setdefault(fd.value_key, []).append(fd)
-
     reps = {}
-    for members in classes.values():
+    for members in _classes(candidates).values():
         rep = min(members, key=lambda fd: (fd.stage_count, fd.encoding))
-        reps[rep] = tuple(sorted(members, key=lambda fd: fd.encoding))
+        reps[rep] = members
     ordered = tuple(sorted(reps, key=lambda fd: fd.encoding))
     if probe is not None:
         _check_classes_differ(ordered, probe)

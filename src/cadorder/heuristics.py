@@ -1,57 +1,32 @@
-"""The constrained network and the variable orderings it encodes.
+"""The constrained network, the orderings it encodes, and ``Rule``, the one heuristic type.
 
-The direct way sorts variables by their (f1, f2, f3) feature rows
-(``features.feature_matrix``) compared lexicographically.  The network
-way encodes the same comparison as a two-layer summation network: with a
-base weight w chosen so that every feature value is below w - 1
-(``base_weight``), the first-layer score
+A ``Rule`` is a feature triplet (``features.feature_matrix`` gives its
+rows), read lexicographically, or the same triplet with tuned
+first-layer weights.  Its ``order`` is a descending sort, of the rows
+(``lex_order``) or of its y (``order_by_scores``), ties going to the
+lower variable index; production code takes only that route.
 
-    y_v = f1(v) * w**2 + f2(v) * w + f3(v)
+The network behind a rule has two layers.  Layer 1 scores each
+variable.  A lexicographic rule's y is a radix-w encoding of its row,
 
-is a radix-w encoding of the row (``radix_weights``, ``layer1_scores``),
-so comparing scores is comparing rows digit by digit.  The output layer
-has one neuron per permutation of the variables, scoring y under the
-fixed weight pattern n, n-1, ..., 1 (first position weighted n); its
-argmax neuron names the chosen ordering.  Both paths share the same
-deterministic tie-break (ascending variable index), so on exact scores
-(ints, Fractions) they agree exactly, ties included.  On float scores
-with tied values, rounding can make nominally equal neuron scores
-differ, so the argmax neuron may name another of the tied orderings.
+    y_v = f1(v) * w**2 + f2(v) * w + f3(v),
 
-Every layer of the network is defined here, once; training reuses them
-with trainable first-layer weights.  The frozen network's first layer is
-evaluated in one function, ``radix_scores``: it checks the weight
-condition and returns y, for ``check_equivalence`` and for the CLI's
-``order --heuristic nn``.  Production code orders by the sort
-(``lex_order``, ``order_by_scores``).  The explicit n! output layer is
-the reference that ``check_equivalence`` compares against, and the layer
-that training relaxes to a softmax; its gradient is ``layer2_backward``.
+with a base weight w such that every feature value is below w - 1
+(``base_weight``, ``radix_weights``, ``radix_scores``), so comparing
+scores is comparing rows digit by digit.  A tuned rule's y weighs the
+rows divided by its feature scale.  The output layer has one neuron per
+permutation of the variables, scoring y under the fixed weight pattern
+n, n-1, ..., 1 (first position weighted n); its argmax neuron names the
+ordering.  On exact scores that argmax is the sort, ties included (the
+rearrangement inequality), and ``check_equivalence`` proves it per
+problem for any rule, taking y exactly, floats included.  Evaluated in
+floats, rounding can make nominally equal neuron scores differ, so the
+argmax may name another of the tied orderings.
 
-``check_equivalence`` scores exact y (ints, Fractions) as one packed
-integer product (``_packed_scores``).  y is scaled by the lcm of its
-denominators and shifted by its minimum; every neuron's weights are a
-permutation of 1..n, so that moves every score by the same affine map
-and keeps the argmax and its ties.  Each variable's weight in every
-neuron is packed into one int, one unsigned field per neuron
-(``_packed_columns``), so the scores are sum_v y_v * column_v: n big-int
-multiplications per problem.  The fields are 32 bits wide, and the
-n = 8 columns take about 1.3 MB.  Scores of 2**32 or more go through
-``layer2_scores`` instead, which no benchmark workload reaches at the
-minimal base weight: at n = 8 it builds ``permutation_weights(8)``
-(40,320 weight vectors, 4.5 MB; neuron k's ordering is not stored but
-unranked, ``_unrank(n, k)``) and takes 322,560 multiplications and
-about as many additions, some 55 ms per problem on one core of a Xeon
-with Python 3.11.
-
-``layer2_scores`` is the layer's definition, one dot product per neuron,
-added left to right over the variables from the first product, the order
-that training's column form needs.  Training evaluates a mini-batch at a
-time, in column form: ``layer1_columns`` and ``layer2_columns`` take one
-column per variable, holding one value per sample, and add every value
-as ``layer1_scores`` and ``layer2_scores`` add it for one sample;
-``layer2_backward`` is column in, column out.  ``check_equivalence``
-unranks the argmax neuron in factorial base, so on packed scores it
-never builds ``permutation_weights(8)``.
+Every layer is defined here, once.  Training relaxes the output layer
+to a softmax and reads the layers in column form (``layer1_columns``,
+``layer2_columns``, the gradient ``layer2_backward``): one column per
+variable or neuron, one value per sample, added as for one sample.
 
 Convention: the variable with the lexicographically greatest feature row
 is placed first in the ordering (the CLI can flip the printed order with
@@ -68,7 +43,7 @@ from functools import lru_cache, reduce
 from itertools import permutations, repeat
 from operator import add, getitem, mul
 
-from .features import brown_features, feature_matrix
+from .features import FeatureDescriptor, brown_features, feature_matrix
 from .polyset import ProblemInstance
 
 # The factorial output layer is only materialized up to this many variables;
@@ -78,6 +53,9 @@ MAX_EXPLICIT_LAYER = 8
 
 # Unsigned array typecode of the packed output layer's fields (32 bits).
 _PACKED_FIELD = "I"
+
+# Default base weight of ``Rule.brown_init``'s radix starting point.
+INIT_WEIGHT = 30.0
 
 
 class BaseWeightError(ValueError):
@@ -272,19 +250,24 @@ def _packed_columns(n: int) -> tuple[int, ...]:
     )
 
 
-def _packed_scores(y) -> array | None:
-    """Every neuron's score of exact ``y`` (ints, Fractions) as one packed integer product.
-
-    ``y`` is scaled by the lcm D of its denominators and shifted by its
-    minimum, so neuron k's field holds D * s_k - D * min(y) * n(n+1)/2 for
-    its score s_k: one affine map for every neuron, since each gives the
-    weights 1..n, which keeps the argmax and its ties.  None if the
-    largest score does not fit a field.
-    """
-    d = math.lcm(*(v.denominator for v in y))
-    ints = [v.numerator * (d // v.denominator) for v in y]
+def _scaled_ints(y) -> list[int]:
+    """Exact ``y`` (ints, Fractions, floats) times its denominators' lcm, minus its minimum."""
+    ratios = [v.as_integer_ratio() for v in y]
+    d = math.lcm(*[q for _, q in ratios])
+    ints = [p * (d // q) for p, q in ratios]
     low = min(ints)
-    ints = [v - low for v in ints]
+    return [v - low for v in ints]
+
+
+def _packed_scores(y) -> array | None:
+    """Every neuron's score of exact ``y`` as one packed integer product of ``_scaled_ints(y)``.
+
+    With D the lcm of y's denominators, neuron k's field holds
+    D * s_k - D * min(y) * n(n+1)/2 for its score s_k: one affine map for
+    every neuron, since each gives the weights 1..n, which keeps the argmax
+    and its ties.  None if the largest score does not fit a field.
+    """
+    ints = _scaled_ints(y)
     n = len(ints)
     # The largest score weights the greatest value n (rearrangement inequality).
     top = sum(map(mul, sorted(ints, reverse=True), range(n, 0, -1)))
@@ -297,10 +280,15 @@ def _packed_scores(y) -> array | None:
 
 
 def _order_scores(y) -> Ordering:
-    """Argmax neuron of exact ``y``, first (lexicographically smallest) on ties."""
+    """Argmax neuron of exact ``y``, first (lexicographically smallest) on ties.
+
+    The neuron is unranked, so only scores past the packed fields, as a
+    tuned rule's always are, build ``permutation_weights(n)`` (4.5 MB at
+    n = 8): they are ``layer2_scores`` of the same ints.
+    """
     scores = _packed_scores(y)
     if scores is None:
-        scores = layer2_scores(y)
+        scores = layer2_scores(_scaled_ints(y))
     return Ordering(_unrank(len(y), scores.index(max(scores))))
 
 
@@ -310,12 +298,47 @@ def order_by_scores(y) -> Ordering:
 
 
 def lex_order(rows) -> Ordering:
-    """Sort variables by feature row, lexicographically descending.
-
-    Rows are tuples, so the score sort compares them lexicographically and
-    breaks full ties by ascending variable index, as the network does.
-    """
+    """Descending sort of tuple rows, compared lexicographically; full ties by ascending index."""
     return order_by_scores(rows)
+
+
+@dataclass
+class Rule:
+    """A variable-ordering heuristic: a feature triplet, lexicographic while ``weights`` is None."""
+
+    triplet: tuple[FeatureDescriptor, FeatureDescriptor, FeatureDescriptor]
+    weights: list[float] | None = None
+    feature_scale: tuple[float, float, float] = (1.0, 1.0, 1.0)
+
+    def __post_init__(self):
+        if len(self.triplet) != 3:
+            raise ValueError("three feature descriptors required")
+        if (self.weights is not None and len(self.weights) != 3) or len(self.feature_scale) != 3:
+            raise ValueError("three weights and three scale divisors required")
+        # Written so that NaN fails the comparison.
+        if not all(0 < s < math.inf for s in self.feature_scale):
+            raise ValueError(f"feature scales must be finite and positive, got {self.feature_scale}")
+
+    @classmethod
+    def brown_init(cls, triplet, base_weight: float = INIT_WEIGHT) -> Rule:
+        """The radix layer (w^2, w, 1) as tuned weights: training's starting point."""
+        return cls(tuple(triplet), list(map(float, radix_weights(float(base_weight)))))
+
+    def scaled_rows(self, rows) -> list[tuple[float, float, float]]:
+        s = self.feature_scale
+        return [tuple(float(x) / s[i] for i, x in enumerate(row)) for row in rows]
+
+    def scores(self, rows) -> list:
+        """Layer 1's y: radix scores at the minimal base weight, or the tuned weighted sum."""
+        if self.weights is None:
+            return layer1_scores(radix_weights(base_weight(rows)), rows)
+        return layer1_scores(self.weights, self.scaled_rows(rows))
+
+    def order(self, rows) -> Ordering:
+        """The descending sort of the rows (``lex_order``), or of y once tuned."""
+        return order_by_scores(rows if self.weights is None else self.scores(rows))
+
+    hard_order = order
 
 
 @dataclass
@@ -332,29 +355,40 @@ class EquivalenceReport:
         return asdict(self)
 
 
-def check_equivalence(dataset, triplet=None, force_w: int | None = None, jobs: int = 1) -> EquivalenceReport:
-    """Compare the two ordering paths on every problem, in dataset order.
+def check_equivalence(dataset, rule=None, force_w: int | None = None, jobs: int = 1) -> EquivalenceReport:
+    """Prove per problem, in dataset order, that the n! layer's argmax on y is the rule's order.
 
-    Per problem the base weight is re-selected minimally (unless forced),
-    so the result is expected to have zero mismatches.  The check runs on
-    one thread; threads only slowed this pure-Python loop.  ``jobs`` is
-    accepted and ignored, for callers that still pass it.
+    A bare triplet is read as its lexicographic rule (None: Brown's), whose
+    y is the radix score at each problem's minimal base weight or at
+    ``force_w``, checked against the weight condition; a tuned rule's y
+    must be finite.  Expect zero mismatches.  ``jobs`` is ignored: threads
+    only slowed this loop.
     """
-    triplet = tuple(triplet) if triplet is not None else brown_features()
+    if not isinstance(rule, Rule):
+        rule = Rule(brown_features() if rule is None else tuple(rule))
+    if rule.weights is not None and force_w is not None:
+        raise ValueError("a base weight applies to a lexicographic rule only")
     dataset = list(dataset)
     violations, mismatches = [], []
+    triplet, tuned, w = rule.triplet, rule.weights is not None, None
     for pr in dataset:
         rows = feature_matrix(triplet, pr)
-        w = force_w if force_w is not None else base_weight(rows)
-        try:
-            y = radix_scores(rows, w, pr.id)
-        except BaseWeightError as e:
-            violations.append({"problem_id": pr.id, "w": w, "error": str(e)})
-            continue
+        if tuned:
+            y = rule.scores(rows)
+            if not all(map(math.isfinite, y)):
+                violations.append({"problem_id": pr.id, "w": w, "error": f"y {y} is not finite"})
+                continue
+        else:
+            w = force_w if force_w is not None else base_weight(rows)
+            try:
+                y = radix_scores(rows, w, pr.id)
+            except BaseWeightError as e:
+                violations.append({"problem_id": pr.id, "w": w, "error": str(e)})
+                continue
         nn = _order_scores(y) if pr.n_vars <= MAX_EXPLICIT_LAYER else order_by_scores(y)
-        lex = lex_order(rows)
-        if nn != lex:
+        order = rule.order(rows)
+        if nn != order:
             mismatches.append(
-                {"problem_id": pr.id, "lex": lex.names(pr), "nn": nn.names(pr), "w": w}
+                {"problem_id": pr.id, "lex": order.names(pr), "nn": nn.names(pr), "w": w}
             )
     return EquivalenceReport(len(dataset), mismatches, violations)

@@ -18,6 +18,9 @@ batch order, so the results equal a per-sample loop bit for bit.
 Feature scaling: inputs can be divided by per-feature training-set maxima
 so the three gradient components have comparable size.  Disable it
 (``normalize=False``) to train on raw feature values.
+
+A checkpoint holds a tuned ``heuristics.Rule``: the best weights, the
+scale and the triplet.  ``load_rule`` reads it, a triplet file or a name.
 """
 
 from __future__ import annotations
@@ -36,23 +39,20 @@ from pathlib import Path
 from .atomic import write_json
 from .costmodel import CostOracle, PriceStore
 from .features import (
-    FeatureDescriptor,
+    brown_features,
     descriptor_record,
     descriptors_from_records,
     feature_matrix,
+    selected_triplet,
 )
 from .heuristics import (
-    Ordering,
+    Rule,
     layer1_columns,
     layer1_scores,
     layer2_backward,
     layer2_columns,
     order_by_scores,
-    radix_weights,
 )
-
-# Default base weight of ``TrainableNetwork.brown_init``'s radix starting point.
-INIT_WEIGHT = 30.0
 
 # Samples per column in ``_loss_and_gradient``.  It bounds the memory that
 # a large batch (the whole training set, for the epoch-0 loss) holds at
@@ -60,35 +60,8 @@ INIT_WEIGHT = 30.0
 _CHUNK = 64
 
 
-@dataclass
-class TrainableNetwork:
-    """Three trainable weights over a fixed feature triplet."""
-
-    triplet: tuple[FeatureDescriptor, FeatureDescriptor, FeatureDescriptor]
-    weights: list[float]
-    feature_scale: tuple[float, float, float] = (1.0, 1.0, 1.0)
-
-    def __post_init__(self):
-        if len(self.triplet) != 3:
-            raise ValueError("three feature descriptors required")
-        if len(self.weights) != 3 or len(self.feature_scale) != 3:
-            raise ValueError("three weights and three scale divisors required")
-        # Written so that NaN fails the comparison.
-        if not all(0 < s < math.inf for s in self.feature_scale):
-            raise ValueError(f"feature scales must be finite and positive, got {self.feature_scale}")
-
-    @classmethod
-    def brown_init(cls, triplet, base_weight: float = INIT_WEIGHT):
-        """Radix-style starting point (w^2, w, 1), the frozen network's layer 1."""
-        return cls(tuple(triplet), list(map(float, radix_weights(float(base_weight)))))
-
-    def scaled_rows(self, rows) -> list[tuple[float, float, float]]:
-        s = self.feature_scale
-        return [tuple(float(x) / s[i] for i, x in enumerate(row)) for row in rows]
-
-    def hard_order(self, rows) -> Ordering:
-        """Argmax ordering: descending y with ascending-index tie-break."""
-        return order_by_scores(layer1_scores(self.weights, self.scaled_rows(rows)))
+# The benchmark harness still builds networks under this name.
+TrainableNetwork = Rule
 
 
 def _columns(rows) -> list:
@@ -278,7 +251,7 @@ class DivergenceError(RuntimeError):
 
 
 def train(
-    net: TrainableNetwork,
+    net: Rule,
     train_set,
     val_set,
     oracle: CostOracle,
@@ -297,7 +270,7 @@ def train(
 
     train_matrices = [feature_matrix(net.triplet, pr) for pr in train_set]
     scale = fit_feature_scale(train_matrices) if cfg.normalize else (1.0, 1.0, 1.0)
-    work = TrainableNetwork(net.triplet, list(net.weights), scale)
+    work = Rule(net.triplet, list(net.weights), scale)
 
     # Each problem is priced and its rows scaled once; training's prices go with their store.
     targets = list(map(_argmin, map(PriceStore(oracle, train_set).row, range(len(train_set)))))
@@ -359,12 +332,26 @@ def save_checkpoint(path: str | Path, report: TrainReport, triplet) -> None:
     write_json(path, payload)
 
 
-def load_checkpoint(path: str | Path) -> TrainableNetwork:
-    """The network a checkpoint holds; a ValueError names the file and what is wrong."""
+# The built-in heuristics; any other spec names a triplet file or a checkpoint.
+NAMED_RULES = {"brown": brown_features, "nn": brown_features, "selected": selected_triplet}
+
+
+def load_rule(spec: str | Path) -> Rule:
+    """The heuristic a spec names: a built-in name, a triplet file or a checkpoint.
+
+    A JSON list of three descriptor records is a lexicographic rule; an
+    object is the tuned rule ``save_checkpoint`` wrote.  A ValueError names
+    the file and what is wrong.
+    """
+    if spec in NAMED_RULES:
+        return Rule(NAMED_RULES[spec]())
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(spec).read_text())
         if not isinstance(payload, dict):
-            raise ValueError("expected a checkpoint object")
+            triplet = descriptors_from_records(payload)
+            if len(triplet) != 3:
+                raise ValueError(f"triplet file must hold exactly 3 descriptors, got {len(triplet)}")
+            return Rule(tuple(triplet))
         for key in ("triplet", "weights", "feature_scale"):
             if key not in payload:
                 raise ValueError(f"checkpoint has no {key!r}")
@@ -377,6 +364,7 @@ def load_checkpoint(path: str | Path) -> TrainableNetwork:
             ):
                 raise ValueError(f"{key!r} must be a list of finite numbers")
         triplet = tuple(descriptors_from_records(payload["triplet"]))
-        return TrainableNetwork(triplet, list(payload["weights"]), tuple(payload["feature_scale"]))
+        return Rule(triplet, list(payload["weights"]), tuple(payload["feature_scale"]))
     except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+        raise ValueError(f"{spec}: {e}") from None
+

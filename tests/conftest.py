@@ -46,3 +46,19 @@ def problem_instances(draw, min_vars=1, max_vars=4, max_polys=3, max_monomials=5
         )
         polys.append(Polynomial.from_terms((c, d) for d, c in terms.items()))
     return ProblemInstance(tuple(f"x{i}" for i in range(n)), tuple(polys))
+
+
+def relabel(pr, perm):
+    """``pr`` with its variables renamed: variable i becomes the old variable ``perm[i]``.
+
+    Each name keeps its degrees, so the problem is the same one under
+    another variable order; monomials are re-canonicalized.
+    """
+    return ProblemInstance(
+        tuple(pr.var_names[j] for j in perm),
+        tuple(
+            Polynomial.from_terms((m.coeff, tuple(m.degrees[j] for j in perm)) for m in p.monomials)
+            for p in pr.polynomials
+        ),
+        pr.id,
+    )

@@ -27,6 +27,7 @@ from cadorder.features import (
 )
 from cadorder.heuristics import (
     BaseWeightError,
+    Rule,
     base_weight,
     check_equivalence,
     layer2_scores,
@@ -37,7 +38,6 @@ from cadorder.heuristics import (
 from cadorder.polyset import parse_problem
 from cadorder.search import enumerate_triplets, search_triplets
 from cadorder.training import (
-    TrainableNetwork,
     TrainConfig,
     _loss_and_gradient,
     fit_feature_scale,
@@ -200,7 +200,7 @@ def test_c08_gradient_matches_central_differences():
 
         for _ in range(120):
             weights = [rng.uniform(-4, 4) for _ in range(3)]
-            net = TrainableNetwork(triplet, weights, scale)
+            net = Rule(triplet, weights, scale)
             batch = [
                 (
                     net.scaled_rows(matrices[rng.randrange(len(matrices))]),
@@ -239,7 +239,7 @@ def test_c09_training_improves_and_learns():
         train_set = random_dataset(GenConfig(seed=1), 2_000)
         val_set = random_dataset(GenConfig(seed=2), 500)
         report = train(
-            TrainableNetwork.brown_init(triplet), train_set, val_set, oracle, TrainConfig()
+            Rule.brown_init(triplet), train_set, val_set, oracle, TrainConfig()
         )
         assert report.best_val_cost <= report.epoch0_val_cost
 
@@ -247,7 +247,7 @@ def test_c09_training_improves_and_learns():
         # alone; start from weights that rank by the third instead.
         sane_train = random_dataset(GenConfig(seed=5), 600)
         sane_val = random_dataset(GenConfig(seed=6), 200)
-        wrong_init = TrainableNetwork(triplet, [0.0, 0.0, 1.0])
+        wrong_init = Rule(triplet, [0.0, 0.0, 1.0])
         sanity = train(
             wrong_init,
             sane_train,

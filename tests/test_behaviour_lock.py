@@ -25,7 +25,8 @@ from cadorder.features import (
     selected_triplet,
 )
 from cadorder.search import search_triplets
-from cadorder.training import TrainableNetwork, TrainConfig, train
+from cadorder.heuristics import Rule
+from cadorder.training import TrainConfig, train
 
 PINNED = {
     "features.json": "2caa444e4648688022dc64a88720da829890577a8466d4d32b813f4aea632a90",
@@ -50,7 +51,7 @@ def run_small_pipeline(out) -> dict[str, str]:
     report.save_csv(out / "search.csv")
     winner = tuple(pool.descriptors[i] for i in report.ranked[0]["features"])
     result = train(
-        TrainableNetwork.brown_init(winner, base_weight=2.0),
+        Rule.brown_init(winner, base_weight=2.0),
         random_dataset(GenConfig(seed=11), 60),
         random_dataset(GenConfig(seed=12), 20),
         oracle,
@@ -66,7 +67,7 @@ def test_small_pipeline_reports_are_pinned(tmp_path):
 
 def test_n4_train_report_is_pinned(tmp_path):
     result = train(
-        TrainableNetwork.brown_init(selected_triplet(), base_weight=2.0),
+        Rule.brown_init(selected_triplet(), base_weight=2.0),
         random_dataset(GenConfig(n_vars=4, seed=13), 40),
         random_dataset(GenConfig(n_vars=4, seed=14), 12),
         SyntheticCostModel(),

@@ -10,7 +10,9 @@ import pytest
 
 from conftest import PROBLEM_A_TEXT, PROBLEM_B_TEXT
 from cadorder.cli import main
-from cadorder.datagen import GenConfig
+from cadorder.datagen import GenConfig, parse_file
+from cadorder.features import feature_matrix
+from cadorder.training import load_rule
 
 
 def run(capsys, *argv):
@@ -111,11 +113,20 @@ def test_order_reverse_and_explain(problem_file, capsys):
         capsys, "order", "--heuristic", "brown", "--problem", str(problem_file), "--reverse"
     )
     assert code == 0 and stdout.strip() == "y>z>x"
-    code, stdout, _ = run(
-        capsys, "order", "--heuristic", "nn", "--problem", str(problem_file), "--explain"
-    )
-    assert code == 0
-    assert "features" in stdout and "y =" in stdout
+    # Every rule explains itself with its feature rows and its layer-1 y.
+    for heuristic in ("nn", "brown", "selected"):
+        code, stdout, _ = run(
+            capsys, "order", "--heuristic", heuristic, "--problem", str(problem_file), "--explain"
+        )
+        assert code == 0
+        lines = stdout.splitlines()
+        assert [line.split(":")[0] for line in lines[:6]] == ["x", "y", "z"] * 2
+        assert all("features = " in line for line in lines[:3])
+        assert all(": y = " in line for line in lines[3:6])
+        assert lines[6:] == ["x>z>y"]
+    # Brown's y is the radix score at the minimal base weight, 5: x has row (2, 3, 2).
+    stdout = run(capsys, "order", "--problem", str(problem_file), "--explain")[1]
+    assert "x: y = 67\ny: y = 41\nz: y = 67\n" in stdout
 
 
 def test_order_missing_file_is_data_error(capsys):
@@ -140,6 +151,66 @@ def test_order_triplet_file(tmp_path, problem_file, capsys):
         capsys, "order", "--heuristic", str(triplet_path), "--problem", str(problem_file)
     )
     assert code == 0 and stdout.strip() == "x>z>y"
+
+
+@pytest.fixture
+def checkpoint(tmp_path, capsys):
+    """A trained network's checkpoint, with the validation set it was picked on."""
+    train_dir, val_dir = tmp_path / "train", tmp_path / "val"
+    main(["gen", "--seed", "0", "--count", "30", "--out", str(train_dir)])
+    main(["gen", "--seed", "1", "--count", "10", "--out", str(val_dir)])
+    assert run(capsys, "train", "--train", str(train_dir), "--val", str(val_dir), "--epochs", "2",
+               "--lr", "0.05", "--out", str(tmp_path / "run"))[0] == 0
+    return tmp_path / "run.ckpt.json", val_dir
+
+
+def test_order_and_check_read_a_checkpoint(checkpoint, capsys):
+    path, val_dir = checkpoint
+    rule = load_rule(path)
+    assert rule.weights is not None
+    for problem in sorted(val_dir.glob("*.poly")):
+        code, stdout, _ = run(capsys, "order", "--heuristic", str(path), "--problem", str(problem))
+        pr = parse_file(problem, problem.read_bytes(), problem.stem)
+        assert code == 0 and stdout == rule.order(feature_matrix(rule.triplet, pr)).names(pr) + "\n"
+    code, stdout, _ = run(capsys, "check", "--data", str(val_dir), "--triplet", str(path))
+    assert code == 0 and "10 problems, 0 mismatches, 0 weight violations" in stdout
+
+
+def test_a_checkpoint_cannot_start_training_or_take_a_base_weight(checkpoint, tmp_path, capsys):
+    path, val_dir = checkpoint
+    code, stdout, stderr = run(capsys, "train", "--train", str(val_dir), "--val", str(val_dir),
+                               "--triplet", str(path), "--out", str(tmp_path / "again"))
+    assert code == 1 and stdout == ""
+    assert stderr == (f"usage error: --triplet {path}: training starts from a triplet, "
+                      "not a network\n")
+    assert not list(tmp_path.glob("again*"))
+    code, stdout, stderr = run(capsys, "check", "--data", str(val_dir), "--triplet", str(path),
+                               "--force-w", "5")
+    assert code == 1 and stdout == ""
+    assert stderr == f"usage error: --force-w applies to a lexicographic rule, not to {path}\n"
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        pytest.param('{"weights": [1, 2, 3], "feature_scale": [1, 1, 1]}',
+                     "checkpoint has no 'triplet'", id="no-triplet"),
+        pytest.param('{"weights": [1, NaN, 3], "feature_scale": [1, 1, 1], "triplet": []}',
+                     "'weights' must be a list of finite numbers", id="nan-weight"),
+        pytest.param('{"weights": [1, 2, 3], "feature_scale": [1, 1, 1], "triplet": []}',
+                     "three feature descriptors required", id="empty-triplet"),
+        pytest.param('{"weights": [1, 2, 3], "trip', "Unterminated string", id="truncated"),
+        pytest.param('7', "expected a list of descriptor records", id="a-number"),
+    ],
+)
+def test_malformed_checkpoint_given_to_order_is_data_error(tmp_path, problem_file, capsys,
+                                                           text, fragment):
+    path = tmp_path / "run.ckpt.json"
+    path.write_text(text)
+    code, stdout, stderr = run(capsys, "order", "--heuristic", str(path), "--problem",
+                               str(problem_file))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith(f"error: {path}: ") and fragment in stderr
 
 
 def test_features_command(tmp_path, capsys):
@@ -262,6 +333,18 @@ def test_search_pool_with_a_repeated_descriptor_is_data_error(tmp_path, dataset_
     assert code == 2 and stdout == ""
     assert f"{dup}: descriptor 'max_mp d_v' is listed twice" in stderr
     assert not list(tmp_path.glob("r.*"))
+
+
+def test_search_pool_with_two_spellings_of_one_class_is_data_error(tmp_path, dataset_dir, capsys):
+    pool = tmp_path / "pool.json"
+    records = [{"kernel": "DEGREE", "pipeline": stages} for stages in
+               (["max_mp", "id", "id", "id"], ["max_m", "max_p", "id", "id"])]
+    pool.write_text(json.dumps(records))
+    code, stdout, stderr = run(capsys, "search", "--pool", str(pool), "--data", str(dataset_dir),
+                               "--out", str(tmp_path / "r"))
+    assert code == 2 and stdout == ""
+    assert stderr == (f"error: {pool}: records 0 and 1, 'max_mp d_v' and 'max_p max_m d_v', "
+                      "are one feature class\n")
 
 
 @pytest.mark.parametrize(
@@ -665,16 +748,27 @@ def test_train_lr_zero_flat(tmp_path, capsys):
 
 
 def test_bad_oracle_spec_is_data_error(dataset_dir, pool_file, tmp_path, capsys):
-    code, _, stderr = run(
-        capsys,
-        "search",
-        "--pool", str(pool_file),
-        "--data", str(dataset_dir),
-        "--oracle", "mystery",
-        "--out", str(tmp_path / "r"),
-    )
-    assert code == 2
-    assert "unknown oracle" in stderr
+    cases = {
+        "mystery": "--oracle 'mystery': unknown oracle",
+        # Split when the oracle is built, before any call: the error names the flag
+        # and the template.
+        "cmd:true 'x {problem_file} {ordering}":
+            "--oracle \"cmd:true 'x {problem_file} {ordering}\": command template does not "
+            "split into arguments: No closing quotation",
+    }
+    for spec, message in cases.items():
+        code, stdout, stderr = run(
+            capsys,
+            "search",
+            "--pool", str(pool_file),
+            "--data", str(dataset_dir),
+            "--oracle", spec,
+            "--timeout", "1",
+            "--out", str(tmp_path / "r"),
+        )
+        assert code == 2 and stdout == ""
+        assert stderr == f"error: {message}\n"
+        assert not list(tmp_path.glob("r.*"))
 
 
 _SOLVER = "cmd:true {problem_file} {ordering}"
@@ -772,6 +866,28 @@ def test_pipeline_script_counts_below_one_are_rejected(tmp_path, flag, value, me
     assert f"{flag}: {message}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_script_writes_its_tuned_network(tmp_path, capsys):
+    root = Path(__file__).parents[1]
+    out = tmp_path / "out"
+    subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_pipeline.py"), "--search-count", "10",
+         "--train-count", "30", "--val-count", "10", "--epochs", "2", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        check=True,
+    )
+    report = json.loads((out / "train.json").read_text())
+    rule = load_rule(out / "train.ckpt.json")
+    assert rule.weights == report["final_weights"]
+    assert list(rule.feature_scale) == report["feature_scale"]
+    problem = tmp_path / "q.poly"
+    problem.write_text(PROBLEM_B_TEXT + "\n")
+    code, stdout, _ = run(capsys, "order", "--heuristic", str(out / "train.ckpt.json"),
+                          "--problem", str(problem))
+    pr = parse_file(problem, problem.read_bytes(), problem.stem)
+    assert code == 0 and stdout == rule.order(feature_matrix(rule.triplet, pr)).names(pr) + "\n"
 
 
 def test_pipeline_script_divergence_is_one_error_line(tmp_path):

@@ -564,6 +564,34 @@ def test_feature_set_json_round_trip(tmp_path):
     assert loaded.descriptors == fs.descriptors
 
 
+def test_reloaded_pool_keeps_its_classes(tmp_path):
+    fs = dedup_features(enumerate_descriptors())
+    path = tmp_path / "features.json"
+    fs.save(path)
+    assert load_feature_set(path).to_json() == fs.to_json()
+    # A pool of some representatives: each class's members come from the grammar.
+    FeatureSet.from_descriptors(fs.descriptors[3:6]).save(path)
+    loaded = load_feature_set(path)
+    assert loaded.descriptors == fs.descriptors[3:6]
+    assert loaded.provenance == {fd: fs.provenance[fd] for fd in fs.descriptors[3:6]}
+    # A member that is not its class's representative loads with the same class.
+    member = _fd(Kernel.DEGREE, Agg.MAX_M, Agg.MAX_P)
+    rep = brown_features()[0]
+    assert member != rep and member.value_key == rep.value_key
+    path.write_text(json.dumps([descriptor_record(member)]))
+    assert load_feature_set(path).provenance == {member: fs.provenance[rep]}
+
+
+def test_pool_with_two_spellings_of_one_class_is_rejected(tmp_path):
+    path = tmp_path / "pool.json"
+    spellings = [brown_features()[0], selected_triplet()[0],
+                 _fd(Kernel.DEGREE, Agg.MAX_M, Agg.MAX_P)]
+    path.write_text(json.dumps([descriptor_record(fd) for fd in spellings]))
+    message = "records 0 and 2, 'max_mp d_v' and 'max_p max_m d_v', are one feature class"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+        load_feature_set(path)
+
+
 def test_feature_set_rejects_a_repeated_descriptor(tmp_path):
     brown = brown_features()
     with pytest.raises(ValueError, match="descriptor 'max_mp d_v' is listed twice"):

@@ -2,6 +2,7 @@ import functools
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -16,6 +17,7 @@ from cadorder.heuristics import (
     MAX_EXPLICIT_LAYER,
     BaseWeightError,
     Ordering,
+    Rule,
     base_weight,
     check_equivalence,
     layer1_columns,
@@ -200,7 +202,8 @@ def _expected_packed(y):
     same values, since ``layer2_scores`` on Fractions is slow at n = 8.
     """
     n = len(y)
-    d = math.lcm(*(Fraction(v).denominator for v in y))
+    y = list(map(Fraction, y))
+    d = math.lcm(*(v.denominator for v in y))
     offset = d * min(y) * n * (n + 1) // 2
     return [s - offset for s in layer2_scores([int(d * v) for v in y])]
 
@@ -219,6 +222,24 @@ def test_packed_scores_are_layer2_scores_scaled_and_shifted(y, i, j):
     y[i % len(y)] = y[j % len(y)]  # force a tie whenever i and j differ mod n
     scores = _packed_scores(y)
     assert list(scores) == _expected_packed(y)
+    assert _order_scores(y) == order_by_scores(y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(_LAYER2_VALUES["float"], min_size=n, max_size=n)
+    ),
+    st.integers(0, 5),
+    st.integers(0, 5),
+)
+@example([-0.0, 0.0, 5e-324], 0, 0)
+@example([0.1, 0.2, 0.30000000000000004, 0.3], 0, 0)
+def test_float_y_is_taken_exactly(y, i, j):
+    y[i % len(y)] = y[j % len(y)]  # force a tie whenever i and j differ mod n
+    scores = _packed_scores(y)
+    if scores is not None:
+        assert list(scores) == _expected_packed(y)
     assert _order_scores(y) == order_by_scores(y)
 
 
@@ -357,6 +378,81 @@ def test_check_does_not_build_permutation_weights():
         assert check_equivalence(problems, triplet).ok
     # Exact scores below 2**32 take the packed product, never the neuron table.
     assert permutation_weights.cache_info().currsize == 0
+
+
+# A tuned rule: the pipeline's weights on the selected triplet, feature 1 scaled.
+_TUNED = Rule(selected_triplet(), [0.6823740330529985, -1.2035398602233545, -1.341488708574056],
+              (4.0, 1.0, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem_instances(min_vars=1, max_vars=4),
+       st.lists(st.floats(-4, 4, allow_nan=False), min_size=3, max_size=3))
+def test_rule_orders_by_its_scores(pr, weights):
+    for triplet in (brown_features(), selected_triplet()):
+        rows = feature_matrix(triplet, pr)
+        lexicographic = Rule(triplet)
+        assert lexicographic.order(rows) == lex_order(rows)
+        assert lexicographic.scores(rows) == radix_scores(rows, base_weight(rows), pr.id)
+        tuned = Rule(triplet, weights, (2.0, 1.0, 3.0))
+        scaled = [tuple(float(x) / s for x, s in zip(row, (2.0, 1.0, 3.0))) for row in rows]
+        assert tuned.scores(rows) == layer1_scores(weights, scaled)
+        assert tuned.order(rows) == order_by_scores(tuned.scores(rows))
+        assert tuned.hard_order(rows) == tuned.order(rows)
+
+
+@pytest.mark.parametrize(
+    "weights, scale, message",
+    [
+        ([1.0, 2.0], (1.0, 1.0, 1.0), "three weights and three scale divisors"),
+        (None, (1.0, 1.0), "three weights and three scale divisors"),
+        ([1.0, 2.0, 3.0], (1.0, 0.0, 1.0), "feature scales must be finite and positive"),
+    ],
+)
+def test_rule_rejects_bad_weights_or_scales(weights, scale, message):
+    with pytest.raises(ValueError, match=message):
+        Rule(selected_triplet(), weights, scale)
+    with pytest.raises(ValueError, match="three feature descriptors required"):
+        Rule(selected_triplet()[:2])
+
+
+def test_check_reads_a_bare_triplet_as_its_lexicographic_rule():
+    problems = random_dataset(GenConfig(seed=7), 30)
+    for triplet in (brown_features(), selected_triplet()):
+        for force_w in (None, 3):
+            bare = check_equivalence(problems, triplet, force_w=force_w)
+            assert bare == check_equivalence(problems, Rule(triplet), force_w=force_w)
+    assert check_equivalence(problems) == check_equivalence(problems, Rule(brown_features()))
+    with pytest.raises(ValueError, match="lexicographic rule only"):
+        check_equivalence(problems, _TUNED, force_w=5)
+
+
+@pytest.mark.parametrize("n, count", [(3, 200), (8, 6)])
+def test_check_proves_a_tuned_rule(n, count):
+    problems = random_dataset(GenConfig(n_vars=n, seed=n), count)
+    started = time.perf_counter()
+    report = check_equivalence(problems, _TUNED)
+    per_problem = (time.perf_counter() - started) / count
+    assert report.ok and report.total == count
+    # Float y scales past the packed fields; at n = 8 the fallback scores ints, not Fractions.
+    assert per_problem < 0.2, f"{per_problem:.3f} s per problem"
+
+
+def test_check_reports_a_tuned_y_that_is_not_finite(problem_a, problem_b):
+    # Finite weights can still overflow y: inf, or nan where infinities of both signs meet.
+    for weights in ([1e308, 1e308, 1.0], [1e308, -1e308, 0.0]):
+        report = check_equivalence([problem_a, problem_b], Rule(brown_features(), weights))
+        assert report.mismatches == []
+        assert [v["problem_id"] for v in report.violations] == ["a", "b"]
+        assert all("is not finite" in v["error"] and v["w"] is None for v in report.violations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem_instances(min_vars=1, max_vars=5),
+       st.lists(st.floats(-4, 4, allow_nan=False), min_size=3, max_size=3),
+       st.tuples(*[st.floats(0.25, 8)] * 3))
+def test_check_proves_any_tuned_rule(pr, weights, scale):
+    assert check_equivalence([pr], Rule(selected_triplet(), weights, scale)).ok
 
 
 def _nn_order(triplet, pr, w=None):

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from cadorder.costmodel import PriceStore, SyntheticCostModel
 from cadorder.datagen import GenConfig, random_dataset, random_problem
-from cadorder.features import brown_features, feature_matrix, selected_triplet
+from cadorder.features import brown_features, descriptor_record, feature_matrix, selected_triplet
 from cadorder.heuristics import (
+    Rule,
     base_weight,
     layer2_scores,
     order_by_scores,
@@ -31,7 +32,7 @@ from cadorder.training import (
     _loss_and_gradient,
     _probabilities,
     fit_feature_scale,
-    load_checkpoint,
+    load_rule,
     save_checkpoint,
     train,
 )
@@ -45,7 +46,7 @@ def _neuron(perm) -> int:
 
 
 def _net(weights, scale=(1.0, 1.0, 1.0)):
-    return TrainableNetwork(TRIPLET, list(weights), scale)
+    return Rule(TRIPLET, list(weights), scale)
 
 
 def test_zero_weights_give_uniform_distribution(problem_a):
@@ -83,7 +84,7 @@ def test_argmax_matches_frozen_network_path():
         rows = feature_matrix(triplet, pr)
         w = base_weight(rows)
         frozen = order_by_scores(radix_scores(rows, w, pr.id))
-        soft = TrainableNetwork.brown_init(triplet, base_weight=w)
+        soft = Rule.brown_init(triplet, base_weight=w)
         columns = _columns([soft.scaled_rows(rows)])
         probs = [p for (p,) in _probabilities(soft.weights, columns, 1.0)]
         assert perms[max(range(6), key=probs.__getitem__)] == frozen.perm
@@ -91,7 +92,7 @@ def test_argmax_matches_frozen_network_path():
 
 @pytest.mark.parametrize("w", [2, 5, 30])
 def test_brown_init_is_the_frozen_radix_layer(w):
-    net = TrainableNetwork.brown_init(brown_features(), base_weight=w)
+    net = Rule.brown_init(brown_features(), base_weight=w)
     assert net.weights == list(map(float, radix_weights(w)))
     assert all(type(x) is float for x in net.weights)
     if w == 2:
@@ -100,7 +101,7 @@ def test_brown_init_is_the_frozen_radix_layer(w):
 
 def test_brown_frozen_weights_prefer_lexicographic_ordering(problem_b):
     fm = feature_matrix(brown_features(), problem_b)
-    net = TrainableNetwork.brown_init(brown_features())
+    net = Rule.brown_init(brown_features())
     probs = [p for (p,) in _probabilities(net.weights, _columns([net.scaled_rows(fm)]), 1.0)]
     assert max(range(6), key=probs.__getitem__) == 0  # neuron of (x, y, z)
 
@@ -116,7 +117,7 @@ def test_loss_uniform_is_log_six(problem_a, problem_b):
 
 def test_loss_below_uniform_for_correct_target(problem_b):
     fm = feature_matrix(brown_features(), problem_b)
-    net = TrainableNetwork.brown_init(brown_features())
+    net = Rule.brown_init(brown_features())
     batch = [(net.scaled_rows(fm), _neuron((0, 1, 2)))]
     assert _loss_and_gradient(net.weights, batch, 1.0)[0] < math.log(6)
 
@@ -124,7 +125,7 @@ def test_loss_below_uniform_for_correct_target(problem_b):
 def test_loss_near_zero_when_confident(problem_b):
     fm = feature_matrix(TRIPLET, problem_b)
     strong = _net([500.0, 0.0, 0.0])
-    target = strong.hard_order(fm)
+    target = strong.order(fm)
     batch = [(strong.scaled_rows(fm), _neuron(target.perm))]
     assert _loss_and_gradient(strong.weights, batch, 1.0)[0] == pytest.approx(0.0, abs=1e-6)
 
@@ -159,7 +160,7 @@ def test_gradient_matches_finite_differences():
     matrices = [feature_matrix(TRIPLET, pr) for pr in problems]
     scale = fit_feature_scale(matrices)
     for _ in range(30):
-        net = TrainableNetwork(TRIPLET, [rng.uniform(-3, 3) for _ in range(3)], scale)
+        net = Rule(TRIPLET, [rng.uniform(-3, 3) for _ in range(3)], scale)
         batch = [
             (
                 net.scaled_rows(matrices[rng.randrange(len(matrices))]),
@@ -176,7 +177,7 @@ def test_gradient_matches_finite_differences():
 def test_gradient_norm_shrinks_as_confidence_grows(problem_b):
     fm = feature_matrix(TRIPLET, problem_b)
     net = _net([1.0, 0.0, 0.0])
-    batch = [(net.scaled_rows(fm), _neuron(net.hard_order(fm).perm))]
+    batch = [(net.scaled_rows(fm), _neuron(net.order(fm).perm))]
     norms = []
     for factor in (1.0, 2.0, 4.0, 8.0):
         g = _loss_and_gradient([factor, 0.0, 0.0], batch, 1.0)[1]
@@ -271,7 +272,7 @@ def test_adam_single_step_hand_computed(problem_b):
     lr = 0.1
 
     cfg = TrainConfig()
-    net = TrainableNetwork(TRIPLET, list(init), (1.0, 1.0, 1.0))
+    net = Rule(TRIPLET, list(init), (1.0, 1.0, 1.0))
     g = _loss_and_gradient(net.weights, [(net.scaled_rows(fm), target)], 1.0)[1]
     expected = [w - lr * gi / (abs(gi) + cfg.epsilon) for w, gi in zip(init, g)]
 
@@ -311,7 +312,7 @@ def test_optimal_ordering_breaks_ties_lexicographically():
 def test_zero_learning_rate_is_flat():
     problems = random_dataset(GenConfig(seed=23), 30)
     cfg = TrainConfig(learning_rate=0.0, epochs=3, batch_size=8)
-    net = TrainableNetwork.brown_init(TRIPLET)
+    net = Rule.brown_init(TRIPLET)
     report = train(net, problems[:20], problems[20:], SyntheticCostModel(), cfg)
     assert all(e.weights == report.entries[0].weights for e in report.entries)
     assert all(e.val_cost == report.entries[0].val_cost for e in report.entries)
@@ -322,7 +323,7 @@ def test_train_deterministic():
     cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=8, seed=3)
     runs = []
     for _ in range(2):
-        net = TrainableNetwork.brown_init(TRIPLET)
+        net = Rule.brown_init(TRIPLET)
         report = train(net, problems[:30], problems[30:], SyntheticCostModel(), cfg)
         runs.append(json.dumps(report.to_json(), sort_keys=True))
     assert runs[0] == runs[1]
@@ -330,7 +331,7 @@ def test_train_deterministic():
 
 def test_train_does_not_mutate_input_network():
     problems = random_dataset(GenConfig(seed=31), 20)
-    net = TrainableNetwork.brown_init(TRIPLET)
+    net = Rule.brown_init(TRIPLET)
     before = list(net.weights)
     train(net, problems[:15], problems[15:], SyntheticCostModel(),
           TrainConfig(learning_rate=0.1, epochs=1, batch_size=4))
@@ -345,7 +346,7 @@ def test_feature_scale_fits_training_maxima():
         top = max(float(fm[v][i]) for fm in matrices for v in range(3))
         assert scale[i] == top
     report = train(
-        TrainableNetwork.brown_init(TRIPLET),
+        Rule.brown_init(TRIPLET),
         problems[:20],
         problems[20:],
         SyntheticCostModel(),
@@ -366,7 +367,7 @@ def test_validate_per_batch_records_every_step():
     problems = random_dataset(GenConfig(seed=43), 20)
     cfg = TrainConfig(learning_rate=0.01, epochs=2, batch_size=5, validate_per_batch=True)
     report = train(
-        TrainableNetwork.brown_init(TRIPLET),
+        Rule.brown_init(TRIPLET),
         problems[:15],
         problems[15:],
         SyntheticCostModel(),
@@ -398,7 +399,7 @@ def test_train_prices_each_problem_ordering_once(epochs, per_batch):
     oracle = _CountingOracle()
     cfg = TrainConfig(learning_rate=0.05, epochs=epochs, batch_size=5,
                       validate_per_batch=per_batch)
-    report = train(TrainableNetwork.brown_init(TRIPLET), problems[:20], problems[20:],
+    report = train(Rule.brown_init(TRIPLET), problems[:20], problems[20:],
                    oracle, cfg)
     assert len(report.entries) == 1 + epochs * (4 if per_batch else 1)
     assert oracle.calls == math.factorial(3) * (20 + 10)
@@ -407,7 +408,7 @@ def test_train_prices_each_problem_ordering_once(epochs, per_batch):
 def test_best_entry_minimizes_validation_cost():
     problems = random_dataset(GenConfig(seed=47), 40)
     report = train(
-        TrainableNetwork.brown_init(TRIPLET),
+        Rule.brown_init(TRIPLET),
         problems[:30],
         problems[30:],
         SyntheticCostModel(),
@@ -420,7 +421,7 @@ def test_best_entry_minimizes_validation_cost():
 def test_checkpoint_round_trip(tmp_path):
     problems = random_dataset(GenConfig(seed=53), 16)
     report = train(
-        TrainableNetwork.brown_init(TRIPLET),
+        Rule.brown_init(TRIPLET),
         problems[:12],
         problems[12:],
         SyntheticCostModel(),
@@ -428,10 +429,42 @@ def test_checkpoint_round_trip(tmp_path):
     )
     path = tmp_path / "weights.json"
     save_checkpoint(path, report, TRIPLET)
-    net = load_checkpoint(path)
+    net = load_rule(path)
     assert net.triplet == TRIPLET
     assert net.weights == report.final_weights
     assert net.feature_scale == tuple(report.feature_scale)
+
+
+def test_trainable_network_is_the_rule():
+    assert TrainableNetwork is Rule
+    assert Rule.hard_order is Rule.order
+
+
+def test_checkpoint_orders_the_validation_set_at_the_best_cost(tmp_path):
+    problems = random_dataset(GenConfig(seed=61), 80)
+    train_set, val_set = problems[:60], problems[60:]
+    oracle = SyntheticCostModel()
+    report = train(Rule(TRIPLET, [0.0, 0.0, 1.0]), train_set, val_set, oracle,
+                   TrainConfig(learning_rate=0.05, epochs=4, batch_size=16))
+    assert report.best_epoch > 0 and report.best_val_cost < report.epoch0_val_cost
+    path = tmp_path / "run.ckpt.json"
+    save_checkpoint(path, report, TRIPLET)
+    rule = load_rule(str(path))
+    costs = [oracle.cost(pr, rule.order(feature_matrix(rule.triplet, pr))) for pr in val_set]
+    # Added from 0.0 in validation order, as training adds its validation prices.
+    assert reduce(add, costs, 0.0) == report.best_val_cost
+
+
+def test_load_rule_reads_names_triplet_files_and_checkpoints(tmp_path):
+    assert load_rule("brown") == load_rule("nn") == Rule(brown_features())
+    assert load_rule("selected") == Rule(TRIPLET)
+    triplet_file = tmp_path / "t.json"
+    triplet_file.write_text(json.dumps([descriptor_record(fd) for fd in TRIPLET]))
+    assert load_rule(str(triplet_file)) == Rule(TRIPLET)
+    assert load_rule(triplet_file) == Rule(TRIPLET)
+    triplet_file.write_text(json.dumps([descriptor_record(fd) for fd in TRIPLET[:2]]))
+    with pytest.raises(ValueError, match=f"^{triplet_file}: triplet file must hold exactly 3"):
+        load_rule(str(triplet_file))
 
 
 @pytest.mark.parametrize(
@@ -470,7 +503,7 @@ def test_bad_checkpoint_names_its_file(tmp_path, text, fragment):
     path = tmp_path / "weights.json"
     path.write_text(text)
     with pytest.raises(ValueError) as err:
-        load_checkpoint(path)
+        load_rule(path)
     assert str(err.value).startswith(f"{path}: ")
     assert fragment in str(err.value)
 
@@ -478,7 +511,7 @@ def test_bad_checkpoint_names_its_file(tmp_path, text, fragment):
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_network_rejects_a_bad_feature_scale(bad):
     with pytest.raises(ValueError, match="feature scales must be finite and positive"):
-        TrainableNetwork(TRIPLET, [1.0, 2.0, 3.0], (1.0, bad, 1.0))
+        Rule(TRIPLET, [1.0, 2.0, 3.0], (1.0, bad, 1.0))
 
 
 def test_config_validation():

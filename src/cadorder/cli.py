@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -214,13 +215,17 @@ def cmd_order(args) -> int:
     pr = parse_file(problem, problem.read_bytes(), problem.stem)
     rule = load_rule(args.heuristic)
     rows = feature_matrix(rule.triplet, pr)
+    y = rule.scores(rows)
+    # Finite weights can overflow a tuned y; its infinities would sort as ties.
+    if rule.weights is not None and not all(map(math.isfinite, y)):
+        raise ValueError(f"{args.heuristic}: y {y} is not finite on {args.problem}")
     ordering = rule.order(rows)
     if args.reverse:
         ordering = ordering.reversed()
     if args.explain:
         for name, row in zip(pr.var_names, rows):
             print(f"{name}: features = {tuple(str(x) for x in row)}")
-        for name, yv in zip(pr.var_names, rule.scores(rows)):
+        for name, yv in zip(pr.var_names, y):
             print(f"{name}: y = {yv}")
     print(ordering.names(pr))
     if args.out:

@@ -2,9 +2,11 @@
 
 Three implementations share the same contract: a table of recorded
 timings (a search journal is one), a deterministic synthetic model for
-desk-scale experiments, and an adapter whose ``cost`` runs an external
-solver and measures wall time; each placeholder of its command template
-fills one argument.  Timed-out runs cost timeout_s * penalty_factor.
+desk-scale experiments, which sums each problem's ``degree_table()``
+(built at the problem's first price, then kept with it), and an adapter
+whose ``cost`` runs an external solver and measures wall time; each
+placeholder of its command template fills one argument.  Timed-out runs
+cost timeout_s * penalty_factor.
 
 Search and training price orderings through a ``PriceStore``, which asks
 the oracle once per pair and journals the prices of a resumable run.
@@ -149,8 +151,7 @@ def load_timing_table(
 
 def _per_poly_max_degrees(pr: ProblemInstance) -> list[int]:
     """m_v = sum over polynomials of the variable's maximum degree in each."""
-    per_poly = [map(max, zip(*(m.degrees for m in p.monomials))) for p in pr.polynomials]
-    return list(map(sum, zip(*per_poly)))
+    return list(map(sum, zip(*pr.degree_table())))
 
 
 @dataclass(frozen=True)
@@ -158,9 +159,10 @@ class SyntheticCostModel:
     """Deterministic stand-in cost: earlier-projected variables weigh more.
 
     cost = sum over positions k of step_base**(n-1-k) * m(ordering[k]),
-    so the cheapest ordering sorts m ascending.  Optional multiplicative
-    noise is a pure hash of (problem, ordering, seed): bit-identical on
-    every platform.
+    so the cheapest ordering sorts m ascending; m sums the problem's
+    ``degree_table()``, built once and read by every ordering priced on
+    it.  Optional multiplicative noise is a pure hash of (problem,
+    ordering, seed): bit-identical on every platform.
     """
 
     step_base: float = 2.0

@@ -189,10 +189,12 @@ def layer2_columns(y) -> tuple:
     ``y[v]`` holds y_v, one value per sample; the result holds one column
     of scores per neuron, each added exactly as ``layer2_scores`` adds it.
     Each product column w * y_v is built once and shared by the neurons
-    that give variable v the weight w.
+    that give variable v the weight w; for w = 1 it is y_v itself, as
+    ``1 * x`` is ``x``, bit for bit.
     """
     n = len(y)
-    products = [{w: list(map(mul, repeat(w), yv)) for w in range(1, n + 1)} for yv in y]
+    products = [{w: yv if w == 1 else list(map(mul, repeat(w), yv)) for w in range(1, n + 1)}
+                for yv in y]
     return tuple(
         reduce(lambda a, b: list(map(add, a, b)), map(getitem, products, weights))
         for weights in permutation_weights(n)
@@ -211,14 +213,14 @@ def layer2_backward(n: int, dscores) -> list:
     Column in, column out: ``dscores[k]`` holds one value per sample, and
     so does each variable's result, its weight column dotted with the
     sample's ``dscores``, added left to right in neuron order from 0;
-    exact on Fractions.
+    exact on Fractions.  A weight-1 term is added unmultiplied.
     """
     out = []
     for column in _weight_columns(n):
         dy = repeat(0)
         for weight, d in zip(column, dscores):
-            dy = list(map(add, dy, map(mul, repeat(weight), d)))
-        out.append(dy)
+            dy = map(add, dy, d if weight == 1 else map(mul, repeat(weight), d))
+        out.append(list(dy))
     return out
 
 
@@ -294,7 +296,7 @@ def _order_scores(y) -> Ordering:
 
 def order_by_scores(y) -> Ordering:
     """Descending stable sort of y; equals the argmax neuron's ordering."""
-    return Ordering(tuple(sorted(range(len(y)), key=lambda v: y[v], reverse=True)))
+    return Ordering(tuple(sorted(range(len(y)), key=y.__getitem__, reverse=True)))
 
 
 def lex_order(rows) -> Ordering:

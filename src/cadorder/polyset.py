@@ -141,6 +141,10 @@ class ProblemInstance:
     var_names: tuple[str, ...]
     polynomials: tuple[Polynomial, ...]
     id: str | None = field(default=None, compare=False)
+    # degree_table()'s value once computed; equality, hash, repr and pickles leave it out.
+    _degree_table: tuple[tuple[int, ...], ...] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if not self.polynomials:
@@ -155,9 +159,25 @@ class ProblemInstance:
                         f"degree vector of length {len(m.degrees)} in a {n}-variable problem"
                     )
 
+    def __reduce__(self):
+        return ProblemInstance, (self.var_names, self.polynomials, self.id)
+
     @property
     def n_vars(self) -> int:
         return len(self.var_names)
+
+    def degree_table(self) -> tuple[tuple[int, ...], ...]:
+        """Per polynomial, each variable's degree in it: the maximum over its monomials.
+
+        Computed on the first call and kept; two threads that fill it at
+        once store equal tables.
+        """
+        table = self._degree_table
+        if table is None:
+            table = tuple(tuple(map(max, zip(*(m.degrees for m in p.monomials))))
+                          for p in self.polynomials)
+            object.__setattr__(self, "_degree_table", table)
+        return table
 
     def with_id(self, problem_id: str) -> ProblemInstance:
         return ProblemInstance(self.var_names, self.polynomials, problem_id)

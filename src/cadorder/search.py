@@ -15,6 +15,7 @@ import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import permutations
+from operator import add, lt, mul
 from pathlib import Path
 
 from .atomic import write_json, write_text
@@ -71,24 +72,35 @@ def _pricer(descriptors, dataset, store: PriceStore, call):
 
     Each problem's ``scaled_matrix`` is computed once and kept as dense
     ranks per descriptor: its one scale is shared by every descriptor, so
-    the ranks are those of the true values.  Per problem, a rank triple
-    maps to its price; only a new one asks the ``store``, through ``call``,
-    for its ordering's price.
+    the ranks are those of the true values.  Per problem, a triplet's rank
+    triple has one int key, the radix first layer on the ranks packed over
+    the variables: y_v = n^2 r_a + n r_b + r_c < n^3, key = sum_v y_v n^(3v).
+    With R = sum_v r_v n^(3v) per descriptor and problem, the key is
+    n^2 R_a + n R_b + R_c, so setup keeps n^2 R, n R and R and a triplet's
+    keys take two additions per problem.  A key maps to its price; only a
+    new one asks the ``store``, through ``call``, for the price of
+    ``lex_order`` on its rank triples.
     """
     ranks = [[] for _ in descriptors]  # ranks[d][p] = tuple over variables
     for pr in dataset:
         rows = scaled_matrix(descriptors, pr)[1]
         for j, per_problem in enumerate(ranks):
             per_problem.append(_dense_ranks([row[j] for row in rows]))
-    by_ranks = [{} for _ in dataset]  # (rank_a, rank_b, rank_c) -> cost
+    ns = [pr.n_vars for pr in dataset]
+    packed = [[sum(r * n ** (3 * v) for v, r in enumerate(rank))
+               for n, rank in zip(ns, per_problem)] for per_problem in ranks]
+    high = [list(map(mul, per_problem, (n * n for n in ns))) for per_problem in packed]
+    mid = [list(map(mul, per_problem, ns)) for per_problem in packed]
+    by_key = [{} for _ in dataset]  # packed rank triple -> cost
 
     def costs(ids) -> list[float]:
-        keys = list(zip(*(ranks[i] for i in ids)))
-        found = [table.get(key) for table, key in zip(by_ranks, keys)]
-        missing = [(p, lex_order(tuple(zip(*keys[p]))))
-                   for p, c in enumerate(found) if c is None]
-        for (p, _), c in zip(missing, store.prices(missing, call)):
-            found[p] = by_ranks[p][keys[p]] = c
+        a, b, c = ids
+        keys = list(map(add, map(add, high[a], mid[b]), packed[c]))
+        found = list(map(dict.get, by_key, keys))
+        missing = [(p, lex_order(tuple(zip(ranks[a][p], ranks[b][p], ranks[c][p]))))
+                   for p, cost in enumerate(found) if cost is None]
+        for (p, _), cost in zip(missing, store.prices(missing, call)):
+            found[p] = by_key[p][keys[p]] = cost
         return found
 
     return costs
@@ -125,7 +137,7 @@ def search_triplets(
         totals, wins = [], []
         for per_problem in map(costs, triplets):
             totals.append(sum(per_problem))
-            wins.append(sum(1 for c, b in zip(per_problem, brown) if c < b))
+            wins.append(sum(map(lt, per_problem, brown)))
 
     order = sorted(range(len(triplets)), key=lambda i: (totals[i], triplets[i]))
     if top_k is not None:

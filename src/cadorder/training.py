@@ -15,9 +15,13 @@ group's samples, built with the column forms of the layers in
 the same order, and the per-sample losses and gradient terms are added in
 batch order, so the results equal a per-sample loop bit for bit.
 
-Feature scaling: inputs can be divided by per-feature training-set maxima
-so the three gradient components have comparable size.  Disable it
-(``normalize=False``) to train on raw feature values.
+Feature rows are floats, each ``n / d`` of ``features.scaled_matrix``'s
+scaled int and scale (``float_rows``): that division rounds correctly, so
+each is ``float()`` of the exact ``feature_matrix`` value, with no
+``Fraction`` built.  Feature scaling: inputs can be divided by
+per-feature training-set maxima so the three gradient components have
+comparable size.  Disable it (``normalize=False``) to train on raw
+feature values.
 
 A checkpoint holds a tuned ``heuristics.Rule``: the best weights, the
 scale and the triplet.  ``load_rule`` reads it, a triplet file or a name.
@@ -42,7 +46,7 @@ from .features import (
     brown_features,
     descriptor_record,
     descriptors_from_records,
-    feature_matrix,
+    scaled_matrix,
     selected_triplet,
 )
 from .heuristics import (
@@ -78,7 +82,8 @@ def _probabilities(weights, columns, temperature: float) -> list[list[float]]:
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     scores = layer2_columns(layer1_columns(weights, columns))
-    scores = [list(map(truediv, s, repeat(temperature))) for s in scores]
+    if temperature != 1.0:  # x / 1.0 is x, bit for bit
+        scores = [list(map(truediv, s, repeat(temperature))) for s in scores]
     top = list(map(max, zip(*scores)))
     exps = [list(map(math.exp, map(sub, s, top))) for s in scores]
     z = repeat(0)
@@ -91,7 +96,9 @@ def _terms(weights, rows, targets, temperature: float) -> list[list[float]]:
     """Columns of per-sample cross-entropy and gradient terms, for same-n samples."""
     columns = _columns(rows)
     probs = _probabilities(weights, columns, temperature)
-    dscores = [list(map(truediv, p, repeat(temperature))) for p in probs]
+    # At temperature 1, dscores is probs: entry (target, i) is read before it is set.
+    dscores = probs if temperature == 1.0 else [list(map(truediv, p, repeat(temperature)))
+                                                for p in probs]
     losses = []
     for i, target in enumerate(targets):
         p = probs[target][i]
@@ -236,6 +243,16 @@ def _argmin(row: list[float]) -> int:
     return row.index(min(row))
 
 
+def float_rows(triplet, pr) -> list[tuple[float, ...]]:
+    """The ``feature_matrix`` rows of ``pr`` as floats, each ``n / d`` of ``scaled_matrix``.
+
+    Int true division rounds correctly, as ``float()`` of a Fraction does,
+    so each value is ``float()`` of its exact value, with no Fraction built.
+    """
+    d, rows = scaled_matrix(triplet, pr)
+    return [tuple(map(truediv, row, repeat(d))) for row in rows]
+
+
 def fit_feature_scale(matrices) -> tuple[float, float, float]:
     """Per-feature maxima over the training set; absent features scale by 1."""
     top = [0.0, 0.0, 0.0]
@@ -268,7 +285,7 @@ def train(
     if not train_set or not val_set:
         raise ValueError("training and validation sets must be nonempty")
 
-    train_matrices = [feature_matrix(net.triplet, pr) for pr in train_set]
+    train_matrices = [float_rows(net.triplet, pr) for pr in train_set]
     scale = fit_feature_scale(train_matrices) if cfg.normalize else (1.0, 1.0, 1.0)
     work = Rule(net.triplet, list(net.weights), scale)
 
@@ -277,7 +294,7 @@ def train(
     samples = [(work.scaled_rows(rows), t) for rows, t in zip(train_matrices, targets)]
     val_store = PriceStore(oracle, val_set)
     val_best = [min(val_store.row(p)) for p in range(len(val_set))]
-    val_rows = [work.scaled_rows(feature_matrix(net.triplet, pr)) for pr in val_set]
+    val_rows = [work.scaled_rows(float_rows(net.triplet, pr)) for pr in val_set]
 
     temperature = cfg.softmax_temperature
     entries: list[TrainEntry] = []

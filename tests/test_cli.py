@@ -11,7 +11,7 @@ import pytest
 from conftest import PROBLEM_A_TEXT, PROBLEM_B_TEXT
 from cadorder.cli import main
 from cadorder.datagen import GenConfig, parse_file
-from cadorder.features import feature_matrix
+from cadorder.features import brown_features, descriptor_record, feature_matrix
 from cadorder.training import load_rule
 
 
@@ -211,6 +211,19 @@ def test_malformed_checkpoint_given_to_order_is_data_error(tmp_path, problem_fil
                                str(problem_file))
     assert code == 2 and stdout == ""
     assert stderr.startswith(f"error: {path}: ") and fragment in stderr
+
+
+@pytest.mark.parametrize("explain", [[], ["--explain"]], ids=["plain", "explain"])
+def test_order_with_a_checkpoint_whose_y_overflows_is_data_error(tmp_path, problem_file, capsys,
+                                                                 explain):
+    # Finite weights whose y is infinite for every variable: no order to print.
+    path = tmp_path / "huge.ckpt.json"
+    path.write_text(json.dumps({"weights": [1e308, 1e308, 1.0], "feature_scale": [1, 1, 1],
+                                "triplet": [descriptor_record(fd) for fd in brown_features()]}))
+    code, stdout, stderr = run(capsys, "order", "--heuristic", str(path), "--problem",
+                               str(problem_file), *explain)
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: {path}: y [inf, inf, inf] is not finite on {problem_file}\n"
 
 
 def test_features_command(tmp_path, capsys):

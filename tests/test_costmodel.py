@@ -1,3 +1,5 @@
+import hashlib
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -18,7 +20,7 @@ from cadorder.costmodel import (
 )
 from cadorder.features import brown_features, eval_feature, feature_matrix, selected_triplet
 from cadorder.heuristics import Ordering, lex_order
-from cadorder.polyset import parse_problem
+from cadorder.polyset import parse_problem, serialize_problem
 
 
 def test_synthetic_examples(problem_a):
@@ -78,6 +80,34 @@ def test_synthetic_optimum_sorts_statistic_ascending(pr):
     )
     ascending = Ordering(tuple(sorted(range(pr.n_vars), key=lambda v: m[v])))
     assert syn.cost(pr, ascending) == brute_best
+
+
+def _reference_cost(model, pr, ordering):
+    """The synthetic price as defined, with each m_v recomputed from the monomials."""
+    n = pr.n_vars
+    m = [sum(max(mono.degrees[v] for mono in p.monomials) for p in pr.polynomials)
+         for v in range(n)]
+    total = float(sum(model.step_base ** (n - 1 - k) * m[v] for k, v in enumerate(ordering.perm)))
+    if model.noise_seed is not None and model.noise_scale > 0.0:
+        payload = f"{serialize_problem(pr)}|{ordering.names(pr)}|{model.noise_seed}"
+        digest = hashlib.sha256(payload.encode()).digest()
+        total *= 1.0 + model.noise_scale * (int.from_bytes(digest[:8], "big") >> 11) * 2.0**-53
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem_instances(max_vars=5, max_monomials=4))
+def test_synthetic_price_reads_the_degree_table_bit_for_bit(pr):
+    # Every ordering, priced before and after the table is kept, noisy and noise-free.
+    for model in (SyntheticCostModel(), SyntheticCostModel(1.5, noise_seed=7, noise_scale=0.4)):
+        fresh = replace(pr)
+        assert fresh._degree_table is None
+        for perm in permutations(range(pr.n_vars)):
+            ordering = Ordering(perm)
+            expected = _reference_cost(model, pr, ordering).hex()
+            assert model.cost(fresh, ordering).hex() == expected
+            assert model.cost(pr, ordering).hex() == expected
+        assert fresh.degree_table() is fresh.degree_table()
 
 
 def test_synthetic_config_validation():

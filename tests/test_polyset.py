@@ -1,15 +1,17 @@
 import ast
+import pickle
 import re
 import sys
+import threading
 from contextlib import contextmanager
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import problem_instances
+from conftest import PROBLEM_A_TEXT, problem_instances
 from cadorder.polyset import (
     _POLY_RE,
     Monomial,
@@ -527,3 +529,55 @@ def test_id_excluded_from_equality(problem_a):
     relabeled = problem_a.with_id("other")
     assert relabeled == problem_a
     assert relabeled.id == "other"
+
+
+@given(problem_instances(max_vars=8))
+def test_degree_table_is_each_polynomials_max_degrees(pr):
+    table = pr.degree_table()
+    assert table == tuple(
+        tuple(max(m.degrees[v] for m in p.monomials) for v in range(pr.n_vars))
+        for p in pr.polynomials
+    )
+    assert pr.degree_table() is table  # kept, not rebuilt
+
+
+def test_degree_table_is_not_part_of_the_value(problem_a):
+    fresh = parse_problem(PROBLEM_A_TEXT, problem_id="a")
+    pickled = pickle.dumps(problem_a)
+    table = problem_a.degree_table()
+    assert problem_a == fresh and hash(problem_a) == hash(fresh)
+    assert repr(problem_a) == repr(fresh) and "_degree_table" not in repr(problem_a)
+    assert pickle.dumps(problem_a) == pickled
+    copy = pickle.loads(pickled)
+    assert copy == problem_a and copy.id == "a" and copy._degree_table is None
+    assert copy.degree_table() == table
+    renamed = replace(problem_a, id="other")
+    assert renamed.id == "other" and renamed._degree_table is None
+    assert renamed.degree_table() == table
+
+
+def test_degree_table_filled_by_racing_threads():
+    # Threads that fill one problem's table at once each get, and leave, its value.
+    problems = [parse_problem(f"vars: x,y\nx^{k}*y + y^{k % 5}\nx - 2*y^3") for k in range(300)]
+    expected = [tuple(tuple(max(m.degrees[v] for m in p.monomials) for v in range(2))
+                      for p in pr.polynomials) for pr in problems]
+    start = threading.Barrier(8)
+    seen = []
+
+    def fill():
+        start.wait(timeout=10)
+        seen.append([pr.degree_table() for pr in problems])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fill) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 8 and all(tables == expected for tables in seen)
+    assert [pr.degree_table() for pr in problems] == expected

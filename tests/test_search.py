@@ -9,7 +9,7 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cadorder
@@ -28,6 +28,7 @@ from cadorder.features import (
     selected_triplet,
 )
 from cadorder.heuristics import lex_order, parse_ordering
+from cadorder.polyset import parse_problem
 from cadorder.search import (
     _dense_ranks,
     enumerate_triplets,
@@ -148,9 +149,14 @@ _CLASS_REPS = dedup_features(enumerate_descriptors()).descriptors
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from(_CLASS_REPS), min_size=3, max_size=5, unique=True),
-       st.lists(problem_instances(min_vars=1, max_vars=4), min_size=1, max_size=6))
+       st.lists(problem_instances(min_vars=1, max_vars=8), min_size=1, max_size=6))
+@example(list(_CLASS_REPS[:5]), [
+    parse_problem("vars: x\nx^3 + 2"),
+    parse_problem("vars: a,b,c,d,e,f,g,h\na^2*h\nb*c^3 + d\ne*f*g^2 - h^5"),
+])
 def test_search_totals_match_brute_force_on_mixed_variable_counts(pool, dataset):
-    # One dataset mixes variable counts, so each problem has its own scale.
+    # One dataset mixes variable counts, so each problem has its own scale
+    # and its own radix for the search's packed keys (n^3 per variable).
     fs = FeatureSet.from_descriptors(pool)
     oracle = SyntheticCostModel(noise_seed=3, noise_scale=0.3)
     report = search_triplets(fs, dataset, oracle)

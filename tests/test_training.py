@@ -9,9 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import problem_instances
 from cadorder.costmodel import PriceStore, SyntheticCostModel
 from cadorder.datagen import GenConfig, random_dataset, random_problem
-from cadorder.features import brown_features, descriptor_record, feature_matrix, selected_triplet
+from cadorder.features import (
+    brown_features,
+    dedup_features,
+    descriptor_record,
+    enumerate_descriptors,
+    feature_matrix,
+    selected_triplet,
+)
 from cadorder.heuristics import (
     Rule,
     base_weight,
@@ -32,12 +40,16 @@ from cadorder.training import (
     _loss_and_gradient,
     _probabilities,
     fit_feature_scale,
+    float_rows,
     load_rule,
     save_checkpoint,
     train,
 )
 
 TRIPLET = selected_triplet()
+
+# One representative of each of the grammar's 27 value classes.
+_CLASS_REPS = dedup_features(enumerate_descriptors()).descriptors
 
 
 def _neuron(perm) -> int:
@@ -523,3 +535,16 @@ def test_config_validation():
         TrainConfig(softmax_temperature=0.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem_instances(max_vars=5, max_polys=4, max_monomials=7))
+def test_float_rows_are_the_floats_of_the_exact_rows(pr):
+    # All 27 at once average, so every value is over D; alone, 12 of them do not.
+    for descriptors in (_CLASS_REPS, *((fd,) for fd in _CLASS_REPS)):
+        rows = float_rows(descriptors, pr)
+        exact = feature_matrix(descriptors, pr)
+        assert all(type(x) is float for row in rows for x in row)
+        assert [[x.hex() for x in row] for row in rows] == [
+            [float(x).hex() for x in row] for row in exact
+        ]

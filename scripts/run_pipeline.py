@@ -49,6 +49,10 @@ def main() -> None:
         cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, batch_size=64)
     except ValueError as e:
         parser.error(f"argument --lr: {e}")
+    try:  # before the search, not after it
+        Rule.brown_init(brown_features(), base_weight=args.init_weight)
+    except ValueError as e:
+        parser.error(f"argument --init-weight: {e}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

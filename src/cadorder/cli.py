@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import fields
@@ -119,15 +118,6 @@ def _write_manifest(command: str, args, inputs, outputs, started: float, **stage
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
     write_json(_manifest_path(outputs), manifest)
-
-
-def _jobs_default() -> int:
-    """Worker count from ``CADORDER_JOBS`` (1 if unset); a bad value is a usage error."""
-    env = os.environ.get("CADORDER_JOBS") or "1"
-    try:
-        return _positive_int(env)
-    except argparse.ArgumentTypeError:
-        raise UsageError(f"CADORDER_JOBS must be an integer >= 1, got {env!r}") from None
 
 
 def _add_oracle_flags(sub) -> None:
@@ -243,14 +233,7 @@ def cmd_search(args) -> int:
     dataset = load_dataset(args.data)
     oracle = _build_oracle(args)
     loaded = time.perf_counter()
-    report = search_triplets(
-        fs,
-        dataset,
-        oracle,
-        top_k=args.top_k,
-        journal_path=args.resume,
-        jobs=args.jobs,
-    )
+    report = search_triplets(fs, dataset, oracle, args.top_k, args.resume, args.jobs)
     searched = time.perf_counter()
     report.save_json(outputs[0])
     report.save_csv(outputs[1])
@@ -284,10 +267,13 @@ def cmd_train(args) -> int:
     rule = load_rule(args.triplet)
     if rule.weights is not None:
         raise UsageError(f"--triplet {args.triplet}: training starts from a triplet, not a network")
+    try:
+        net = Rule.brown_init(rule.triplet, base_weight=args.init_weight)
+    except ValueError as e:
+        raise UsageError(f"--init-weight {args.init_weight}: {e}") from None
     train_set = load_dataset(args.train)
     val_set = load_dataset(args.val)
     oracle = _build_oracle(args)
-    net = Rule.brown_init(rule.triplet, base_weight=args.init_weight)
     loaded = time.perf_counter()
     try:
         report = train(net, train_set, val_set, oracle, cfg)
@@ -361,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset dir")
     p.add_argument("--top-k", type=_positive_int, default=None)
     p.add_argument("--resume", default=None, help="journal of oracle prices")
-    p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="concurrent oracle calls (default: $CADORDER_JOBS, else 1)")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="concurrent oracle calls")
     p.add_argument("--out", required=True, help="output path prefix")
     _add_oracle_flags(p)
     p.set_defaults(func=cmd_search)
@@ -398,8 +383,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "jobs" in args and args.jobs is None:
-            args.jobs = _jobs_default()
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -9,7 +9,7 @@ placeholder of its command template fills one argument.  Timed-out runs
 cost timeout_s * penalty_factor.
 
 Search and training price orderings through a ``PriceStore``, which asks
-the oracle once per pair and journals the prices of a resumable run.
+the oracle once per pair, on ``jobs`` threads, and journals the prices.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import signal
 import subprocess
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
@@ -162,7 +163,7 @@ class SyntheticCostModel:
     so the cheapest ordering sorts m ascending; m sums the problem's
     ``degree_table()``, built once and read by every ordering priced on
     it.  Optional multiplicative noise is a pure hash of (problem,
-    ordering, seed): bit-identical on every platform.
+    ordering, seed): bit-identical on every platform; an overflow raises ValueError.
     """
 
     step_base: float = 2.0
@@ -178,12 +179,17 @@ class SyntheticCostModel:
     def cost(self, pr: ProblemInstance, ordering: Ordering) -> float:
         m = _per_poly_max_degrees(pr)
         n = pr.n_vars
-        total = float(sum(self.step_base ** (n - 1 - k) * m[v] for k, v in enumerate(ordering.perm)))
+        try:
+            total = float(sum(self.step_base ** (n - 1 - k) * m[v] for k, v in enumerate(ordering.perm)))
+        except OverflowError:
+            total = math.inf
         if self.noise_seed is not None and self.noise_scale > 0.0:
             payload = f"{serialize_problem(pr)}|{ordering.names(pr)}|{self.noise_seed}"
             digest = hashlib.sha256(payload.encode()).digest()
             u = (int.from_bytes(digest[:8], "big") >> 11) * 2.0**-53
             total *= 1.0 + self.noise_scale * u
+        if total == math.inf:
+            raise ValueError(f"step_base {self.step_base} prices problem {pr.id} past the float range")
         return total
 
     def describe(self) -> str:
@@ -302,12 +308,14 @@ class PriceStore:
     raises ValueError and is left as it is; a torn last row is cut and its
     pair priced again.  Rows name problems by id, so ids must be distinct and
     read back as written; a bad row raises ValueError naming ``path:line``.
+    With ``jobs > 1``, up to ``jobs`` oracle calls run at once, inside the block.
     """
 
-    def __init__(self, oracle: CostOracle, dataset, journal_path: str | Path | None = None):
+    def __init__(self, oracle: CostOracle, dataset, journal_path: str | Path | None = None, jobs=1):
         self.oracle = oracle
         self.dataset = list(dataset)
         self.path = journal_path
+        self.jobs, self._map = jobs, map
         self._known: list[dict[tuple[int, ...], float]] = [{} for _ in self.dataset]
         self._journal = None
         if journal_path is not None:
@@ -351,21 +359,26 @@ class PriceStore:
             if self._fh.tell() == 0:
                 self._fh.write(f"{self._first_line}\n{','.join(TIMING_COLUMNS)}\n")
             self._journal = csv.writer(self._fh, lineterminator="\n")
+        if self.jobs > 1:
+            self._pool = ThreadPoolExecutor(self.jobs)
+            self._map = self._pool.map
         return self
 
     def __exit__(self, *exc) -> None:
+        if self.jobs > 1:
+            self._pool.shutdown(cancel_futures=True)
         if self._journal is not None:
             self._fh.close()
 
-    def prices(self, pairs, call=map) -> list[float]:
-        """One price per pair; ``call`` maps the oracle over the new pairs.
+    def prices(self, pairs) -> list[float]:
+        """One price per pair; a failed oracle call cancels the calls not yet started.
 
         Each new pair is asked for once, in order of first appearance, and
         its price is kept, and journaled, on the calling thread as it arrives.
         """
         pairs, known = list(pairs), self._known
         asked = list({(p, o.perm): (p, o) for p, o in pairs if o.perm not in known[p]}.values())
-        priced = call(lambda po: self.oracle.cost(self.dataset[po[0]], po[1]), asked)
+        priced = self._map(lambda po: self.oracle.cost(self.dataset[po[0]], po[1]), asked)
         for (p, ordering), c in zip(asked, priced):
             known[p][ordering.perm] = c
             if self._journal is not None:

@@ -320,6 +320,8 @@ class Rule:
         # Written so that NaN fails the comparison.
         if not all(0 < s < math.inf for s in self.feature_scale):
             raise ValueError(f"feature scales must be finite and positive, got {self.feature_scale}")
+        if self.weights is not None and not all(abs(w) <= sys.float_info.max for w in self.weights):
+            raise ValueError(f"weights must be finite, got {self.weights}")
 
     @classmethod
     def brown_init(cls, triplet, base_weight: float = INIT_WEIGHT) -> Rule:

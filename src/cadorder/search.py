@@ -3,16 +3,15 @@
 Every ordered triplet of distinct deduplicated features defines a frozen
 lexicographic/network heuristic; each is priced as the summed oracle cost
 of the orderings it picks, then ranked.  Each distinct (problem, ordering)
-pair is priced once, by ``costmodel.PriceStore``, which also keeps the
-journal of those prices.  Worker count and resuming from a journal never
-change the report.
+pair is priced once, by ``costmodel.PriceStore``, which also runs the
+oracle calls and keeps their journal.  Worker count and resuming from a
+journal never change the report.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import permutations
 from operator import add, lt, mul
@@ -67,7 +66,7 @@ def _dense_ranks(values) -> tuple[int, ...]:
     return tuple(map(distinct.index, values))
 
 
-def _pricer(descriptors, dataset, store: PriceStore, call):
+def _pricer(descriptors, dataset, store: PriceStore):
     """``costs(ids)``: per-problem prices of a triplet of indices into ``descriptors``.
 
     Each problem's ``scaled_matrix`` is computed once and kept as dense
@@ -78,8 +77,8 @@ def _pricer(descriptors, dataset, store: PriceStore, call):
     With R = sum_v r_v n^(3v) per descriptor and problem, the key is
     n^2 R_a + n R_b + R_c, so setup keeps n^2 R, n R and R and a triplet's
     keys take two additions per problem.  A key maps to its price; only a
-    new one asks the ``store``, through ``call``, for the price of
-    ``lex_order`` on its rank triples.
+    new one asks the ``store`` for the price of ``lex_order`` on its rank
+    triples; one triplet's new keys are one batch.
     """
     ranks = [[] for _ in descriptors]  # ranks[d][p] = tuple over variables
     for pr in dataset:
@@ -99,7 +98,7 @@ def _pricer(descriptors, dataset, store: PriceStore, call):
         found = list(map(dict.get, by_key, keys))
         missing = [(p, lex_order(tuple(zip(ranks[a][p], ranks[b][p], ranks[c][p]))))
                    for p, cost in enumerate(found) if cost is None]
-        for (p, _), cost in zip(missing, store.prices(missing, call)):
+        for (p, _), cost in zip(missing, store.prices(missing)):
             found[p] = by_key[p][keys[p]] = cost
         return found
 
@@ -119,29 +118,25 @@ def search_triplets(
     Cost ties break on the triplet id encoding.  Each distinct (problem,
     ordering) pair is priced once, Brown's triplet first, by the same path
     as every pool triplet; wins against Brown are counted in the same
-    pass.  Triplets are scanned in index order, and ``jobs`` oracle calls
-    run at once over the pairs a triplet newly needs.  A journal file
-    makes long runs resumable (``PriceStore``): a resumed search prices
-    only the pairs not on file and recomputes every total.
+    pass.  Triplets are scanned in index order; the store runs up to
+    ``jobs`` oracle calls at once over the pairs a triplet newly needs.
+    A journal file makes long runs resumable (``PriceStore``): a resumed
+    search prices only the pairs not on file and recomputes every total.
     """
     dataset = list(dataset)
     triplets = enumerate_triplets(fs)
     k = len(fs)
     brown_ids = _triplet_ids(brown_features(), fs)
 
-    # A failed oracle call cancels the calls its batch has not started.
-    with ThreadPoolExecutor(max(jobs, 1)) as pool, PriceStore(oracle, dataset, journal_path) as store:
-        call = pool.map if jobs > 1 else map
-        costs = _pricer(fs.descriptors + brown_features(), dataset, store, call)
+    with PriceStore(oracle, dataset, journal_path, jobs) as store:
+        costs = _pricer(fs.descriptors + brown_features(), dataset, store)
         brown = costs((k, k + 1, k + 2))
         totals, wins = [], []
         for per_problem in map(costs, triplets):
             totals.append(sum(per_problem))
             wins.append(sum(map(lt, per_problem, brown)))
 
-    order = sorted(range(len(triplets)), key=lambda i: (totals[i], triplets[i]))
-    if top_k is not None:
-        order = order[: top_k]
+    order = sorted(range(len(triplets)), key=lambda i: (totals[i], triplets[i]))[:top_k]
 
     ranked = []
     for rank, idx in enumerate(order, start=1):

@@ -50,6 +50,7 @@ from .features import (
     selected_triplet,
 )
 from .heuristics import (
+    MAX_EXPLICIT_LAYER,
     Rule,
     layer1_columns,
     layer1_scores,
@@ -284,6 +285,9 @@ def train(
     val_set = list(val_set)
     if not train_set or not val_set:
         raise ValueError("training and validation sets must be nonempty")
+    for pr in train_set + val_set:  # before any price: a row holds n! of them
+        if pr.n_vars > MAX_EXPLICIT_LAYER:
+            raise ValueError(f"problem {pr.id}: explicit output layer limited to {MAX_EXPLICIT_LAYER} variables")
 
     train_matrices = [float_rows(net.triplet, pr) for pr in train_set]
     scale = fit_feature_scale(train_matrices) if cfg.normalize else (1.0, 1.0, 1.0)

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import PROBLEM_A_TEXT, PROBLEM_B_TEXT
 from cadorder.cli import main
+from cadorder.costmodel import SyntheticCostModel
 from cadorder.datagen import GenConfig, parse_file
 from cadorder.features import brown_features, descriptor_record, feature_matrix
 from cadorder.training import load_rule
@@ -592,22 +593,11 @@ def test_empty_dataset_is_data_error(dataset_dir, pool_file, tmp_path, capsys, c
     assert stderr == f"error: no .poly files under {empty}\n"
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2"])
-def test_invalid_jobs_env_is_usage_error(dataset_dir, pool_file, tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("CADORDER_JOBS", value)
-    code, _, stderr = run(capsys, "search", "--pool", str(pool_file), "--data", str(dataset_dir),
-                          "--out", str(tmp_path / "s"))
-    assert code == 1
-    assert "CADORDER_JOBS" in stderr and repr(value) in stderr
-    assert not (tmp_path / "s.json").exists()
-
-
-def test_jobs_env_sets_default_and_flag_overrides(dataset_dir, pool_file, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CADORDER_JOBS", "3")
+def test_search_jobs_is_one_unless_the_flag_sets_it(dataset_dir, pool_file, tmp_path, capsys):
     base = ["search", "--pool", str(pool_file), "--data", str(dataset_dir), "--out", str(tmp_path / "s")]
     assert run(capsys, *base)[0] == 0
     manifest = json.loads((tmp_path / "s.json.manifest.json").read_text())
-    assert manifest["config"]["jobs"] == 3
+    assert manifest["config"]["jobs"] == 1
     assert run(capsys, *base, "--jobs", "2")[0] == 0
     manifest = json.loads((tmp_path / "s.json.manifest.json").read_text())
     assert manifest["config"]["jobs"] == 2
@@ -624,13 +614,11 @@ def test_invalid_jobs_flag_is_usage_error(dataset_dir, pool_file, tmp_path, caps
     assert "_positive_int" not in stderr
 
 
-def test_check_has_no_jobs(dataset_dir, tmp_path, capsys, monkeypatch):
+def test_check_has_no_jobs(dataset_dir, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--data", str(dataset_dir), "--jobs", "2"])
     assert exc.value.code == 1
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
-    # CADORDER_JOBS sets search's oracle concurrency only; check never reads it.
-    monkeypatch.setenv("CADORDER_JOBS", "abc")
     out = tmp_path / "check.json"
     assert run(capsys, "check", "--data", str(dataset_dir), "--out", str(out))[0] == 0
     manifest = json.loads((tmp_path / "check.json.manifest.json").read_text())
@@ -805,6 +793,8 @@ _SOLVER = "cmd:true {problem_file} {ordering}"
         ("train", ["--lr", "inf"], 1, "learning_rate must be finite"),
         ("train", ["--temperature", "nan"], 1, "softmax_temperature must be finite"),
         ("train", ["--temperature", "inf"], 1, "softmax_temperature must be finite"),
+        # Finite, but step_base ** 2 is past the float range on n = 3 data.
+        ("search", ["--step-base", "1e160"], 2, "step_base 1e+160 prices problem"),
     ],
 )
 def test_non_finite_settings_are_rejected(
@@ -823,13 +813,59 @@ def test_non_finite_settings_are_rejected(
     assert not out.with_suffix(".json").exists()
 
 
+@pytest.fixture
+def priced(monkeypatch):
+    """The (problem id, perm) of every synthetic price asked for."""
+    calls = []
+    cost = SyntheticCostModel.cost
+
+    def counting(self, pr, ordering):
+        calls.append((pr.id, ordering.perm))
+        return cost(self, pr, ordering)
+
+    monkeypatch.setattr(SyntheticCostModel, "cost", counting)
+    return calls
+
+
+@pytest.mark.parametrize("value, weights", [
+    ("nan", "[nan, nan, 1.0]"),
+    ("inf", "[inf, inf, 1.0]"),
+    ("1e200", "[inf, 1e+200, 1.0]"),  # the square overflows
+])
+def test_bad_init_weight_is_a_usage_error_before_any_price(
+    tmp_path, dataset_dir, capsys, priced, value, weights
+):
+    code, stdout, stderr = run(capsys, "train", "--train", str(dataset_dir), "--val",
+                               str(dataset_dir), "--init-weight", value, "--out", str(tmp_path / "t"))
+    assert (code, stdout) == (1, "")
+    assert stderr == (f"usage error: --init-weight {float(value)}: "
+                      f"weights must be finite, got {weights}\n")
+    assert priced == []
+    assert list(tmp_path.iterdir()) == [dataset_dir]
+
+
+def test_train_past_the_explicit_layer_is_a_data_error_before_any_price(tmp_path, dataset_dir,
+                                                                         capsys, priced):
+    nine = tmp_path / "nine"
+    assert main(["gen", "--n-vars", "9", "--seed", "5", "--count", "2", "--out", str(nine)]) == 0
+    capsys.readouterr()
+    for train_dir, val_dir in ((nine, dataset_dir), (dataset_dir, nine)):
+        code, _, stderr = run(capsys, "train", "--train", str(train_dir), "--val", str(val_dir),
+                              "--out", str(tmp_path / "t"))
+        assert code == 2
+        assert stderr == "error: problem rnd-5-0: explicit output layer limited to 8 variables\n"
+    assert priced == []
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_diverged_train_is_a_usage_error_without_traceback(tmp_path, dataset_dir):
     # A separate process: an uncaught exception would print its traceback.
+    # The weights are finite; their products in the output layer are not.
     root = Path(__file__).parents[1]
     out = tmp_path / "run"
     proc = subprocess.run(
         [sys.executable, "-m", "cadorder.cli", "train", "--train", str(dataset_dir),
-         "--val", str(dataset_dir), "--epochs", "1", "--init-weight", "1e300",
+         "--val", str(dataset_dir), "--epochs", "1", "--init-weight", "1e154",
          "--out", str(out)],
         env={**os.environ, "PYTHONPATH": str(root / "src")},
         capture_output=True,
@@ -864,6 +900,8 @@ def test_help_lists_subcommands(capsys):
                      id="--lr=nan"),
         pytest.param("--lr", "-1", "learning_rate must be finite and >= 0, got -1.0",
                      id="--lr=-1"),
+        pytest.param("--init-weight", "nan", "weights must be finite, got [nan, nan, 1.0]",
+                     id="--init-weight=nan"),
     ],
 )
 def test_pipeline_script_counts_below_one_are_rejected(tmp_path, flag, value, message):
@@ -906,7 +944,7 @@ def test_pipeline_script_writes_its_tuned_network(tmp_path, capsys):
 def test_pipeline_script_divergence_is_one_error_line(tmp_path):
     root = Path(__file__).parents[1]
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_pipeline.py"), "--init-weight", "nan",
+        [sys.executable, str(root / "scripts" / "run_pipeline.py"), "--init-weight", "1e154",
          "--search-count", "3", "--train-count", "3", "--val-count", "2", "--epochs", "1",
          "--out", str(tmp_path / "out")],
         env={**os.environ, "PYTHONPATH": str(root / "src")},

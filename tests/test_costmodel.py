@@ -1,4 +1,6 @@
 import hashlib
+import threading
+import time
 from dataclasses import replace
 from itertools import permutations
 
@@ -7,6 +9,7 @@ import pytest
 from conftest import problem_instances
 from hypothesis import example, given, settings
 
+from cadorder import costmodel
 from cadorder.costmodel import (
     CostRecord,
     ExternalSolverAdapter,
@@ -108,6 +111,17 @@ def test_synthetic_price_reads_the_degree_table_bit_for_bit(pr):
             assert model.cost(fresh, ordering).hex() == expected
             assert model.cost(pr, ordering).hex() == expected
         assert fresh.degree_table() is fresh.degree_table()
+
+
+@pytest.mark.parametrize("model", [
+    SyntheticCostModel(1e160),  # step_base ** 2 raises OverflowError
+    SyntheticCostModel(1e154),  # step_base ** 2 is finite; 3 times it is not
+    SyntheticCostModel(7e153, noise_seed=6, noise_scale=0.5),  # only the noise overflows
+], ids=["power", "product", "noise"])
+def test_synthetic_price_past_the_float_range_names_step_base(problem_a, model):
+    with pytest.raises(ValueError) as exc:
+        model.cost(problem_a, Ordering((0, 1, 2)))
+    assert str(exc.value) == f"step_base {model.step_base} prices problem a past the float range"
 
 
 def test_synthetic_config_validation():
@@ -296,8 +310,8 @@ def test_price_store_asks_a_repeated_pair_once(problem_a, problem_b, tmp_path):
     journal = tmp_path / "journal.txt"
     pairs = [(1, Ordering((0, 2, 1))), (0, Ordering((1, 0, 2))), (1, Ordering((0, 2, 1)))]
     oracle = _CountingOracle()
-    with PriceStore(oracle, [problem_a, problem_b], journal) as store:
-        prices = store.prices(pairs, call=lambda f, xs: list(map(f, xs)))
+    with PriceStore(oracle, [problem_a, problem_b], journal, jobs=2) as store:
+        prices = store.prices(pairs)
     assert prices[0] == prices[2]
     # In the order of first appearance, one call and one journal row each.
     assert oracle.pairs == [("b", (0, 2, 1)), ("a", (1, 0, 2))]
@@ -308,6 +322,48 @@ def test_price_store_asks_a_repeated_pair_once(problem_a, problem_b, tmp_path):
     with PriceStore(resumed_oracle, [problem_a, problem_b], journal) as store:
         assert store.prices(pairs) == prices
     assert resumed_oracle.pairs == []
+
+
+def test_price_store_of_one_job_opens_no_thread_pool(problem_a, monkeypatch):
+    def no_pool(*args):
+        raise AssertionError("a thread pool was opened")
+
+    monkeypatch.setattr(costmodel, "ThreadPoolExecutor", no_pool)
+    with PriceStore(SyntheticCostModel(), [problem_a]) as store:
+        assert len(store.row(0)) == 6
+    with pytest.raises(AssertionError, match="opened"):
+        PriceStore(SyntheticCostModel(), [problem_a], jobs=2).__enter__()
+
+
+class _FailingOracle:
+    """Fails the first call; every other call waits, then counts as finished."""
+
+    def __init__(self):
+        self.started, self.finished = [], []
+        self.lock = threading.Lock()
+
+    def cost(self, pr, ordering):
+        with self.lock:
+            self.started.append(ordering.perm)
+            first = len(self.started) == 1
+        if first:
+            raise SolverError("solver failed")
+        time.sleep(0.2)
+        self.finished.append(ordering.perm)
+        return 1.0
+
+    def describe(self):
+        return "failing"
+
+
+def test_price_store_failed_call_cancels_its_batch_and_waits_for_the_rest(problem_a):
+    oracle = _FailingOracle()
+    with pytest.raises(SolverError):
+        with PriceStore(oracle, [problem_a], jobs=2) as store:
+            store.row(0)
+    # The failure cancels the calls not yet started; the block waits for the others.
+    assert len(oracle.started) < 6
+    assert sorted(oracle.finished) == sorted(oracle.started[1:])
 
 
 def test_price_store_without_a_journal_writes_nothing(problem_a, tmp_path, monkeypatch):

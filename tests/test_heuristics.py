@@ -407,6 +407,9 @@ def test_rule_orders_by_its_scores(pr, weights):
         ([1.0, 2.0], (1.0, 1.0, 1.0), "three weights and three scale divisors"),
         (None, (1.0, 1.0), "three weights and three scale divisors"),
         ([1.0, 2.0, 3.0], (1.0, 0.0, 1.0), "feature scales must be finite and positive"),
+        ([float("nan"), 2.0, 3.0], (1.0, 1.0, 1.0), "weights must be finite"),
+        ([1.0, float("-inf"), 3.0], (1.0, 1.0, 1.0), "weights must be finite"),
+        ([1.0, 2.0, 10**400], (1.0, 1.0, 1.0), "weights must be finite"),
     ],
 )
 def test_rule_rejects_bad_weights_or_scales(weights, scale, message):

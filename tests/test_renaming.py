@@ -2,10 +2,10 @@
 
 ``relabel(pr, perm)`` makes variable i the old variable ``perm[i]``, with
 its name and its degrees: the same problem under another variable order.
-Feature rows, the variables a rule names, noise-free prices and ``check``
-must follow the names.  Where rows tie, the variable index breaks the tie,
-so a renaming may pick another of the tied orderings; those problems are
-left out.
+Feature rows, the variables a rule names, noise-free prices, search
+totals and ``check`` must follow the names.  Where rows tie, the variable
+index breaks the tie, so a renaming may pick another of the tied
+orderings; those problems are left out.
 """
 
 from hypothesis import assume, given, settings
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import problem_instances, relabel
 from cadorder.costmodel import PriceStore, SyntheticCostModel
 from cadorder.features import (
+    FeatureSet,
     brown_features,
     dedup_features,
     enumerate_descriptors,
@@ -21,6 +22,7 @@ from cadorder.features import (
     selected_triplet,
 )
 from cadorder.heuristics import Ordering, Rule, check_equivalence, parse_ordering
+from cadorder.search import enumerate_triplets, search_triplets
 
 REPRESENTATIVES = dedup_features(enumerate_descriptors()).descriptors
 
@@ -81,3 +83,25 @@ def test_the_noise_free_price_of_a_named_ordering_is_unchanged(case, data):
 def test_check_finds_no_mismatch_on_relabelled_data(cases, rule):
     report = check_equivalence([renamed for _, _, renamed in cases], rule)
     assert report.ok and report.total == len(cases)
+
+
+# Classes that rarely tie, so that most drawn problems tie on no searched triplet.
+POOL = FeatureSet.from_descriptors([REPRESENTATIVES[i] for i in (6, 8, 10, 25)])
+SEARCHED = [brown_features()] + [tuple(POOL.descriptors[i] for i in ids)
+                                 for ids in enumerate_triplets(POOL)]
+
+
+def _untied(case) -> bool:
+    """No two variables share a row under Brown's or any pool triplet."""
+    pr = case[0]
+    return all(len(set(feature_matrix(t, pr))) == pr.n_vars for t in SEARCHED)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(relabelled(min_vars=2, max_vars=4).filter(_untied), min_size=1, max_size=3))
+def test_search_totals_are_unchanged(cases):
+    oracle = SyntheticCostModel()
+    report = search_triplets(POOL, [pr for pr, _, _ in cases], oracle)
+    renamed = search_triplets(POOL, [renamed for _, _, renamed in cases], oracle)
+    assert renamed.ranked == report.ranked
+    assert renamed.baseline == report.baseline

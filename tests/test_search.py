@@ -214,6 +214,15 @@ def test_search_top_k(problem_a, problem_b):
     assert report.triplet_count == 120
 
 
+def test_search_of_one_job_opens_no_thread_pool(problem_a, problem_b, monkeypatch):
+    def no_pool(*args):
+        raise AssertionError("a thread pool was opened")
+
+    monkeypatch.setattr(cadorder.costmodel, "ThreadPoolExecutor", no_pool)
+    fs = _named_pool()
+    assert search_triplets(fs, [problem_a, problem_b], SyntheticCostModel(), jobs=1).ranked
+
+
 def test_search_jobs_deterministic():
     fs = _named_pool()
     dataset = random_dataset(GenConfig(seed=4), 60)

@@ -369,7 +369,8 @@ def test_feature_scale_fits_training_maxima():
 
 def test_divergence_guard():
     problems = random_dataset(GenConfig(seed=41), 10)
-    net = _net([float("inf"), 0.0, 0.0])
+    # Finite weights whose output-layer products overflow.
+    net = _net([1e308, 1e308, 0.0])
     with pytest.raises(DivergenceError):
         train(net, problems[:8], problems[8:], SyntheticCostModel(),
               TrainConfig(learning_rate=0.1, epochs=1, batch_size=4))
@@ -415,6 +416,17 @@ def test_train_prices_each_problem_ordering_once(epochs, per_batch):
                    oracle, cfg)
     assert len(report.entries) == 1 + epochs * (4 if per_batch else 1)
     assert oracle.calls == math.factorial(3) * (20 + 10)
+
+
+def test_train_past_the_explicit_layer_prices_nothing():
+    small = random_dataset(GenConfig(seed=59), 4)
+    nine = random_dataset(GenConfig(n_vars=9, seed=60), 1)
+    oracle = _CountingOracle()
+    for train_set, val_set in ((small + nine, small), (small, nine)):
+        with pytest.raises(ValueError, match=f"^problem {nine[0].id}: explicit output layer "
+                                             "limited to 8 variables$"):
+            train(Rule.brown_init(TRIPLET), train_set, val_set, oracle, TrainConfig())
+    assert oracle.calls == 0
 
 
 def test_best_entry_minimizes_validation_cost():

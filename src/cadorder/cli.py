@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import fields
@@ -205,10 +204,10 @@ def cmd_order(args) -> int:
     pr = parse_file(problem, problem.read_bytes(), problem.stem)
     rule = load_rule(args.heuristic)
     rows = feature_matrix(rule.triplet, pr)
-    y = rule.scores(rows)
-    # Finite weights can overflow a tuned y; its infinities would sort as ties.
-    if rule.weights is not None and not all(map(math.isfinite, y)):
-        raise ValueError(f"{args.heuristic}: y {y} is not finite on {args.problem}")
+    try:
+        y = rule.scores(rows)
+    except ValueError as e:
+        raise ValueError(f"{args.heuristic}: {e} on {args.problem}") from None
     ordering = rule.order(rows)
     if args.reverse:
         ordering = ordering.reversed()

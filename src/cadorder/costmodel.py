@@ -6,7 +6,7 @@ desk-scale experiments, which sums each problem's ``degree_table()``
 (built at the problem's first price, then kept with it), and an adapter
 whose ``cost`` runs an external solver and measures wall time; each
 placeholder of its command template fills one argument.  Timed-out runs
-cost timeout_s * penalty_factor.
+cost timeout_s * penalty_factor, which must be finite.
 
 Search and training price orderings through a ``PriceStore``, which asks
 the oracle once per pair, on ``jobs`` threads, and journals the prices.
@@ -25,8 +25,9 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import permutations
+from operator import add
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -85,12 +86,15 @@ class TimingTable:
 def _check_pricing(timeout_s: float | None, penalty_factor: float) -> None:
     """A timeout, when given, must be finite and positive; a penalty finite and >= 0.
 
-    The comparisons are written so that NaN fails them.
+    So must their product, a timed-out run's price.  The comparisons are
+    written so that NaN fails them.
     """
     if timeout_s is not None and not 0 < timeout_s < math.inf:
         raise ValueError(f"timeout must be finite and positive, got {timeout_s}")
     if not 0 <= penalty_factor < math.inf:
         raise ValueError(f"penalty factor must be finite and >= 0, got {penalty_factor}")
+    if timeout_s is not None and timeout_s * penalty_factor == math.inf:
+        raise ValueError(f"timeout {timeout_s} times penalty {penalty_factor} is past the float range")
 
 
 def _parse_bool(text: str, where: str) -> bool:
@@ -281,14 +285,9 @@ def total_cost(
     dataset,
     chooser: Callable[[ProblemInstance], Ordering],
 ) -> CostTotal:
-    """Sum of per-problem costs for the orderings the chooser picks."""
-    items = []
-    total = 0.0
-    for i, pr in enumerate(dataset):
-        c = oracle.cost(pr, chooser(pr))
-        total += c
-        items.append((pr.id or str(i), c))
-    return CostTotal(total, tuple(items))
+    """Sum, left to right from 0.0, of per-problem costs for the orderings the chooser picks."""
+    items = tuple((pr.id or str(i), oracle.cost(pr, chooser(pr))) for i, pr in enumerate(dataset))
+    return CostTotal(reduce(add, (c for _, c in items), 0.0), items)
 
 
 def dataset_digest(dataset) -> str:
@@ -385,6 +384,12 @@ class PriceStore:
                 pr = self.dataset[p]
                 self._journal.writerow([pr.id, ordering.names(pr), repr(c), "false"])
         return [known[p][ordering.perm] for p, ordering in pairs]
+
+    def total(self, prices) -> float:
+        """``prices`` added left to right from 0.0; ValueError past the float range."""
+        if (total := reduce(add, prices, 0.0)) == math.inf:
+            raise ValueError(f"prices of {self.oracle.describe()} add up past the float range")
+        return total
 
     def row(self, p: int) -> list[float]:
         """The prices of all n! orderings of problem ``p``, in ``permutations`` order."""

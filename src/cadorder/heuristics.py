@@ -14,9 +14,10 @@ variable.  A lexicographic rule's y is a radix-w encoding of its row,
 with a base weight w such that every feature value is below w - 1
 (``base_weight``, ``radix_weights``, ``radix_scores``), so comparing
 scores is comparing rows digit by digit.  A tuned rule's y weighs the
-rows divided by its feature scale.  The output layer has one neuron per
-permutation of the variables, scoring y under the fixed weight pattern
-n, n-1, ..., 1 (first position weighted n); its argmax neuron names the
+rows divided by its feature scale and must be finite (``Rule.scores``).
+The output layer has one neuron per permutation of the variables,
+scoring y under the fixed weight pattern n, n-1, ..., 1 (first position
+weighted n; ``_weights_by_variable``); its argmax neuron names the
 ordering.  On exact scores that argmax is the sort, ties included (the
 rearrangement inequality), and ``check_equivalence`` proves it per
 problem for any rule, taking y exactly, floats included.  Evaluated in
@@ -147,31 +148,25 @@ def radix_scores(rows, w: int, problem_id) -> list:
     return layer1_scores(radix_weights(w), rows)
 
 
-def _check_layer_size(n: int) -> None:
+def _weights_by_variable(n: int) -> list[array]:
+    """Each variable's weight in every neuron, in ``permutations`` order: n minus its position."""
     if n > MAX_EXPLICIT_LAYER:
         raise ValueError(f"explicit output layer limited to {MAX_EXPLICIT_LAYER} variables")
-
-
-def _neuron(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """The weight of each variable in the neuron of ordering ``perm``, n for the first."""
-    n = len(perm)
-    weights = [0] * n
-    for pos, v in enumerate(perm):
-        weights[v] = n - pos
-    return tuple(weights)
+    columns = [array("B") for _ in range(n)]
+    for perm in permutations(range(n)):
+        for weight, v in zip(range(n, 0, -1), perm):
+            columns[v].append(weight)
+    return columns
 
 
 @lru_cache(maxsize=None)
 def permutation_weights(n: int) -> tuple[tuple[int, ...], ...]:
     """The weight vector of every output neuron; neuron k's ordering is ``_unrank(n, k)``.
 
-    The weight vector lists, per variable index, the weight that neuron
-    applies: n for the ordering's first variable down to 1 for its last.
-    Neurons follow the orderings' lexicographic order, ``permutations``'.
-    Built once per n; every caller shares the same immutable tuple.
+    The transpose of ``_weights_by_variable``: neurons follow the orderings'
+    lexicographic order.  Built once per n; every caller shares the same tuple.
     """
-    _check_layer_size(n)
-    return tuple(map(_neuron, permutations(range(n))))
+    return tuple(zip(*_weights_by_variable(n)))
 
 
 def layer2_scores(y) -> tuple:
@@ -202,9 +197,9 @@ def layer2_columns(y) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _weight_columns(n: int) -> tuple[tuple[int, ...], ...]:
+def _weight_columns(n: int) -> tuple[array, ...]:
     """Per variable, the weight each output neuron gives it, in neuron order."""
-    return tuple(zip(*permutation_weights(n)))
+    return tuple(_weights_by_variable(n))
 
 
 def layer2_backward(n: int, dscores) -> list:
@@ -242,14 +237,8 @@ def _packed_columns(n: int) -> tuple[int, ...]:
     read as one int in native byte order, so ``sum(y_v * column_v)`` holds
     neuron k's score in field k while every score fits its field.
     """
-    _check_layer_size(n)
-    return tuple(
-        int.from_bytes(
-            array(_PACKED_FIELD, [n - perm.index(v) for perm in permutations(range(n))]).tobytes(),
-            sys.byteorder,
-        )
-        for v in range(n)
-    )
+    return tuple(int.from_bytes(array(_PACKED_FIELD, column).tobytes(), sys.byteorder)
+                 for column in _weights_by_variable(n))
 
 
 def _scaled_ints(y) -> list[int]:
@@ -332,11 +321,18 @@ class Rule:
         s = self.feature_scale
         return [tuple(float(x) / s[i] for i, x in enumerate(row)) for row in rows]
 
-    def scores(self, rows) -> list:
-        """Layer 1's y: radix scores at the minimal base weight, or the tuned weighted sum."""
+    def scores(self, rows, scaled: bool = False) -> list:
+        """Layer 1's y: radix scores at the minimal base weight, or the tuned weighted sum.
+
+        A tuned rule divides ``rows`` by its feature scale unless they are
+        ``scaled`` already; its y raises ValueError unless finite.
+        """
         if self.weights is None:
-            return layer1_scores(radix_weights(base_weight(rows)), rows)
-        return layer1_scores(self.weights, self.scaled_rows(rows))
+            return radix_scores(rows, base_weight(rows), None)
+        y = layer1_scores(self.weights, rows if scaled else self.scaled_rows(rows))
+        if not all(map(math.isfinite, y)):
+            raise ValueError(f"y {y} is not finite")
+        return y
 
     def order(self, rows) -> Ordering:
         """The descending sort of the rows (``lex_order``), or of y once tuned."""
@@ -364,31 +360,25 @@ def check_equivalence(dataset, rule=None, force_w: int | None = None, jobs: int 
 
     A bare triplet is read as its lexicographic rule (None: Brown's), whose
     y is the radix score at each problem's minimal base weight or at
-    ``force_w``, checked against the weight condition; a tuned rule's y
-    must be finite.  Expect zero mismatches.  ``jobs`` is ignored: threads
-    only slowed this loop.
+    ``force_w``, else ``Rule.scores``; a ValueError there is a violation.
+    Expect zero mismatches.  ``jobs`` is ignored: threads only slowed this
+    loop.
     """
     if not isinstance(rule, Rule):
         rule = Rule(brown_features() if rule is None else tuple(rule))
     if rule.weights is not None and force_w is not None:
         raise ValueError("a base weight applies to a lexicographic rule only")
     dataset = list(dataset)
-    violations, mismatches = [], []
-    triplet, tuned, w = rule.triplet, rule.weights is not None, None
+    violations, mismatches, w = [], [], None
     for pr in dataset:
-        rows = feature_matrix(triplet, pr)
-        if tuned:
-            y = rule.scores(rows)
-            if not all(map(math.isfinite, y)):
-                violations.append({"problem_id": pr.id, "w": w, "error": f"y {y} is not finite"})
-                continue
-        else:
-            w = force_w if force_w is not None else base_weight(rows)
-            try:
-                y = radix_scores(rows, w, pr.id)
-            except BaseWeightError as e:
-                violations.append({"problem_id": pr.id, "w": w, "error": str(e)})
-                continue
+        rows = feature_matrix(rule.triplet, pr)
+        if rule.weights is None:
+            w = base_weight(rows) if force_w is None else force_w
+        try:
+            y = rule.scores(rows) if w is None else radix_scores(rows, w, pr.id)
+        except ValueError as e:
+            violations.append({"problem_id": pr.id, "w": w, "error": str(e)})
+            continue
         nn = _order_scores(y) if pr.n_vars <= MAX_EXPLICIT_LAYER else order_by_scores(y)
         order = rule.order(rows)
         if nn != order:

@@ -121,7 +121,8 @@ def search_triplets(
     pass.  Triplets are scanned in index order; the store runs up to
     ``jobs`` oracle calls at once over the pairs a triplet newly needs.
     A journal file makes long runs resumable (``PriceStore``): a resumed
-    search prices only the pairs not on file and recomputes every total.
+    search prices only the pairs not on file and recomputes every total
+    (``PriceStore.total``).
     """
     dataset = list(dataset)
     triplets = enumerate_triplets(fs)
@@ -133,7 +134,7 @@ def search_triplets(
         brown = costs((k, k + 1, k + 2))
         totals, wins = [], []
         for per_problem in map(costs, triplets):
-            totals.append(sum(per_problem))
+            totals.append(store.total(per_problem))
             wins.append(sum(map(lt, per_problem, brown)))
 
     order = sorted(range(len(triplets)), key=lambda i: (totals[i], triplets[i]))[:top_k]
@@ -160,7 +161,7 @@ def search_triplets(
         ranked=ranked,
         baseline={
             "features": list(brown_ids) if brown_ids else None,
-            "total_cost": sum(brown),
+            "total_cost": store.total(brown),
         },
     )
 

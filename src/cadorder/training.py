@@ -53,7 +53,6 @@ from .heuristics import (
     MAX_EXPLICIT_LAYER,
     Rule,
     layer1_columns,
-    layer1_scores,
     layer2_backward,
     layer2_columns,
     order_by_scores,
@@ -265,7 +264,7 @@ def fit_feature_scale(matrices) -> tuple[float, float, float]:
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite."""
+    """Training loss, or a validation y, became non-finite."""
 
 
 def train(
@@ -279,7 +278,9 @@ def train(
 
     The input network is not mutated; the report carries the weights of
     the entry with the lowest validation cost (the pre-training state
-    counts as epoch 0).  Deterministic for a given config and data.
+    counts as epoch 0), each the ``PriceStore.total`` of the picks of
+    ``Rule.scores`` on pre-scaled rows.  A non-finite loss or validation
+    y raises DivergenceError.  Deterministic for a given config and data.
     """
     train_set = list(train_set)
     val_set = list(val_set)
@@ -305,10 +306,13 @@ def train(
 
     def record(epoch: int, step: int, train_loss: float) -> None:
         """An entry: the hard-argmax picks' total cost and the share that are optimal."""
-        picks = (order_by_scores(layer1_scores(work.weights, x)) for x in val_rows)
+        try:
+            picks = [order_by_scores(work.scores(x, scaled=True)) for x in val_rows]
+        except ValueError as e:
+            raise DivergenceError(f"validation {e} at epoch {epoch}") from None
         costs = val_store.prices(enumerate(picks))
         hits = sum(c == best for c, best in zip(costs, val_best))
-        entries.append(TrainEntry(epoch, step, train_loss, reduce(add, costs, 0.0),
+        entries.append(TrainEntry(epoch, step, train_loss, val_store.total(costs),
                                   hits / len(costs), list(work.weights)))
 
     record(0, 0, _loss_and_gradient(work.weights, samples, temperature)[0])

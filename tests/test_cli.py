@@ -795,6 +795,16 @@ _SOLVER = "cmd:true {problem_file} {ordering}"
         ("train", ["--temperature", "inf"], 1, "softmax_temperature must be finite"),
         # Finite, but step_base ** 2 is past the float range on n = 3 data.
         ("search", ["--step-base", "1e160"], 2, "step_base 1e+160 prices problem"),
+        # Every price is finite; their totals are not.
+        ("search", ["--step-base", "1e153"], 2,
+         "prices of synthetic(step=1e+153,noise_seed=None,noise_scale=0.0) add up past the float"),
+        ("train", ["--epochs", "1", "--step-base", "1e153"], 2,
+         "prices of synthetic(step=1e+153,noise_seed=None,noise_scale=0.0) add up past the float"),
+        # Epoch 1's finite weights overflow the validation y.
+        ("train", ["--epochs", "1", "--lr", "1e308"], 1, "is not finite at epoch 1"),
+        # Each factor is finite; a timed-out run's price, their product, is not.
+        ("search", ["--oracle", "table", "--timeout", "1e200", "--penalty", "1e200"], 2,
+         "timeout 1e+200 times penalty 1e+200 is past the float range"),
     ],
 )
 def test_non_finite_settings_are_rejected(
@@ -810,7 +820,7 @@ def test_non_finite_settings_are_rejected(
     assert got == code
     assert message in stderr
     assert "Traceback" not in stderr
-    assert not out.with_suffix(".json").exists()
+    assert not list(tmp_path.glob("r.*"))  # no report, checkpoint or manifest
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import threading
 import time
 from dataclasses import replace
@@ -143,6 +144,18 @@ def test_timing_table_timeout_penalty(problem_a):
     rec = CostRecord("a", "x>y>z", 10.0, True)
     table = TimingTable({("a", "x>y>z"): rec}, timeout_s=10.0, penalty_factor=2.0)
     assert table.cost(problem_a, Ordering((0, 1, 2))) == 20.0
+
+
+def test_a_timed_out_price_past_the_float_range_is_rejected_before_any_price(tmp_path, problem_a):
+    # Each factor is finite; their product, a timed-out run's price, is not.
+    path = tmp_path / "times.csv"
+    path.write_text("problem,ordering,time_s,timed_out\na,x>y>z,1.0,true\n")
+    message = r"^timeout 1e\+200 times penalty 1e\+200 is past the float range$"
+    with pytest.raises(ValueError, match=message):
+        load_timing_table(path, 1e200, 1e200)
+    with pytest.raises(ValueError, match=message):
+        ExternalSolverAdapter("true {problem_file} {ordering}", 1e200, 1e200)
+    assert load_timing_table(path, 1e200, 1e108).cost(problem_a, Ordering((0, 1, 2))) == 1e200 * 1e108
 
 
 def test_load_timing_table(tmp_path):
@@ -322,6 +335,16 @@ def test_price_store_asks_a_repeated_pair_once(problem_a, problem_b, tmp_path):
     with PriceStore(resumed_oracle, [problem_a, problem_b], journal) as store:
         assert store.prices(pairs) == prices
     assert resumed_oracle.pairs == []
+
+
+def test_price_store_total_adds_left_to_right_from_zero(problem_a):
+    store = PriceStore(SyntheticCostModel(), [problem_a])
+    assert store.total([]) == 0.0 and type(store.total([])) is float
+    # Left to right, each 1.0 is lost to rounding; a compensated sum keeps both.
+    assert store.total([1e16, 1.0, 1.0]) == 1e16 != math.fsum([1e16, 1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^prices of synthetic\(step=2\.0,noise_seed=None,"
+                                         r"noise_scale=0\.0\) add up past the float range$"):
+        store.total([1e308, 1e308])
 
 
 def test_price_store_of_one_job_opens_no_thread_pool(problem_a, monkeypatch):

@@ -2,7 +2,9 @@ import functools
 import math
 import operator
 import random
+import sys
 import time
+from array import array
 from fractions import Fraction
 from itertools import permutations
 
@@ -31,10 +33,12 @@ from cadorder.heuristics import (
     permutation_weights,
     radix_scores,
     radix_weights,
+    _PACKED_FIELD,
     _order_scores,
     _packed_columns,
     _packed_scores,
     _unrank,
+    _weight_columns,
 )
 from cadorder.polyset import (
     Monomial,
@@ -288,6 +292,17 @@ def test_neuron_k_weights_the_ordering_unrank_k():
             assert [w[v] for v in perm] == list(range(n, 0, -1))
 
 
+def test_every_weight_table_holds_the_same_weights():
+    # The neuron table, the gradient's columns and the packed columns read one generator.
+    for n in range(1, 7):
+        columns = _weight_columns(n)
+        assert tuple(zip(*columns)) == permutation_weights(n)
+        for column, packed in zip(columns, _packed_columns(n)):
+            fields = array(_PACKED_FIELD)
+            fields.frombytes(packed.to_bytes(math.factorial(n) * fields.itemsize, sys.byteorder))
+            assert list(fields) == list(column)
+
+
 def _backward_per_neuron(n, dscores, zero):
     """d y_v accumulated neuron by neuron over ``permutation_weights``, from ``zero``."""
     dy = [zero] * n
@@ -448,6 +463,16 @@ def test_check_reports_a_tuned_y_that_is_not_finite(problem_a, problem_b):
         assert report.mismatches == []
         assert [v["problem_id"] for v in report.violations] == ["a", "b"]
         assert all("is not finite" in v["error"] and v["w"] is None for v in report.violations)
+
+
+def test_rule_scores_own_y(problem_a):
+    rows = feature_matrix(brown_features(), problem_a)
+    assert Rule(brown_features()).scores(rows) == radix_scores(rows, base_weight(rows), None)
+    tuned = Rule(brown_features(), [1.5, -2.0, 3.0], (2.0, 4.0, 8.0))
+    assert tuned.scores(tuned.scaled_rows(rows), scaled=True) == tuned.scores(rows)
+    for weights in ([1e308, 1e308, 1.0], [1e308, -1e308, 0.0]):
+        with pytest.raises(ValueError, match=r"^y \[.*\] is not finite$"):
+            Rule(brown_features(), weights).scores(rows)
 
 
 @settings(max_examples=60, deadline=None)

@@ -53,8 +53,9 @@ _CLASS_REPS = dedup_features(enumerate_descriptors()).descriptors
 
 
 def _neuron(perm) -> int:
-    """The output neuron of an ordering: its index in ``permutations`` order."""
-    return list(permutations(range(len(perm)))).index(tuple(perm))
+    """The output neuron of an ordering: the one weighting its first variable n, its last 1."""
+    n = len(perm)
+    return permutation_weights(n).index(tuple(n - list(perm).index(v) for v in range(n)))
 
 
 def _net(weights, scale=(1.0, 1.0, 1.0)):
@@ -374,6 +375,14 @@ def test_divergence_guard():
     with pytest.raises(DivergenceError):
         train(net, problems[:8], problems[8:], SyntheticCostModel(),
               TrainConfig(learning_rate=0.1, epochs=1, batch_size=4))
+
+
+def test_validation_y_that_is_not_finite_is_divergence():
+    # Epoch 1's weights are finite, but they overflow the validation y.
+    problems = random_dataset(GenConfig(seed=0), 25)
+    with pytest.raises(DivergenceError, match=r"^validation y \[.*\] is not finite at epoch 1$"):
+        train(Rule.brown_init(TRIPLET), problems, problems, SyntheticCostModel(),
+              TrainConfig(learning_rate=1e308, epochs=1))
 
 
 def test_validate_per_batch_records_every_step():

@@ -203,16 +203,16 @@ def cmd_order(args) -> int:
     problem = Path(args.problem)
     pr = parse_file(problem, problem.read_bytes(), problem.stem)
     rule = load_rule(args.heuristic)
-    rows = feature_matrix(rule.triplet, pr)
+    rows = rule.rows(pr)
     try:
         y = rule.scores(rows)
     except ValueError as e:
         raise ValueError(f"{args.heuristic}: {e} on {args.problem}") from None
-    ordering = rule.order(rows)
+    ordering = rule.order(rows, y)
     if args.reverse:
         ordering = ordering.reversed()
     if args.explain:
-        for name, row in zip(pr.var_names, rows):
+        for name, row in zip(pr.var_names, feature_matrix(rule.triplet, pr)):
             print(f"{name}: features = {tuple(str(x) for x in row)}")
         for name, yv in zip(pr.var_names, y):
             print(f"{name}: y = {yv}")

@@ -56,11 +56,15 @@ Every reduction then yields an integer:
 
 Means use exact integer ``//``.  All values come from one evaluator,
 ``scaled_matrix``: it scales by D only when a key holds a mean, and by
-1 otherwise, and returns the scaled ints with their scale.
-``feature_matrix`` turns them into exact values, ``Fraction`` exactly when
-a descriptor averages; ``eval_feature`` is one entry of its rows.  The
-search ranks the scaled ints: the scale is the same for every variable of
-a problem, so ranking within a problem sees the true values' ranks.
+1 otherwise, and returns the scaled ints with their scale.  The scale is
+the same for every variable of a problem, so comparing the ints within a
+problem compares the true values.  Those ints are the one exact form the
+program reads: the search ranks them, and a lexicographic heuristic's
+radix layer reads them as digits, which must be whole numbers for the
+radix score to compare rows digit by digit.  ``float_rows`` is the one
+float form, each int over its scale.  ``feature_matrix`` turns the ints
+into exact values for display, ``Fraction`` exactly when a descriptor
+averages; ``eval_feature`` is one entry of its rows.
 """
 
 from __future__ import annotations
@@ -70,6 +74,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
+from operator import truediv
 from pathlib import Path
 
 from .atomic import write_json
@@ -241,6 +247,16 @@ def feature_matrix(descriptors, pr: ProblemInstance) -> tuple[tuple, ...]:
     return tuple(map(tuple, rows))
 
 
+def float_rows(descriptors, pr: ProblemInstance) -> list[tuple[float, ...]]:
+    """The rows of ``pr`` as floats, each ``n / d`` of :func:`scaled_matrix`.
+
+    Int true division rounds correctly, as ``float()`` of a Fraction does,
+    so each value is ``float()`` of its exact value, with no Fraction built.
+    """
+    d, rows = scaled_matrix(descriptors, pr)
+    return [tuple(map(truediv, row, repeat(d))) for row in rows]
+
+
 def eval_feature(fd: FeatureDescriptor, pr: ProblemInstance, v: int):
     """Exact value of the feature for variable index ``v``: one entry of :func:`feature_matrix`."""
     return feature_matrix((fd,), pr)[v][0]
@@ -407,48 +423,16 @@ def dedup_features(candidates, probe=None) -> FeatureSet:
     """Partition candidates into classes of equal values, by their ``value_key``.
 
     Each class keeps one representative: fewest non-identity stages, then
-    smallest encoding.  A ``probe``, when given, only checks that the
-    classes differ: see ``_check_classes_differ``.
+    smallest encoding.  ``probe`` is accepted and ignored: the keys are
+    distinct classes by construction, which the tests check against the
+    stages' literal rules.
     """
     reps = {}
     for members in _classes(candidates).values():
         rep = min(members, key=lambda fd: (fd.stage_count, fd.encoding))
         reps[rep] = members
     ordered = tuple(sorted(reps, key=lambda fd: fd.encoding))
-    if probe is not None:
-        _check_classes_differ(ordered, probe)
     return FeatureSet(ordered, {fd: reps[fd] for fd in ordered})
-
-
-def _check_classes_differ(representatives, probe) -> None:
-    """Raise ValueError unless the probe tells every pair of representatives apart.
-
-    The probe must be nonempty, with one variable count.  Each
-    representative's values on the problems so far form a tuple, extended
-    by one ``feature_matrix`` call per problem; the walk stops once every
-    tuple differs.  The error names each group of equal tuples.
-    """
-    probe = list(probe)
-    if not probe:
-        raise ValueError("probe set must be nonempty")
-    n_vars = probe[0].n_vars
-    if any(pr.n_vars != n_vars for pr in probe):
-        raise ValueError("probe problems must share n_vars")
-
-    values = [()] * len(representatives)
-    for pr in probe:
-        if len(set(values)) == len(values):
-            return
-        rows = feature_matrix(representatives, pr)
-        values = [v + tuple(row[i] for row in rows) for i, v in enumerate(values)]
-    groups: dict[tuple, list[FeatureDescriptor]] = {}
-    for fd, key in zip(representatives, values):
-        groups.setdefault(key, []).append(fd)
-    named = [" = ".join(fd.describe() for fd in g) for g in groups.values() if len(g) > 1]
-    if named:
-        raise ValueError(
-            f"the probe does not tell apart {len(named)} group(s) of classes: {'; '.join(named)}"
-        )
 
 
 def separation_probes() -> list[ProblemInstance]:

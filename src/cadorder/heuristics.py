@@ -1,10 +1,11 @@
 """The constrained network, the orderings it encodes, and ``Rule``, the one heuristic type.
 
-A ``Rule`` is a feature triplet (``features.feature_matrix`` gives its
-rows), read lexicographically, or the same triplet with tuned
-first-layer weights.  Its ``order`` is a descending sort, of the rows
-(``lex_order``) or of its y (``order_by_scores``), ties going to the
-lower variable index; production code takes only that route.
+A ``Rule`` is a feature triplet, read lexicographically, or the same
+triplet with tuned first-layer weights.  ``Rule.rows`` gives the rows it
+reads: ``features.scaled_matrix``'s ints, or their ``float_rows`` once
+tuned.  Its ``order`` is a descending sort, of the rows (``lex_order``)
+or of its y (``order_by_scores``), ties going to the lower variable
+index; production code takes only that route.
 
 The network behind a rule has two layers.  Layer 1 scores each
 variable.  A lexicographic rule's y is a radix-w encoding of its row,
@@ -13,8 +14,12 @@ variable.  A lexicographic rule's y is a radix-w encoding of its row,
 
 with a base weight w such that every feature value is below w - 1
 (``base_weight``, ``radix_weights``, ``radix_scores``), so comparing
-scores is comparing rows digit by digit.  A tuned rule's y weighs the
-rows divided by its feature scale and must be finite (``Rule.scores``).
+scores is comparing rows digit by digit.  That needs whole digits: the
+rows (0, 1.5, 0) and (0, 1, 2.5) score 6 and 6.5 at w = 4, in the wrong
+order.  So the digits are the scaled ints, whose scale is the same for
+every variable of a problem and keeps the rows' order.  A tuned rule's y
+weighs the rows divided by its feature scale and must be finite
+(``Rule.scores``).
 The output layer has one neuron per permutation of the variables,
 scoring y under the fixed weight pattern n, n-1, ..., 1 (first position
 weighted n; ``_weights_by_variable``); its argmax neuron names the
@@ -44,7 +49,8 @@ from functools import lru_cache, reduce
 from itertools import permutations, repeat
 from operator import add, getitem, mul
 
-from .features import FeatureDescriptor, brown_features, feature_matrix
+# ``feature_matrix`` is imported for the benchmark's gates, which read it from here.
+from .features import FeatureDescriptor, brown_features, feature_matrix, float_rows, scaled_matrix
 from .polyset import ProblemInstance
 
 # The factorial output layer is only materialized up to this many variables;
@@ -148,10 +154,16 @@ def radix_scores(rows, w: int, problem_id) -> list:
     return layer1_scores(radix_weights(w), rows)
 
 
+def check_layer_size(n: int, problem_id=None) -> None:
+    """Raise ValueError, naming ``problem_id`` if given, unless n variables fit the n! layer."""
+    if n > MAX_EXPLICIT_LAYER:
+        where = "" if problem_id is None else f"problem {problem_id}: "
+        raise ValueError(f"{where}explicit output layer limited to {MAX_EXPLICIT_LAYER} variables")
+
+
 def _weights_by_variable(n: int) -> list[array]:
     """Each variable's weight in every neuron, in ``permutations`` order: n minus its position."""
-    if n > MAX_EXPLICIT_LAYER:
-        raise ValueError(f"explicit output layer limited to {MAX_EXPLICIT_LAYER} variables")
+    check_layer_size(n)
     columns = [array("B") for _ in range(n)]
     for perm in permutations(range(n)):
         for weight, v in zip(range(n, 0, -1), perm):
@@ -317,6 +329,12 @@ class Rule:
         """The radix layer (w^2, w, 1) as tuned weights: training's starting point."""
         return cls(tuple(triplet), list(map(float, radix_weights(float(base_weight)))))
 
+    def rows(self, pr: ProblemInstance) -> list:
+        """The rows this rule reads: ``scaled_matrix``'s ints, or ``float_rows`` once tuned."""
+        if self.weights is None:
+            return scaled_matrix(self.triplet, pr)[1]
+        return float_rows(self.triplet, pr)
+
     def scaled_rows(self, rows) -> list[tuple[float, float, float]]:
         s = self.feature_scale
         return [tuple(float(x) / s[i] for i, x in enumerate(row)) for row in rows]
@@ -334,9 +352,11 @@ class Rule:
             raise ValueError(f"y {y} is not finite")
         return y
 
-    def order(self, rows) -> Ordering:
-        """The descending sort of the rows (``lex_order``), or of y once tuned."""
-        return order_by_scores(rows if self.weights is None else self.scores(rows))
+    def order(self, rows, y=None) -> Ordering:
+        """Descending sort of the rows (``lex_order``), or of y once tuned: ``scores(rows)`` unless given."""
+        if self.weights is None:
+            return lex_order(rows)
+        return order_by_scores(self.scores(rows) if y is None else y)
 
     hard_order = order
 
@@ -359,10 +379,11 @@ def check_equivalence(dataset, rule=None, force_w: int | None = None, jobs: int 
     """Prove per problem, in dataset order, that the n! layer's argmax on y is the rule's order.
 
     A bare triplet is read as its lexicographic rule (None: Brown's), whose
-    y is the radix score at each problem's minimal base weight or at
-    ``force_w``, else ``Rule.scores``; a ValueError there is a violation.
-    Expect zero mismatches.  ``jobs`` is ignored: threads only slowed this
-    loop.
+    y is the radix score of its ``Rule.rows``, the scaled ints, at each
+    problem's minimal base weight or at ``force_w`` (in the ints' units),
+    else ``Rule.scores``; a ValueError there is a violation.  Each y is
+    computed once per problem.  Expect zero mismatches.  ``jobs`` is
+    ignored: threads only slowed this loop.
     """
     if not isinstance(rule, Rule):
         rule = Rule(brown_features() if rule is None else tuple(rule))
@@ -371,7 +392,7 @@ def check_equivalence(dataset, rule=None, force_w: int | None = None, jobs: int 
     dataset = list(dataset)
     violations, mismatches, w = [], [], None
     for pr in dataset:
-        rows = feature_matrix(rule.triplet, pr)
+        rows = rule.rows(pr)
         if rule.weights is None:
             w = base_weight(rows) if force_w is None else force_w
         try:
@@ -380,7 +401,7 @@ def check_equivalence(dataset, rule=None, force_w: int | None = None, jobs: int 
             violations.append({"problem_id": pr.id, "w": w, "error": str(e)})
             continue
         nn = _order_scores(y) if pr.n_vars <= MAX_EXPLICIT_LAYER else order_by_scores(y)
-        order = rule.order(rows)
+        order = rule.order(rows, y)
         if nn != order:
             mismatches.append(
                 {"problem_id": pr.id, "lex": order.names(pr), "nn": nn.names(pr), "w": w}

@@ -15,13 +15,10 @@ group's samples, built with the column forms of the layers in
 the same order, and the per-sample losses and gradient terms are added in
 batch order, so the results equal a per-sample loop bit for bit.
 
-Feature rows are floats, each ``n / d`` of ``features.scaled_matrix``'s
-scaled int and scale (``float_rows``): that division rounds correctly, so
-each is ``float()`` of the exact ``feature_matrix`` value, with no
-``Fraction`` built.  Feature scaling: inputs can be divided by
-per-feature training-set maxima so the three gradient components have
-comparable size.  Disable it (``normalize=False``) to train on raw
-feature values.
+Feature rows are ``features.float_rows``, each value ``float()`` of its
+exact value.  Feature scaling: inputs can be divided by per-feature
+training-set maxima so the three gradient components have comparable
+size.  Disable it (``normalize=False``) to train on raw feature values.
 
 A checkpoint holds a tuned ``heuristics.Rule``: the best weights, the
 scale and the triplet.  ``load_rule`` reads it, a triplet file or a name.
@@ -46,12 +43,12 @@ from .features import (
     brown_features,
     descriptor_record,
     descriptors_from_records,
-    scaled_matrix,
+    float_rows,
     selected_triplet,
 )
 from .heuristics import (
-    MAX_EXPLICIT_LAYER,
     Rule,
+    check_layer_size,
     layer1_columns,
     layer2_backward,
     layer2_columns,
@@ -243,16 +240,6 @@ def _argmin(row: list[float]) -> int:
     return row.index(min(row))
 
 
-def float_rows(triplet, pr) -> list[tuple[float, ...]]:
-    """The ``feature_matrix`` rows of ``pr`` as floats, each ``n / d`` of ``scaled_matrix``.
-
-    Int true division rounds correctly, as ``float()`` of a Fraction does,
-    so each value is ``float()`` of its exact value, with no Fraction built.
-    """
-    d, rows = scaled_matrix(triplet, pr)
-    return [tuple(map(truediv, row, repeat(d))) for row in rows]
-
-
 def fit_feature_scale(matrices) -> tuple[float, float, float]:
     """Per-feature maxima over the training set; absent features scale by 1."""
     top = [0.0, 0.0, 0.0]
@@ -287,8 +274,7 @@ def train(
     if not train_set or not val_set:
         raise ValueError("training and validation sets must be nonempty")
     for pr in train_set + val_set:  # before any price: a row holds n! of them
-        if pr.n_vars > MAX_EXPLICIT_LAYER:
-            raise ValueError(f"problem {pr.id}: explicit output layer limited to {MAX_EXPLICIT_LAYER} variables")
+        check_layer_size(pr.n_vars, pr.id)
 
     train_matrices = [float_rows(net.triplet, pr) for pr in train_set]
     scale = fit_feature_scale(train_matrices) if cfg.normalize else (1.0, 1.0, 1.0)

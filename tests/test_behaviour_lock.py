@@ -1,8 +1,8 @@
 """Behaviour lock: a fixed-seed small pipeline whose report bytes are pinned.
 
-Runs the stages of ``scripts/run_pipeline.py`` at desk scale (dedup over
-``default_probe(60)``, a search over the first 10 classes on 40 problems,
-3 training epochs) and compares the sha256 of every report it writes with
+Runs the stages of ``scripts/run_pipeline.py`` at desk scale (grammar
+dedup, a search over the first 10 classes on 40 problems, 3 training
+epochs) and compares the sha256 of every report it writes with
 digests recorded before the ordering code was consolidated.  A refactor
 that keeps these digests keeps the program's results.  The default
 ``scripts/run_pipeline.py`` run (600 training problems, 30 epochs, batches
@@ -27,7 +27,6 @@ from cadorder.datagen import GenConfig, random_dataset
 from cadorder.features import (
     FeatureSet,
     dedup_features,
-    default_probe,
     enumerate_descriptors,
     selected_triplet,
 )
@@ -59,7 +58,7 @@ PINNED_N4_TRAIN = "df55277098b21e3ecb4c9fff34749fd6a8dd34f2c8b41021a7af5dca16824
 def run_small_pipeline(out) -> dict[str, str]:
     """Write the four reports under ``out``; return their sha256 digests."""
     oracle = SyntheticCostModel()
-    fs = dedup_features(enumerate_descriptors(), default_probe(60))
+    fs = dedup_features(enumerate_descriptors())
     fs.save(out / "features.json")
     pool = FeatureSet.from_descriptors(fs.descriptors[:10])
     report = search_triplets(pool, random_dataset(GenConfig(seed=10), 40), oracle, top_k=10)

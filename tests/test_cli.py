@@ -130,6 +130,27 @@ def test_order_reverse_and_explain(problem_file, capsys):
     assert "x: y = 67\ny: y = 41\nz: y = 67\n" in stdout
 
 
+def test_order_explains_an_averaging_triplet(problem_file, tmp_path, capsys):
+    # Features print as exact values; y is the radix score of the scaled ints.
+    # problem_a's scale is D = 4, so x's row (3, 1, 1) is read as the digits
+    # (12, 4, 4) at the base weight 14: 12 * 196 + 4 * 14 + 4 = 2412.
+    triplet = tmp_path / "avg.json"
+    triplet.write_text(json.dumps([
+        {"kernel": "DEGREE", "pipeline": ["max_m", "sum_p", "id", "id"]},
+        {"kernel": "DEGREE", "pipeline": ["av_m", "max_p", "id", "id"]},
+        {"kernel": "DEGREE", "pipeline": ["sgn", "sum_m", "max_p", "id"]},
+    ]))
+    code, stdout, _ = run(capsys, "order", "--heuristic", str(triplet),
+                          "--problem", str(problem_file), "--explain")
+    assert code == 0 and stdout == (
+        "x: features = ('3', '1', '1')\n"
+        "y: features = ('1', '1/2', '1')\n"
+        "z: features = ('3', '1', '1')\n"
+        "x: y = 2412\ny: y = 816\nz: y = 2412\n"
+        "x>z>y\n"
+    )
+
+
 def test_order_missing_file_is_data_error(capsys):
     code, _, stderr = run(capsys, "order", "--heuristic", "brown", "--problem", "missing.poly")
     assert code == 2

@@ -316,36 +316,29 @@ def test_monomial_vs_polynomial_containment_separate(problem_a, problem_c):
     assert eval_feature(poly_count, problem_c, 0) == 1
     fs = dedup_features([brown_count, poly_count])
     assert fs.descriptors == (poly_count, brown_count)
-    assert dedup_features([brown_count, poly_count], [problem_c]) == fs
+    assert _probe_dedup([brown_count, poly_count], [problem_c]) == fs
     # In problem_a no polynomial holds a variable in two monomials, so the
     # two counts agree there: that probe cannot tell the classes apart.
-    with pytest.raises(ValueError) as err:
-        dedup_features([brown_count, poly_count], [problem_a])
-    assert str(err.value) == (
-        "the probe does not tell apart 1 group(s) of classes: sum_p max_m sgn d_v = sum_mp sgn d_v"
-    )
+    assert _merged_groups([brown_count, poly_count], [problem_a]) == [
+        "sum_p max_m sgn d_v = sum_mp sgn d_v"
+    ]
 
 
 def test_a_probe_that_cannot_tell_classes_apart_names_them(problem_c):
     # problem_c is one polynomial, so the three p-reductions agree on it, and
     # x's monomials have no other variable, so the two kernels agree too.
-    with pytest.raises(ValueError, match=r"does not tell apart 4 group\(s\) of classes: ") as err:
-        dedup_features(enumerate_descriptors(), [problem_c])
-    groups = str(err.value).split(": ", 1)[1].split("; ")
+    groups = _merged_groups(enumerate_descriptors(), [problem_c])
     assert len(groups) == 4
     assert ("max_p av_m d_v = sum_p av_m d_v = av_mp d_v = max_p av_m sgn(d_v)*totdeg"
             " = sum_p av_m sgn(d_v)*totdeg = av_mp sgn(d_v)*totdeg") in groups
 
 
-def test_dedup_requires_probe():
-    with pytest.raises(ValueError, match="probe set must be nonempty"):
-        dedup_features(enumerate_descriptors()[:5], [])
-
-
-def test_dedup_requires_shared_nvars(problem_a):
-    one_var = parse_problem("vars: x\nx^2")
-    with pytest.raises(ValueError, match="share n_vars"):
-        dedup_features(enumerate_descriptors()[:5], [problem_a, one_var])
+def test_a_probe_that_merges_classes_leaves_dedup_unchanged(problem_a, problem_c):
+    candidates = enumerate_descriptors()
+    classes = dedup_features(candidates)
+    for probe in ([problem_c], [problem_a], [problem_a, parse_problem("vars: x\nx^2")]):
+        assert len(_probe_dedup(candidates, probe)) < len(classes) == 27
+        assert dedup_features(candidates, probe) == classes
 
 
 def test_dedup_idempotent():
@@ -413,12 +406,21 @@ def _probe_dedup(candidates, probe):
     return FeatureSet(ordered, {fd: reps[fd] for fd in ordered})
 
 
+def _merged_groups(candidates, probe):
+    """Per probe class holding several key classes, their representatives joined by " = "."""
+    representatives = dedup_features(candidates).descriptors
+    groups = [[rep for rep in representatives if rep in members]
+              for members in _probe_dedup(candidates, probe).provenance.values()]
+    return [" = ".join(fd.describe() for fd in g) for g in groups if len(g) > 1]
+
+
 def test_key_classes_equal_probe_grouping_on_default_probe():
     candidates = enumerate_descriptors()
     probe = default_probe()
     fs = dedup_features(candidates)
     assert _probe_dedup(candidates, probe) == fs
-    assert dedup_features(candidates, probe) == fs
+    # Its first 4 problems already tell the 27 classes apart.
+    assert _probe_dedup(candidates, probe[:4]) == fs
 
 
 def _stripped(fd):
@@ -452,18 +454,19 @@ def _padded_candidates(draw):
 def test_dedup_matches_naive_grouping(probe, candidates):
     classes = dedup_features(candidates)
     naive = _probe_dedup(candidates, probe)
+    # A probe can merge key classes but never splits one.
+    for members in classes.provenance.values():
+        assert sum(set(members) <= set(group) for group in naive.provenance.values()) == 1
     if len(naive) == len(classes):
-        assert naive == classes == dedup_features(candidates, probe)
+        assert naive == classes
     else:
-        # The probe merges classes, and the check names the ones it merges.
-        with pytest.raises(ValueError, match="does not tell apart") as err:
-            dedup_features(candidates, probe)
-        merged = [group for group in naive.provenance.values()
-                  if sum(rep in group for rep in classes.descriptors) > 1]
-        assert f"tell apart {len(merged)} group(s)" in str(err.value)
+        merged = _merged_groups(candidates, probe)
+        assert merged and len(naive) == len(classes) - sum(g.count(" = ") for g in merged)
+    assert dedup_features(candidates, probe) == classes
 
 
-# The first problems of the default probe, which tell all 27 classes apart.
+# The first problems of the default probe, which tell all 27 classes apart
+# (see test_key_classes_equal_probe_grouping_on_default_probe).
 _SEPARATING = default_probe()[:4]
 
 
@@ -472,7 +475,7 @@ _SEPARATING = default_probe()[:4]
        _padded_candidates())
 def test_a_probe_never_changes_the_classes(extra, candidates):
     # Any subset of the grammar keeps the classes it takes from the whole,
-    # and a probe that tells those apart only confirms them.
+    # whatever probe is passed.
     classes = dedup_features(candidates)
     assert dedup_features(candidates, _SEPARATING + extra) == classes
     assert dedup_features(candidates, extra + _SEPARATING) == classes

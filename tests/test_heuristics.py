@@ -14,7 +14,17 @@ from hypothesis import strategies as st
 
 from conftest import problem_instances
 from cadorder.datagen import GenConfig, random_dataset
-from cadorder.features import brown_features, feature_matrix, selected_triplet
+from cadorder.features import (
+    Agg,
+    FeatureDescriptor,
+    Kernel,
+    brown_features,
+    dedup_features,
+    enumerate_descriptors,
+    feature_matrix,
+    scaled_matrix,
+    selected_triplet,
+)
 from cadorder.heuristics import (
     MAX_EXPLICIT_LAYER,
     BaseWeightError,
@@ -22,6 +32,7 @@ from cadorder.heuristics import (
     Rule,
     base_weight,
     check_equivalence,
+    check_layer_size,
     layer1_columns,
     layer1_scores,
     layer2_backward,
@@ -456,6 +467,15 @@ def test_check_proves_a_tuned_rule(n, count):
     assert per_problem < 0.2, f"{per_problem:.3f} s per problem"
 
 
+def test_check_computes_each_y_once_per_problem(monkeypatch):
+    calls = []
+    scores = Rule.scores
+    monkeypatch.setattr(Rule, "scores", lambda self, *a: calls.append(self) or scores(self, *a))
+    problems = random_dataset(GenConfig(seed=3), 20)
+    assert check_equivalence(problems, _TUNED).ok
+    assert calls == [_TUNED] * 20
+
+
 def test_check_reports_a_tuned_y_that_is_not_finite(problem_a, problem_b):
     # Finite weights can still overflow y: inf, or nan where infinities of both signs meet.
     for weights in ([1e308, 1e308, 1.0], [1e308, -1e308, 0.0]):
@@ -542,6 +562,65 @@ def test_equivalence_holds_for_any_admissible_w(pr, slack):
     triplet = brown_features()
     rows = feature_matrix(triplet, pr)
     assert _nn_order(triplet, pr, base_weight(rows) + slack).perm == lex_order(rows).perm
+
+
+# One representative of each of the grammar's 27 classes, 18 of them averaging.
+_REPRESENTATIVES = dedup_features(enumerate_descriptors()).descriptors
+
+# sum_p max_m d_v, max_p av_m d_v, max_p sum_m sgn d_v: the second averages.
+_AVERAGING = (
+    FeatureDescriptor(Kernel.DEGREE, (Agg.MAX_M, Agg.SUM_P, Agg.ID, Agg.ID)),
+    FeatureDescriptor(Kernel.DEGREE, (Agg.AV_M, Agg.MAX_P, Agg.ID, Agg.ID)),
+    FeatureDescriptor(Kernel.DEGREE, (Agg.SGN, Agg.SUM_M, Agg.MAX_P, Agg.ID)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem_instances(min_vars=1, max_vars=4),
+       st.lists(st.sampled_from(_REPRESENTATIVES), min_size=3, max_size=3))
+def test_check_proves_every_lexicographic_triplet(pr, triplet):
+    # The radix layer reads the scaled ints, whole digits, so averaging
+    # features are proven too; their order is the exact values' order.
+    rule = Rule(tuple(triplet))
+    assert check_equivalence([pr], rule).ok
+    assert rule.order(rule.rows(pr)) == lex_order(feature_matrix(rule.triplet, pr))
+
+
+def test_check_proves_an_averaging_triplet_on_a_generated_problem():
+    # rnd-0-17's rows are x0 (5, 3, 4), x1 (6, 10/3, 6), x2 (5, 17/6, 6).
+    # Read as radix digits at w = 8, x2's fractions outweigh x0's larger
+    # second feature, so radix scores on the exact values rank x2 above x0.
+    pr = random_dataset(GenConfig(seed=0), 20)[17]
+    assert pr.id == "rnd-0-17"
+    rows = feature_matrix(_AVERAGING, pr)
+    assert rows[2] == (5, Fraction(17, 6), 6) and base_weight(rows) == 8
+    assert lex_order(rows).names(pr) == "x1>x0>x2"
+    assert order_by_scores(radix_scores(rows, 8, pr.id)).names(pr) == "x1>x2>x0"
+    report = check_equivalence([pr], _AVERAGING)
+    assert report.ok and report.total == 1
+
+
+def test_force_w_is_in_units_of_the_scaled_ints():
+    # The scale of rnd-0-17 is D = 6, so w must exceed every value times 6
+    # plus 1: w = 8 bounds the exact values (at most 6) but not the ints.
+    pr = random_dataset(GenConfig(seed=0), 20)[17]
+    d, ints = scaled_matrix(_AVERAGING, pr)
+    assert d == 6 and ints[0] == [30, 18, 24] and base_weight(ints) == 38
+    report = check_equivalence([pr], _AVERAGING, force_w=8)
+    assert report.mismatches == []
+    assert report.violations == [{
+        "problem_id": "rnd-0-17", "w": 8,
+        "error": "feature 0 of variable 0 is 30, not below w - 1 = 7 (problem 'rnd-0-17')",
+    }]
+    assert check_equivalence([pr], _AVERAGING, force_w=38).ok
+
+
+def test_layer_size_check_names_the_problem():
+    check_layer_size(MAX_EXPLICIT_LAYER)
+    with pytest.raises(ValueError, match="^explicit output layer limited to 8 variables$"):
+        check_layer_size(MAX_EXPLICIT_LAYER + 1)
+    with pytest.raises(ValueError, match="^problem p: explicit output layer limited to 8 variables$"):
+        check_layer_size(MAX_EXPLICIT_LAYER + 1, "p")
 
 
 def _rational_vectors(max_n=4):

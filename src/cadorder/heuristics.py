@@ -25,9 +25,12 @@ scoring y under the fixed weight pattern n, n-1, ..., 1 (first position
 weighted n; ``_weights_by_variable``); its argmax neuron names the
 ordering.  On exact scores that argmax is the sort, ties included (the
 rearrangement inequality), and ``check_equivalence`` proves it per
-problem for any rule, taking y exactly, floats included.  Evaluated in
-floats, rounding can make nominally equal neuron scores differ, so the
-argmax may name another of the tied orderings.
+problem for any rule, taking y exactly, floats included: every neuron's
+score is one field of a packed integer product, the fields as wide as
+the largest score needs, and the argmax is read from it with bit
+operations (``_order_scores``).  Evaluated in floats, rounding can make
+nominally equal neuron scores differ, so the argmax may name another of
+the tied orderings.
 
 Every layer is defined here, once.  Training relaxes the output layer
 to a softmax and reads the layers in column form (``layer1_columns``,
@@ -57,9 +60,6 @@ from .polyset import ProblemInstance
 # past it, check_equivalence compares against the sort path (same result by
 # the rearrangement inequality).
 MAX_EXPLICIT_LAYER = 8
-
-# Unsigned array typecode of the packed output layer's fields (32 bits).
-_PACKED_FIELD = "I"
 
 # Default base weight of ``Rule.brown_init``'s radix starting point.
 INIT_WEIGHT = 30.0
@@ -241,18 +241,6 @@ def _unrank(n: int, k: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-@lru_cache(maxsize=None)
-def _packed_columns(n: int) -> tuple[int, ...]:
-    """Per variable, its weight in every output neuron, packed into one int.
-
-    Neuron k's weight is field k of an unsigned ``array(_PACKED_FIELD)``,
-    read as one int in native byte order, so ``sum(y_v * column_v)`` holds
-    neuron k's score in field k while every score fits its field.
-    """
-    return tuple(int.from_bytes(array(_PACKED_FIELD, column).tobytes(), sys.byteorder)
-                 for column in _weights_by_variable(n))
-
-
 def _scaled_ints(y) -> list[int]:
     """Exact ``y`` (ints, Fractions, floats) times its denominators' lcm, minus its minimum."""
     ratios = [v.as_integer_ratio() for v in y]
@@ -262,37 +250,68 @@ def _scaled_ints(y) -> list[int]:
     return [v - low for v in ints]
 
 
-def _packed_scores(y) -> array | None:
-    """Every neuron's score of exact ``y`` as one packed integer product of ``_scaled_ints(y)``.
+def _field_bytes(top: int) -> int:
+    """Bytes per packed field for scores up to ``top``: whole bytes, a spare high bit, at least 4.
 
-    With D the lcm of y's denominators, neuron k's field holds
-    D * s_k - D * min(y) * n(n+1)/2 for its score s_k: one affine map for
-    every neuron, since each gives the weights 1..n, which keeps the argmax
-    and its ties.  None if the largest score does not fit a field.
+    So every score is below 2**(8 * width - 1).
+    """
+    return max(4, top.bit_length() // 8 + 1)
+
+
+@lru_cache(maxsize=8)
+def _packed_layer(n: int, width: int) -> tuple[tuple[int, ...], int]:
+    """The output layer packed ``width`` bytes per neuron, neuron 0 in the lowest field.
+
+    Per variable, one int holding its weight in neuron k in field k
+    (``_weight_columns``); then the int holding 1 in every field.  At
+    n = 8 one width takes 9 * 40,320 * width bytes and a few ms to build,
+    so only the most recently used (n, width) pairs are kept.
+    """
+    columns = _weight_columns(n)
+    fields = bytearray(math.factorial(n) * width)
+
+    def pack(weights) -> int:
+        fields[::width] = weights
+        return int.from_bytes(fields, "little")
+
+    return tuple(map(pack, columns)), pack(bytes([1]) * math.factorial(n))
+
+
+def _packed_product(y) -> tuple[int, int, int]:
+    """(total, width, top): every neuron's score of exact ``y`` in one int, ``width`` bytes each.
+
+    y is read as ``_scaled_ints(y)``: times the lcm D of its denominators
+    and shifted by D * min(y), which maps every neuron's score s to
+    D * s - D * min(y) * n(n+1)/2, since each neuron gives the weights
+    1..n; the map keeps the argmax and its ties.  The largest score, top,
+    weights the greatest value n (rearrangement inequality) and sizes the
+    fields (``_field_bytes``), so ``total = sum(ints_v * column_v)`` holds
+    neuron k's score, computed exactly, in field k.
     """
     ints = _scaled_ints(y)
     n = len(ints)
-    # The largest score weights the greatest value n (rearrangement inequality).
     top = sum(map(mul, sorted(ints, reverse=True), range(n, 0, -1)))
-    scores = array(_PACKED_FIELD)
-    if top >= 1 << (8 * scores.itemsize):
-        return None
-    total = sum(map(mul, ints, _packed_columns(n)))
-    scores.frombytes(total.to_bytes(math.factorial(n) * scores.itemsize, sys.byteorder))
-    return scores
+    width = _field_bytes(top)
+    return sum(map(mul, ints, _packed_layer(n, width)[0])), width, top
 
 
 def _order_scores(y) -> Ordering:
     """Argmax neuron of exact ``y``, first (lexicographically smallest) on ties.
 
-    The neuron is unranked, so only scores past the packed fields, as a
-    tuned rule's always are, build ``permutation_weights(n)`` (4.5 MB at
-    n = 8): they are ``layer2_scores`` of the same ints.
+    Read from ``_packed_product`` with b-bit fields, every score below
+    2**(b-1): adding 2**(b-1) - top to every field sets its high bit
+    exactly where the score is top, and the lowest such bit is the first
+    argmax neuron, unranked in factorial base.  No score is unpacked and
+    the neuron table ``permutation_weights(n)`` is never built.  Raises
+    RuntimeError if no neuron attains top.
     """
-    scores = _packed_scores(y)
-    if scores is None:
-        scores = layer2_scores(_scaled_ints(y))
-    return Ordering(_unrank(len(y), scores.index(max(scores))))
+    total, width, top = _packed_product(y)
+    ones = _packed_layer(len(y), width)[1]
+    high = 8 * width - 1
+    hits = (total + ((1 << high) - top) * ones) >> high & ones
+    if not hits:
+        raise RuntimeError(f"no neuron of the layer scores {top}, the largest score of y = {y}")
+    return Ordering(_unrank(len(y), ((hits & -hits).bit_length() - 1) // (high + 1)))
 
 
 def order_by_scores(y) -> Ordering:

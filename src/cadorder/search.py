@@ -78,7 +78,9 @@ def _pricer(descriptors, dataset, store: PriceStore):
     n^2 R_a + n R_b + R_c, so setup keeps n^2 R, n R and R and a triplet's
     keys take two additions per problem.  A key maps to its price; only a
     new one asks the ``store`` for the price of ``lex_order`` on its rank
-    triples; one triplet's new keys are one batch.
+    triples; one triplet's new keys are one batch.  A key decodes to the
+    same rank triples in every problem with the same n, so ``lex_order``
+    runs once per distinct (n, key).
     """
     ranks = [[] for _ in descriptors]  # ranks[d][p] = tuple over variables
     for pr in dataset:
@@ -91,13 +93,19 @@ def _pricer(descriptors, dataset, store: PriceStore):
     high = [list(map(mul, per_problem, (n * n for n in ns))) for per_problem in packed]
     mid = [list(map(mul, per_problem, ns)) for per_problem in packed]
     by_key = [{} for _ in dataset]  # packed rank triple -> cost
+    orderings = {}  # (n, packed rank triple) -> its lex_order
 
     def costs(ids) -> list[float]:
         a, b, c = ids
         keys = list(map(add, map(add, high[a], mid[b]), packed[c]))
         found = list(map(dict.get, by_key, keys))
-        missing = [(p, lex_order(tuple(zip(ranks[a][p], ranks[b][p], ranks[c][p]))))
-                   for p, cost in enumerate(found) if cost is None]
+        missing = []
+        for p, cost in enumerate(found):
+            if cost is None:
+                key = ns[p], keys[p]
+                if key not in orderings:
+                    orderings[key] = lex_order(tuple(zip(ranks[a][p], ranks[b][p], ranks[c][p])))
+                missing.append((p, orderings[key]))
         for (p, _), cost in zip(missing, store.prices(missing)):
             found[p] = by_key[p][keys[p]] = cost
         return found

@@ -198,6 +198,27 @@ def test_order_and_check_read_a_checkpoint(checkpoint, capsys):
     assert code == 0 and "10 problems, 0 mismatches, 0 weight violations" in stdout
 
 
+def test_check_proves_a_checkpoint_and_an_averaging_triplet_at_n8(checkpoint, tmp_path, capsys):
+    # At n = 8 both rules' scores are wider than 32 bits; check takes the n! layer's
+    # packed product, never its 40,320-neuron table, so the run is quick.
+    path = checkpoint[0]
+    data = tmp_path / "n8"
+    assert main(["gen", "--n-vars", "8", "--seed", "4", "--count", "3", "--out", str(data)]) == 0
+    capsys.readouterr()
+    triplet = tmp_path / "avg.json"
+    triplet.write_text(json.dumps([
+        {"kernel": "DEGREE", "pipeline": ["max_m", "sum_p", "id", "id"]},
+        {"kernel": "DEGREE", "pipeline": ["av_m", "max_p", "id", "id"]},
+        {"kernel": "DEGREE", "pipeline": ["sgn", "sum_m", "max_p", "id"]},
+    ]))
+    for rule in (path, triplet):
+        out = tmp_path / "check.json"
+        code, stdout, _ = run(capsys, "check", "--data", str(data), "--triplet", str(rule),
+                              "--out", str(out))
+        assert code == 0 and "3 problems, 0 mismatches, 0 weight violations" in stdout
+        assert json.loads(out.read_text()) == {"total": 3, "mismatches": [], "violations": []}
+
+
 def test_a_checkpoint_cannot_start_training_or_take_a_base_weight(checkpoint, tmp_path, capsys):
     path, val_dir = checkpoint
     code, stdout, stderr = run(capsys, "train", "--train", str(val_dir), "--val", str(val_dir),

@@ -2,9 +2,7 @@ import functools
 import math
 import operator
 import random
-import sys
 import time
-from array import array
 from fractions import Fraction
 from itertools import permutations
 
@@ -13,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import problem_instances
+from cadorder import heuristics
 from cadorder.datagen import GenConfig, random_dataset
 from cadorder.features import (
     Agg,
@@ -44,10 +43,9 @@ from cadorder.heuristics import (
     permutation_weights,
     radix_scores,
     radix_weights,
-    _PACKED_FIELD,
     _order_scores,
-    _packed_columns,
-    _packed_scores,
+    _packed_layer,
+    _packed_product,
     _unrank,
     _weight_columns,
 )
@@ -135,7 +133,7 @@ def test_layer2_explicit_limit():
         _order_scores(too_many)
     # Past the limit, neither the packed columns nor the neuron table is built.
     with pytest.raises(ValueError, match=message):
-        _packed_columns(len(too_many))
+        _packed_layer(len(too_many), 4)
     with pytest.raises(ValueError, match=message):
         _order_scores((2**32,) + too_many[1:])
 
@@ -210,6 +208,18 @@ def test_argmax_neuron_equals_sort_at_n8_with_ties(seed):
         assert _order_scores(y) == order_by_scores(y)
 
 
+def _fields(packed, width, count):
+    """The ``count`` unsigned ``width``-byte fields of ``packed``, lowest first."""
+    data = packed.to_bytes(count * width, "little")
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+
+
+def _packed_fields(y):
+    """Every field of ``_packed_product(y)``, at its chosen width."""
+    total, width, _ = _packed_product(y)
+    return _fields(total, width, math.factorial(len(y)))
+
+
 def _expected_packed(y):
     """``layer2_scores(y)`` under the affine map that makes exact ``y`` non-negative ints.
 
@@ -235,8 +245,7 @@ def _expected_packed(y):
 )
 def test_packed_scores_are_layer2_scores_scaled_and_shifted(y, i, j):
     y[i % len(y)] = y[j % len(y)]  # force a tie whenever i and j differ mod n
-    scores = _packed_scores(y)
-    assert list(scores) == _expected_packed(y)
+    assert _packed_fields(y) == _expected_packed(y)
     assert _order_scores(y) == order_by_scores(y)
 
 
@@ -252,9 +261,7 @@ def test_packed_scores_are_layer2_scores_scaled_and_shifted(y, i, j):
 @example([0.1, 0.2, 0.30000000000000004, 0.3], 0, 0)
 def test_float_y_is_taken_exactly(y, i, j):
     y[i % len(y)] = y[j % len(y)]  # force a tie whenever i and j differ mod n
-    scores = _packed_scores(y)
-    if scores is not None:
-        assert list(scores) == _expected_packed(y)
+    assert _packed_fields(y) == _expected_packed(y)
     assert _order_scores(y) == order_by_scores(y)
 
 
@@ -264,16 +271,18 @@ def _with_largest_score(top):
     return [0, b, (top - 2 * b) // 3]
 
 
-@pytest.mark.parametrize("top", [2**32 - 1, 2**32, 2**64])
-def test_packed_fields_hold_scores_below_2_pow_32(top):
+@pytest.mark.parametrize("top", [2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**63, 2**64, 2**70, 2**80])
+def test_packed_fields_are_whole_bytes_with_a_spare_high_bit(top):
     y = _with_largest_score(top)
     assert max(layer2_scores(y)) == top
-    scores = _packed_scores(y)
-    if top < 2**32:
-        assert max(scores) == top
-        assert list(scores) == _expected_packed(y)
-    else:
-        assert scores is None  # takes layer2_scores
+    _, width, largest = _packed_product(y)
+    assert largest == top
+    # The fewest whole bytes, at least 4, that keep every score below the high bit.
+    assert top < 2 ** (8 * width - 1)
+    assert (width == 4) if top < 2**31 else (top >= 2 ** (8 * width - 9))
+    fields = _packed_fields(y)
+    assert max(fields) == top
+    assert fields == _expected_packed(y)
     assert _order_scores(y) == order_by_scores(y)
 
 
@@ -281,11 +290,21 @@ def test_packed_fields_hold_scores_below_2_pow_32(top):
 def test_order_scores_past_64_bits_equals_sort_at_n8(seed):
     rng = random.Random(seed)
     y = [rng.choice([0, 2**70, 2**70 + 1, rng.randint(0, 2**80)]) for _ in range(8)]
-    assert _packed_scores(y) is None
+    y[rng.randrange(1, 8)] = y[0]  # force a tie
     permutation_weights.cache_clear()
     assert _order_scores(y) == order_by_scores(y)
-    # Only this fallback builds the n = 8 neuron table.
-    assert permutation_weights.cache_info().currsize == 1
+    assert permutation_weights.cache_info().currsize == 0
+    # 2**80 <= top <= 36 * 2**80 < 2**86: 11 bytes, 88 bits.
+    assert _packed_product(y)[1] == 11
+    assert _packed_fields(y) == _expected_packed(y)
+
+
+def test_order_scores_raises_when_no_neuron_attains_the_largest_score(monkeypatch):
+    # A layer whose columns are all zero scores 0 everywhere, below top = 2.
+    columns, ones = _packed_layer(2, 4)
+    monkeypatch.setattr(heuristics, "_packed_layer", lambda n, width: ((0,) * len(columns), ones))
+    with pytest.raises(RuntimeError, match="no neuron of the layer scores 2"):
+        _order_scores([0, 1])
 
 
 def test_unrank_is_lexicographic_permutation_order():
@@ -308,10 +327,11 @@ def test_every_weight_table_holds_the_same_weights():
     for n in range(1, 7):
         columns = _weight_columns(n)
         assert tuple(zip(*columns)) == permutation_weights(n)
-        for column, packed in zip(columns, _packed_columns(n)):
-            fields = array(_PACKED_FIELD)
-            fields.frombytes(packed.to_bytes(math.factorial(n) * fields.itemsize, sys.byteorder))
-            assert list(fields) == list(column)
+        for width in (4, 5, 9):
+            packed, ones = _packed_layer(n, width)
+            for column, field in zip(columns, packed):
+                assert _fields(field, width, len(column)) == list(column)
+            assert _fields(ones, width, math.factorial(n)) == [1] * math.factorial(n)
 
 
 def _backward_per_neuron(n, dscores, zero):
@@ -399,11 +419,14 @@ def test_layer1_columns_add_left_to_right_from_zero(weights, samples):
 
 def test_check_does_not_build_permutation_weights():
     problems = random_dataset(GenConfig(n_vars=8, max_degree=3, seed=5), 3)
-    permutation_weights.cache_clear()
-    for triplet in (brown_features(), selected_triplet()):
-        assert check_equivalence(problems, triplet).ok
-    # Exact scores below 2**32 take the packed product, never the neuron table.
-    assert permutation_weights.cache_info().currsize == 0
+    # Scores of any width take the packed product, never the neuron table:
+    # Brown's and the selected triplet fit 4-byte fields; the averaging
+    # triplet (on one problem), the tuned rule and a large force_w need wider ones.
+    for rule, force_w in [(brown_features(), None), (selected_triplet(), None),
+                          (_AVERAGING, None), (_TUNED, None), (selected_triplet(), 2**40)]:
+        permutation_weights.cache_clear()
+        assert check_equivalence(problems, rule, force_w=force_w).ok
+        assert permutation_weights.cache_info().currsize == 0
 
 
 # A tuned rule: the pipeline's weights on the selected triplet, feature 1 scaled.
@@ -463,7 +486,7 @@ def test_check_proves_a_tuned_rule(n, count):
     report = check_equivalence(problems, _TUNED)
     per_problem = (time.perf_counter() - started) / count
     assert report.ok and report.total == count
-    # Float y scales past the packed fields; at n = 8 the fallback scores ints, not Fractions.
+    # Float y scales to wide ints; at n = 8 they take the packed product, not Fractions.
     assert per_problem < 0.2, f"{per_problem:.3f} s per problem"
 
 

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cadorder
+from cadorder import search
 from conftest import problem_instances
 from cadorder.costmodel import SyntheticCostModel, dataset_digest, load_timing_table
 from cadorder.datagen import GenConfig, random_dataset
@@ -25,6 +26,7 @@ from cadorder.features import (
     dedup_features,
     enumerate_descriptors,
     feature_matrix,
+    scaled_matrix,
     selected_triplet,
 )
 from cadorder.heuristics import lex_order, parse_ordering
@@ -522,6 +524,45 @@ def test_search_oracle_calls_equal_distinct_pairs_for_any_jobs():
         reports.append(search_triplets(fs, dataset, oracle, jobs=jobs).to_json())
         assert oracle.calls == distinct
     assert reports[0] == reports[1]
+
+
+def _pricer_without_memo(descriptors, dataset, store):
+    """The search's pricer with no (n, key) memo: ``lex_order`` per problem and new rank triple."""
+    rows = [scaled_matrix(descriptors, pr)[1] for pr in dataset]
+    by_triples = [{} for _ in dataset]
+
+    def costs(ids):
+        triples = [tuple(zip(*(_dense_ranks([row[i] for row in r]) for i in ids))) for r in rows]
+        found = list(map(dict.get, by_triples, triples))
+        missing = [(p, search.lex_order(triples[p])) for p, cost in enumerate(found)
+                   if cost is None]
+        for (p, _), cost in zip(missing, store.prices(missing)):
+            found[p] = by_triples[p][triples[p]] = cost
+        return found
+
+    return costs
+
+
+def test_search_orders_each_distinct_key_once_with_the_same_report(tmp_path, monkeypatch):
+    # n = 2, 3 and 4 in one dataset: one packed key names different rank
+    # triples at different n (all ties is key 0 at every n).
+    dataset = [pr for n, seed in ((2, 1), (3, 2), (4, 3))
+               for pr in random_dataset(GenConfig(n_vars=n, seed=seed), 12)]
+    fs = _average_pool()
+    runs = []
+    for pricer in (search._pricer, _pricer_without_memo):
+        calls = []
+        monkeypatch.setattr(search, "_pricer", pricer)
+        monkeypatch.setattr(search, "lex_order", lambda rows: calls.append(rows) or lex_order(rows))
+        oracle = _CountingOracle()
+        journal = tmp_path / f"{pricer.__name__}.txt"
+        report = search_triplets(fs, dataset, oracle, journal_path=journal)
+        runs.append((report.to_json(), report.to_csv(), journal.read_bytes(), oracle.pairs, calls))
+    (memo, *memo_outputs, memo_calls), (plain, *plain_outputs, plain_calls) = runs
+    assert memo == plain and memo_outputs == plain_outputs
+    # The memo orders each distinct (n, rank triples) once.
+    distinct = {(len(rows), tuple(rows)) for rows in plain_calls}
+    assert len(memo_calls) == len(distinct) < len(plain_calls)
 
 
 def _stop_limits(fs, dataset):

@@ -130,16 +130,20 @@ def test_order_reverse_and_explain(problem_file, capsys):
     assert "x: y = 67\ny: y = 41\nz: y = 67\n" in stdout
 
 
+# CI's avg.json: sum_p max_m d_v, max_p av_m d_v, max_p sum_m sgn d_v; the second averages.
+_AVERAGING_RECORDS = [
+    {"kernel": "DEGREE", "pipeline": ["max_m", "sum_p", "id", "id"]},
+    {"kernel": "DEGREE", "pipeline": ["av_m", "max_p", "id", "id"]},
+    {"kernel": "DEGREE", "pipeline": ["sgn", "sum_m", "max_p", "id"]},
+]
+
+
 def test_order_explains_an_averaging_triplet(problem_file, tmp_path, capsys):
     # Features print as exact values; y is the radix score of the scaled ints.
     # problem_a's scale is D = 4, so x's row (3, 1, 1) is read as the digits
     # (12, 4, 4) at the base weight 14: 12 * 196 + 4 * 14 + 4 = 2412.
     triplet = tmp_path / "avg.json"
-    triplet.write_text(json.dumps([
-        {"kernel": "DEGREE", "pipeline": ["max_m", "sum_p", "id", "id"]},
-        {"kernel": "DEGREE", "pipeline": ["av_m", "max_p", "id", "id"]},
-        {"kernel": "DEGREE", "pipeline": ["sgn", "sum_m", "max_p", "id"]},
-    ]))
+    triplet.write_text(json.dumps(_AVERAGING_RECORDS))
     code, stdout, _ = run(capsys, "order", "--heuristic", str(triplet),
                           "--problem", str(problem_file), "--explain")
     assert code == 0 and stdout == (
@@ -206,11 +210,7 @@ def test_check_proves_a_checkpoint_and_an_averaging_triplet_at_n8(checkpoint, tm
     assert main(["gen", "--n-vars", "8", "--seed", "4", "--count", "3", "--out", str(data)]) == 0
     capsys.readouterr()
     triplet = tmp_path / "avg.json"
-    triplet.write_text(json.dumps([
-        {"kernel": "DEGREE", "pipeline": ["max_m", "sum_p", "id", "id"]},
-        {"kernel": "DEGREE", "pipeline": ["av_m", "max_p", "id", "id"]},
-        {"kernel": "DEGREE", "pipeline": ["sgn", "sum_m", "max_p", "id"]},
-    ]))
+    triplet.write_text(json.dumps(_AVERAGING_RECORDS))
     for rule in (path, triplet):
         out = tmp_path / "check.json"
         code, stdout, _ = run(capsys, "check", "--data", str(data), "--triplet", str(rule),
